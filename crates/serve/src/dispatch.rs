@@ -998,11 +998,12 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// The scheduler: which ready tenant a free device serves. With
-    /// preemption enabled, ready latency-class tenants take absolute
-    /// priority (preempting a batch only to serve someone else would be
-    /// self-defeating); the configured scheduler orders within a class.
-    fn select(&self, ready: &[usize]) -> usize {
+    /// The scheduler: which ready tenant a free device serves, or `None`
+    /// if no tenant is ready. With preemption enabled, ready latency-class
+    /// tenants take absolute priority (preempting a batch only to serve
+    /// someone else would be self-defeating); the configured scheduler
+    /// orders within a class.
+    fn select(&self, now: SimTime) -> Option<usize> {
         let head = |t: usize| -> &Request {
             self.residues[t]
                 .front()
@@ -1010,20 +1011,14 @@ impl<'a> Sim<'a> {
                 .unwrap_or_else(|| self.queues[t].front().expect("ready implies nonempty"))
         };
         let class = |t: usize| self.server.spec.tenants[t].class;
-        let candidates: Vec<usize> = if self.config.preempt.is_some()
-            && ready.iter().any(|&t| class(t) == TenantClass::Latency)
-        {
-            ready
-                .iter()
-                .copied()
-                .filter(|&t| class(t) == TenantClass::Latency)
-                .collect()
-        } else {
-            ready.to_vec()
-        };
-        *candidates
-            .iter()
-            .min_by(|&&a, &&b| match self.config.sched {
+        let tenants = 0..self.queues.len();
+        let latency_only = self.config.preempt.is_some()
+            && tenants
+                .clone()
+                .any(|t| class(t) == TenantClass::Latency && self.ready(t, now));
+        tenants
+            .filter(|&t| (!latency_only || class(t) == TenantClass::Latency) && self.ready(t, now))
+            .min_by(|&a, &b| match self.config.sched {
                 RequestSched::Fifo => head(a).arrival.cmp(&head(b).arrival).then(a.cmp(&b)),
                 RequestSched::Edf => head(a).deadline.cmp(&head(b).deadline).then(a.cmp(&b)),
                 RequestSched::WeightedFair => {
@@ -1036,7 +1031,6 @@ impl<'a> Sim<'a> {
                         .then(a.cmp(&b))
                 }
             })
-            .expect("select called with candidates")
     }
 
     fn try_dispatch(&mut self, now: SimTime) {
@@ -1048,10 +1042,7 @@ impl<'a> Sim<'a> {
                 self.try_preempt(now);
                 return;
             };
-            let ready: Vec<usize> = (0..self.queues.len())
-                .filter(|&t| self.ready(t, now))
-                .collect();
-            if ready.is_empty() {
+            let Some(tenant) = self.select(now) else {
                 // Everything queued is a partial batch inside its window:
                 // make sure a WindowCheck will revisit when the earliest
                 // window expires (spurious checks are harmless no-ops).
@@ -1064,8 +1055,7 @@ impl<'a> Sim<'a> {
                     self.push(next, EvKind::WindowCheck);
                 }
                 return;
-            }
-            let tenant = self.select(&ready);
+            };
             // Residues resume before fresh queue work: theirs are the
             // oldest admitted requests, and the checkpoint (plus the
             // policy's resume overhead) is all the service they still owe.
@@ -1522,7 +1512,7 @@ impl<'a> Sim<'a> {
             .max(horizon);
         let mut tenants = self.tenants;
         for tenant in &mut tenants {
-            tenant.latencies.sort();
+            tenant.latencies.sort_unstable();
         }
         for (device, pool) in self.kv.iter().enumerate() {
             self.devices[device].kv = pool.stats();

@@ -25,6 +25,20 @@ use crate::workload::TenantSpec;
 /// identity of one checkpoint probe.
 type CheckpointKey = (u64, usize, u64, Option<LinkScale>);
 
+/// Context classes per shape in the dense decode-step memo: one per
+/// power of two a `u32` class can be
+/// ([`ModelKind::ctx_class`](crate::ModelKind::ctx_class) only emits
+/// powers of two).
+const CTX_CLASSES: usize = u32::BITS as usize;
+
+/// One warmed batch shape: the pipeline it runs and its measured service
+/// time.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    fingerprint: u64,
+    time: SimTime,
+}
+
 /// Lazily measured fault-mode quantities: service times under a degraded
 /// link and checkpoint boundaries for preemption. Interior-mutable so the
 /// dispatcher can consult them mid-run through a shared pool; every value
@@ -37,12 +51,9 @@ struct LazyMeasure {
     degraded: HashMap<(u64, usize, LinkScale), SimTime>,
     /// `(fingerprint, slot, elapsed ps, scale)` → checkpoint outcome.
     checkpoints: HashMap<CheckpointKey, Option<(SimTime, SimTime)>>,
-    /// `(tenant, width, context class, slot)` → fingerprint of the
-    /// decode-step pipeline for that shape. Decode steps are compiled
-    /// lazily because the reachable (width, class) set depends on runtime
-    /// batch formation, not on the spec alone.
-    step_shapes: HashMap<(usize, u32, u32, usize), u64>,
-    /// `(step fingerprint, slot)` → measured step service time.
+    /// `(step fingerprint, slot)` → measured step service time: the cold
+    /// path behind the dense step memo, through which tenants serving the
+    /// same decode model share one measurement.
     step_times: HashMap<(u64, usize), SimTime>,
     /// `(tenant, width, max decode length, slot)` → padded static-width
     /// decode total (prefill + every step priced at the batch's final
@@ -52,20 +63,28 @@ struct LazyMeasure {
 
 /// Compiled pipelines and measured service times for every (tenant,
 /// width, device) the dispatcher can place.
+///
+/// The per-dispatch lookups ([`ServicePool::service_time`] and
+/// [`ServicePool::decode_step_time`]) are bounds-checked reads of dense
+/// tables indexed by `(tenant, width − 1, device-model slot)`; only the
+/// fault-mode, checkpoint and static-decode memos hash.
 #[derive(Debug)]
 pub struct ServicePool {
     cluster: ClusterConfig,
     /// Distinct compiled pipelines, keyed by fingerprint (shared across
     /// tenants that serve the same model).
     pipelines: HashMap<u64, Arc<CompiledPipeline>>,
-    /// `(tenant index, width, device-model slot)` → fingerprint of the
-    /// pipeline that batch shape runs on devices of that model.
-    by_shape: HashMap<(usize, u32, usize), u64>,
-    /// `(fingerprint, device-model slot)` → measured service time.
-    times: HashMap<(u64, usize), SimTime>,
+    /// Every warmed shape, at [`ServicePool::shape_index`].
+    shapes: Vec<Shape>,
+    /// Decode-step service times, measured lazily — the reachable
+    /// (width, class) set depends on runtime batch formation, not on the
+    /// spec alone — at `shape_index × CTX_CLASSES + log2(class)`.
+    steps: RefCell<Vec<Option<SimTime>>>,
     /// Distinct-device-model slot of each device index (all zeros for the
     /// homogeneous built-in clusters).
     model_of_device: Vec<usize>,
+    /// Number of distinct device models.
+    slots: usize,
     /// The tenant models this pool was warmed for, in tenant order —
     /// [`Server::with_pool`](crate::Server::with_pool) checks a reused
     /// pool still matches its spec.
@@ -100,55 +119,82 @@ impl ServicePool {
             });
             model_of_device.push(slot);
         }
-        let mut pool = ServicePool {
+        let slots = distinct.len();
+        let mut pipelines = HashMap::new();
+        let mut shapes = Vec::with_capacity(tenants.len() * max_width as usize * slots);
+        // Tenants sharing a ModelKind share the compile itself, not just
+        // the resulting Arc: memo by (model, width, slot) up front; equal
+        // fingerprints share the measurement.
+        let mut compiled: HashMap<(crate::zoo::ModelKind, u32, usize), Shape> = HashMap::new();
+        let mut measured: HashMap<(u64, usize), SimTime> = HashMap::new();
+        // Tenant-major, then width, then slot: the shape_index order.
+        for tenant in tenants {
+            for width in 1..=max_width {
+                // Compile against each distinct device model (the zoo's
+                // auto-tilings depend on the hardware).
+                for (slot, (config, session)) in distinct.iter_mut().enumerate() {
+                    let shape = *compiled
+                        .entry((tenant.model, width, slot))
+                        .or_insert_with(|| {
+                            let pipeline = tenant.model.compile(config, width);
+                            let fingerprint = pipeline.fingerprint();
+                            let pipeline = pipelines
+                                .entry(fingerprint)
+                                .or_insert_with(|| Arc::new(pipeline));
+                            let time = *measured.entry((fingerprint, slot)).or_insert_with(|| {
+                                session
+                                    .run(pipeline)
+                                    .expect("zoo pipeline deadlocked during warmup")
+                                    .total
+                            });
+                            Shape { fingerprint, time }
+                        });
+                    shapes.push(shape);
+                }
+            }
+        }
+        ServicePool {
             cluster: cluster.clone(),
-            pipelines: HashMap::new(),
-            by_shape: HashMap::new(),
-            times: HashMap::new(),
+            pipelines,
+            steps: RefCell::new(vec![None; shapes.len() * CTX_CLASSES]),
+            shapes,
             model_of_device,
+            slots,
             models: tenants.iter().map(|t| t.model).collect(),
             max_width,
             lazy: RefCell::new(LazyMeasure {
                 session: Session::new(),
                 degraded: HashMap::new(),
                 checkpoints: HashMap::new(),
-                step_shapes: HashMap::new(),
                 step_times: HashMap::new(),
                 static_decode: HashMap::new(),
             }),
-        };
-        // Tenants sharing a ModelKind share the compile itself, not just
-        // the resulting Arc: memo by (model, width, slot) up front.
-        let mut compiled: HashMap<(crate::zoo::ModelKind, u32, usize), u64> = HashMap::new();
-        for (tenant_idx, tenant) in tenants.iter().enumerate() {
-            for width in 1..=max_width {
-                // Compile against each distinct device model (the zoo's
-                // auto-tilings depend on the hardware).
-                for (slot, (config, session)) in distinct.iter_mut().enumerate() {
-                    let fingerprint = match compiled.get(&(tenant.model, width, slot)) {
-                        Some(&fingerprint) => fingerprint,
-                        None => {
-                            let pipeline = tenant.model.compile(config, width);
-                            let fingerprint = pipeline.fingerprint();
-                            compiled.insert((tenant.model, width, slot), fingerprint);
-                            let pipeline = pool
-                                .pipelines
-                                .entry(fingerprint)
-                                .or_insert_with(|| Arc::new(pipeline));
-                            pool.times.entry((fingerprint, slot)).or_insert_with(|| {
-                                session
-                                    .run(pipeline)
-                                    .expect("zoo pipeline deadlocked during warmup")
-                                    .total
-                            });
-                            fingerprint
-                        }
-                    };
-                    pool.by_shape.insert((tenant_idx, width, slot), fingerprint);
-                }
-            }
         }
-        pool
+    }
+
+    /// Position of the `(tenant, width, device)` shape in the dense
+    /// tables, with the device's model slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the shape, if the tenant, width or device lies
+    /// outside what [`ServicePool::build`] warmed. The check is what keeps
+    /// a dense index from reading a neighbour's entry: without it
+    /// `(t, max_width + 1)` would alias `(t + 1, 1)`.
+    fn shape_index(&self, tenant: usize, width: u32, device: u32) -> (usize, usize) {
+        match self.model_of_device.get(device as usize) {
+            Some(&slot) if tenant < self.models.len() && (1..=self.max_width).contains(&width) => {
+                let row = tenant * self.max_width as usize + (width - 1) as usize;
+                (row * self.slots + slot, slot)
+            }
+            _ => panic!(
+                "shape (tenant {tenant}, width {width}, device {device}) was not warmed: \
+                 the pool covers {} tenants, widths 1..={}, {} devices",
+                self.models.len(),
+                self.max_width,
+                self.model_of_device.len()
+            ),
+        }
     }
 
     /// The cluster this pool serves.
@@ -184,9 +230,8 @@ impl ServicePool {
     /// Panics if the shape was not warmed by [`ServicePool::build`] or
     /// `device` is out of range.
     pub fn pipeline(&self, tenant: usize, width: u32, device: u32) -> &Arc<CompiledPipeline> {
-        let slot = self.model_of_device[device as usize];
-        let fingerprint = self.by_shape[&(tenant, width, slot)];
-        &self.pipelines[&fingerprint]
+        let (at, _) = self.shape_index(tenant, width, device);
+        &self.pipelines[&self.shapes[at].fingerprint]
     }
 
     /// Deterministic service time of a `width`-request batch of `tenant`
@@ -196,9 +241,7 @@ impl ServicePool {
     ///
     /// Panics if the shape was not warmed or `device` is out of range.
     pub fn service_time(&self, tenant: usize, width: u32, device: u32) -> SimTime {
-        let slot = self.model_of_device[device as usize];
-        let fingerprint = self.by_shape[&(tenant, width, slot)];
-        self.times[&(fingerprint, slot)]
+        self.shapes[self.shape_index(tenant, width, device).0].time
     }
 
     /// Deterministic service time of the batch with `LinkSend` wire time
@@ -218,9 +261,8 @@ impl ServicePool {
         device: u32,
         scale: LinkScale,
     ) -> SimTime {
-        let slot = self.model_of_device[device as usize];
-        let fingerprint = self.by_shape[&(tenant, width, slot)];
-        self.degraded_total(fingerprint, slot, scale)
+        let (at, slot) = self.shape_index(tenant, width, device);
+        self.degraded_total(self.shapes[at].fingerprint, slot, scale)
     }
 
     fn degraded_total(&self, fingerprint: u64, slot: usize, scale: LinkScale) -> SimTime {
@@ -264,15 +306,15 @@ impl ServicePool {
         elapsed: SimTime,
         scale: Option<LinkScale>,
     ) -> Option<(SimTime, SimTime)> {
-        let slot = self.model_of_device[device as usize];
-        let fingerprint = self.by_shape[&(tenant, width, slot)];
+        let (at, slot) = self.shape_index(tenant, width, device);
+        let Shape { fingerprint, time } = self.shapes[at];
         let key = (fingerprint, slot, elapsed.as_picos(), scale);
         if let Some(&hit) = self.lazy.borrow().checkpoints.get(&key) {
             return hit;
         }
         let total = match scale {
             Some(s) => self.degraded_total(fingerprint, slot, s),
-            None => self.times[&(fingerprint, slot)],
+            None => time,
         };
         let pipeline = Arc::clone(&self.pipelines[&fingerprint]);
         let mut lazy = self.lazy.borrow_mut();
@@ -297,12 +339,14 @@ impl ServicePool {
     /// The step pipeline is compiled lazily on first use — the reachable
     /// (width, class) set depends on how batches form at runtime — then
     /// memoized by shape and, through the fingerprint, shared across
-    /// tenants serving the same decode model.
+    /// tenants serving the same decode model. A class that is not a power
+    /// of two (`ModelKind::ctx_class` never emits one) has no dense memo entry: it is
+    /// recompiled on every call and priced through the fingerprint memo.
     ///
     /// # Panics
     ///
     /// Panics if `tenant` is not a [`DecodeLlm`](crate::ModelKind) model,
-    /// `width` is zero, or `device` is out of range.
+    /// or the shape lies outside the warmed tenants, widths and devices.
     pub fn decode_step_time(
         &self,
         tenant: usize,
@@ -310,11 +354,29 @@ impl ServicePool {
         ctx_class: u32,
         device: u32,
     ) -> SimTime {
-        let slot = self.model_of_device[device as usize];
-        let key = (tenant, width, ctx_class, slot);
-        if let Some(&fingerprint) = self.lazy.borrow().step_shapes.get(&key) {
-            return self.lazy.borrow().step_times[&(fingerprint, slot)];
+        let (at, slot) = self.shape_index(tenant, width, device);
+        if !ctx_class.is_power_of_two() {
+            return self.measure_step(tenant, width, ctx_class, device, slot);
         }
+        let at = at * CTX_CLASSES + ctx_class.trailing_zeros() as usize;
+        if let Some(total) = self.steps.borrow()[at] {
+            return total;
+        }
+        let total = self.measure_step(tenant, width, ctx_class, device, slot);
+        self.steps.borrow_mut()[at] = Some(total);
+        total
+    }
+
+    /// Compiles a decode-step pipeline and prices it through the
+    /// fingerprint-keyed memo.
+    fn measure_step(
+        &self,
+        tenant: usize,
+        width: u32,
+        ctx_class: u32,
+        device: u32,
+        slot: usize,
+    ) -> SimTime {
         // Compile outside the borrow: compilation only needs the model and
         // the device config.
         let pipeline = self.models[tenant].compile_decode_step(
@@ -322,10 +384,9 @@ impl ServicePool {
             width,
             ctx_class,
         );
-        let fingerprint = pipeline.fingerprint();
+        let key = (pipeline.fingerprint(), slot);
         let mut lazy = self.lazy.borrow_mut();
-        lazy.step_shapes.insert(key, fingerprint);
-        if let Some(&total) = lazy.step_times.get(&(fingerprint, slot)) {
+        if let Some(&total) = lazy.step_times.get(&key) {
             return total;
         }
         let total = lazy
@@ -333,7 +394,7 @@ impl ServicePool {
             .run(&pipeline)
             .expect("decode-step pipeline deadlocked during measurement")
             .total;
-        lazy.step_times.insert((fingerprint, slot), total);
+        lazy.step_times.insert(key, total);
         total
     }
 
@@ -517,5 +578,131 @@ mod tests {
             expect += pool.decode_step_time(0, 1, ModelKind::ctx_class(16 + k), 0);
         }
         assert_eq!(pool.static_decode_service(0, 1, 4, 0), expect);
+    }
+
+    fn decode_tenant() -> TenantSpec {
+        let mut tenant = toy_tenant("d", 2);
+        tenant.model = ModelKind::DecodeLlm {
+            prompt: 16,
+            max_new: 8,
+            step_cycles: 50_000,
+            ctx_cycles: 500,
+            kv_bytes_per_token: 1 << 10,
+        };
+        tenant
+    }
+
+    /// Two tenants, widths 1..=2, one device.
+    fn two_tenant_pool() -> ServicePool {
+        let cluster = ClusterConfig::single(GpuConfig::toy(4));
+        ServicePool::build(&cluster, &[toy_tenant("a", 2), decode_tenant()], 2)
+    }
+
+    #[test]
+    #[should_panic(expected = "shape (tenant 0, width 3, device 0) was not warmed")]
+    fn width_past_max_does_not_alias_the_next_tenant() {
+        // Densely, (0, max_width + 1) sits where (1, 1) lives.
+        two_tenant_pool().service_time(0, 3, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "shape (tenant 1, width 0, device 0) was not warmed")]
+    fn width_zero_is_rejected() {
+        two_tenant_pool().service_time(1, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "shape (tenant 2, width 1, device 0) was not warmed")]
+    fn tenant_out_of_range_is_rejected() {
+        two_tenant_pool().pipeline(2, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "shape (tenant 0, width 1, device 1) was not warmed")]
+    fn device_out_of_range_is_rejected() {
+        two_tenant_pool().checkpoint(0, 1, 1, SimTime::ZERO, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "shape (tenant 1, width 3, device 0) was not warmed")]
+    fn decode_width_past_max_is_rejected() {
+        two_tenant_pool().decode_step_time(1, 3, 16, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "shape (tenant 0, width 3, device 0) was not warmed")]
+    fn degraded_pricing_checks_the_shape_too() {
+        two_tenant_pool().degraded_service_time(0, 3, 0, LinkScale::times(2));
+    }
+
+    #[test]
+    fn non_power_of_two_classes_take_the_hashed_path() {
+        let pool = two_tenant_pool();
+        let gpu = GpuConfig::toy(4);
+        let fresh = |class| {
+            Session::new()
+                .run(&pool.models()[1].compile_decode_step(&gpu, 2, class))
+                .unwrap()
+                .total
+        };
+        assert_eq!(pool.decode_step_time(1, 2, 24, 0), fresh(24));
+        assert!(
+            pool.steps.borrow().iter().all(Option::is_none),
+            "class 24 must not claim a dense entry"
+        );
+        // Class 16 and class 32 do, each in its own slot — 24 is priced
+        // between its neighbours, not as either.
+        assert_eq!(pool.decode_step_time(1, 2, 16, 0), fresh(16));
+        assert_eq!(pool.decode_step_time(1, 2, 32, 0), fresh(32));
+        assert_eq!(pool.steps.borrow().iter().flatten().count(), 2);
+        assert!(fresh(16) < fresh(24) && fresh(24) < fresh(32));
+        assert_eq!(pool.decode_step_time(1, 2, 24, 0), fresh(24), "repeatable");
+    }
+
+    #[test]
+    fn heterogeneous_slots_price_every_shape_like_a_fresh_run() {
+        // Devices 0 and 2 share a model; device 1 is a second model, so
+        // the pool has two slots and device index != slot.
+        let cluster = ClusterConfig {
+            devices: vec![GpuConfig::toy(4), GpuConfig::toy(2), GpuConfig::toy(4)],
+            ..ClusterConfig::single(GpuConfig::toy(4))
+        };
+        let tenants = [toy_tenant("a", 3), decode_tenant(), toy_tenant("c", 5)];
+        let max_width = 3;
+        let pool = ServicePool::build(&cluster, &tenants, max_width);
+        let fresh = |pipeline: &CompiledPipeline| Session::new().run(pipeline).unwrap().total;
+        let mut distinct = std::collections::HashSet::new();
+        for (t, tenant) in tenants.iter().enumerate() {
+            for width in 1..=max_width {
+                for (d, gpu) in cluster.devices.iter().enumerate() {
+                    let d32 = d as u32;
+                    let pipeline = tenant.model.compile(gpu, width);
+                    let want = fresh(&pipeline);
+                    assert_eq!(
+                        pool.service_time(t, width, d32),
+                        want,
+                        "({t}, {width}, {d})"
+                    );
+                    let warmed = pool.pipeline(t, width, d32).fingerprint();
+                    assert_eq!(warmed, pipeline.fingerprint());
+                    distinct.insert(want);
+                    if t != 1 {
+                        continue;
+                    }
+                    for class in [16, 32, 64] {
+                        let want = fresh(&tenant.model.compile_decode_step(gpu, width, class));
+                        assert_eq!(
+                            pool.decode_step_time(t, width, class, d32),
+                            want,
+                            "step ({t}, {width}, {class}, {d})"
+                        );
+                    }
+                }
+            }
+        }
+        // The two device models really do price differently.
+        assert_ne!(pool.service_time(2, 3, 0), pool.service_time(2, 3, 1));
+        assert_eq!(pool.service_time(2, 3, 0), pool.service_time(2, 3, 2));
+        assert!(distinct.len() > tenants.len() * max_width as usize);
     }
 }

@@ -605,11 +605,7 @@ impl Rng {
     /// through the `f64 → u64` cast.
     pub fn exp(&mut self, mean: SimTime) -> SimTime {
         let draw = -self.next_unit().ln();
-        let ps = mean.as_picos() as f64 * draw;
-        if ps >= u64::MAX as f64 {
-            return SimTime::MAX;
-        }
-        SimTime::from_picos((ps.round() as u64).max(1))
+        SimTime::from_picos_rounded(mean.as_picos() as f64 * draw).max(SimTime::from_picos(1))
     }
 
     /// An exponential inter-arrival gap for a Poisson process of
@@ -627,13 +623,7 @@ impl Rng {
             rate_rps.is_finite() && rate_rps > 0.0,
             "Poisson rate must be finite and positive"
         );
-        let mean_ps = 1e12 / rate_rps;
-        let mean = if mean_ps >= u64::MAX as f64 {
-            SimTime::MAX
-        } else {
-            SimTime::from_picos(mean_ps.round() as u64)
-        };
-        self.exp(mean)
+        self.exp(SimTime::from_picos_rounded(1e12 / rate_rps))
     }
 
     /// A uniform draw in `0..n` — the decode-length stream of

@@ -28,7 +28,6 @@
 //! pool.stats().check().unwrap();
 //! ```
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -131,8 +130,11 @@ impl fmt::Display for KvStats {
 pub struct KvPool {
     /// Blocks not held by anyone.
     free: u64,
-    /// Live allocations, by owner id.
-    active: HashMap<u64, u64>,
+    /// Live allocations as `(owner id, blocks)`, in no particular order.
+    /// A decode run holds at most its batch width of residents, so a
+    /// linear scan beats hashing the owner id; any number of owners still
+    /// fits.
+    active: Vec<(u64, u64)>,
     /// Released-but-not-evicted block counts, oldest release first.
     retained: VecDeque<u64>,
     stats: KvStats,
@@ -143,7 +145,7 @@ impl KvPool {
     pub fn new(total_blocks: u64) -> Self {
         KvPool {
             free: total_blocks,
-            active: HashMap::new(),
+            active: Vec::new(),
             retained: VecDeque::new(),
             stats: KvStats {
                 total: total_blocks,
@@ -182,7 +184,10 @@ impl KvPool {
 
     /// Blocks currently held by live owner `owner` (0 if none).
     pub fn held_by(&self, owner: u64) -> u64 {
-        self.active.get(&owner).copied().unwrap_or(0)
+        self.active
+            .iter()
+            .find(|&&(o, _)| o == owner)
+            .map_or(0, |&(_, blocks)| blocks)
     }
 
     /// Grows `owner`'s allocation by `blocks`, evicting retained blocks
@@ -208,7 +213,10 @@ impl KvPool {
             self.stats.retained_now -= oldest;
         }
         self.free -= blocks;
-        *self.active.entry(owner).or_insert(0) += blocks;
+        match self.active.iter_mut().find(|(o, _)| *o == owner) {
+            Some((_, held)) => *held += blocks,
+            None => self.active.push((owner, blocks)),
+        }
         self.stats.allocated += blocks;
         self.stats.active_now += blocks;
         self.stats.peak_active = self.stats.peak_active.max(self.stats.active_now);
@@ -219,7 +227,7 @@ impl KvPool {
     /// cache (newest entry), to be evicted FIFO under future pressure.
     /// Releasing an unknown owner is a no-op (a zero-block sequence).
     pub fn release(&mut self, owner: u64) {
-        if let Some(blocks) = self.active.remove(&owner) {
+        if let Some(blocks) = self.end(owner) {
             self.retained.push_back(blocks);
             self.stats.active_now -= blocks;
             self.stats.released += blocks;
@@ -231,7 +239,7 @@ impl KvPool {
     /// to the free list and their contents are gone (the caller recomputes).
     /// Discarding an unknown owner is a no-op.
     pub fn discard(&mut self, owner: u64) {
-        if let Some(blocks) = self.active.remove(&owner) {
+        if let Some(blocks) = self.end(owner) {
             self.free += blocks;
             self.stats.active_now -= blocks;
             self.stats.discarded += blocks;
@@ -246,6 +254,12 @@ impl KvPool {
     /// Number of live owners.
     pub fn active_owners(&self) -> usize {
         self.active.len()
+    }
+
+    /// Removes `owner`'s live allocation, returning its block count.
+    fn end(&mut self, owner: u64) -> Option<u64> {
+        let at = self.active.iter().position(|&(o, _)| o == owner)?;
+        Some(self.active.swap_remove(at).1)
     }
 
     fn retained_blocks(&self) -> u64 {

@@ -59,6 +59,21 @@ impl SimTime {
         SimTime(((cycles as f64) * 1e12 / clock_hz).round() as u64)
     }
 
+    /// Creates a time from a floating-point picosecond count, rounding
+    /// half away from zero. Bit-identical to `SimTime::from_picos(ps.round()
+    /// as u64)`, saturating cast included (NaN and negatives → zero, beyond
+    /// `u64::MAX` → [`SimTime::MAX`]), but without the libm `round` call:
+    /// every `f64` at or above 2⁵² is already an integer, and below it the
+    /// truncation and its fraction are exact.
+    pub fn from_picos_rounded(ps: f64) -> Self {
+        if ps < (1u64 << 52) as f64 {
+            let whole = ps as u64; // truncates; negatives saturate to 0
+            SimTime(whole + u64::from(ps - whole as f64 >= 0.5))
+        } else {
+            SimTime(ps as u64) // already integral, clamped, or NaN → 0
+        }
+    }
+
     /// Raw picosecond value.
     pub const fn as_picos(self) -> u64 {
         self.0
@@ -102,11 +117,7 @@ impl SimTime {
         if secs.is_nan() || secs < 0.0 {
             return None;
         }
-        let ps = secs * 1e12;
-        if ps >= u64::MAX as f64 {
-            return Some(SimTime::MAX);
-        }
-        Some(SimTime(ps.round() as u64))
+        Some(SimTime::from_picos_rounded(secs * 1e12))
     }
 
     /// Larger of two times.
@@ -205,6 +216,47 @@ mod tests {
             SimTime::from_nanos(1).saturating_add(SimTime::from_nanos(2)),
             SimTime::from_nanos(3)
         );
+    }
+
+    #[test]
+    fn picos_rounded_matches_libm_round_cast() {
+        let libm = |x: f64| x.round() as u64;
+        for x in [
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            (1u64 << 52) as f64 - 0.5,
+            (1u64 << 52) as f64 + 0.5,
+            (1u64 << 53) as f64,
+            u64::MAX as f64,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -0.7,
+            -2.5,
+            f64::MIN_POSITIVE,
+        ] {
+            assert_eq!(SimTime::from_picos_rounded(x).as_picos(), libm(x), "{x:e}");
+        }
+        // A seeded sweep: random mantissas in every binade from 2^-2 to
+        // past 2^64, plus exact halves above each draw's integer part.
+        let mut state = 0x5EED_u64;
+        for _ in 0..100_000 {
+            state = crate::splitmix64(state);
+            let exponent = 1021 + (state >> 52) % 67;
+            let x = f64::from_bits((exponent << 52) | (state & ((1 << 52) - 1)));
+            assert_eq!(SimTime::from_picos_rounded(x).as_picos(), libm(x), "{x:e}");
+            let half = (x as u64) as f64 + 0.5;
+            assert_eq!(
+                SimTime::from_picos_rounded(half).as_picos(),
+                libm(half),
+                "{half:e}"
+            );
+        }
     }
 
     #[test]

@@ -114,6 +114,45 @@ proptest! {
     }
 }
 
+/// The owner table is sized by use, not by the serving layer's batch
+/// width: far more concurrent owners than any `max_batch` keep exact
+/// per-owner holdings through interleaved growth and out-of-order ends,
+/// and a twin pool driven identically stays equal.
+#[test]
+fn many_more_owners_than_a_batch_stay_exact() {
+    const OWNERS: u64 = 200;
+    let mut pool = KvPool::new(OWNERS * (OWNERS + 1));
+    let mut twin = KvPool::new(OWNERS * (OWNERS + 1));
+    // Two interleaved rounds: owner o ends up holding 1 + o blocks.
+    for round in 0..2 {
+        for owner in 0..OWNERS {
+            let blocks = if round == 0 { 1 } else { owner };
+            assert!(pool.try_grow(owner, blocks));
+            assert!(twin.try_grow(owner, blocks));
+        }
+    }
+    assert_eq!(pool.active_owners() as u64, OWNERS);
+    assert!((0..OWNERS).all(|o| pool.held_by(o) == 1 + o));
+    // End every third owner (released or discarded alternately), in
+    // reverse order, then check the survivors are untouched.
+    for owner in (0..OWNERS).rev().filter(|o| o % 3 == 0) {
+        for p in [&mut pool, &mut twin] {
+            if owner % 2 == 0 {
+                p.release(owner);
+            } else {
+                p.discard(owner);
+            }
+        }
+    }
+    for owner in 0..OWNERS {
+        let want = if owner % 3 == 0 { 0 } else { 1 + owner };
+        assert_eq!(pool.held_by(owner), want, "owner {owner}");
+    }
+    assert_eq!(pool.active_owners() as u64, OWNERS - OWNERS.div_ceil(3));
+    assert!(pool == twin);
+    pool.stats().check().unwrap();
+}
+
 /// Eviction reclaims retained entries strictly in release order (FIFO),
 /// regardless of which owner released when — the deterministic victim
 /// sequence the dispatcher's recompute accounting relies on.
