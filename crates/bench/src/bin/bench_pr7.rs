@@ -1,12 +1,11 @@
 //! Benchmarks the device-sharded parallel engine (`ExecMode::Parallel`)
-//! against the serial optimized engine, and the intra-device hot-path
-//! shave (inline `BlockResume` heap payloads), writing `BENCH_PR7.json`.
+//! against the serial optimized engine, writing `BENCH_PR7.json`.
 //!
 //! ```text
 //! bench_pr7 [--quick] [--seed N] [--out FILE]
 //! ```
 //!
-//! Three sweeps:
+//! Two sweeps:
 //!
 //! - **Thread scaling × device count**: the tensor-parallel overlap layer
 //!   on 1/2/4 simulated GPUs, serial (`before`) vs device-sharded with a
@@ -20,9 +19,6 @@
 //!   readers can tell which regime produced the artifact.
 //! - **Ring allreduce**: the bare collective on 4 devices, the
 //!   communication-dominated extreme of the same comparison.
-//! - **Resume-inline shave**: the single-device serial hot path with the
-//!   inline `BlockResume` encoding disabled (`before`) vs enabled
-//!   (`after`) — the satellite ns/event win, isolated from sharding.
 //!
 //! Every parallel cell is asserted bit-identical (kernel timelines,
 //! totals, utilization) to its serial twin before it is timed, so the
@@ -32,13 +28,9 @@ use std::time::{Duration, Instant};
 
 use cusync_bench::perf::{render_json, PerfEntry};
 use cusync_bench::sweep::SweepOutcome;
-use cusync_models::{
-    compile_mlp, compile_tp_layer, launch_ring_allreduce, tp_mlp, MlpModel, PolicyKind, SyncMode,
-    TpSchedule,
-};
+use cusync_models::{compile_tp_layer, launch_ring_allreduce, tp_mlp, TpSchedule};
 use cusync_sim::{
-    set_resume_inline, ClusterConfig, CompiledPipeline, EngineMode, ExecMode, Gpu, GpuConfig,
-    RunReport, Session, StreamId,
+    ClusterConfig, CompiledPipeline, EngineMode, ExecMode, Gpu, RunReport, Session, StreamId,
 };
 
 /// Runs `pipeline` `repeats` times on a warmed session with the given
@@ -185,62 +177,6 @@ fn main() {
         entries.push(entry(
             figure, "after", "parallel", threads, wall, events, repeats,
         ));
-    }
-
-    // The single-device serial hot path, inline-resume off vs on.
-    {
-        let figure = "resume_inline_1dev";
-        let gpu = GpuConfig::tesla_v100();
-        let pipeline = compile_mlp(
-            &gpu,
-            MlpModel::Gpt3,
-            if quick { 64 } else { 256 },
-            SyncMode::CuSync(PolicyKind::Tile, cusync::OptFlags::WRT),
-        );
-        // Interleave the off/on sweeps and keep each arm's minimum: the
-        // two arms differ by a few percent, which back-to-back blocks
-        // would confound with host frequency/scheduler drift.
-        let mut session = Session::with_mode(EngineMode::Optimized);
-        session.set_exec(Some(ExecMode::Serial));
-        let mut sweep = |inline: bool| -> (Duration, u64, RunReport) {
-            set_resume_inline(inline);
-            let warm = session.run(&pipeline).expect("warmup run");
-            let start = Instant::now();
-            let mut events = 0u64;
-            for _ in 0..repeats {
-                events += session.run(&pipeline).expect("timed run").sim_events;
-            }
-            (start.elapsed(), events, warm)
-        };
-        let (mut wall_off, mut events_off, plain) = sweep(false);
-        let (mut wall_on, mut events_on, inlined) = sweep(true);
-        assert_eq!(
-            plain, inlined,
-            "the inline resume encoding must not change the simulation"
-        );
-        for _ in 0..6 {
-            let (w, e, _) = sweep(false);
-            wall_off = wall_off.min(w);
-            events_off = e;
-            let (w, e, _) = sweep(true);
-            wall_on = wall_on.min(w);
-            events_on = e;
-        }
-        set_resume_inline(true);
-        entries.push(entry(
-            figure, "before", "serial", 1, wall_off, events_off, repeats,
-        ));
-        entries.push(entry(
-            figure, "after", "serial", 1, wall_on, events_on, repeats,
-        ));
-        let b = &entries[entries.len() - 2];
-        let a = &entries[entries.len() - 1];
-        eprintln!(
-            "{figure}: {:.1} -> {:.1} ns/event ({:+.1}%)",
-            b.ns_per_event,
-            a.ns_per_event,
-            100.0 * (a.ns_per_event - b.ns_per_event) / b.ns_per_event
-        );
     }
 
     let json = render_json("PR7", &entries);

@@ -203,7 +203,7 @@ impl GpuConfig {
     /// each sees `dram_bw / (num_sms * occupancy)`.
     pub fn mem_time(&self, bytes: u64, occupancy: u32) -> SimTime {
         let share = self.dram_bytes_per_sec / (self.num_sms as f64 * occupancy.max(1) as f64);
-        SimTime::from_picos(((bytes as f64) / share * 1e12).round() as u64)
+        SimTime::from_picos_rounded((bytes as f64) / share * 1e12)
     }
 
     /// Capacity units consumed per block of a kernel with `occupancy` blocks
@@ -368,7 +368,7 @@ impl ClusterConfig {
     /// [`ClusterConfig::link_bytes_per_sec`] (propagation latency not
     /// included; that is paid by the cross-device semaphore edge).
     pub fn link_wire_time(&self, bytes: u64) -> SimTime {
-        SimTime::from_picos((bytes as f64 / self.link_bytes_per_sec * 1e12).round() as u64)
+        SimTime::from_picos_rounded(bytes as f64 / self.link_bytes_per_sec * 1e12)
     }
 
     /// The node's effective block-issue ordering: device 0's
@@ -416,6 +416,40 @@ mod tests {
     fn capacity_units_divide_exactly_for_all_occupancies() {
         for occ in 1..=MAX_OCCUPANCY {
             assert_eq!(SM_CAPACITY_UNITS % occ, 0, "occupancy {occ}");
+        }
+    }
+
+    /// `SimTime::from_cycles` and `GpuConfig::mem_time` price without
+    /// libm `round`, bit-identically to the `.round() as u64` formulas
+    /// they replaced, at every preset's clock and bandwidth.
+    #[test]
+    fn cycle_and_memory_pricing_match_libm_rounding() {
+        let mut inputs = vec![0, 1, 2, 3, 1 << 20, (1 << 53) + 1, u64::MAX / 2, u64::MAX];
+        let mut state = 0xC0FFEE_u64;
+        for _ in 0..20_000 {
+            state = crate::splitmix64(state);
+            // Every magnitude from one to 2^64 - 1.
+            inputs.push(state >> (state % 64));
+        }
+        for gpu in [
+            GpuConfig::tesla_v100(),
+            GpuConfig::ampere_a100(),
+            GpuConfig::toy(4),
+        ] {
+            for &n in &inputs {
+                let cycles = ((n as f64) * 1e12 / gpu.clock_hz).round() as u64;
+                assert_eq!(gpu.cycles(n).as_picos(), cycles, "{} cycles={n}", gpu.name);
+                for occupancy in [1, 3] {
+                    let share = gpu.dram_bytes_per_sec / (gpu.num_sms as f64 * occupancy as f64);
+                    let mem = ((n as f64) / share * 1e12).round() as u64;
+                    assert_eq!(
+                        gpu.mem_time(n, occupancy).as_picos(),
+                        mem,
+                        "{} bytes={n} occupancy={occupancy}",
+                        gpu.name
+                    );
+                }
+            }
         }
     }
 

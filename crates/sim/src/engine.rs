@@ -186,22 +186,190 @@ pub(crate) fn env_exec_override() -> Option<ExecMode> {
     })
 }
 
-/// Whether the optimized engine encodes `BlockResume` payloads inline in
-/// the event key's payload word instead of round-tripping the event slab.
-/// Identical timelines either way (ordering keys are untouched); this
-/// exists so `bench_pr7` can measure the shave honestly. Default on.
-static RESUME_INLINE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
+/// Payload-word tag of an inline `BlockResume` in an [`EventQueue`] key
+/// (the high bit). Untagged payloads index the queue's event slab, so
+/// both block ids and slab indexes must stay below it.
+const RESUME_TAG: u32 = 1 << 31;
 
-/// Toggles the inline `BlockResume` event encoding (bench instrumentation
-/// only; results are bit-identical either way).
-#[doc(hidden)]
-pub fn set_resume_inline(enabled: bool) {
-    RESUME_INLINE.store(enabled, std::sync::atomic::Ordering::Relaxed);
+/// Exclusive bound on an [`EventQueue`] sequence number: it owns 32 bits
+/// of the key.
+const SEQ_LIMIT: u64 = 1 << 32;
+
+/// The optimized engine's event queue: one 16-byte `u128` per pending
+/// event, `time:64 | seq:32 | payload:32`. Sequence numbers are unique,
+/// so a single integer compare orders events by `(time, seq)` — the same
+/// order as the reference engine's [`Event`] heap — and the payload never
+/// takes part. A `BlockResume` (nearly every event) carries its block id
+/// inline in the payload, tagged with [`RESUME_TAG`]; other kinds store
+/// their [`EventKind`] in a slab recycled through a freelist.
+pub(crate) struct EventQueue {
+    heap: BinaryHeap<Reverse<u128>>,
+    slab: Vec<EventKind>,
+    free: Vec<u32>,
+    next_seq: u64,
+    /// [`SEQ_LIMIT`], lowered by tests to reach the re-sequencing path.
+    seq_limit: u64,
 }
 
-/// Event-slab payload tag for an inline-encoded `BlockResume` (high bit of
-/// the payload word; block ids stay far below it).
-const RESUME_TAG: u32 = 1 << 31;
+impl EventQueue {
+    fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
+            seq_limit: SEQ_LIMIT,
+        }
+    }
+
+    /// Empties the queue, keeping its allocations.
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.slab.clear();
+        self.free.clear();
+        self.next_seq = 0;
+    }
+
+    /// Queues `kind` at `time`, after every event already queued at
+    /// `time`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block id or the slab index reaches 2³¹ (billions of
+    /// blocks or pending events): the payload word must never truncate
+    /// one silently.
+    #[inline]
+    fn push(&mut self, time: SimTime, kind: EventKind) {
+        if self.next_seq == self.seq_limit {
+            self.resequence();
+        }
+        let payload = match kind {
+            EventKind::BlockResume(b) => {
+                assert!(
+                    b < RESUME_TAG as usize,
+                    "block id {b} overflows the event payload"
+                );
+                RESUME_TAG | b as u32
+            }
+            _ => match self.free.pop() {
+                Some(i) => {
+                    self.slab[i as usize] = kind;
+                    i
+                }
+                None => {
+                    let i = self.slab.len();
+                    assert!(
+                        i < RESUME_TAG as usize,
+                        "event slab index {i} overflows the payload"
+                    );
+                    self.slab.push(kind);
+                    i as u32
+                }
+            },
+        };
+        let key =
+            ((time.as_picos() as u128) << 64) | ((self.next_seq as u128) << 32) | payload as u128;
+        self.next_seq += 1;
+        self.heap.push(Reverse(key));
+    }
+
+    /// Time in picoseconds of the earliest queued event.
+    #[inline]
+    fn peek_time(&self) -> Option<u64> {
+        self.heap.peek().map(|&Reverse(key)| (key >> 64) as u64)
+    }
+
+    /// Removes the earliest queued event.
+    #[inline]
+    fn pop(&mut self) -> Option<(SimTime, EventKind)> {
+        let Reverse(key) = self.heap.pop()?;
+        let payload = key as u32;
+        let kind = if payload & RESUME_TAG != 0 {
+            EventKind::BlockResume((payload & !RESUME_TAG) as usize)
+        } else {
+            self.free.push(payload);
+            self.slab[payload as usize]
+        };
+        Some((SimTime::from_picos((key >> 64) as u64), kind))
+    }
+
+    /// Renumbers the pending events `0..len` in their current order, so
+    /// sequence numbering can continue from `len` without overflowing its
+    /// 32 bits. Every pending key keeps its rank, and every later push
+    /// still sorts after all pending events of its instant.
+    #[cold]
+    fn resequence(&mut self) {
+        let mut keys = std::mem::take(&mut self.heap).into_vec();
+        keys.sort_unstable_by_key(|&Reverse(key)| key);
+        let len = keys.len() as u64;
+        assert!(
+            len < self.seq_limit,
+            "{len} pending events exhaust the sequence space"
+        );
+        const SEQ_BITS: u128 = (u32::MAX as u128) << 32;
+        for (seq, Reverse(key)) in keys.iter_mut().enumerate() {
+            *key = (*key & !SEQ_BITS) | ((seq as u128) << 32);
+        }
+        self.heap = BinaryHeap::from(keys);
+        self.next_seq = len;
+    }
+}
+
+/// The optimized engine's free-capacity index over one device's SMs: a
+/// max segment tree of keys `free << 32 | (u32::MAX - sm)` (`sm` global),
+/// so the root is the SM with the most free units, ties going to the
+/// lowest SM — exactly the reference scan's `max_by_key((f, Reverse(i)))`.
+/// Padding leaves hold 0, below every real key.
+#[derive(Default)]
+struct SmIndex {
+    /// Global index of the device's first SM.
+    base: usize,
+    /// Leaf count: the device's SM count rounded up to a power of two.
+    /// Node `i` has children `2i` and `2i + 1`; the root is node 1 and
+    /// the leaves are `[leaves, 2 * leaves)`.
+    leaves: usize,
+    tree: Vec<u64>,
+}
+
+impl SmIndex {
+    #[inline]
+    fn key(sm: usize, free: u32) -> u64 {
+        (u64::from(free) << 32) | u64::from(u32::MAX - sm as u32)
+    }
+
+    /// Rebuilds the index over the SMs `base..base + free.len()`.
+    fn rebuild(&mut self, base: usize, free: &[u32]) {
+        self.base = base;
+        self.leaves = free.len().next_power_of_two();
+        self.tree.clear();
+        self.tree.resize(2 * self.leaves, 0);
+        for (i, &f) in free.iter().enumerate() {
+            self.tree[self.leaves + i] = Self::key(base + i, f);
+        }
+        for i in (1..self.leaves).rev() {
+            self.tree[i] = self.tree[2 * i].max(self.tree[2 * i + 1]);
+        }
+    }
+
+    /// Records that global SM `sm` now has `free` units.
+    #[inline]
+    fn set(&mut self, sm: usize, free: u32) {
+        let mut i = self.leaves + (sm - self.base);
+        self.tree[i] = Self::key(sm, free);
+        while i > 1 {
+            self.tree[i / 2] = self.tree[i].max(self.tree[i ^ 1]);
+            i /= 2;
+        }
+    }
+
+    /// `(free units, global SM)` of the SM with the most free units, the
+    /// lowest such SM on ties. A device without SMs reports 0 free units.
+    #[inline]
+    fn best(&self) -> (u32, usize) {
+        let root = self.tree[1];
+        ((root >> 32) as u32, (u32::MAX - root as u32) as usize)
+    }
+}
 
 /// What kind of input a kernel or pipeline builder rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -1029,11 +1197,21 @@ pub(crate) struct FixedCosts {
     poll: SimTime,
     fence: SimTime,
     syncthreads: SimTime,
+    /// [`GpuConfig::dram_bytes_per_sec`], for the dynamic DRAM-share model.
+    dram_bytes_per_sec: f64,
+    /// The least competing-unit count the DRAM-share model divides by:
+    /// the bus saturates at `dram_saturation_fraction` of the device's
+    /// capacity units, and never below one unit.
+    dram_competing_floor: f64,
 }
 
 impl FixedCosts {
     fn of(config: &GpuConfig) -> Self {
+        let capacity = config.num_sms as f64 * SM_CAPACITY_UNITS as f64;
+        let saturation = config.dram_saturation_fraction * capacity;
         FixedCosts {
+            dram_bytes_per_sec: config.dram_bytes_per_sec,
+            dram_competing_floor: saturation.max(1.0),
             global_latency: config.cycles(config.global_latency_cycles),
             atomic: config.cycles(config.atomic_latency_cycles),
             poll: config.cycles(config.poll_latency_cycles),
@@ -1073,13 +1251,11 @@ pub(crate) struct RunState {
     prereqs: Vec<u32>,
     now: SimTime,
     events: BinaryHeap<Reverse<Event>>,
-    /// Optimized-mode event queue: `(time << 64) | seq` keys ordered by a
-    /// single `u128` compare, payloads in `event_slab`. Heap sifts move
-    /// 24-byte copies instead of full [`Event`] structs.
-    fast_events: BinaryHeap<Reverse<(u128, u32)>>,
-    event_slab: Vec<EventKind>,
-    event_free: Vec<u32>,
+    /// Reference-mode event sequence counter.
     event_seq: u64,
+    /// Optimized-mode event queue: heap sifts move 16-byte keys instead
+    /// of full [`Event`] structs.
+    fast_events: EventQueue,
     events_handled: u64,
     sm_free: Vec<u32>,
     /// Units of *actively executing* (not semaphore-waiting) blocks per
@@ -1097,10 +1273,10 @@ pub(crate) struct RunState {
     /// Optimized mode: kernels that are ready and still have unissued
     /// blocks, ordered exactly like the reference scan's sort key.
     ready_queue: BTreeSet<(Reverse<i32>, usize)>,
-    /// Optimized mode: per device, `(free_units, Reverse(global_sm))` for
-    /// that device's SMs, so the least-loaded-first placement within a
-    /// kernel's device is a `last()` lookup.
-    sm_index: Vec<BTreeSet<(u32, Reverse<usize>)>>,
+    /// Optimized mode: per device, the free-capacity index of that
+    /// device's SMs, so the least-loaded-first placement within a kernel's
+    /// device reads one tree root.
+    sm_index: Vec<SmIndex>,
     /// Optimized mode: set when SM capacity was freed or a kernel became
     /// ready — the only transitions after which `try_issue` can place a
     /// block.
@@ -1133,10 +1309,8 @@ impl RunState {
             prereqs: Vec::new(),
             now: SimTime::ZERO,
             events: BinaryHeap::new(),
-            fast_events: BinaryHeap::new(),
-            event_slab: Vec::new(),
-            event_free: Vec::new(),
             event_seq: 0,
+            fast_events: EventQueue::new(),
             events_handled: 0,
             sm_free: Vec::new(),
             sm_active: Vec::new(),
@@ -1176,10 +1350,8 @@ impl RunState {
             .extend(desc.kernels.iter().map(|kd| 1 + kd.gates.len() as u32));
         self.now = SimTime::ZERO;
         self.events.clear();
-        self.fast_events.clear();
-        self.event_slab.clear();
-        self.event_free.clear();
         self.event_seq = 0;
+        self.fast_events.clear();
         self.events_handled = 0;
         self.sm_free.clear();
         self.sm_free.resize(sms, SM_CAPACITY_UNITS);
@@ -1191,10 +1363,12 @@ impl RunState {
         self.waiters.clear();
         self.wait_lists.clear_all();
         self.ready_queue.clear();
-        for index in &mut self.sm_index {
-            index.clear();
+        self.sm_index.resize_with(devices, SmIndex::default);
+        for (d, index) in self.sm_index.iter_mut().enumerate() {
+            let base = desc.sm_base[d] as usize;
+            let sms = desc.cluster.devices[d].num_sms as usize;
+            index.rebuild(base, &self.sm_free[base..base + sms]);
         }
-        self.sm_index.resize_with(devices, BTreeSet::new);
         self.issue_dirty = false;
         self.issue_scratch.clear();
         self.wake_scratch.clear();
@@ -1283,7 +1457,6 @@ pub(crate) fn execute_with(
         abort_flag: false,
         shard: None,
         window_end_ps: u64::MAX,
-        resume_inline: RESUME_INLINE.load(std::sync::atomic::Ordering::Relaxed),
         st,
     };
     ex.run_all()
@@ -1321,20 +1494,11 @@ struct Exec<'a> {
     /// horizon could wake a parked waiter and change mid-run state.
     /// `u64::MAX` for serial runs, so the extra compare never fires.
     window_end_ps: u64,
-    /// Cached [`RESUME_INLINE`]: encode `BlockResume` payloads inline in
-    /// the heap payload word, skipping the event slab round-trip.
-    resume_inline: bool,
     st: &'a mut RunState,
 }
 
 impl Exec<'_> {
     fn run_all(&mut self) -> Result<RunOutcome, SimError> {
-        if self.mode == EngineMode::Optimized {
-            for (sm, &free) in self.st.sm_free.iter().enumerate() {
-                let d = self.desc.device_of_sm[sm] as usize;
-                self.st.sm_index[d].insert((free, Reverse(sm)));
-            }
-        }
         for s in 0..self.desc.streams.len() {
             self.schedule_stream_head(s);
         }
@@ -1382,49 +1546,14 @@ impl Exec<'_> {
     }
 
     fn push_event(&mut self, time: SimTime, kind: EventKind) {
-        let seq = self.st.event_seq;
-        self.st.event_seq += 1;
         match self.mode {
             EngineMode::Reference => {
+                let seq = self.st.event_seq;
+                self.st.event_seq += 1;
                 self.st.events.push(Reverse(Event { time, seq, kind }));
             }
-            EngineMode::Optimized => {
-                let key = ((time.as_picos() as u128) << 64) | seq as u128;
-                // `BlockResume` dominates the event mix; encode its block
-                // id inline in the payload word (high-bit tagged) and skip
-                // the slab round-trip. The ordering key is untouched, so
-                // timelines are bit-identical with the shave on or off.
-                if self.resume_inline {
-                    if let EventKind::BlockResume(b) = kind {
-                        debug_assert!((b as u32) < RESUME_TAG);
-                        self.st
-                            .fast_events
-                            .push(Reverse((key, RESUME_TAG | b as u32)));
-                        return;
-                    }
-                }
-                let idx = match self.st.event_free.pop() {
-                    Some(i) => {
-                        self.st.event_slab[i as usize] = kind;
-                        i
-                    }
-                    None => {
-                        self.st.event_slab.push(kind);
-                        (self.st.event_slab.len() - 1) as u32
-                    }
-                };
-                self.st.fast_events.push(Reverse((key, idx)));
-            }
+            EngineMode::Optimized => self.st.fast_events.push(time, kind),
         }
-    }
-
-    #[inline]
-    fn take_fast_event(&mut self, idx: u32) -> EventKind {
-        if idx & RESUME_TAG != 0 {
-            return EventKind::BlockResume((idx & !RESUME_TAG) as usize);
-        }
-        self.st.event_free.push(idx);
-        self.st.event_slab[idx as usize]
     }
 
     /// Appends to the trace, tagged with the *owning* device — the shard
@@ -1498,19 +1627,13 @@ impl Exec<'_> {
     /// (`issue_dirty`), over the incrementally maintained ready-queue and
     /// SM index.
     fn run_optimized_loop(&mut self) {
-        while let Some(Reverse((key, idx))) = self.st.fast_events.pop() {
-            let time_ps = (key >> 64) as u64;
-            debug_assert!(time_ps >= self.st.now.as_picos(), "time went backwards");
-            self.st.now = SimTime::from_picos(time_ps);
-            let kind = self.take_fast_event(idx);
+        while let Some((time, kind)) = self.st.fast_events.pop() {
+            debug_assert!(time >= self.st.now, "time went backwards");
+            self.st.now = time;
             self.st.events_handled += 1;
             self.handle(kind);
-            while let Some(&Reverse((next_key, _))) = self.st.fast_events.peek() {
-                if (next_key >> 64) as u64 != time_ps {
-                    break;
-                }
-                let Reverse((_, next_idx)) = self.st.fast_events.pop().expect("peeked event");
-                let kind = self.take_fast_event(next_idx);
+            while self.st.fast_events.peek_time() == Some(time.as_picos()) {
+                let (_, kind) = self.st.fast_events.pop().expect("peeked event");
                 self.st.events_handled += 1;
                 self.handle(kind);
             }
@@ -1799,9 +1922,7 @@ impl Exec<'_> {
                     break;
                 }
                 let units = self.desc.kernels[k].units;
-                let Some(&(free, Reverse(sm))) = self.st.sm_index[device].last() else {
-                    break;
-                };
+                let (free, sm) = self.st.sm_index[device].best();
                 if free < units {
                     break;
                 }
@@ -1820,9 +1941,7 @@ impl Exec<'_> {
     fn set_sm_free(&mut self, sm: usize, free: u32) {
         if self.mode == EngineMode::Optimized {
             let device = self.desc.device_of_sm[sm] as usize;
-            let index = &mut self.st.sm_index[device];
-            index.remove(&(self.st.sm_free[sm], Reverse(sm)));
-            index.insert((free, Reverse(sm)));
+            self.st.sm_index[device].set(sm, free);
         }
         self.st.sm_free[sm] = free;
     }
@@ -2083,8 +2202,8 @@ impl Exec<'_> {
         self.mode == EngineMode::Optimized
             && !self.st.issue_dirty
             && until.as_picos() < self.window_end_ps
-            && match self.st.fast_events.peek() {
-                Some(&Reverse((key, _))) => (key >> 64) as u64 > until.as_picos(),
+            && match self.st.fast_events.peek_time() {
+                Some(t) => t > until.as_picos(),
                 None => true,
             }
     }
@@ -2138,7 +2257,7 @@ impl Exec<'_> {
 
     fn scaled(&self, bid: usize, t: SimTime) -> SimTime {
         let factor = self.residency_scale(bid) * self.jitter_factor(bid);
-        SimTime::from_picos((t.as_picos() as f64 * factor).round() as u64)
+        SimTime::from_picos_rounded(t.as_picos() as f64 * factor)
     }
 
     /// Time for this block to move `bytes` through DRAM under the dynamic
@@ -2147,16 +2266,12 @@ impl Exec<'_> {
     /// bus, so sparse populations gain bandwidth per block only down to
     /// that floor (and the aggregate never exceeds the DRAM peak).
     fn dyn_mem_time(&self, bid: usize, bytes: u64) -> SimTime {
-        let device = self.block_device(bid);
-        let cfg = self.desc.device_config(device);
-        let capacity = cfg.num_sms as f64 * SM_CAPACITY_UNITS as f64;
-        let saturation = cfg.dram_saturation_fraction * capacity;
-        let competing = (self.st.active_units[device as usize] as f64)
-            .max(saturation)
-            .max(1.0);
+        let device = self.block_device(bid) as usize;
+        let costs = &self.desc.costs[device];
+        let competing = (self.st.active_units[device] as f64).max(costs.dram_competing_floor);
         let units = self.st.blocks[bid].units as f64;
-        let share = cfg.dram_bytes_per_sec * units / competing;
-        SimTime::from_picos((bytes as f64 / share * 1e12).round() as u64)
+        let share = costs.dram_bytes_per_sec * units / competing;
+        SimTime::from_picos_rounded(bytes as f64 / share * 1e12)
     }
 
     /// Start-to-completion delay of a non-synchronizing op, or `None` for
@@ -2172,7 +2287,7 @@ impl Exec<'_> {
             Op::GlobalRead { bytes } | Op::GlobalWrite { bytes } => {
                 let mem = self.dyn_mem_time(bid, bytes);
                 let jitter = self.jitter_factor(bid);
-                let d = SimTime::from_picos((mem.as_picos() as f64 * jitter).round() as u64);
+                let d = SimTime::from_picos_rounded(mem.as_picos() as f64 * jitter);
                 Some(costs.global_latency + d)
             }
             Op::MainStep { bytes, cycles } => {
@@ -2180,7 +2295,7 @@ impl Exec<'_> {
                 let mem = self.dyn_mem_time(bid, bytes);
                 let compute = self.scaled(bid, cfg.cycles(cycles));
                 let jitter = self.jitter_factor(bid);
-                let mem = SimTime::from_picos((mem.as_picos() as f64 * jitter).round() as u64);
+                let mem = SimTime::from_picos_rounded(mem.as_picos() as f64 * jitter);
                 Some(costs.global_latency + mem.max(compute))
             }
             Op::Syncthreads => Some(costs.syncthreads),
@@ -3646,5 +3761,167 @@ mod tests {
         );
         let sim: SimError = e.into();
         assert!(matches!(sim, SimError::Build(_)));
+    }
+
+    /// A seeded SplitMix64 stream for the differential tests below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = crate::splitmix64(self.0);
+            self.0 % n
+        }
+    }
+
+    /// Drives an [`EventQueue`] (with sequence limit `seq_limit`) and the
+    /// encoding it replaced — a `BinaryHeap` of `(time << 64 | seq,
+    /// payload)` entries — through one seeded, monotone push/peek/pop
+    /// sequence with at most `max_pending` pending events and many
+    /// equal-time ties, asserting both yield the same events in the same
+    /// order.
+    fn check_queue_against_old_heap(seed: u64, seq_limit: u64, max_pending: usize) {
+        let mut rng = Rng(seed);
+        let mut queue = EventQueue::new();
+        queue.seq_limit = seq_limit;
+        let mut old: BinaryHeap<Reverse<(u128, u32)>> = BinaryHeap::new();
+        let mut kinds: Vec<EventKind> = Vec::new();
+        let mut now = 0u64;
+        for _ in 0..20_000 {
+            if old.len() < max_pending && rng.below(2) == 0 {
+                let time = now + rng.below(3);
+                let kind = match rng.below(4) {
+                    0 => EventKind::KernelReady(rng.below(8) as usize),
+                    1 => EventKind::PostApply {
+                        block: rng.below(64) as usize,
+                        table: SemArrayId(rng.below(4) as usize),
+                        index: rng.below(16) as u32,
+                        inc: 1,
+                    },
+                    _ => EventKind::BlockResume(rng.below(RESUME_TAG as u64) as usize),
+                };
+                let seq = kinds.len() as u128;
+                old.push(Reverse((((time as u128) << 64) | seq, seq as u32)));
+                kinds.push(kind);
+                queue.push(SimTime::from_picos(time), kind);
+            } else {
+                let want_time = old.peek().map(|&Reverse((key, _))| (key >> 64) as u64);
+                assert_eq!(queue.peek_time(), want_time);
+                let want = old.pop().map(|Reverse((key, i))| {
+                    (SimTime::from_picos((key >> 64) as u64), kinds[i as usize])
+                });
+                let got = queue.pop();
+                assert_eq!(got, want);
+                if let Some((time, _)) = got {
+                    now = time.as_picos();
+                }
+            }
+        }
+        while let Some(Reverse((key, i))) = old.pop() {
+            let want = (SimTime::from_picos((key >> 64) as u64), kinds[i as usize]);
+            assert_eq!(queue.pop(), Some(want));
+        }
+        assert_eq!(queue.pop(), None);
+    }
+
+    #[test]
+    fn event_queue_matches_old_heap() {
+        for seed in 1..=4 {
+            check_queue_against_old_heap(seed, SEQ_LIMIT, 200);
+        }
+    }
+
+    #[test]
+    fn event_queue_resequences_without_reordering() {
+        // 20k operations through a 40-value sequence space: the queue
+        // renumbers its pending keys hundreds of times.
+        for seed in 1..=4 {
+            check_queue_against_old_heap(seed, 40, 32);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the event payload")]
+    fn event_queue_rejects_block_ids_past_the_payload() {
+        EventQueue::new().push(SimTime::ZERO, EventKind::BlockResume(RESUME_TAG as usize));
+    }
+
+    /// Re-sequencing mid-run, forced through a tiny sequence limit,
+    /// changes nothing observable: same report, same trace.
+    #[test]
+    fn event_resequencing_is_invisible_to_a_run() {
+        let run = |seq_limit: u64| {
+            let mut gpu = Gpu::with_mode(quiet_config(), EngineMode::Optimized);
+            gpu.enable_trace();
+            gpu.st.fast_events.seq_limit = seq_limit;
+            let sem = gpu.alloc_sems("s", 4, 0);
+            // The producer outranks the consumer, so spinners never
+            // starve it of SM slots.
+            let hi = gpu.create_stream(1);
+            let lo = gpu.create_stream(0);
+            let producer = vec![Op::read(4096), Op::compute(3_000), Op::post(sem, 0)];
+            let consumer = vec![Op::wait(sem, 0, 3), Op::main_step(2048, 2_000)];
+            gpu.launch(
+                hi,
+                Arc::new(FixedKernel::new("p", Dim3::linear(12), 2, producer)),
+            );
+            gpu.launch(
+                lo,
+                Arc::new(FixedKernel::new("c", Dim3::linear(12), 2, consumer)),
+            );
+            let report = gpu.run().unwrap();
+            (report, gpu.trace().to_vec())
+        };
+        let (plain, plain_trace) = run(SEQ_LIMIT);
+        let (reseq, reseq_trace) = run(24);
+        assert!(plain.sim_events > 48, "{} events", plain.sim_events);
+        assert_eq!(plain, reseq);
+        assert_eq!(plain_trace, reseq_trace);
+    }
+
+    /// [`SmIndex`] against the ordered-set index it replaced, on seeded
+    /// random updates over devices of 1, 3, 80 and 108 SMs at zero and
+    /// nonzero global offsets. Free values come from a small set, so ties
+    /// are common and must go to the lowest SM.
+    #[test]
+    fn sm_index_matches_old_ordered_set() {
+        let values = [0, 1, SM_CAPACITY_UNITS / 2, SM_CAPACITY_UNITS];
+        // One index rebuilt across every shape, as a pooled run state is.
+        let mut index = SmIndex::default();
+        for (sms, base) in [
+            (108, 0),
+            (1, 0),
+            (3, 7),
+            (80, 0),
+            (80, 3),
+            (108, 108),
+            (1, 9),
+        ] {
+            let mut rng = Rng(sms as u64 * 1000 + base as u64);
+            let mut free = vec![SM_CAPACITY_UNITS; sms];
+            let mut old: BTreeSet<(u32, Reverse<usize>)> =
+                (0..sms).map(|i| (free[i], Reverse(base + i))).collect();
+            index.rebuild(base, &free);
+            assert_eq!(index.best(), (SM_CAPACITY_UNITS, base));
+            for _ in 0..4_000 {
+                let i = rng.below(sms as u64) as usize;
+                let f = values[rng.below(values.len() as u64) as usize];
+                old.remove(&(free[i], Reverse(base + i)));
+                old.insert((f, Reverse(base + i)));
+                free[i] = f;
+                index.set(base + i, f);
+                let &(want_free, Reverse(want_sm)) = old.last().expect("nonempty");
+                assert_eq!(index.best(), (want_free, want_sm), "{sms} SMs at {base}");
+            }
+            for f in values {
+                for i in 0..sms {
+                    index.set(base + i, f);
+                }
+                assert_eq!(
+                    index.best(),
+                    (f, base),
+                    "all-equal {f} on {sms} SMs at {base}"
+                );
+            }
+        }
     }
 }

@@ -48,12 +48,9 @@
 //! counter (`RunReport::sim_events`) may differ, because shards coalesce
 //! and count independently.
 
-use std::cmp::Reverse;
-use std::sync::atomic::Ordering;
-
 use super::{
     execute_with, EngineMode, EventKind, Exec, PipelineDesc, Programs, RunOptions, RunOutcome,
-    RunState, RESUME_INLINE,
+    RunState,
 };
 use crate::ops::Op;
 use crate::sched::SchedPolicy;
@@ -146,15 +143,10 @@ pub(crate) fn shardable(desc: &PipelineDesc, progs: &Programs, sems: &SemTable) 
 }
 
 impl Exec<'_> {
-    /// Seeds one device's shard: its SM index entries and the ready events
-    /// of the streams living on it — the per-device restriction of what
-    /// [`Exec::run_all`] seeds globally.
+    /// Seeds one device's shard with the ready events of the streams
+    /// living on it — the per-device restriction of what [`Exec::run_all`]
+    /// seeds globally.
     fn seed_shard(&mut self, device: u32) {
-        let base = self.desc.sm_base[device as usize] as usize;
-        let sms = self.desc.cluster.devices[device as usize].num_sms as usize;
-        for sm in base..base + sms {
-            self.st.sm_index[device as usize].insert((self.st.sm_free[sm], Reverse(sm)));
-        }
         for s in 0..self.desc.streams.len() {
             if self.desc.streams[s].device == device {
                 self.schedule_stream_head(s);
@@ -169,8 +161,7 @@ impl Exec<'_> {
     /// batch is safe, only its *internal* order was in question, and the
     /// caller discards the run anyway.
     fn run_shard_window(&mut self) {
-        while let Some(&Reverse((key, _))) = self.st.fast_events.peek() {
-            let time_ps = (key >> 64) as u64;
+        while let Some(time_ps) = self.st.fast_events.peek_time() {
             if time_ps >= self.window_end_ps {
                 break;
             }
@@ -178,12 +169,8 @@ impl Exec<'_> {
             let mut delivered = 0u32;
             let mut delivered_post = false;
             let mut local = 0u32;
-            while let Some(&Reverse((next_key, _))) = self.st.fast_events.peek() {
-                if (next_key >> 64) as u64 != time_ps {
-                    break;
-                }
-                let Reverse((_, idx)) = self.st.fast_events.pop().expect("peeked event");
-                let kind = self.take_fast_event(idx);
+            while self.st.fast_events.peek_time() == Some(time_ps) {
+                let (_, kind) = self.st.fast_events.pop().expect("peeked event");
                 match kind {
                     EventKind::RemotePost { .. } => {
                         delivered += 1;
@@ -229,7 +216,6 @@ fn run_window(
         abort_flag: false,
         shard: Some(shard),
         window_end_ps: horizon_ps,
-        resume_inline: RESUME_INLINE.load(Ordering::Relaxed),
         st: sst,
     };
     ex.run_shard_window();
@@ -252,20 +238,7 @@ fn deliver(sst: &mut RunState, msg: &OutMsg) {
             inc: msg.inc,
         }
     };
-    let seq = sst.event_seq;
-    sst.event_seq += 1;
-    let key = ((msg.time.as_picos() as u128) << 64) | seq as u128;
-    let idx = match sst.event_free.pop() {
-        Some(i) => {
-            sst.event_slab[i as usize] = kind;
-            i
-        }
-        None => {
-            sst.event_slab.push(kind);
-            (sst.event_slab.len() - 1) as u32
-        }
-    };
-    sst.fast_events.push(Reverse((key, idx)));
+    sst.fast_events.push(msg.time, kind);
 }
 
 /// Runs `desc` sharded by device, with up to `threads` shards advancing
@@ -319,7 +292,6 @@ pub(crate) fn execute_sharded(
             abort_flag: false,
             shard: Some(shard),
             window_end_ps: u64::MAX,
-            resume_inline: RESUME_INLINE.load(Ordering::Relaxed),
             st: sst,
         };
         ex.seed_shard(d as u32);
@@ -328,8 +300,7 @@ pub(crate) fn execute_sharded(
     loop {
         let mut min_next: Option<u64> = None;
         for sst in pool.iter() {
-            if let Some(&Reverse((key, _))) = sst.fast_events.peek() {
-                let t = (key >> 64) as u64;
+            if let Some(t) = sst.fast_events.peek_time() {
                 min_next = Some(min_next.map_or(t, |m| m.min(t)));
             }
         }
@@ -337,11 +308,7 @@ pub(crate) fn execute_sharded(
             break;
         };
         let horizon = m.saturating_add(lookahead);
-        let runnable = |sst: &RunState| {
-            sst.fast_events
-                .peek()
-                .is_some_and(|&Reverse((key, _))| ((key >> 64) as u64) < horizon)
-        };
+        let runnable = |sst: &RunState| sst.fast_events.peek_time().is_some_and(|t| t < horizon);
         if threads > 1 {
             std::thread::scope(|scope| {
                 for (sst, shard) in pool.iter_mut().zip(shards.iter_mut()) {
@@ -419,7 +386,6 @@ pub(crate) fn execute_sharded(
         abort_flag: false,
         shard: None,
         window_end_ps: u64::MAX,
-        resume_inline: RESUME_INLINE.load(Ordering::Relaxed),
         st,
     };
     Some(ex.report())

@@ -56,7 +56,7 @@ impl SimTime {
     /// Converts a cycle count at `clock_hz` into simulated time, rounding to
     /// the nearest picosecond.
     pub fn from_cycles(cycles: u64, clock_hz: f64) -> Self {
-        SimTime(((cycles as f64) * 1e12 / clock_hz).round() as u64)
+        SimTime::from_picos_rounded((cycles as f64) * 1e12 / clock_hz)
     }
 
     /// Creates a time from a floating-point picosecond count, rounding

@@ -458,6 +458,107 @@ proptest! {
         prop_assert_eq!(&ref_trace, &opt_trace);
         prop_assert!(opt_report.sim_events <= ref_report.sim_events);
     }
+
+    /// Property: the same holds on heterogeneous clusters, where every
+    /// device draws its own SM count (1-9), clock and DRAM bandwidth — so
+    /// devices own uneven SM ranges at uneven offsets and price ops at
+    /// their own rates.
+    #[test]
+    fn random_heterogeneous_clusters_are_engine_invariant(
+        devices in 1u32..5,
+        shape in 0u64..u64::MAX,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut g = Gen(shape);
+        let cluster = ClusterConfig {
+            devices: (0..devices)
+                .map(|_| GpuConfig {
+                    clock_hz: g.range(700, 2_000) as f64 * 1e6,
+                    dram_bytes_per_sec: g.range(200, 2_500) as f64 * 1e9,
+                    ..GpuConfig::toy(g.range(1, 10) as u32)
+                })
+                .collect(),
+            link_latency: SimTime::from_nanos(2_500),
+            link_bytes_per_sec: 100e9,
+        };
+        let scenario = |mode: EngineMode| {
+            let mut gpu = Gpu::cluster_with_mode(cluster.clone(), mode);
+            gpu.enable_trace();
+            random_cluster_workload(seed, devices, &mut gpu);
+            let report = gpu.run().expect("random heterogeneous workload ran");
+            (report, gpu.trace().to_vec())
+        };
+        let (ref_report, ref_trace) = scenario(EngineMode::Reference);
+        let (opt_report, opt_trace) = scenario(EngineMode::Optimized);
+        assert_reports_identical(&ref_report, &opt_report, "heterogeneous cluster");
+        prop_assert_eq!(&ref_trace, &opt_trace);
+        prop_assert!(opt_report.sim_events <= ref_report.sim_events);
+    }
+}
+
+/// Both engines share one cost path, so equivalence alone cannot catch a
+/// device priced at another device's rates. Pin it directly: on a
+/// heterogeneous cluster, a kernel alone on device `d` runs exactly as it
+/// does on a solo GPU with `d`'s config. (Jitter is off: its hash keys on
+/// the kernel's index, which differs between the two pipelines.)
+#[test]
+fn heterogeneous_devices_price_at_their_own_rates() {
+    let quiet = |sms: u32| GpuConfig {
+        block_jitter: 0.0,
+        ..GpuConfig::toy(sms)
+    };
+    let gpus = [
+        quiet(3),
+        GpuConfig {
+            clock_hz: 0.9e9,
+            dram_bytes_per_sec: 400e9,
+            dram_saturation_fraction: 0.9,
+            ..quiet(7)
+        },
+        GpuConfig {
+            clock_hz: 1.8e9,
+            dram_bytes_per_sec: 2.0e12,
+            ..quiet(1)
+        },
+    ];
+    let kernel = |d: usize| {
+        Arc::new(FixedKernel::new(
+            &format!("k{d}"),
+            Dim3::linear(10),
+            2,
+            vec![
+                Op::read(1 << 20),
+                Op::compute(20_000),
+                Op::main_step(1 << 18, 9_000),
+                Op::write(1 << 16),
+            ],
+        ))
+    };
+    let cluster = ClusterConfig {
+        devices: gpus.to_vec(),
+        link_latency: SimTime::from_nanos(2_500),
+        link_bytes_per_sec: 100e9,
+    };
+    for mode in [EngineMode::Reference, EngineMode::Optimized] {
+        let mut node = Gpu::cluster_with_mode(cluster.clone(), mode);
+        for d in 0..gpus.len() {
+            let s = node.create_stream_on(d as u32, 0);
+            node.launch(s, kernel(d));
+        }
+        let report = node.run().expect("heterogeneous cluster runs");
+        for (d, gpu) in gpus.iter().enumerate() {
+            let mut solo = Gpu::with_mode(gpu.clone(), mode);
+            let s = solo.create_stream(0);
+            solo.launch(s, kernel(d));
+            let alone = &solo.run().expect("solo GPU runs").kernels[0];
+            let k = &report.kernels[d];
+            assert_eq!(
+                (k.ready, k.start, k.end, k.max_concurrent),
+                (alone.ready, alone.start, alone.end, alone.max_concurrent),
+                "{mode}: device {d}"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
