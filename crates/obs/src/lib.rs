@@ -6,9 +6,8 @@
 //! [`RunReport`](cusync_sim::RunReport), a serve report — and never feeds
 //! anything back into the machinery that produced them. That is what makes
 //! the passivity guarantee testable: `tests/engine_equivalence.rs` asserts
-//! the simulated timeline is bit-identical with tracing on or off, across
-//! the reference engine, the optimized serial engine, and the
-//! device-sharded parallel engine.
+//! the simulated timeline is bit-identical with tracing on or off, in both
+//! the reference and the optimized engine.
 //!
 //! Three consumers are built on one span model ([`span`]):
 //!

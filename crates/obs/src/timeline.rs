@@ -1,8 +1,8 @@
 //! Span extraction from a finished engine run.
 //!
 //! [`spans_from_trace`] walks a canonical [`TraceEvent`] buffer (already
-//! merged and time-sorted by the engine, identically for serial and
-//! device-sharded execution) plus the run's [`RunReport`] and renders the
+//! time-sorted by the engine, identically in both engines) plus the run's
+//! [`RunReport`] and renders the
 //! paper's cost structure as spans:
 //!
 //! - one [`SpanKind::Kernel`] span per kernel (first issue → last finish),

@@ -1,6 +1,5 @@
 //! GPU hardware model configuration.
 
-use crate::engine::ExecMode;
 use crate::sched::SchedPolicyKind;
 use crate::time::SimTime;
 
@@ -101,12 +100,6 @@ pub struct GpuConfig {
     /// nodes follow device 0's setting
     /// ([`ClusterConfig::effective_sched`]).
     pub sched: SchedPolicyKind,
-    /// Event-loop execution scheme for runs on this device's node: serial
-    /// (the default) or device-sharded parallel where provably safe (see
-    /// [`ExecMode`](crate::ExecMode)). Multi-device nodes follow device
-    /// 0's setting ([`ClusterConfig::effective_exec`]);
-    /// [`ClusterConfig::with_exec`] sets the whole node at once.
-    pub exec: ExecMode,
 }
 
 impl GpuConfig {
@@ -134,7 +127,6 @@ impl GpuConfig {
             host_launch_gap: SimTime::from_micros(1.2),
             kernel_dispatch_latency: SimTime::from_micros(4.8),
             sched: SchedPolicyKind::Fifo,
-            exec: ExecMode::Serial,
         }
     }
 
@@ -163,7 +155,6 @@ impl GpuConfig {
             host_launch_gap: SimTime::from_micros(1.2),
             kernel_dispatch_latency: SimTime::from_micros(4.0),
             sched: SchedPolicyKind::Fifo,
-            exec: ExecMode::Serial,
         }
     }
 
@@ -379,32 +370,6 @@ impl ClusterConfig {
     /// speaks for the node.
     pub fn effective_sched(&self) -> SchedPolicyKind {
         self.devices[0].sched
-    }
-
-    /// The node's effective event-loop execution scheme: device 0's
-    /// [`GpuConfig::exec`] (the same device-0-speaks-for-the-node
-    /// convention as [`ClusterConfig::effective_sched`]). A session-level
-    /// override ([`Session::set_exec`](crate::Session::set_exec)) or the
-    /// `CUSYNC_EXEC` environment variable takes precedence over this.
-    pub fn effective_exec(&self) -> ExecMode {
-        self.devices[0].exec
-    }
-
-    /// Returns the cluster with every device's [`GpuConfig::exec`] set to
-    /// `exec` — the builder-style way to opt a whole node into the
-    /// parallel engine.
-    ///
-    /// ```
-    /// use cusync_sim::{ClusterConfig, ExecMode};
-    ///
-    /// let node = ClusterConfig::dgx_v100(4).with_exec(ExecMode::Parallel);
-    /// assert_eq!(node.effective_exec(), ExecMode::Parallel);
-    /// ```
-    pub fn with_exec(mut self, exec: ExecMode) -> Self {
-        for d in &mut self.devices {
-            d.exec = exec;
-        }
-        self
     }
 }
 

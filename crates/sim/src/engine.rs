@@ -58,11 +58,6 @@ use crate::stats::{waves, KernelReport, RunReport};
 use crate::time::SimTime;
 use crate::trace::{KernelId, TraceEvent};
 
-/// Device-sharded conservative parallel execution (see [`ExecMode`]).
-/// A child module so it can reach the engine's private run state.
-#[path = "engine_par.rs"]
-pub(crate) mod par;
-
 /// Identifier of a CUDA stream created on a [`Gpu`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StreamId(usize);
@@ -110,80 +105,23 @@ pub fn default_engine_mode() -> EngineMode {
     DEFAULT_ENGINE.with(Cell::get)
 }
 
-/// Sets the engine mode used by subsequent [`Gpu::new`] calls on this
-/// thread. Prefer the scoped [`with_engine_mode`] where possible.
-pub fn set_default_engine_mode(mode: EngineMode) {
-    DEFAULT_ENGINE.with(|m| m.set(mode));
-}
-
 /// Runs `f` with the thread's default engine mode set to `mode`, restoring
 /// the previous default afterwards. This is how harness code runs existing
 /// workload builders (which call [`Gpu::new`] internally) on a chosen
-/// engine without threading a parameter through every layer.
+/// engine without threading a parameter through every layer, and the only
+/// way to change the thread's default.
 pub fn with_engine_mode<R>(mode: EngineMode, f: impl FnOnce() -> R) -> R {
     struct Restore(EngineMode);
     impl Drop for Restore {
         fn drop(&mut self) {
-            set_default_engine_mode(self.0);
+            DEFAULT_ENGINE.with(|m| m.set(self.0));
         }
     }
     // Restore on unwind too: a panicking closure (e.g. a failed test
     // assertion inside a scoped Reference-mode run) must not leave the
     // thread's default pinned to `mode`.
-    let _restore = Restore(default_engine_mode());
-    set_default_engine_mode(mode);
+    let _restore = Restore(DEFAULT_ENGINE.with(|m| m.replace(mode)));
     f()
-}
-
-/// Whether a run executes its event loop serially or sharded by device.
-///
-/// Orthogonal to [`EngineMode`]: `EngineMode` picks the event-loop
-/// *implementation* (reference spec vs optimized hot paths), `ExecMode`
-/// picks how many event loops advance at once. [`ExecMode::Parallel`]
-/// shards the optimized loop by device — each device drains its own heap
-/// up to the next link-crossing horizon, then devices exchange
-/// cross-device semaphore effects (a conservative PDES scheme; see
-/// `crates/sim/README.md`). Timelines are **bit-identical** to serial
-/// runs; pipelines the sharder cannot prove safe (non-`timing_static`
-/// kernels, waits on remote-homed semaphores, traces, single device, a
-/// zero-latency link) silently run serially.
-///
-/// The default is [`ExecMode::Serial`]. Opt in per cluster
-/// ([`ClusterConfig::with_exec`](crate::ClusterConfig::with_exec)), per
-/// session ([`Session::set_exec`](crate::Session::set_exec)), or globally
-/// via the `CUSYNC_EXEC=parallel` environment variable (how CI forces the
-/// equivalence suite through the sharded engine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecMode {
-    /// One event loop advances the whole cluster (the original scheme).
-    #[default]
-    Serial,
-    /// Device-sharded conservative parallel execution where provably
-    /// safe; serial otherwise. Thread budget comes from
-    /// `std::thread::available_parallelism` unless overridden
-    /// ([`Session::set_threads`](crate::Session::set_threads)).
-    Parallel,
-}
-
-impl fmt::Display for ExecMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecMode::Serial => write!(f, "serial"),
-            ExecMode::Parallel => write!(f, "parallel"),
-        }
-    }
-}
-
-/// The `CUSYNC_EXEC` environment override, read once per process:
-/// `parallel` / `serial` force that [`ExecMode`] for every run that does
-/// not carry an explicit session-level override.
-pub(crate) fn env_exec_override() -> Option<ExecMode> {
-    static ENV_EXEC: std::sync::OnceLock<Option<ExecMode>> = std::sync::OnceLock::new();
-    *ENV_EXEC.get_or_init(|| match std::env::var("CUSYNC_EXEC") {
-        Ok(v) if v.eq_ignore_ascii_case("parallel") => Some(ExecMode::Parallel),
-        Ok(v) if v.eq_ignore_ascii_case("serial") => Some(ExecMode::Serial),
-        _ => None,
-    })
 }
 
 /// Payload-word tag of an inline `BlockResume` in an [`EventQueue`] key
@@ -839,26 +777,6 @@ enum EventKind {
         index: u32,
         inc: u32,
     },
-    /// A semaphore post arriving from another device's shard (parallel
-    /// execution only). Like [`EventKind::PostApply`] but with no local
-    /// poster block to resume: the poster resumed on its own shard.
-    /// `poster` carries the posting kernel's index for the trace, so
-    /// sharded runs record the same [`TraceEvent::SemPosted`] a serial
-    /// run would.
-    RemotePost {
-        table: SemArrayId,
-        index: u32,
-        inc: u32,
-        poster: Option<usize>,
-    },
-    /// An atomic increment arriving from another device's shard (parallel
-    /// execution only). Bumps the semaphore value without waking waiters
-    /// or resuming a poster, mirroring [`EventKind::AtomicApply`].
-    RemoteAtomic {
-        table: SemArrayId,
-        index: u32,
-        inc: u32,
-    },
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -1287,9 +1205,8 @@ pub(crate) struct RunState {
     /// stable sort on `(time, device)` (see [`RunState::finalize_trace`]).
     trace: Vec<TraceEvent>,
     /// Device-tagged events in recording order. Tagged with the device
-    /// that *owns* the event — the shard that records it under parallel
-    /// execution — so the canonical order is identical whether the run
-    /// was serial or device-sharded.
+    /// that *owns* the event (see [`Exec::record`]), so the canonical
+    /// order groups same-instant events by device.
     trace_raw: Vec<(u32, TraceEvent)>,
     pub(crate) trace_enabled: bool,
     busy_units: u64,
@@ -1394,11 +1311,9 @@ impl RunState {
     }
 
     /// Canonicalizes the raw device-tagged event buffer into `trace`: a
-    /// stable sort by `(time, device)`. Recording order within one device
-    /// is deterministic in both engines and in the device shards, so this
-    /// order is the *same* whether events were recorded by one serial loop
-    /// or by per-device shards merged in device order — the property the
-    /// parallel-engine trace tests pin down.
+    /// stable sort by `(time, device)`, ties kept in recording order.
+    /// Recording order within one device is deterministic in both engines,
+    /// so the canonical trace is a pure function of the run.
     pub(crate) fn finalize_trace(&mut self) {
         self.trace.clear();
         if self.trace_raw.is_empty() {
@@ -1455,8 +1370,6 @@ pub(crate) fn execute_with(
         abort_at: opts.abort_at,
         link_scale: opts.link_scale.filter(|s| !s.is_identity()),
         abort_flag: false,
-        shard: None,
-        window_end_ps: u64::MAX,
         st,
     };
     ex.run_all()
@@ -1484,16 +1397,6 @@ struct Exec<'a> {
     /// `abort_at` retires; both event loops stop at the end of that
     /// timestamp batch.
     abort_flag: bool,
-    /// Device-shard context when this `Exec` is one shard of a parallel
-    /// run (see `engine_par`): cross-device semaphore effects are diverted
-    /// into its outbox instead of the local event heap. `None` for serial
-    /// runs — the cold branch every hot path keeps predictable.
-    shard: Option<&'a mut par::ShardCtx>,
-    /// Exclusive upper bound (picoseconds) of the current shard window.
-    /// Op-coalescing must not price past it: a delivery landing at the
-    /// horizon could wake a parked waiter and change mid-run state.
-    /// `u64::MAX` for serial runs, so the extra compare never fires.
-    window_end_ps: u64,
     st: &'a mut RunState,
 }
 
@@ -1506,10 +1409,9 @@ impl Exec<'_> {
             EngineMode::Reference => self.run_reference_loop(),
             EngineMode::Optimized => self.run_optimized_loop(),
         }
-        if self.st.trace_enabled && self.shard.is_none() {
-            // Shards leave their raw buffers for `execute_sharded` to
-            // merge; serial runs canonicalize in every exit path so the
-            // trace is readable even after an abort or deadlock.
+        if self.st.trace_enabled {
+            // Canonicalize in every exit path so the trace is readable
+            // even after an abort or deadlock.
             self.st.finalize_trace();
         }
         let incomplete: Vec<usize> = (0..self.desc.kernels.len())
@@ -1556,13 +1458,12 @@ impl Exec<'_> {
         }
     }
 
-    /// Appends to the trace, tagged with the *owning* device — the shard
-    /// that records the event under parallel execution (the kernel's
+    /// Appends to the trace, tagged with the *owning* device (the kernel's
     /// device for kernel/block events, the semaphore's home device for
-    /// posts, the waiter's device for wakes). The flag check is inlined
-    /// at every call site so a disabled trace costs one predictable
-    /// branch — never a `Vec` touch or an event construction that the
-    /// optimizer can't sink.
+    /// posts, the waiter's device for wakes). The flag check is inlined at
+    /// every call site so a disabled trace costs one predictable branch —
+    /// never a `Vec` touch or an event construction that the optimizer
+    /// can't sink.
     #[inline(always)]
     fn record(&mut self, device: u32, event: TraceEvent) {
         if self.st.trace_enabled {
@@ -1693,19 +1594,6 @@ impl Exec<'_> {
                 let prev = self.st.sems.add(table, index, inc);
                 self.st.blocks[block].atomic_result = Some(prev);
                 self.push_event(self.st.now, EventKind::BlockResume(block));
-            }
-            EventKind::RemotePost {
-                table,
-                index,
-                inc,
-                poster,
-            } => {
-                self.apply_post_inner(table, index, inc, poster.map(KernelId));
-            }
-            EventKind::RemoteAtomic { table, index, inc } => {
-                // Mirrors `AtomicApply`: bump only, no waiter wakes. The
-                // fetching block resumed on its own shard.
-                self.st.sems.add(table, index, inc);
             }
         }
     }
@@ -2190,18 +2078,10 @@ impl Exec<'_> {
     /// In [`EngineMode::Reference`] this is constantly `false`, which
     /// makes [`Exec::step_block`] collapse to the original
     /// one-op-per-event behaviour.
-    /// In a parallel shard the bound additionally stops strictly before
-    /// `window_end_ps`: a cross-device delivery landing exactly at the
-    /// horizon could wake a parked waiter and change the occupancy state
-    /// this coalesced run is pricing against. Breaking the run early is
-    /// always sound (it converges to the reference one-op-per-event
-    /// behaviour); for serial runs `window_end_ps` is `u64::MAX`, so the
-    /// extra compare is a never-taken predictable branch.
     #[inline]
     fn can_extend_run(&self, until: SimTime) -> bool {
         self.mode == EngineMode::Optimized
             && !self.st.issue_dirty
-            && until.as_picos() < self.window_end_ps
             && match self.st.fast_events.peek_time() {
                 Some(t) => t > until.as_picos(),
                 None => true,
@@ -2365,9 +2245,6 @@ impl Exec<'_> {
                 // A post to a remote device's array becomes visible one
                 // link traversal later than a local one.
                 let t = self.st.now + self.atomic_cost(self.block_device(bid), table);
-                if self.divert_remote(bid, t, table, index, inc, true) {
-                    return;
-                }
                 self.push_event(
                     t,
                     EventKind::PostApply {
@@ -2380,9 +2257,6 @@ impl Exec<'_> {
             }
             Op::AtomicAdd { table, index, inc } => {
                 let t = self.st.now + self.atomic_cost(self.block_device(bid), table);
-                if self.divert_remote(bid, t, table, index, inc, false) {
-                    return;
-                }
                 self.push_event(
                     t,
                     EventKind::AtomicApply {
@@ -2397,61 +2271,6 @@ impl Exec<'_> {
         }
     }
 
-    /// Shard-mode interception of a cross-device semaphore effect: when
-    /// this `Exec` is one shard of a parallel run and `table` is homed on
-    /// another device, the effect is queued in the shard's outbox for
-    /// delivery after the window barrier, and the poster resumes locally
-    /// at the same instant `t` the serial apply handler would have resumed
-    /// it. Returns `false` (do nothing) for serial runs and local tables.
-    ///
-    /// The apply time `t` already includes the link traversal
-    /// ([`Exec::atomic_cost`]), so `t >= window horizon` always holds —
-    /// the conservative-lookahead invariant that makes delivery after the
-    /// barrier safe.
-    fn divert_remote(
-        &mut self,
-        bid: usize,
-        t: SimTime,
-        table: SemArrayId,
-        index: u32,
-        inc: u32,
-        post: bool,
-    ) -> bool {
-        let home = self.st.sems.device(table);
-        let device = self.block_device(bid);
-        if home == device {
-            return false;
-        }
-        let Some(shard) = self.shard.as_deref_mut() else {
-            return false;
-        };
-        debug_assert_eq!(shard.device, device);
-        debug_assert!(
-            t.as_picos() >= self.window_end_ps,
-            "remote effect applies inside the window it was produced in"
-        );
-        let ordinal = shard.sent_ordinal;
-        shard.sent_ordinal += 1;
-        let poster = self.st.blocks[bid].kernel;
-        shard.outbox.push(par::OutMsg {
-            time: t,
-            table,
-            index,
-            inc,
-            post,
-            poster: Some(poster),
-            src: device,
-            ordinal,
-        });
-        // The serial engine suspends the poster until the apply instant
-        // and resumes it from the apply handler; re-create that resume
-        // locally. (A remote `AtomicAdd`'s fetched previous value is not
-        // reproduced — pre-driven blocks, the only ones eligible for
-        // sharding, never read `atomic_result`.)
-        self.push_event(t, EventKind::BlockResume(bid));
-        true
-    }
-
     fn apply_post(&mut self, poster: usize, table: SemArrayId, index: u32, inc: u32) {
         let poster_kernel = KernelId(self.st.blocks[poster].kernel);
         self.apply_post_inner(table, index, inc, Some(poster_kernel));
@@ -2459,10 +2278,8 @@ impl Exec<'_> {
     }
 
     /// The poster-independent half of [`Exec::apply_post`]: bump the
-    /// semaphore and wake satisfied waiters. Also the entire handler for a
-    /// [`EventKind::RemotePost`], whose poster resumed on its own shard
-    /// (its identity travels in the message so the trace is shard-
-    /// invariant).
+    /// semaphore and wake satisfied waiters. Also the whole of a kernel's
+    /// completion post, which has no poster block to resume.
     fn apply_post_inner(
         &mut self,
         table: SemArrayId,
@@ -3037,28 +2854,6 @@ impl Gpu {
         self.st.reset(&self.desc);
         self.st.trace_enabled = trace_enabled;
         let sched = self.sched();
-        // One-shot runs honor the parallel engine too (env variable or
-        // cluster config; there is no session here to carry an override).
-        let exec = env_exec_override().unwrap_or_else(|| self.desc.cluster.effective_exec());
-        if exec == ExecMode::Parallel && self.mode == EngineMode::Optimized {
-            let shardable = par::shardable(&self.desc, &programs, &self.st.sems);
-            let threads = par::thread_budget(self.desc.cluster.devices.len(), 0);
-            let mut pool = Vec::new();
-            return match par::execute_auto(
-                &self.desc,
-                &programs,
-                self.mode,
-                sched.as_ref(),
-                &mut self.st,
-                RunOptions::default(),
-                shardable,
-                threads,
-                &mut pool,
-            )? {
-                RunOutcome::Complete(report) => Ok(report),
-                RunOutcome::Aborted(_) => unreachable!("no abort horizon was requested"),
-            };
-        }
         execute(
             &self.desc,
             &programs,

@@ -121,20 +121,6 @@ pub trait SchedPolicy: fmt::Debug + Send + Sync {
     fn is_launch_order(&self) -> bool {
         false
     }
-
-    /// True if [`SchedPolicy::order`] is a pure per-element key sort over
-    /// signals local to each candidate's own device (its priority, launch
-    /// index, progress counters, parked count). The device-sharded
-    /// parallel engine ([`ExecMode`](crate::ExecMode)) then orders each
-    /// device's candidates independently and still reproduces the
-    /// restriction of the serial global ordering — the property its
-    /// bit-identity proof needs. Policies that compare candidates against
-    /// each other, read other kernels' state, or consult remote semaphore
-    /// values ([`SchedContext::sem_value`]) must leave this `false`
-    /// (the default), which pins their runs to the serial engine.
-    fn shard_stable(&self) -> bool {
-        false
-    }
 }
 
 /// Shared handle to a scheduling policy.
@@ -188,10 +174,6 @@ impl SchedPolicy for Fifo {
     fn is_launch_order(&self) -> bool {
         true
     }
-
-    fn shard_stable(&self) -> bool {
-        true
-    }
 }
 
 /// Reverse launch order within each priority class: the latest-launched
@@ -208,10 +190,6 @@ impl SchedPolicy for Lifo {
 
     fn order(&self, ctx: &SchedContext<'_>, candidates: &mut [usize]) {
         candidates.sort_by_key(|&k| (std::cmp::Reverse(ctx.priority(k)), std::cmp::Reverse(k)));
-    }
-
-    fn shard_stable(&self) -> bool {
-        true
     }
 }
 
@@ -240,10 +218,6 @@ impl SchedPolicy for SeededShuffle {
     fn order(&self, _ctx: &SchedContext<'_>, candidates: &mut [usize]) {
         candidates.sort_by_key(|&k| (self.key(k), k));
     }
-
-    fn shard_stable(&self) -> bool {
-        true
-    }
 }
 
 /// The adversary: preferentially issues blocks of kernels whose resident
@@ -267,10 +241,6 @@ impl SchedPolicy for SemStarver {
                 k,
             )
         });
-    }
-
-    fn shard_stable(&self) -> bool {
-        true
     }
 }
 

@@ -148,26 +148,6 @@ impl SemTable {
         }
     }
 
-    /// Copies the values and post counters of every array homed on
-    /// `device` from `shard` (a table with the identical layout). The
-    /// parallel engine merges per-device shard tables back into the main
-    /// run state with this: each device's shard holds the authoritative
-    /// final state of exactly the arrays it homes.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if the layouts differ.
-    pub(crate) fn adopt_device_arrays(&mut self, shard: &SemTable, device: u32) {
-        debug_assert_eq!(self.arrays.len(), shard.arrays.len());
-        for (a, s) in self.arrays.iter_mut().zip(&shard.arrays) {
-            debug_assert_eq!(a.values.len(), s.values.len());
-            if a.device == device {
-                a.values.copy_from_slice(&s.values);
-                a.posts = s.posts;
-            }
-        }
-    }
-
     /// Total number of atomic post operations performed on array `id`,
     /// used to verify policy synchronization counts (e.g. the paper's
     /// "TileSync requires 12 synchronizations, RowSync 6" example).

@@ -31,8 +31,8 @@ use std::thread;
 use std::sync::OnceLock;
 
 use crate::engine::{
-    default_engine_mode, env_exec_override, execute_with, par, EngineMode, ExecMode, Gpu,
-    LinkScale, PipelineDesc, Programs, RunOptions, RunOutcome, RunState, SimError,
+    default_engine_mode, execute_with, EngineMode, Gpu, LinkScale, PipelineDesc, Programs,
+    RunOptions, RunOutcome, RunState, SimError,
 };
 use crate::mem::GlobalMemory;
 use crate::sched::SchedPolicyRef;
@@ -82,9 +82,6 @@ pub struct CompiledPipeline {
     /// optimized-engine run (then immutable and shared). Reference-engine
     /// consumers never trigger — or pay for — collection.
     programs: OnceLock<Programs>,
-    /// Whether the pipeline is provably safe for device-sharded parallel
-    /// execution, computed (with the programs) on first parallel-mode use.
-    shardable: OnceLock<bool>,
 }
 
 impl fmt::Debug for CompiledPipeline {
@@ -228,15 +225,6 @@ impl CompiledPipeline {
             self.desc.collect_programs(&mut scratch, &self.sems)
         })
     }
-
-    /// Whether this pipeline can run on the device-sharded parallel
-    /// engine (see [`ExecMode::Parallel`]): a linear scan over the
-    /// pre-driven programs, done once and cached.
-    pub fn shardable(&self) -> bool {
-        *self
-            .shardable
-            .get_or_init(|| par::shardable(&self.desc, self.programs(), &self.sems))
-    }
 }
 
 impl Gpu {
@@ -262,7 +250,6 @@ impl Gpu {
             sems,
             sched: self.sched,
             programs: OnceLock::new(),
-            shardable: OnceLock::new(),
         })
     }
 }
@@ -289,16 +276,6 @@ pub struct Session {
     /// injection hook for a degraded interconnect, applied without
     /// recompiling the pipeline.
     link_scale: Option<LinkScale>,
-    /// Per-session [`ExecMode`] override; `None` follows the `CUSYNC_EXEC`
-    /// environment variable, then each pipeline's cluster config.
-    exec: Option<ExecMode>,
-    /// Explicit thread budget for parallel runs; 0 (the default) derives
-    /// it from `std::thread::available_parallelism`, capped at the device
-    /// count either way.
-    threads: usize,
-    /// Pooled per-device shard states for parallel runs, reused across
-    /// runs exactly like the main [`RunState`]'s arenas.
-    shard_pool: Vec<RunState>,
 }
 
 impl fmt::Debug for Session {
@@ -332,9 +309,6 @@ impl Session {
             trace_enabled: false,
             sched: None,
             link_scale: None,
-            exec: None,
-            threads: 0,
-            shard_pool: Vec::new(),
         }
     }
 
@@ -368,33 +342,6 @@ impl Session {
     /// The current link degradation scale, if any.
     pub fn link_scale(&self) -> Option<LinkScale> {
         self.link_scale
-    }
-
-    /// Sets (or with `None`, clears) this session's [`ExecMode`]
-    /// override. Resolution order per run: this override, then the
-    /// `CUSYNC_EXEC` environment variable, then the pipeline's cluster
-    /// config ([`ClusterConfig::effective_exec`](crate::ClusterConfig)).
-    /// [`ExecMode::Parallel`] is a *request*: runs the sharder cannot
-    /// prove safe (see [`CompiledPipeline::shardable`]), abort-horizon
-    /// runs and non-shard-stable policies still execute serially, with
-    /// identical results either way. Traced runs shard too: each shard
-    /// records its own device's events and the merge reproduces the
-    /// serial trace event-for-event.
-    pub fn set_exec(&mut self, exec: Option<ExecMode>) {
-        self.exec = exec;
-    }
-
-    /// The current [`ExecMode`] override, if any.
-    pub fn exec(&self) -> Option<ExecMode> {
-        self.exec
-    }
-
-    /// Sets the thread budget for parallel runs; 0 restores the default
-    /// (`std::thread::available_parallelism`, capped at the pipeline's
-    /// device count). Purely a wall-clock knob — simulated results are
-    /// identical for every budget.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
     }
 
     /// Records scheduling events for inspection by [`Session::trace`].
@@ -488,28 +435,6 @@ impl Session {
             abort_at,
             link_scale: self.link_scale,
         };
-        // Exec resolution: session override > CUSYNC_EXEC > cluster
-        // config. Only the optimized engine shards (the reference engine
-        // is the executable spec and stays serial); `execute_auto` falls
-        // back to the serial path whenever a run-time gate fails.
-        let exec = self
-            .exec
-            .or_else(env_exec_override)
-            .unwrap_or_else(|| pipeline.desc.cluster.effective_exec());
-        if exec == ExecMode::Parallel && self.mode == EngineMode::Optimized {
-            let threads = par::thread_budget(pipeline.desc.cluster.devices.len(), self.threads);
-            return par::execute_auto(
-                &pipeline.desc,
-                programs,
-                self.mode,
-                sched.as_ref(),
-                &mut self.st,
-                opts,
-                pipeline.shardable(),
-                threads,
-                &mut self.shard_pool,
-            );
-        }
         execute_with(
             &pipeline.desc,
             programs,
@@ -665,22 +590,6 @@ impl Runtime {
         workers: usize,
         sched: Option<SchedPolicyRef>,
     ) -> Self {
-        Runtime::with_mode_sched_exec(mode, workers, sched, None)
-    }
-
-    /// Creates a pool whose every worker session additionally carries an
-    /// [`ExecMode`] override (see [`Session::set_exec`]) — `None` lets
-    /// each worker follow `CUSYNC_EXEC` and the submitted pipeline's
-    /// cluster config. Note each worker *session* shards its own runs;
-    /// the pool's workers and a run's shard threads multiply, so pools
-    /// requesting [`ExecMode::Parallel`] are best sized well below
-    /// `available_parallelism`.
-    pub fn with_mode_sched_exec(
-        mode: EngineMode,
-        workers: usize,
-        sched: Option<SchedPolicyRef>,
-        exec: Option<ExecMode>,
-    ) -> Self {
         let (tx, rx) = mpsc::channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..workers.max(1))
@@ -690,7 +599,6 @@ impl Runtime {
                 thread::spawn(move || {
                     let mut session = Session::with_mode(mode);
                     session.set_sched(sched.clone());
-                    session.set_exec(exec);
                     loop {
                         // Hold the lock only for the dequeue, not the run.
                         let job = match rx.lock() {
@@ -710,7 +618,6 @@ impl Runtime {
                         .unwrap_or_else(|payload| {
                             session = Session::with_mode(mode);
                             session.set_sched(sched.clone());
-                            session.set_exec(exec);
                             Err(SimError::WorkerPanic(panic_message(payload.as_ref())))
                         });
                         // The client may have dropped its ticket; that is

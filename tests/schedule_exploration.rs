@@ -98,50 +98,6 @@ fn engines_agree_under_every_schedule_policy() {
     }
 }
 
-/// Parallelism must not change what the schedule explorer observes: for
-/// every explored policy of the deadlocking regime, a device-sharded
-/// ([`ExecMode::Parallel`]) session produces the *identical* outcome as
-/// the serial engine — in particular the identical `DeadlockReport`. (A
-/// sharded attempt that stalls is abandoned and rerun serially, so the
-/// canonical report survives any thread count.)
-#[test]
-fn deadlock_reports_are_parallelism_invariant() {
-    use cusync_sim::{EngineMode, ExecMode, Session};
-    let graph = generate(0xC60_2024, 2);
-    let pipeline = graph.build(&graph.starved_cluster(), false).unwrap();
-    let cfg = ExploreConfig::seeded(16, 0xFEED_F00D).expecting(Expectation::Deadlocks);
-    let summary = explore(&pipeline, &cfg);
-    assert!(summary.deadlocked() >= 1, "{summary}");
-    let mut deadlocked = 0;
-    for kind in &cfg.schedules {
-        let run = |exec: ExecMode| {
-            let mut session = Session::with_mode(EngineMode::Optimized);
-            session.set_sched(Some(kind.instantiate()));
-            session.set_exec(Some(exec));
-            session.set_threads(2);
-            session.run(&pipeline)
-        };
-        match (run(ExecMode::Serial), run(ExecMode::Parallel)) {
-            (Ok(serial), Ok(parallel)) => {
-                assert_eq!(serial.kernels, parallel.kernels, "{kind}: kernels");
-                assert_eq!(serial.total, parallel.total, "{kind}: total");
-            }
-            (Err(serial), Err(parallel)) => {
-                assert_eq!(serial, parallel, "{kind}: deadlock reports");
-                deadlocked += 1;
-            }
-            (serial, parallel) => {
-                panic!("{kind}: outcomes diverge ({serial:?} vs {parallel:?})")
-            }
-        }
-    }
-    assert_eq!(
-        deadlocked,
-        summary.deadlocked(),
-        "the parallel sessions see the same deadlock set the explorer did"
-    );
-}
-
 /// PR9 invariant: a PDL edge can never sit inside a `DeadlockReport` wait
 /// cycle. A block parked on a producer's one-element `"{K}.grid"`
 /// semaphore exists only after the consumer's launch gate fired — i.e.
