@@ -23,8 +23,8 @@ use cusync_models::{
     MlpModel, PolicyKind, SyncMode, TpSchedule,
 };
 use cusync_sim::{
-    run_compiled, with_engine_mode, ClusterConfig, DType, Dim3, EngineMode, FixedKernel, Gpu,
-    GpuConfig, LaunchGate, Op, RunReport, Session, SimError, SimTime,
+    run_compiled, with_engine_mode, ClusterConfig, CompiledPipeline, DType, Dim3, EngineMode,
+    FixedKernel, Gpu, GpuConfig, LaunchGate, Op, RunReport, Session, SimError, SimTime,
 };
 use proptest::prelude::*;
 
@@ -605,27 +605,56 @@ fn random_local_wait_workload(seed: u64, devices: u32, gpu: &mut Gpu) {
     }
 }
 
+/// Builds the toy cluster the local-wait properties draw from: `devices`
+/// identical `sms`-SM devices joined by a 100 GB/s, 2.5 us link.
+fn local_wait_pipeline(devices: u32, sms: u32, seed: u64) -> CompiledPipeline {
+    let cluster = ClusterConfig {
+        devices: vec![GpuConfig::toy(sms); devices as usize],
+        link_latency: SimTime::from_nanos(2_500),
+        link_bytes_per_sec: 100e9,
+    };
+    let mut gpu = Gpu::new_cluster(cluster);
+    random_local_wait_workload(seed, devices, &mut gpu);
+    gpu.compile().expect("local-wait workload compiles")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Property: for arbitrary local-wait workloads (2-4 devices,
-    /// home-local waits, cross-device posts, link sends, mixed priorities)
-    /// the reference and optimized engines produce bit-identical reports
-    /// and traces, and tracing perturbs neither engine's report.
+    /// Property: for arbitrary local-wait workloads (2-4 devices running
+    /// in parallel, home-local waits, cross-device posts, link sends,
+    /// mixed priorities) the reference and optimized engines produce
+    /// bit-identical reports.
     #[test]
-    fn random_local_wait_pipelines_are_engine_invariant(
+    fn random_local_wait_pipelines_are_parallel_engine_invariant(
         devices in 2u32..5,
         sms in 2u32..5,
         seed in 0u64..u64::MAX,
     ) {
-        let cluster = ClusterConfig {
-            devices: vec![GpuConfig::toy(sms); devices as usize],
-            link_latency: SimTime::from_nanos(2_500),
-            link_bytes_per_sec: 100e9,
+        let pipeline = local_wait_pipeline(devices, sms, seed);
+        let run = |mode: EngineMode| {
+            let mut session = Session::with_mode(mode);
+            session.run(&pipeline).expect("local-wait workload runs")
         };
-        let mut gpu = Gpu::new_cluster(cluster);
-        random_local_wait_workload(seed, devices, &mut gpu);
-        let pipeline = gpu.compile().expect("local-wait workload compiles");
+        let reference = run(EngineMode::Reference);
+        let optimized = run(EngineMode::Optimized);
+        assert_reports_identical(&reference, &optimized, "local-wait workload");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Property: on the same local-wait workloads the optimized engine's
+    /// trace is identical, event for event, to the one-event-at-a-time
+    /// reference engine's, and tracing perturbs neither engine's report.
+    #[test]
+    fn random_local_wait_traces_match_serial(
+        devices in 2u32..5,
+        sms in 2u32..5,
+        seed in 0u64..u64::MAX,
+    ) {
+        let pipeline = local_wait_pipeline(devices, sms, seed);
         let run = |mode: EngineMode, trace: bool| {
             let mut session = Session::with_mode(mode);
             if trace {
@@ -640,7 +669,6 @@ proptest! {
         let (opt_report, opt_trace) = run(EngineMode::Optimized, true);
         prop_assert_eq!(&ref_plain, &ref_report, "tracing perturbed the reference engine");
         prop_assert_eq!(&opt_plain, &opt_report, "tracing perturbed the optimized engine");
-        assert_reports_identical(&ref_report, &opt_report, "local-wait workload");
         prop_assert!(!ref_trace.is_empty(), "local-wait workload records events");
         prop_assert_eq!(&ref_trace, &opt_trace);
     }
