@@ -26,6 +26,8 @@
 
 pub mod attr;
 pub mod chrome;
+#[cfg(test)]
+mod chrome_spec;
 pub mod span;
 pub mod timeline;
 

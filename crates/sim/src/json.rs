@@ -9,8 +9,6 @@
 //! that used to live in `serve::metrics`, `bench::perf`, and
 //! `sim::explore`.
 
-use std::fmt::Write as _;
-
 /// Escapes `s` for inclusion inside a double-quoted JSON string literal.
 ///
 /// Handles the two mandatory escapes (`"` and `\`), the common control
@@ -25,25 +23,50 @@ use std::fmt::Write as _;
 /// ```
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    json_escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped exactly as [`json_escape`] does, without
+/// allocating: runs that need no escape are copied in one piece.
+///
+/// ```
+/// use cusync_sim::json_escape_into;
+/// let mut out = String::from("\"name\":\"");
+/// json_escape_into(&mut out, "tab\there \"q\" \u{1}");
+/// out.push('"');
+/// assert_eq!(out, "\"name\":\"tab\\there \\\"q\\\" \\u0001\"");
+/// ```
+pub fn json_escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Every byte that needs escaping is ASCII, so `run..i` and the
+        // rest of `s` stay on char boundaries.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
             }
-            c => out.push(c),
         }
     }
-    out
+    out.push_str(&s[run..]);
 }
 
 #[cfg(test)]
 mod tests {
-    use super::json_escape;
+    use super::{json_escape, json_escape_into};
 
     #[test]
     fn passthrough_is_identity() {
@@ -61,5 +84,14 @@ mod tests {
     #[test]
     fn control_characters_become_unicode_escapes() {
         assert_eq!(json_escape("\u{0}\u{1}\u{1f}"), "\\u0000\\u0001\\u001f");
+    }
+
+    #[test]
+    fn escape_into_appends_to_existing_text() {
+        let mut out = String::from("k:");
+        json_escape_into(&mut out, "é\"λ\u{7f}\u{1b}🚀");
+        assert_eq!(out, "k:é\\\"λ\u{7f}\\u001b🚀");
+        json_escape_into(&mut out, "");
+        assert_eq!(out, "k:é\\\"λ\u{7f}\\u001b🚀");
     }
 }

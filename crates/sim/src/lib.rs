@@ -89,7 +89,7 @@ pub use engine::{
     DeadlockReport, EngineMode, Gpu, LaunchGate, LinkScale, PendingKernel, RunOutcome, RunResidue,
     SimError, SmOccupancy, StreamId,
 };
-pub use json::json_escape;
+pub use json::{json_escape, json_escape_into};
 pub use kernel::{BlockBody, BlockCtx, FixedKernel, FnKernel, IndexedKernel, KernelSource, Step};
 pub use kv::{KvPool, KvStats};
 pub use mem::{BufferId, DType, GlobalMemory, RaceEvent};
