@@ -83,5 +83,5 @@ pub use pipeline::Pipeline;
 pub use policy::{
     BatchedRowSync, Conv2DTileSync, NoSync, PolicyRef, RowSync, StridedSync, SyncPolicy, TileSync,
 };
-pub use stage::{CuStage, StageId, StageRuntime};
+pub use stage::{CuStage, StageId, StageRuntime, WaitTarget};
 pub use wait_kernel::{start_ops, WaitKernel};

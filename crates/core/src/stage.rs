@@ -9,7 +9,7 @@ use cusync_sim::{BufferId, Dim3, Op, SemArrayId};
 use crate::mechanism::SyncMechanism;
 use crate::opt::OptFlags;
 use crate::order::{OrderRef, RowMajor, TileSchedule};
-use crate::policy::{PolicyRef, TileSync};
+use crate::policy::{PolicyRef, SyncPolicy, TileSync};
 
 /// Identifier of a stage within a [`SyncGraph`](crate::SyncGraph).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -240,17 +240,23 @@ impl StageRuntime {
     /// uses a coarse mechanism (PDL / stream-serial edges pay no per-tile
     /// waits; see [`StageRuntime::grid_wait_ops`]).
     pub fn wait_op(&self, buffer: BufferId, requested: Dim3) -> Option<Op> {
+        self.wait_target(buffer).map(|target| target.op(requested))
+    }
+
+    /// `stage.wait(buffer, ..)` resolved once per buffer: the producer
+    /// semaphores and policy every per-tile wait on `buffer` consults, or
+    /// `None` exactly when [`StageRuntime::wait_op`] would be `None` for
+    /// every requested tile. Kernels emitting many waits on one buffer
+    /// resolve it once instead of searching the producer list per tile.
+    pub fn wait_target(&self, buffer: BufferId) -> Option<WaitTarget<'_>> {
         let (_, producer, mechanism) = self.producers.iter().find(|(b, _, _)| *b == buffer)?;
         if mechanism.is_some_and(|m| !m.is_fine()) {
             return None;
         }
-        let table = producer.sems?;
-        let index = producer.policy.wait_sem(requested, producer.grid);
-        let value = producer.policy.expected(requested, producer.grid);
-        Some(Op::SemWait {
-            table,
-            index,
-            value,
+        Some(WaitTarget {
+            table: producer.sems?,
+            policy: producer.policy.as_ref(),
+            grid: producer.grid,
         })
     }
 
@@ -374,6 +380,26 @@ impl StageRuntime {
     }
 }
 
+/// A resolved per-buffer wait (see [`StageRuntime::wait_target`]).
+#[derive(Debug, Clone, Copy)]
+pub struct WaitTarget<'a> {
+    table: SemArrayId,
+    policy: &'a dyn SyncPolicy,
+    grid: Dim3,
+}
+
+impl WaitTarget<'_> {
+    /// The semaphore wait required before reading the producer tile
+    /// `requested`.
+    pub fn op(&self, requested: Dim3) -> Op {
+        Op::SemWait {
+            table: self.table,
+            index: self.policy.wait_sem(requested, self.grid),
+            value: self.policy.expected(requested, self.grid),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,6 +441,7 @@ mod tests {
         let mut mem = cusync_sim::GlobalMemory::new();
         let buf = mem.alloc("w", 16, cusync_sim::DType::F16);
         assert!(rt.wait_op(buf, Dim3::new(0, 0, 0)).is_none());
+        assert!(rt.wait_target(buf).is_none());
     }
 
     #[test]

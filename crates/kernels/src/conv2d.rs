@@ -18,13 +18,14 @@
 
 use std::sync::Arc;
 
-use cusync::StageRuntime;
+use cusync::{StageRuntime, WaitTarget};
 use cusync_sim::{
     BlockBody, BlockCtx, BufferId, BuildError, DType, Dim3, GlobalMemory, GpuConfig, KernelSource,
     Op, Step,
 };
 
-use crate::gemm::{Epilogue, InputDep, TileShape};
+use crate::gemm::{DepPlan, Epilogue, InputDep, TileShape};
+use crate::program::{RowPrograms, ShapeClass};
 use crate::timing::{fma_cycles, gemm_flops, mma_cycles, occupancy_for_tile};
 
 /// Shape of a SAME-padded, stride-1 2-D convolution.
@@ -207,21 +208,30 @@ impl Conv2DBuilder {
         let output = self
             .output
             .ok_or_else(|| BuildError::missing(builder(), "output"))?;
+        // Channel blocks: aligned to the producer's column tiles when a
+        // dependency exists, else the tile's k width.
+        let cb_count = match &self.input_dep {
+            Some(dep) => dep.prod_grid.x,
+            None => self.shape.c.div_ceil(self.tile.k),
+        };
         Ok(Conv2DKernel {
             name: self.name,
-            shape: self.shape,
-            tile: self.tile,
-            occupancy,
-            dtype: self.dtype,
-            input,
-            weights,
-            output,
-            epilogue: self.epilogue,
-            stage: self.stage,
-            input_dep: self.input_dep,
-            halo_safe: self.halo_safe,
             grid,
-            gpu: gpu.clone(),
+            p: Arc::new(ConvParams {
+                shape: self.shape,
+                tile: self.tile,
+                occupancy,
+                dtype: self.dtype,
+                input,
+                weights,
+                output,
+                epilogue: self.epilogue,
+                stage: self.stage,
+                input_dep: self.input_dep,
+                halo_safe: self.halo_safe,
+                gpu: gpu.clone(),
+                cb_count,
+            }),
         })
     }
 }
@@ -230,30 +240,19 @@ impl Conv2DBuilder {
 #[derive(Debug)]
 pub struct Conv2DKernel {
     name: String,
-    shape: Conv2DShape,
-    tile: TileShape,
-    occupancy: u32,
-    dtype: DType,
-    input: BufferId,
-    weights: BufferId,
-    output: BufferId,
-    epilogue: Epilogue,
-    stage: Option<Arc<StageRuntime>>,
-    input_dep: Option<InputDep>,
-    halo_safe: bool,
     grid: Dim3,
-    gpu: GpuConfig,
+    p: Arc<ConvParams>,
 }
 
 impl Conv2DKernel {
     /// Convolution shape.
     pub fn shape(&self) -> Conv2DShape {
-        self.shape
+        self.p.shape
     }
 
     /// Output buffer.
     pub fn output(&self) -> BufferId {
-        self.output
+        self.p.output
     }
 }
 
@@ -267,40 +266,23 @@ impl KernelSource for Conv2DKernel {
     }
 
     fn occupancy(&self) -> u32 {
-        self.occupancy
+        self.p.occupancy
     }
 
     fn cost_signature(&self) -> u64 {
+        let p = &self.p;
         cusync_sim::fnv1a(
             format!(
                 "conv2d:{:?}:{:?}:{:?}:{:?}:{}",
-                self.shape, self.tile, self.dtype, self.epilogue, self.halo_safe,
+                p.shape, p.tile, p.dtype, p.epilogue, p.halo_safe,
             )
             .as_bytes(),
         )
     }
 
     fn block(&self, block: Dim3) -> Box<dyn BlockBody> {
-        // Channel blocks: aligned to the producer's column tiles when a
-        // dependency exists, else the tile's k width.
-        let cb_count = match &self.input_dep {
-            Some(dep) => dep.prod_grid.x,
-            None => self.shape.c.div_ceil(self.tile.k),
-        };
         Box::new(Conv2DBody {
-            shape: self.shape,
-            tile: self.tile,
-            occupancy: self.occupancy,
-            dtype: self.dtype,
-            input: self.input,
-            weights: self.weights,
-            output: self.output,
-            epilogue: self.epilogue,
-            stage: self.stage.clone(),
-            input_dep: self.input_dep.clone(),
-            halo_safe: self.halo_safe,
-            gpu: self.gpu.clone(),
-            cb_count,
+            k: Arc::clone(&self.p),
             block,
             tile_coord: None,
             phase: ConvPhase::Start,
@@ -312,9 +294,178 @@ impl KernelSource for Conv2DKernel {
             functional: false,
         })
     }
-    fn timing_static(&self, mem: &GlobalMemory) -> bool {
-        !mem.is_functional(self.output)
-            && self.stage.as_ref().and_then(|s| s.tile_counter()).is_none()
+
+    fn static_programs(&self, mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op])) -> bool {
+        let p = &*self.p;
+        let stage = p.stage.as_deref();
+        if mem.is_functional(p.output) || stage.and_then(StageRuntime::tile_counter).is_some() {
+            return false;
+        }
+        let grid_waits = stage.map(StageRuntime::grid_wait_ops).unwrap_or_default();
+        let target = p.wait_target();
+        // Non-custom plans request tiles by the consumer's rows only, so
+        // every block of a grid row waits on the same list.
+        let share_rows = !matches!(
+            p.input_dep.as_ref().map(|d| &d.plan),
+            Some(DepPlan::Custom(_))
+        );
+        let mut classes = Vec::new();
+        let mut programs = RowPrograms::default();
+        for linear in 0..self.grid.count() {
+            let tile = self.grid.delinear(linear);
+            let extents = p.extents(tile);
+            let build = |middle: &mut Vec<Op>| {
+                let class = ShapeClass::find(&mut classes, extents, 0, || {
+                    let mains = (0..p.steps()).map(|step| p.main_op(tile, step)).collect();
+                    let (epilogue, write) = (p.epilogue_op(tile), p.write_op(tile));
+                    ShapeClass::new(extents, 0, mains, epilogue, write)
+                });
+                middle.extend_from_slice(&grid_waits);
+                // Even a (degenerate) zero-step loop waits before step 0.
+                let steps = p.steps().max(1) as usize;
+                let waits = |step, out: &mut Vec<Op>| p.push_step_waits(target, tile, step, out);
+                class.push_loop(steps, waits, middle);
+            };
+            programs.emit(stage, tile, share_rows.then_some(extents), build, sink);
+        }
+        true
+    }
+}
+
+/// The kernel parameters, shared by the kernel and every coroutine body
+/// it creates. Every op-producing helper takes the tile it prices, so the
+/// coroutine bodies and [`KernelSource::static_programs`] emit the same
+/// ops.
+#[derive(Debug)]
+struct ConvParams {
+    shape: Conv2DShape,
+    tile: TileShape,
+    occupancy: u32,
+    dtype: DType,
+    input: BufferId,
+    weights: BufferId,
+    output: BufferId,
+    epilogue: Epilogue,
+    stage: Option<Arc<StageRuntime>>,
+    input_dep: Option<InputDep>,
+    halo_safe: bool,
+    gpu: GpuConfig,
+    cb_count: u32,
+}
+
+impl ConvParams {
+    fn rows(&self, t: Dim3) -> (u32, u32) {
+        let lo = t.y * self.tile.m;
+        (lo, (lo + self.tile.m).min(self.shape.gemm_m()))
+    }
+
+    fn cols(&self, t: Dim3) -> (u32, u32) {
+        let lo = t.x * self.tile.n;
+        (lo, (lo + self.tile.n).min(self.shape.k))
+    }
+
+    /// Row and column counts of tile `t`.
+    fn extents(&self, t: Dim3) -> (u32, u32) {
+        let (rows, cols) = (self.rows(t), self.cols(t));
+        (rows.1 - rows.0, cols.1 - cols.0)
+    }
+
+    /// Total K-loop steps: channel blocks x kernel positions.
+    fn steps(&self) -> u32 {
+        self.cb_count * self.shape.rs()
+    }
+
+    fn channel_block_width(&self) -> u32 {
+        self.shape.c.div_ceil(self.cb_count)
+    }
+
+    /// Channels `[lo, hi)` of step `step`.
+    fn step_channels(&self, step: u32) -> (u32, u32) {
+        let cb = step / self.shape.rs();
+        let w = self.channel_block_width();
+        ((cb * w).min(self.shape.c), ((cb + 1) * w).min(self.shape.c))
+    }
+
+    /// The input's resolved wait target, when it has a per-tile wait.
+    fn wait_target(&self) -> Option<WaitTarget<'_>> {
+        self.input_dep.as_ref()?;
+        self.stage.as_deref()?.wait_target(self.input)
+    }
+
+    /// Appends tile `t`'s waits before `step` to `out`, dropping
+    /// consecutive duplicates (policies that fold several requested tiles
+    /// onto one semaphore produce them).
+    fn push_step_waits(
+        &self,
+        target: Option<WaitTarget<'_>>,
+        t: Dim3,
+        step: u32,
+        out: &mut Vec<Op>,
+    ) {
+        let (Some(target), Some(dep)) = (target, &self.input_dep) else {
+            return;
+        };
+        let (mut lo, mut hi) = self.rows(t);
+        if self.halo_safe {
+            let halo = self.shape.halo_rows();
+            lo = lo.saturating_sub(halo);
+            hi = (hi + halo).min(self.shape.gemm_m());
+        }
+        // Requested x = cb * rs + rs_idx = step (channel blocks outer).
+        let start = out.len();
+        dep.for_each_requested((lo, hi), self.shape.gemm_m(), step, t, |req| {
+            let op = target.op(req);
+            if out.len() == start || out[out.len() - 1] != op {
+                out.push(op);
+            }
+        });
+    }
+
+    /// One pipelined step: input and weight loads overlap the MMA.
+    fn main_op(&self, t: Dim3, step: u32) -> Option<Op> {
+        let (clo, chi) = self.step_channels(step);
+        if chi <= clo {
+            return None;
+        }
+        let (rows, cols) = self.extents(t);
+        // Under R, the first step's weight tile was loaded during the
+        // initial input wait; later steps hide loads via double-buffering.
+        let weight_rows = if self.prefetch_weights() && step == 0 {
+            0
+        } else {
+            cols as u64
+        };
+        let bytes = (rows as u64 + weight_rows) * (chi - clo) as u64 * self.dtype.size_bytes();
+        let flops = gemm_flops(rows, cols, chi - clo);
+        Some(Op::main_step(
+            bytes,
+            mma_cycles(&self.gpu, self.occupancy, flops),
+        ))
+    }
+
+    fn epilogue_op(&self, t: Dim3) -> Option<Op> {
+        let per_elem = self.epilogue.flops_per_elem();
+        if per_elem == 0 {
+            return None;
+        }
+        let (rows, cols) = self.extents(t);
+        let flops = per_elem * rows as u64 * cols as u64;
+        Some(Op::compute(fma_cycles(&self.gpu, self.occupancy, flops)))
+    }
+
+    /// The output-tile store.
+    fn write_op(&self, t: Dim3) -> Op {
+        let (rows, cols) = self.extents(t);
+        Op::write(rows as u64 * cols as u64 * self.dtype.size_bytes())
+    }
+
+    /// The `R` optimization: prefetch weights before the input waits.
+    fn prefetch_weights(&self) -> bool {
+        self.stage
+            .as_ref()
+            .map(|s| s.reorder_loads())
+            .unwrap_or(false)
+            && self.input_dep.is_some()
     }
 }
 
@@ -340,19 +491,7 @@ enum ConvPhase {
 }
 
 struct Conv2DBody {
-    shape: Conv2DShape,
-    tile: TileShape,
-    occupancy: u32,
-    dtype: DType,
-    input: BufferId,
-    weights: BufferId,
-    output: BufferId,
-    epilogue: Epilogue,
-    stage: Option<Arc<StageRuntime>>,
-    input_dep: Option<InputDep>,
-    halo_safe: bool,
-    gpu: GpuConfig,
-    cb_count: u32,
+    k: Arc<ConvParams>,
     block: Dim3,
     tile_coord: Option<Dim3>,
     phase: ConvPhase,
@@ -369,49 +508,10 @@ impl Conv2DBody {
         self.tile_coord.unwrap_or(self.block)
     }
 
-    fn rows(&self) -> (u32, u32) {
-        let lo = self.tile_coord().y * self.tile.m;
-        (lo, (lo + self.tile.m).min(self.shape.gemm_m()))
-    }
-
-    fn cols(&self) -> (u32, u32) {
-        let lo = self.tile_coord().x * self.tile.n;
-        (lo, (lo + self.tile.n).min(self.shape.k))
-    }
-
-    /// Total K-loop steps: channel blocks x kernel positions.
-    fn steps(&self) -> u32 {
-        self.cb_count * self.shape.rs()
-    }
-
-    fn channel_block_width(&self) -> u32 {
-        self.shape.c.div_ceil(self.cb_count)
-    }
-
-    /// Channels `[lo, hi)` of step `step`.
-    fn step_channels(&self, step: u32) -> (u32, u32) {
-        let cb = step / self.shape.rs();
-        let w = self.channel_block_width();
-        ((cb * w).min(self.shape.c), ((cb + 1) * w).min(self.shape.c))
-    }
-
     fn step_waits(&self, step: u32) -> Vec<Op> {
-        let (Some(stage), Some(dep)) = (&self.stage, &self.input_dep) else {
-            return Vec::new();
-        };
-        let (mut lo, mut hi) = self.rows();
-        if self.halo_safe {
-            let halo = self.shape.halo_rows();
-            lo = lo.saturating_sub(halo);
-            hi = (hi + halo).min(self.shape.gemm_m());
-        }
-        // Requested x = cb * rs + rs_idx = step (channel blocks outer).
-        let mut ops: Vec<Op> = dep
-            .requested((lo, hi), self.shape.gemm_m(), step, self.tile_coord())
-            .into_iter()
-            .filter_map(|req| stage.wait_op(self.input, req))
-            .collect();
-        ops.dedup();
+        let mut ops = Vec::new();
+        self.k
+            .push_step_waits(self.k.wait_target(), self.tile_coord(), step, &mut ops);
         ops
     }
 
@@ -419,12 +519,12 @@ impl Conv2DBody {
     /// input row index, or `None` when the receptive field falls in the
     /// zero padding.
     fn input_row(&self, m: u32, rs: u32) -> Option<u32> {
-        let q = self.shape.q;
-        let p = self.shape.p;
+        let shape = &self.k.shape;
+        let (p, q) = (shape.p, shape.q);
         let (bi, rem) = (m / (p * q), m % (p * q));
         let (pi, qi) = (rem / q, rem % q);
-        let dp = (rs / self.shape.s) as i64 - ((self.shape.r - 1) / 2) as i64;
-        let dq = (rs % self.shape.s) as i64 - ((self.shape.s - 1) / 2) as i64;
+        let dp = (rs / shape.s) as i64 - ((shape.r - 1) / 2) as i64;
+        let dq = (rs % shape.s) as i64 - ((shape.s - 1) / 2) as i64;
         let ih = pi as i64 + dp;
         let iw = qi as i64 + dq;
         if ih < 0 || iw < 0 || ih >= p as i64 || iw >= q as i64 {
@@ -437,12 +537,14 @@ impl Conv2DBody {
         if !self.functional {
             return;
         }
-        let rs = step % self.shape.rs();
-        let (clo, chi) = self.step_channels(step);
-        let rows = self.rows();
-        let cols = self.cols();
-        let c = self.shape.c as usize;
-        let k = self.shape.k as usize;
+        let k = &*self.k;
+        let rs = step % k.shape.rs();
+        let (clo, chi) = k.step_channels(step);
+        let tile = self.tile_coord();
+        let rows = k.rows(tile);
+        let cols = k.cols(tile);
+        let c = k.shape.c as usize;
+        let kk = k.shape.k as usize;
         let tile_cols = (cols.1 - cols.0) as usize;
         for m in rows.0..rows.1 {
             let Some(in_row) = self.input_row(m, rs) else {
@@ -451,14 +553,14 @@ impl Conv2DBody {
             for ci in clo..chi {
                 let iv = ctx
                     .mem
-                    .read(self.input, in_row as usize * c + ci as usize, ctx.now);
+                    .read(k.input, in_row as usize * c + ci as usize, ctx.now);
                 if iv == 0.0 {
                     continue;
                 }
                 for ko in cols.0..cols.1 {
                     let wv = ctx.mem.read(
-                        self.weights,
-                        (rs as usize * c + ci as usize) * k + ko as usize,
+                        k.weights,
+                        (rs as usize * c + ci as usize) * kk + ko as usize,
                         ctx.now,
                     );
                     let idx = (m - rows.0) as usize * tile_cols + (ko - cols.0) as usize;
@@ -472,17 +574,18 @@ impl Conv2DBody {
         if !self.functional {
             return;
         }
-        let rows = self.rows();
-        let cols = self.cols();
-        let k = self.shape.k as usize;
+        let tile = self.tile_coord();
+        let rows = self.k.rows(tile);
+        let cols = self.k.cols(tile);
+        let k = self.k.shape.k as usize;
         let tile_cols = (cols.1 - cols.0) as usize;
         for m in rows.0..rows.1 {
             for ko in cols.0..cols.1 {
                 let v = self.acc[(m - rows.0) as usize * tile_cols + (ko - cols.0) as usize];
                 ctx.mem.write(
-                    self.output,
+                    self.k.output,
                     m as usize * k + ko as usize,
-                    self.epilogue.apply(v),
+                    self.k.epilogue.apply(v),
                 );
             }
         }
@@ -495,15 +598,15 @@ impl BlockBody for Conv2DBody {
             match self.phase {
                 ConvPhase::Start => {
                     self.phase = ConvPhase::Acquire;
-                    if let Some(stage) = &self.stage {
+                    if let Some(stage) = &self.k.stage {
                         if let Some(op) = stage.start_op(self.block) {
                             return Step::Op(op);
                         }
                     }
                 }
                 ConvPhase::Acquire => {
-                    self.functional = ctx.mem.is_functional(self.output);
-                    match self.stage.as_ref().and_then(|s| s.tile_counter()) {
+                    self.functional = ctx.mem.is_functional(self.k.output);
+                    match self.k.stage.as_ref().and_then(|s| s.tile_counter()) {
                         Some(counter) => {
                             self.phase = ConvPhase::MapTile;
                             return Step::Op(Op::AtomicAdd {
@@ -521,7 +624,7 @@ impl BlockBody for Conv2DBody {
                 }
                 ConvPhase::MapTile => {
                     let pos = ctx.atomic_result.expect("tile counter result");
-                    let stage = self.stage.as_ref().expect("stage with counter");
+                    let stage = self.k.stage.as_ref().expect("stage with counter");
                     self.tile_coord = Some(stage.tile_at(pos));
                     self.init_acc();
                     self.phase = self.grid_wait_phase();
@@ -530,13 +633,13 @@ impl BlockBody for Conv2DBody {
                     if let Some(op) = self.grid_pending.pop() {
                         return Step::Op(op);
                     }
-                    self.phase = self.first_step_phase();
+                    self.phase = ConvPhase::Sync;
                 }
                 ConvPhase::Sync => {
                     if let Some(op) = self.pending.pop() {
                         return Step::Op(op);
                     }
-                    let last = self.steps().saturating_sub(1);
+                    let last = self.k.steps().saturating_sub(1);
                     let target = self.next_main.min(last);
                     if self.next_wait <= target {
                         self.pending = self.step_waits(self.next_wait);
@@ -547,48 +650,36 @@ impl BlockBody for Conv2DBody {
                     }
                 }
                 ConvPhase::Main => {
-                    if self.next_main >= self.steps() {
+                    if self.next_main >= self.k.steps() {
                         self.phase = ConvPhase::Epilogue;
                         continue;
                     }
                     let step = self.next_main;
                     self.next_main += 1;
                     self.accumulate(ctx, step);
-                    self.phase = if self.next_main >= self.steps() {
+                    self.phase = if self.next_main >= self.k.steps() {
                         ConvPhase::Epilogue
                     } else {
                         ConvPhase::Sync
                     };
-                    if let Some(op) = self.main_op(step) {
+                    if let Some(op) = self.k.main_op(self.tile_coord(), step) {
                         return Step::Op(op);
                     }
                 }
                 ConvPhase::Epilogue => {
                     self.phase = ConvPhase::Write;
-                    let per_elem = match self.epilogue {
-                        Epilogue::None => 0,
-                        Epilogue::Relu => 1,
-                        Epilogue::Gelu => 12,
-                    };
-                    if per_elem > 0 {
-                        let rows = self.rows();
-                        let cols = self.cols();
-                        let flops = per_elem * (rows.1 - rows.0) as u64 * (cols.1 - cols.0) as u64;
-                        return Step::Op(Op::compute(fma_cycles(&self.gpu, self.occupancy, flops)));
+                    if let Some(op) = self.k.epilogue_op(self.tile_coord()) {
+                        return Step::Op(op);
                     }
                 }
                 ConvPhase::Write => {
                     self.write_output(ctx);
                     self.phase = ConvPhase::Post { idx: 0 };
-                    let rows = self.rows();
-                    let cols = self.cols();
-                    let bytes = (rows.1 - rows.0) as u64
-                        * (cols.1 - cols.0) as u64
-                        * self.dtype.size_bytes();
-                    return Step::Op(Op::write(bytes));
+                    return Step::Op(self.k.write_op(self.tile_coord()));
                 }
                 ConvPhase::Post { idx } => {
                     let ops = self
+                        .k
                         .stage
                         .as_ref()
                         .and_then(|s| s.post_ops(self.tile_coord()));
@@ -607,59 +698,21 @@ impl BlockBody for Conv2DBody {
 }
 
 impl Conv2DBody {
-    /// One pipelined step: input and weight loads overlap the MMA.
-    fn main_op(&self, step: u32) -> Option<Op> {
-        let (clo, chi) = self.step_channels(step);
-        if chi <= clo {
-            return None;
-        }
-        let rows = self.rows();
-        let cols = self.cols();
-        // Under R, the first step's weight tile was loaded during the
-        // initial input wait; later steps hide loads via double-buffering.
-        let weight_rows = if self.prefetch_weights() && step == 0 {
-            0
-        } else {
-            (cols.1 - cols.0) as u64
-        };
-        let bytes =
-            ((rows.1 - rows.0) as u64 + weight_rows) * (chi - clo) as u64 * self.dtype.size_bytes();
-        let flops = gemm_flops(rows.1 - rows.0, cols.1 - cols.0, chi - clo);
-        Some(Op::main_step(
-            bytes,
-            mma_cycles(&self.gpu, self.occupancy, flops),
-        ))
-    }
-
-    /// The `R` optimization: prefetch weights before the input waits.
-    fn prefetch_weights(&self) -> bool {
-        self.stage
-            .as_ref()
-            .map(|s| s.reorder_loads())
-            .unwrap_or(false)
-            && self.input_dep.is_some()
-    }
-
     /// Enters [`ConvPhase::GridWait`], queueing the PDL preamble barrier
     /// ops (empty without PDL producers — falls through to the first
     /// step).
     fn grid_wait_phase(&mut self) -> ConvPhase {
-        if let Some(stage) = &self.stage {
+        if let Some(stage) = &self.k.stage {
             self.grid_pending = stage.grid_wait_ops();
             self.grid_pending.reverse(); // popped back-to-front
         }
         ConvPhase::GridWait
     }
 
-    fn first_step_phase(&self) -> ConvPhase {
-        ConvPhase::Sync
-    }
-
     fn init_acc(&mut self) {
         if self.functional {
-            let rows = self.rows();
-            let cols = self.cols();
-            self.acc = vec![0.0; ((rows.1 - rows.0) * (cols.1 - cols.0)) as usize];
+            let (rows, cols) = self.k.extents(self.tile_coord());
+            self.acc = vec![0.0; (rows * cols) as usize];
         }
     }
 }

@@ -17,6 +17,7 @@ use cusync_sim::{
 };
 
 use crate::gemm::{DepPlan, InputDep};
+use crate::program::RowPrograms;
 
 /// A 1-D block-per-tile copy kernel: block `i` copies elements
 /// `[i*block_elems, (i+1)*block_elems)` from `src` to `dst`.
@@ -102,9 +103,41 @@ impl KernelSource for CopyKernel {
             phase: CopyPhase::Start,
         })
     }
-    fn timing_static(&self, mem: &GlobalMemory) -> bool {
-        !mem.is_functional(self.dst) && self.stage.as_ref().and_then(|s| s.tile_counter()).is_none()
+    fn static_programs(&self, mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op])) -> bool {
+        let stage = self.stage.as_deref();
+        if mem.is_functional(self.dst) || stage.and_then(StageRuntime::tile_counter).is_some() {
+            return false;
+        }
+        let grid_waits = stage.map(StageRuntime::grid_wait_ops).unwrap_or_default();
+        let target = stage
+            .filter(|_| self.depends_on_src)
+            .and_then(|s| s.wait_target(self.src));
+        let mut programs = RowPrograms::default();
+        for linear in 0..self.grid.count() {
+            let tile = self.grid.delinear(linear);
+            let bytes = tile_bytes(self.len, self.block_elems, self.dtype, tile);
+            let build = |middle: &mut Vec<Op>| {
+                middle.extend_from_slice(&grid_waits);
+                middle.extend(target.map(|t| t.op(tile)));
+                middle.extend([Op::read(bytes), Op::write(bytes)]);
+            };
+            // Every block waits on its own tile: nothing is shared.
+            programs.emit(stage, tile, None, build, sink);
+        }
+        true
     }
+}
+
+/// Elements `[lo, hi)` copied by tile `tile`.
+fn tile_range(len: u32, block_elems: u32, tile: Dim3) -> (u32, u32) {
+    let lo = tile.x * block_elems;
+    (lo.min(len), (lo + block_elems).min(len))
+}
+
+/// Bytes read (and written) by tile `tile`.
+fn tile_bytes(len: u32, block_elems: u32, dtype: DType, tile: Dim3) -> u64 {
+    let (lo, hi) = tile_range(len, block_elems, tile);
+    (hi - lo) as u64 * dtype.size_bytes()
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,13 +178,11 @@ impl CopyBody {
     }
 
     fn range(&self) -> (u32, u32) {
-        let lo = self.tile_coord().x * self.block_elems;
-        (lo.min(self.len), (lo + self.block_elems).min(self.len))
+        tile_range(self.len, self.block_elems, self.tile_coord())
     }
 
     fn bytes(&self) -> u64 {
-        let (lo, hi) = self.range();
-        (hi - lo) as u64 * self.dtype.size_bytes()
+        tile_bytes(self.len, self.block_elems, self.dtype, self.tile_coord())
     }
 }
 

@@ -15,12 +15,13 @@
 use std::fmt;
 use std::sync::Arc;
 
-use cusync::StageRuntime;
+use cusync::{StageRuntime, WaitTarget};
 use cusync_sim::{
     BlockBody, BlockCtx, BufferId, BuildError, DType, Dim3, GlobalMemory, GpuConfig, KernelSource,
     Op, Step,
 };
 
+use crate::program::{RowPrograms, ShapeClass};
 use crate::reference::{gelu, relu, swish};
 use crate::timing::{fma_cycles, gemm_flops, mma_cycles, occupancy_for_tile};
 
@@ -86,7 +87,7 @@ impl Epilogue {
     }
 
     /// Approximate scalar FLOPs per element.
-    fn flops_per_elem(self) -> u64 {
+    pub(crate) fn flops_per_elem(self) -> u64 {
         match self {
             Epilogue::None => 0,
             Epilogue::Gelu => 12,
@@ -180,18 +181,34 @@ impl InputDep {
     /// Producer coordinates to request for `chunk`, given the consumer's
     /// row range and tile.
     pub fn requested(&self, rows: (u32, u32), m: u32, chunk: u32, tile: Dim3) -> Vec<Dim3> {
+        let mut out = Vec::new();
+        self.for_each_requested(rows, m, chunk, tile, |req| out.push(req));
+        out
+    }
+
+    /// [`InputDep::requested`] without the `Vec`: calls `f` on each
+    /// requested coordinate, in the same order.
+    pub(crate) fn for_each_requested(
+        &self,
+        rows: (u32, u32),
+        m: u32,
+        chunk: u32,
+        tile: Dim3,
+        mut f: impl FnMut(Dim3),
+    ) {
         match &self.plan {
-            DepPlan::Custom(f) => f(tile, chunk),
-            DepPlan::RowAligned { x_offset_tiles } => self
-                .row_tiles(rows, m)
-                .map(|y| Dim3::new(x_offset_tiles + chunk, y, 0))
-                .collect(),
+            DepPlan::Custom(plan) => plan(tile, chunk).into_iter().for_each(f),
+            DepPlan::RowAligned { x_offset_tiles } => {
+                for y in self.row_tiles(rows, m) {
+                    f(Dim3::new(x_offset_tiles + chunk, y, 0));
+                }
+            }
             DepPlan::Strided { x_offsets } => {
-                let ys: Vec<u32> = self.row_tiles(rows, m).collect();
-                x_offsets
-                    .iter()
-                    .flat_map(|&off| ys.iter().map(move |&y| Dim3::new(off + chunk, y, 0)))
-                    .collect()
+                for &off in x_offsets {
+                    for y in self.row_tiles(rows, m) {
+                        f(Dim3::new(off + chunk, y, 0));
+                    }
+                }
             }
         }
     }
@@ -381,21 +398,23 @@ impl GemmBuilder {
             .unwrap_or_else(|| occupancy_for_tile(self.tile.m, self.tile.n));
         Ok(GemmKernel {
             name: self.name,
-            dims: self.dims,
-            tile: self.tile,
-            split_k: self.split_k,
-            occupancy,
-            dtype: self.dtype,
-            a,
-            b,
-            c,
-            epilogue: self.epilogue,
-            stage: self.stage,
-            a_dep: self.a_dep,
-            b_dep: self.b_dep,
-            sync_chunks: self.sync_chunks,
             grid,
-            gpu: gpu.clone(),
+            p: Arc::new(GemmParams {
+                dims: self.dims,
+                tile: self.tile,
+                split_k: self.split_k,
+                occupancy,
+                dtype: self.dtype,
+                a,
+                b,
+                c,
+                epilogue: self.epilogue,
+                stage: self.stage,
+                a_dep: self.a_dep,
+                b_dep: self.b_dep,
+                sync_chunks: self.sync_chunks,
+                gpu: gpu.clone(),
+            }),
         })
     }
 }
@@ -404,37 +423,24 @@ impl GemmBuilder {
 #[derive(Debug)]
 pub struct GemmKernel {
     name: String,
-    dims: GemmDims,
-    tile: TileShape,
-    split_k: u32,
-    occupancy: u32,
-    dtype: DType,
-    a: ASource,
-    b: BufferId,
-    c: BufferId,
-    epilogue: Epilogue,
-    stage: Option<Arc<StageRuntime>>,
-    a_dep: Option<InputDep>,
-    b_dep: Option<InputDep>,
-    sync_chunks: u32,
     grid: Dim3,
-    gpu: GpuConfig,
+    p: Arc<GemmParams>,
 }
 
 impl GemmKernel {
     /// Problem dimensions.
     pub fn dims(&self) -> GemmDims {
-        self.dims
+        self.p.dims
     }
 
     /// Tile shape.
     pub fn tile(&self) -> TileShape {
-        self.tile
+        self.p.tile
     }
 
     /// Output buffer.
     pub fn output(&self) -> BufferId {
-        self.c
+        self.p.c
     }
 }
 
@@ -448,7 +454,7 @@ impl KernelSource for GemmKernel {
     }
 
     fn occupancy(&self) -> u32 {
-        self.occupancy
+        self.p.occupancy
     }
 
     fn cost_signature(&self) -> u64 {
@@ -456,16 +462,17 @@ impl KernelSource for GemmKernel {
         // contraction depth (dims.k is invisible in the grid), tile
         // shape, split-K, element width, epilogue, SwiGLU-ness and the
         // synchronization chunking.
+        let p = &self.p;
         cusync_sim::fnv1a(
             format!(
                 "gemm:{:?}:{:?}:{}:{:?}:{:?}:{}:{}",
-                self.dims,
-                self.tile,
-                self.split_k,
-                self.dtype,
-                self.epilogue,
-                matches!(self.a, ASource::SwiGlu { .. }),
-                self.sync_chunks,
+                p.dims,
+                p.tile,
+                p.split_k,
+                p.dtype,
+                p.epilogue,
+                matches!(p.a, ASource::SwiGlu { .. }),
+                p.sync_chunks,
             )
             .as_bytes(),
         )
@@ -473,22 +480,7 @@ impl KernelSource for GemmKernel {
 
     fn block(&self, block: Dim3) -> Box<dyn BlockBody> {
         Box::new(GemmBody {
-            k: KernelRef {
-                dims: self.dims,
-                tile: self.tile,
-                split_k: self.split_k,
-                occupancy: self.occupancy,
-                dtype: self.dtype,
-                a: self.a.clone(),
-                b: self.b,
-                c: self.c,
-                epilogue: self.epilogue,
-                stage: self.stage.clone(),
-                a_dep: self.a_dep.clone(),
-                b_dep: self.b_dep.clone(),
-                sync_chunks: self.sync_chunks,
-                gpu: self.gpu.clone(),
-            },
+            k: Arc::clone(&self.p),
             block,
             tile: None,
             phase: Phase::Start,
@@ -501,16 +493,49 @@ impl KernelSource for GemmKernel {
         })
     }
 
-    fn timing_static(&self, mem: &GlobalMemory) -> bool {
+    fn static_programs(&self, mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op])) -> bool {
         // Context-dependent only when computing functional results or
         // mapping tiles through the atomic order counter.
-        !mem.is_functional(self.c) && self.stage.as_ref().and_then(|s| s.tile_counter()).is_none()
+        let p = &*self.p;
+        let stage = p.stage.as_deref();
+        if mem.is_functional(p.c) || stage.and_then(StageRuntime::tile_counter).is_some() {
+            return false;
+        }
+        let grid_waits = stage.map(StageRuntime::grid_wait_ops).unwrap_or_default();
+        let deps = p.wait_deps();
+        // Non-custom plans request tiles by the consumer's rows only, so
+        // every block of a grid row waits on the same list.
+        let share_rows = !deps
+            .iter()
+            .any(|(dep, _)| matches!(dep.plan, DepPlan::Custom(_)));
+        let mut classes = Vec::new();
+        let mut programs = RowPrograms::default();
+        for linear in 0..self.grid.count() {
+            let tile = self.grid.delinear(linear);
+            let extents = p.extents(tile);
+            let build = |middle: &mut Vec<Op>| {
+                let (lo, hi) = p.chunk_range(tile.z);
+                let class = ShapeClass::find(&mut classes, extents, tile.z, || {
+                    let mains = (lo..=hi).map(|c| p.main_op(tile, c)).collect();
+                    let (epilogue, write) = (p.epilogue_op(tile), p.write_op(tile));
+                    ShapeClass::new(extents, tile.z, mains, epilogue, write)
+                });
+                middle.extend_from_slice(&grid_waits);
+                let waits = |i, out: &mut Vec<Op>| p.push_chunk_waits(&deps, tile, lo + i, out);
+                class.push_loop(class.mains.len(), waits, middle);
+            };
+            programs.emit(stage, tile, share_rows.then_some(extents), build, sink);
+        }
+        true
     }
 }
 
-/// Per-body copy of kernel parameters (blocks outlive the borrow of the
-/// kernel in the engine).
-struct KernelRef {
+/// The kernel parameters, shared by the kernel and every coroutine body
+/// it creates (bodies outlive the borrow of the kernel in the engine).
+/// Every op-producing helper takes the tile it prices, so the coroutine
+/// bodies and [`KernelSource::static_programs`] emit the same ops.
+#[derive(Debug)]
+struct GemmParams {
     dims: GemmDims,
     tile: TileShape,
     split_k: u32,
@@ -525,6 +550,152 @@ struct KernelRef {
     b_dep: Option<InputDep>,
     sync_chunks: u32,
     gpu: GpuConfig,
+}
+
+impl GemmParams {
+    /// Rows `[lo, hi)` of tile `t`.
+    fn rows(&self, t: Dim3) -> (u32, u32) {
+        let lo = t.y * self.tile.m;
+        (lo, (lo + self.tile.m).min(self.dims.m))
+    }
+
+    /// Columns `[lo, hi)` of tile `t`.
+    fn cols(&self, t: Dim3) -> (u32, u32) {
+        let lo = t.x * self.tile.n;
+        (lo, (lo + self.tile.n).min(self.dims.n))
+    }
+
+    /// Row and column counts of tile `t`.
+    fn extents(&self, t: Dim3) -> (u32, u32) {
+        let (rows, cols) = (self.rows(t), self.cols(t));
+        (rows.1 - rows.0, cols.1 - cols.0)
+    }
+
+    /// Z-slice `z`'s K range `[lo, hi)`.
+    fn k_range(&self, z: u32) -> (u32, u32) {
+        let per = self.dims.k.div_ceil(self.split_k);
+        let lo = z * per;
+        (lo.min(self.dims.k), ((z + 1) * per).min(self.dims.k))
+    }
+
+    /// Chunk indices `[lo, hi]` overlapping z-slice `z` (`lo > hi` when
+    /// the slice is empty).
+    fn chunk_range(&self, z: u32) -> (u32, u32) {
+        let (klo, khi) = self.k_range(z);
+        if klo >= khi {
+            return (1, 0); // empty
+        }
+        let cw = self.chunk_width();
+        (klo / cw, (khi - 1) / cw)
+    }
+
+    fn chunk_width(&self) -> u32 {
+        self.dims.k.div_ceil(self.sync_chunks).max(1)
+    }
+
+    /// K span `[lo, hi)` of `chunk` clipped to z-slice `z`.
+    fn chunk_span(&self, z: u32, chunk: u32) -> (u32, u32) {
+        let cw = self.chunk_width();
+        let (klo, khi) = self.k_range(z);
+        ((chunk * cw).max(klo), ((chunk + 1) * cw).min(khi))
+    }
+
+    /// The dependent operands with a per-tile wait: each one's plan and
+    /// its resolved wait target.
+    fn wait_deps(&self) -> Vec<(&InputDep, WaitTarget<'_>)> {
+        let Some(stage) = self.stage.as_deref() else {
+            return Vec::new();
+        };
+        [(&self.a_dep, self.a.buffer()), (&self.b_dep, self.b)]
+            .into_iter()
+            .filter_map(|(dep, buffer)| Some((dep.as_ref()?, stage.wait_target(buffer)?)))
+            .collect()
+    }
+
+    /// Appends tile `t`'s waits before `chunk` to `out`.
+    fn push_chunk_waits(
+        &self,
+        deps: &[(&InputDep, WaitTarget<'_>)],
+        t: Dim3,
+        chunk: u32,
+        out: &mut Vec<Op>,
+    ) {
+        let rows = self.rows(t);
+        for (dep, target) in deps {
+            dep.for_each_requested(rows, self.dims.m, chunk, t, |req| out.push(target.op(req)));
+        }
+    }
+
+    fn a_bytes(&self, rows: u32, kspan: u32) -> u64 {
+        let mult = match self.a {
+            ASource::Plain(_) => 1,
+            ASource::SwiGlu { .. } => 2, // reads both halves
+        };
+        rows as u64 * kspan as u64 * self.dtype.size_bytes() * mult
+    }
+
+    fn b_bytes(&self, cols: u32, kspan: u32) -> u64 {
+        kspan as u64 * cols as u64 * self.dtype.size_bytes()
+    }
+
+    /// One pipelined mainloop step: the chunk's A and B loads overlap the
+    /// tensor-core math (CUTLASS double-buffering), so the step costs
+    /// `max(memory, compute)`.
+    fn main_op(&self, t: Dim3, chunk: u32) -> Option<Op> {
+        let (klo, khi) = self.chunk_span(t.z, chunk);
+        if khi <= klo {
+            return None;
+        }
+        let kspan = khi - klo;
+        let (rows, cols) = self.extents(t);
+        // Under R, the first chunk's B tile was loaded while this block sat
+        // in its initial semaphore wait (Fig. 4a line swap), so only A's
+        // bytes remain on the critical path for that chunk; later chunks'
+        // loads are hidden by double-buffering either way.
+        let first = self.chunk_range(t.z).0;
+        let bytes = if self.prefetch_b() && chunk == first {
+            self.a_bytes(rows, kspan)
+        } else {
+            self.a_bytes(rows, kspan) + self.b_bytes(cols, kspan)
+        };
+        let mut flops = gemm_flops(rows, cols, kspan);
+        if matches!(self.a, ASource::SwiGlu { .. }) {
+            // swish + multiply on each A element.
+            flops += 8 * rows as u64 * kspan as u64;
+        }
+        Some(Op::main_step(
+            bytes,
+            mma_cycles(&self.gpu, self.occupancy, flops),
+        ))
+    }
+
+    fn epilogue_op(&self, t: Dim3) -> Option<Op> {
+        let per_elem = self.epilogue.flops_per_elem();
+        if per_elem == 0 {
+            return None;
+        }
+        let (rows, cols) = self.extents(t);
+        let flops = per_elem * rows as u64 * cols as u64;
+        Some(Op::compute(fma_cycles(&self.gpu, self.occupancy, flops)))
+    }
+
+    /// The output-tile store.
+    fn write_op(&self, t: Dim3) -> Op {
+        let (rows, cols) = self.extents(t);
+        Op::write(rows as u64 * cols as u64 * self.dtype.size_bytes())
+    }
+
+    /// True when the `R` optimization applies: A depends on a producer
+    /// while B is independent, so B's loads can be hoisted before the A
+    /// waits (swap lines 6-7 with 8-9 of Fig. 4a).
+    fn prefetch_b(&self) -> bool {
+        self.stage
+            .as_ref()
+            .map(|s| s.reorder_loads())
+            .unwrap_or(false)
+            && self.a_dep.is_some()
+            && self.b_dep.is_none()
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -550,7 +721,7 @@ enum Phase {
 }
 
 struct GemmBody {
-    k: KernelRef,
+    k: Arc<GemmParams>,
     block: Dim3,
     tile: Option<Dim3>,
     phase: Phase,
@@ -572,114 +743,31 @@ impl GemmBody {
         self.tile.unwrap_or(self.block)
     }
 
-    /// Rows `[lo, hi)` of this block's tile.
     fn rows(&self) -> (u32, u32) {
-        let t = self.tile_coord();
-        let lo = t.y * self.k.tile.m;
-        (lo, (lo + self.k.tile.m).min(self.k.dims.m))
+        self.k.rows(self.tile_coord())
     }
 
-    /// Columns `[lo, hi)` of this block's tile.
     fn cols(&self) -> (u32, u32) {
-        let t = self.tile_coord();
-        let lo = t.x * self.k.tile.n;
-        (lo, (lo + self.k.tile.n).min(self.k.dims.n))
+        self.k.cols(self.tile_coord())
     }
 
-    /// This z-slice's K range `[lo, hi)`.
-    fn k_range(&self) -> (u32, u32) {
-        let z = self.tile_coord().z;
-        let per = self.k.dims.k.div_ceil(self.k.split_k);
-        let lo = z * per;
-        (lo.min(self.k.dims.k), ((z + 1) * per).min(self.k.dims.k))
-    }
-
-    /// Chunk indices `[lo, hi]` overlapping this z-slice.
     fn chunk_range(&self) -> (u32, u32) {
-        let (klo, khi) = self.k_range();
-        if klo >= khi {
-            return (1, 0); // empty
-        }
-        let cw = self.chunk_width();
-        (klo / cw, (khi - 1) / cw)
-    }
-
-    fn chunk_width(&self) -> u32 {
-        self.k.dims.k.div_ceil(self.k.sync_chunks).max(1)
-    }
-
-    /// K span `[lo, hi)` of `chunk` clipped to this z-slice.
-    fn chunk_span(&self, chunk: u32) -> (u32, u32) {
-        let cw = self.chunk_width();
-        let (klo, khi) = self.k_range();
-        ((chunk * cw).max(klo), ((chunk + 1) * cw).min(khi))
+        self.k.chunk_range(self.tile_coord().z)
     }
 
     fn chunk_waits(&self, chunk: u32) -> Vec<Op> {
-        let Some(stage) = &self.k.stage else {
-            return Vec::new();
-        };
-        let rows = self.rows();
-        let tile = self.tile_coord();
         let mut ops = Vec::new();
-        if let Some(dep) = &self.k.a_dep {
-            for req in dep.requested(rows, self.k.dims.m, chunk, tile) {
-                ops.extend(stage.wait_op(self.k.a.buffer(), req));
-            }
-        }
-        if let Some(dep) = &self.k.b_dep {
-            for req in dep.requested(rows, self.k.dims.m, chunk, tile) {
-                ops.extend(stage.wait_op(self.k.b, req));
-            }
-        }
+        let deps = self.k.wait_deps();
+        self.k
+            .push_chunk_waits(&deps, self.tile_coord(), chunk, &mut ops);
         ops
     }
 
-    fn a_bytes(&self, kspan: u32) -> u64 {
-        let rows = self.rows();
-        let mult = match self.k.a {
-            ASource::Plain(_) => 1,
-            ASource::SwiGlu { .. } => 2, // reads both halves
-        };
-        (rows.1 - rows.0) as u64 * kspan as u64 * self.k.dtype.size_bytes() * mult
-    }
-
-    fn b_bytes(&self, kspan: u32) -> u64 {
-        let cols = self.cols();
-        kspan as u64 * (cols.1 - cols.0) as u64 * self.k.dtype.size_bytes()
-    }
-
-    /// One pipelined mainloop step: the chunk's A and B loads overlap the
-    /// tensor-core math (CUTLASS double-buffering), so the step costs
-    /// `max(memory, compute)`.
-    fn main_op(&self, chunk: u32) -> Option<Op> {
-        let (klo, khi) = self.chunk_span(chunk);
-        if khi <= klo {
-            return None;
+    fn reset_acc(&mut self) {
+        if self.functional {
+            let (rows, cols) = self.k.extents(self.tile_coord());
+            self.acc = vec![0.0; (rows * cols) as usize];
         }
-        let kspan = khi - klo;
-        let gpu = &self.k.gpu;
-        // Under R, the first chunk's B tile was loaded while this block sat
-        // in its initial semaphore wait (Fig. 4a line swap), so only A's
-        // bytes remain on the critical path for that chunk; later chunks'
-        // loads are hidden by double-buffering either way.
-        let first = self.chunk_range().0;
-        let bytes = if self.prefetch_b() && chunk == first {
-            self.a_bytes(kspan)
-        } else {
-            self.a_bytes(kspan) + self.b_bytes(kspan)
-        };
-        let rows = self.rows();
-        let cols = self.cols();
-        let mut flops = gemm_flops(rows.1 - rows.0, cols.1 - cols.0, kspan);
-        if matches!(self.k.a, ASource::SwiGlu { .. }) {
-            // swish + multiply on each A element.
-            flops += 8 * (rows.1 - rows.0) as u64 * kspan as u64;
-        }
-        Some(Op::main_step(
-            bytes,
-            mma_cycles(gpu, self.k.occupancy, flops),
-        ))
     }
 
     /// Functional accumulation of `chunk` (called once the chunk's waits
@@ -688,7 +776,7 @@ impl GemmBody {
         if !self.functional {
             return;
         }
-        let (klo, khi) = self.chunk_span(chunk);
+        let (klo, khi) = self.k.chunk_span(self.tile_coord().z, chunk);
         let rows = self.rows();
         let cols = self.cols();
         let n = self.k.dims.n as usize;
@@ -762,34 +850,6 @@ impl GemmBody {
             }
         }
     }
-
-    fn epilogue_op(&self) -> Option<Op> {
-        let per_elem = self.k.epilogue.flops_per_elem();
-        if per_elem == 0 {
-            return None;
-        }
-        let rows = self.rows();
-        let cols = self.cols();
-        let flops = per_elem * (rows.1 - rows.0) as u64 * (cols.1 - cols.0) as u64;
-        Some(Op::compute(fma_cycles(
-            &self.k.gpu,
-            self.k.occupancy,
-            flops,
-        )))
-    }
-
-    /// True when the `R` optimization applies: A depends on a producer
-    /// while B is independent, so B's loads can be hoisted before the A
-    /// waits (swap lines 6-7 with 8-9 of Fig. 4a).
-    fn prefetch_b(&self) -> bool {
-        self.k
-            .stage
-            .as_ref()
-            .map(|s| s.reorder_loads())
-            .unwrap_or(false)
-            && self.k.a_dep.is_some()
-            && self.k.b_dep.is_none()
-    }
 }
 
 impl BlockBody for GemmBody {
@@ -807,11 +867,7 @@ impl BlockBody for GemmBody {
                 Phase::Acquire => {
                     // Decide functionality once, from the output buffer.
                     self.functional = ctx.mem.is_functional(self.k.c);
-                    if self.functional {
-                        let rows = self.rows();
-                        let cols = self.cols();
-                        self.acc = vec![0.0; ((rows.1 - rows.0) * (cols.1 - cols.0)) as usize];
-                    }
+                    self.reset_acc();
                     match self.k.stage.as_ref().and_then(|s| s.tile_counter()) {
                         Some(counter) => {
                             self.phase = Phase::MapTile;
@@ -831,12 +887,8 @@ impl BlockBody for GemmBody {
                     let pos = ctx.atomic_result.expect("tile counter result");
                     let stage = self.k.stage.as_ref().expect("stage with counter");
                     self.tile = Some(stage.tile_at(pos));
-                    if self.functional {
-                        // Tile changed: resize the accumulator.
-                        let rows = self.rows();
-                        let cols = self.cols();
-                        self.acc = vec![0.0; ((rows.1 - rows.0) * (cols.1 - cols.0)) as usize];
-                    }
+                    // Tile changed: resize the accumulator.
+                    self.reset_acc();
                     self.phase = self.grid_wait_phase();
                 }
                 Phase::GridWait => {
@@ -875,25 +927,20 @@ impl BlockBody for GemmBody {
                     } else {
                         Phase::Sync
                     };
-                    if let Some(op) = self.main_op(chunk) {
+                    if let Some(op) = self.k.main_op(self.tile_coord(), chunk) {
                         return Step::Op(op);
                     }
                 }
                 Phase::Epilogue => {
                     self.phase = Phase::WriteC;
-                    if let Some(op) = self.epilogue_op() {
+                    if let Some(op) = self.k.epilogue_op(self.tile_coord()) {
                         return Step::Op(op);
                     }
                 }
                 Phase::WriteC => {
                     self.write_output(ctx);
                     self.phase = Phase::Post { idx: 0 };
-                    let rows = self.rows();
-                    let cols = self.cols();
-                    let bytes = (rows.1 - rows.0) as u64
-                        * (cols.1 - cols.0) as u64
-                        * self.k.dtype.size_bytes();
-                    return Step::Op(Op::write(bytes));
+                    return Step::Op(self.k.write_op(self.tile_coord()));
                 }
                 Phase::Post { idx } => {
                     let ops = self

@@ -64,6 +64,7 @@
 mod conv2d;
 mod elementwise;
 mod gemm;
+mod program;
 pub mod reference;
 mod softmax_dropout;
 pub mod timing;

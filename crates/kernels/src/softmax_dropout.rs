@@ -15,7 +15,8 @@ use cusync_sim::{
     Op, Step,
 };
 
-use crate::gemm::{InputDep, TileShape};
+use crate::gemm::{DepPlan, InputDep, TileShape};
+use crate::program::RowPrograms;
 use crate::reference::dropout_keep;
 use crate::timing::{fma_cycles, occupancy_for_tile};
 
@@ -130,21 +131,23 @@ impl SoftmaxDropoutBuilder {
             .ok_or_else(|| BuildError::missing(builder(), "output"))?;
         Ok(SoftmaxDropoutKernel {
             name: self.name,
-            rows: self.rows,
-            cols: self.cols,
-            tile: self.tile,
-            occupancy: self
-                .occupancy
-                .unwrap_or_else(|| occupancy_for_tile(self.tile.m, self.tile.n).max(4)),
-            dtype: self.dtype,
-            input,
-            output,
-            keep_prob: self.keep_prob,
-            seed: self.seed,
-            stage: self.stage,
-            input_dep: self.input_dep,
             grid,
-            gpu: gpu.clone(),
+            p: Arc::new(SoftmaxParams {
+                rows: self.rows,
+                cols: self.cols,
+                tile: self.tile,
+                occupancy: self
+                    .occupancy
+                    .unwrap_or_else(|| occupancy_for_tile(self.tile.m, self.tile.n).max(4)),
+                dtype: self.dtype,
+                input,
+                output,
+                keep_prob: self.keep_prob,
+                seed: self.seed,
+                stage: self.stage,
+                input_dep: self.input_dep,
+                gpu: gpu.clone(),
+            }),
         })
     }
 }
@@ -153,6 +156,81 @@ impl SoftmaxDropoutBuilder {
 #[derive(Debug)]
 pub struct SoftmaxDropoutKernel {
     name: String,
+    grid: Dim3,
+    p: Arc<SoftmaxParams>,
+}
+
+impl KernelSource for SoftmaxDropoutKernel {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn cost_signature(&self) -> u64 {
+        let p = &self.p;
+        cusync_sim::fnv1a(
+            format!(
+                "softmax_dropout:{}:{}:{:?}:{:?}:{}:{}",
+                p.rows,
+                p.cols,
+                p.tile,
+                p.dtype,
+                p.keep_prob.to_bits(),
+                p.seed,
+            )
+            .as_bytes(),
+        )
+    }
+
+    fn grid(&self) -> Dim3 {
+        self.grid
+    }
+
+    fn occupancy(&self) -> u32 {
+        self.p.occupancy
+    }
+
+    fn block(&self, block: Dim3) -> Box<dyn BlockBody> {
+        Box::new(SoftmaxBody {
+            k: Arc::clone(&self.p),
+            block,
+            tile_coord: None,
+            phase: SmPhase::Start,
+            pending: Vec::new(),
+        })
+    }
+
+    fn static_programs(&self, mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op])) -> bool {
+        let p = &*self.p;
+        let stage = p.stage.as_deref();
+        if mem.is_functional(p.output) || stage.and_then(StageRuntime::tile_counter).is_some() {
+            return false;
+        }
+        // Non-custom plans request tiles by the consumer's rows only, so
+        // every block of a grid row waits on the same list.
+        let share_rows = !matches!(
+            p.input_dep.as_ref().map(|d| &d.plan),
+            Some(DepPlan::Custom(_))
+        );
+        let mut programs = RowPrograms::default();
+        for linear in 0..self.grid.count() {
+            let tile = self.grid.delinear(linear);
+            let build = |middle: &mut Vec<Op>| {
+                middle.extend(p.waits(tile));
+                middle.push(p.compute_op(tile));
+                middle.push(p.write_op(tile));
+            };
+            let share = share_rows.then(|| p.extents(tile));
+            programs.emit(stage, tile, share, build, sink);
+        }
+        true
+    }
+}
+
+/// The kernel parameters, shared by the kernel and every coroutine body
+/// it creates; the op helpers serve both the bodies and
+/// [`KernelSource::static_programs`].
+#[derive(Debug)]
+struct SoftmaxParams {
     rows: u32,
     cols: u32,
     tile: TileShape,
@@ -164,61 +242,58 @@ pub struct SoftmaxDropoutKernel {
     seed: u64,
     stage: Option<Arc<StageRuntime>>,
     input_dep: Option<InputDep>,
-    grid: Dim3,
     gpu: GpuConfig,
 }
 
-impl KernelSource for SoftmaxDropoutKernel {
-    fn name(&self) -> &str {
-        &self.name
+impl SoftmaxParams {
+    fn row_range(&self, t: Dim3) -> (u32, u32) {
+        let lo = t.y * self.tile.m;
+        (lo, (lo + self.tile.m).min(self.rows))
     }
 
-    fn cost_signature(&self) -> u64 {
-        cusync_sim::fnv1a(
-            format!(
-                "softmax_dropout:{}:{}:{:?}:{:?}:{}:{}",
-                self.rows,
-                self.cols,
-                self.tile,
-                self.dtype,
-                self.keep_prob.to_bits(),
-                self.seed,
-            )
-            .as_bytes(),
-        )
+    fn col_range(&self, t: Dim3) -> (u32, u32) {
+        let lo = t.x * self.tile.n;
+        (lo, (lo + self.tile.n).min(self.cols))
     }
 
-    fn grid(&self) -> Dim3 {
-        self.grid
+    /// Row and column counts of tile `t`.
+    fn extents(&self, t: Dim3) -> (u32, u32) {
+        let (rows, cols) = (self.row_range(t), self.col_range(t));
+        (rows.1 - rows.0, cols.1 - cols.0)
     }
 
-    fn occupancy(&self) -> u32 {
-        self.occupancy
+    fn waits(&self, t: Dim3) -> Vec<Op> {
+        let Some(stage) = &self.stage else {
+            return Vec::new();
+        };
+        // The PDL preamble barrier comes first: one wait per PDL
+        // producer's grid semaphore, before any dependent read.
+        let mut ops: Vec<Op> = stage.grid_wait_ops();
+        let (Some(dep), Some(target)) = (&self.input_dep, stage.wait_target(self.input)) else {
+            return ops;
+        };
+        let rows = self.row_range(t);
+        // The whole row is needed: wait on every producer column tile.
+        for chunk in 0..dep.prod_grid.x {
+            dep.for_each_requested(rows, self.rows, chunk, t, |req| ops.push(target.op(req)));
+        }
+        ops.dedup();
+        ops
     }
 
-    fn block(&self, block: Dim3) -> Box<dyn BlockBody> {
-        Box::new(SoftmaxBody {
-            rows: self.rows,
-            cols: self.cols,
-            tile: self.tile,
-            occupancy: self.occupancy,
-            dtype: self.dtype,
-            input: self.input,
-            output: self.output,
-            keep_prob: self.keep_prob,
-            seed: self.seed,
-            stage: self.stage.clone(),
-            input_dep: self.input_dep.clone(),
-            gpu: self.gpu.clone(),
-            block,
-            tile_coord: None,
-            phase: SmPhase::Start,
-            pending: Vec::new(),
-        })
+    /// Row loads overlap the exp/sum math (pipelined).
+    fn compute_op(&self, t: Dim3) -> Op {
+        let (rlo, rhi) = self.row_range(t);
+        let bytes = (rhi - rlo) as u64 * self.cols as u64 * self.dtype.size_bytes();
+        let flops = SOFTMAX_FLOPS_PER_ELEM * (rhi - rlo) as u64 * self.cols as u64;
+        Op::main_step(bytes, fma_cycles(&self.gpu, self.occupancy, flops))
     }
-    fn timing_static(&self, mem: &GlobalMemory) -> bool {
-        !mem.is_functional(self.output)
-            && self.stage.as_ref().and_then(|s| s.tile_counter()).is_none()
+
+    /// The output-tile store.
+    fn write_op(&self, t: Dim3) -> Op {
+        let (rlo, rhi) = self.row_range(t);
+        let (clo, chi) = self.col_range(t);
+        Op::write((rhi - rlo) as u64 * (chi - clo) as u64 * self.dtype.size_bytes())
     }
 }
 
@@ -235,18 +310,7 @@ enum SmPhase {
 }
 
 struct SoftmaxBody {
-    rows: u32,
-    cols: u32,
-    tile: TileShape,
-    occupancy: u32,
-    dtype: DType,
-    input: BufferId,
-    output: BufferId,
-    keep_prob: f32,
-    seed: u64,
-    stage: Option<Arc<StageRuntime>>,
-    input_dep: Option<InputDep>,
-    gpu: GpuConfig,
+    k: Arc<SoftmaxParams>,
     block: Dim3,
     tile_coord: Option<Dim3>,
     phase: SmPhase,
@@ -258,63 +322,33 @@ impl SoftmaxBody {
         self.tile_coord.unwrap_or(self.block)
     }
 
-    fn row_range(&self) -> (u32, u32) {
-        let lo = self.tile_coord().y * self.tile.m;
-        (lo, (lo + self.tile.m).min(self.rows))
-    }
-
-    fn col_range(&self) -> (u32, u32) {
-        let lo = self.tile_coord().x * self.tile.n;
-        (lo, (lo + self.tile.n).min(self.cols))
-    }
-
-    fn waits(&self) -> Vec<Op> {
-        let Some(stage) = &self.stage else {
-            return Vec::new();
-        };
-        // The PDL preamble barrier comes first: one wait per PDL
-        // producer's grid semaphore, before any dependent read.
-        let mut ops: Vec<Op> = stage.grid_wait_ops();
-        let Some(dep) = &self.input_dep else {
-            return ops;
-        };
-        let rows = self.row_range();
-        // The whole row is needed: wait on every producer column tile.
-        ops.extend((0..dep.prod_grid.x).flat_map(|chunk| {
-            dep.requested(rows, self.rows, chunk, self.tile_coord())
-                .into_iter()
-                .filter_map(|req| stage.wait_op(self.input, req))
-        }));
-        ops.dedup();
-        ops
-    }
-
     fn compute_functional(&self, ctx: &mut BlockCtx<'_>) {
-        if !ctx.mem.is_functional(self.output) {
+        let k = &*self.k;
+        if !ctx.mem.is_functional(k.output) {
             return;
         }
-        let (rlo, rhi) = self.row_range();
-        let (clo, chi) = self.col_range();
-        let cols = self.cols as usize;
+        let (rlo, rhi) = k.row_range(self.tile_coord());
+        let (clo, chi) = k.col_range(self.tile_coord());
+        let cols = k.cols as usize;
         for r in rlo..rhi {
             // Numerically stable row softmax over the full row.
             let mut max = f32::NEG_INFINITY;
             for j in 0..cols {
-                max = max.max(ctx.mem.read(self.input, r as usize * cols + j, ctx.now));
+                max = max.max(ctx.mem.read(k.input, r as usize * cols + j, ctx.now));
             }
             let mut sum = 0.0f32;
             for j in 0..cols {
-                sum += (ctx.mem.read(self.input, r as usize * cols + j, ctx.now) - max).exp();
+                sum += (ctx.mem.read(k.input, r as usize * cols + j, ctx.now) - max).exp();
             }
             for j in clo..chi {
                 let idx = r as usize * cols + j as usize;
-                let e = (ctx.mem.read(self.input, idx, ctx.now) - max).exp() / sum;
-                let v = if dropout_keep(self.seed, idx as u64, self.keep_prob) {
-                    e / self.keep_prob
+                let e = (ctx.mem.read(k.input, idx, ctx.now) - max).exp() / sum;
+                let v = if dropout_keep(k.seed, idx as u64, k.keep_prob) {
+                    e / k.keep_prob
                 } else {
                     0.0
                 };
-                ctx.mem.write(self.output, idx, v);
+                ctx.mem.write(k.output, idx, v);
             }
         }
     }
@@ -326,13 +360,13 @@ impl BlockBody for SoftmaxBody {
             match self.phase {
                 SmPhase::Start => {
                     self.phase = SmPhase::Acquire;
-                    if let Some(stage) = &self.stage {
+                    if let Some(stage) = &self.k.stage {
                         if let Some(op) = stage.start_op(self.block) {
                             return Step::Op(op);
                         }
                     }
                 }
-                SmPhase::Acquire => match self.stage.as_ref().and_then(|s| s.tile_counter()) {
+                SmPhase::Acquire => match self.k.stage.as_ref().and_then(|s| s.tile_counter()) {
                     Some(counter) => {
                         self.phase = SmPhase::MapTile;
                         return Step::Op(Op::AtomicAdd {
@@ -344,16 +378,16 @@ impl BlockBody for SoftmaxBody {
                     None => {
                         self.tile_coord = Some(self.block);
                         self.phase = SmPhase::Waits;
-                        self.pending = self.waits();
+                        self.pending = self.k.waits(self.tile_coord());
                         self.pending.reverse();
                     }
                 },
                 SmPhase::MapTile => {
                     let pos = ctx.atomic_result.expect("tile counter result");
-                    let stage = self.stage.as_ref().expect("stage with counter");
+                    let stage = self.k.stage.as_ref().expect("stage with counter");
                     self.tile_coord = Some(stage.tile_at(pos));
                     self.phase = SmPhase::Waits;
-                    self.pending = self.waits();
+                    self.pending = self.k.waits(self.tile_coord());
                     self.pending.reverse();
                 }
                 SmPhase::Waits => match self.pending.pop() {
@@ -361,26 +395,17 @@ impl BlockBody for SoftmaxBody {
                     None => self.phase = SmPhase::Compute,
                 },
                 SmPhase::Compute => {
-                    // Row loads overlap the exp/sum math (pipelined).
-                    let (rlo, rhi) = self.row_range();
                     self.phase = SmPhase::Write;
-                    let bytes = (rhi - rlo) as u64 * self.cols as u64 * self.dtype.size_bytes();
-                    let flops = SOFTMAX_FLOPS_PER_ELEM * (rhi - rlo) as u64 * self.cols as u64;
-                    return Step::Op(Op::main_step(
-                        bytes,
-                        fma_cycles(&self.gpu, self.occupancy, flops),
-                    ));
+                    return Step::Op(self.k.compute_op(self.tile_coord()));
                 }
                 SmPhase::Write => {
                     self.compute_functional(ctx);
                     self.phase = SmPhase::Post { idx: 0 };
-                    let (rlo, rhi) = self.row_range();
-                    let (clo, chi) = self.col_range();
-                    let bytes = (rhi - rlo) as u64 * (chi - clo) as u64 * self.dtype.size_bytes();
-                    return Step::Op(Op::write(bytes));
+                    return Step::Op(self.k.write_op(self.tile_coord()));
                 }
                 SmPhase::Post { idx } => {
                     let ops = self
+                        .k
                         .stage
                         .as_ref()
                         .and_then(|s| s.post_ops(self.tile_coord()));
@@ -481,34 +506,10 @@ mod tests {
             })
             .build(gpu.config())
             .expect("operands set");
-        let body_waits = {
-            // Inspect the wait list through a probe body.
-            let body = SoftmaxBody {
-                rows,
-                cols,
-                tile: TileShape::new(4, 4, 1),
-                occupancy: 4,
-                dtype: DType::F16,
-                input: p,
-                output: out,
-                keep_prob: 1.0,
-                seed: 0,
-                stage: Some(Arc::clone(bound.stage(s2))),
-                input_dep: Some(InputDep {
-                    prod_grid,
-                    plan: DepPlan::RowAligned { x_offset_tiles: 0 },
-                }),
-                gpu: gpu.config().clone(),
-                block: Dim3::new(0, 0, 0),
-                tile_coord: Some(Dim3::new(0, 0, 0)),
-                phase: SmPhase::Waits,
-                pending: Vec::new(),
-            };
-            body.waits()
-        };
+        // Inspect block (0, 0)'s wait list.
+        let body_waits = kernel.p.waits(Dim3::new(0, 0, 0));
         // RowSync: 4 producer column tiles of row 0 share one semaphore,
         // deduplicated to a single wait.
         assert_eq!(body_waits.len(), 1, "{body_waits:?}");
-        let _ = kernel;
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! - [`PipelineDesc`] — the *immutable* description of a workload: the
 //!   hardware model, streams, and kernel registrations (sources, grids,
-//!   occupancies, launch order, pre-computed `timing_static` flags). This
-//!   is what [`CompiledPipeline`](crate::CompiledPipeline) freezes.
+//!   occupancies, launch order, launch gates). This is what
+//!   [`CompiledPipeline`](crate::CompiledPipeline) freezes.
 //! - [`RunState`] — *all* per-run state: event heaps and slabs, block
 //!   slots, pre-driven op programs, semaphore values, functional memory,
 //!   SM capacity indexes, stats and traces. [`RunState::reset`] rewinds it
@@ -853,11 +853,6 @@ pub(crate) struct KernelDesc {
     pub(crate) total: u64,
     pub(crate) occupancy: u32,
     pub(crate) units: u32,
-    /// This kernel's bodies are context-independent
-    /// ([`KernelSource::timing_static`]), so the optimized engine may
-    /// pre-drive blocks into flat op programs at issue. Computed once by
-    /// [`PipelineDesc::finalize`]; the reference engine ignores it.
-    pub(crate) predrive: bool,
     /// Launch prerequisites beyond stream order (see [`LaunchGate`]).
     pub(crate) gates: Vec<LaunchGate>,
     /// Semaphore posts fired the instant this kernel's final block
@@ -888,21 +883,20 @@ pub(crate) struct PipelineDesc {
     /// different devices do not serialize on one host queue.
     host_time: Vec<SimTime>,
     /// Reverse gate index: kernels gated [`LaunchGate::AfterLaunchOf`]
-    /// each kernel, resolved once by [`PipelineDesc::finalize_flags`].
+    /// each kernel, resolved once by [`PipelineDesc::finalize_gates`].
     pub(crate) launch_dependents: Vec<Vec<usize>>,
     /// Reverse gate index for [`LaunchGate::AfterCompletionOf`].
     pub(crate) completion_dependents: Vec<Vec<usize>>,
     finalized: bool,
 }
 
-/// The compile-time pre-driven block programs of a pipeline's
-/// `timing_static` kernels: every eligible body is driven **once** into
+/// The pre-driven block programs of a pipeline's statically emitting
+/// kernels ([`KernelSource::static_programs`]), stored **once** as
 /// contiguous op slices, so optimized-engine runs replay them through a
-/// cursor without re-constructing or re-interpreting any coroutine body
-/// (and without allocating it). The reference engine never reads this —
-/// it is built only for consumers that will run optimized (see
-/// `CompiledPipeline::programs`), so reference-engine baselines don't pay
-/// for collection.
+/// cursor without constructing or interpreting any coroutine body. The
+/// reference engine never reads this: it is built lazily, only for runs
+/// that will execute optimized (by `CompiledPipeline::programs` or
+/// [`Gpu::run`]), so reference-engine baselines don't pay for it.
 pub(crate) struct Programs {
     /// Arena of program ops; each block's program is contiguous.
     block_ops: Vec<Op>,
@@ -910,7 +904,8 @@ pub(crate) struct Programs {
     /// block, grouped per kernel in linear block order.
     prog_spans: Vec<(u32, u32)>,
     /// Per kernel: index of its first span in `prog_spans`, or
-    /// `u32::MAX` for kernels that are not pre-driven.
+    /// `u32::MAX` for kernels that are not pre-driven. A kernel is
+    /// pre-driven exactly when its entry is set.
     prog_base: Vec<u32>,
 }
 
@@ -921,6 +916,18 @@ impl Programs {
             block_ops: Vec::new(),
             prog_spans: Vec::new(),
             prog_base: Vec::new(),
+        }
+    }
+
+    /// The `(start, len)` span of block `linear` of kernel `k` in the op
+    /// arena, or `None` when the kernel is not pre-driven (always, on the
+    /// empty table).
+    fn span(&self, k: usize, linear: u64) -> Option<(u32, u32)> {
+        match self.prog_base.get(k) {
+            Some(&base) if base != u32::MAX => {
+                Some(self.prog_spans[base as usize + linear as usize])
+            }
+            _ => None,
         }
     }
 }
@@ -962,18 +969,13 @@ impl PipelineDesc {
         self.cluster.device(d)
     }
 
-    /// Computes each kernel's `timing_static` pre-drive eligibility
-    /// against the pipeline's initial memory. Part of compilation: the
-    /// answer depends only on buffer functionality, which is fixed at
-    /// allocation and never changes during a run.
-    pub(crate) fn finalize_flags(&mut self, mem: &GlobalMemory) {
+    /// Resolves the reverse launch-gate indexes. Part of compilation;
+    /// idempotent.
+    pub(crate) fn finalize_gates(&mut self) {
         if self.finalized {
             return;
         }
         self.finalized = true;
-        for k in &mut self.kernels {
-            k.predrive = k.source.timing_static(mem);
-        }
         let mut launch_dependents = vec![Vec::new(); self.kernels.len()];
         let mut completion_dependents = vec![Vec::new(); self.kernels.len()];
         for (k, kd) in self.kernels.iter().enumerate() {
@@ -988,48 +990,46 @@ impl PipelineDesc {
         self.completion_dependents = completion_dependents;
     }
 
-    /// Collects every eligible block's flat op program (see
-    /// [`Programs`]). `timing_static` bodies are context-independent and
-    /// effect-free by contract, so the op streams collected here — driven
-    /// once, against the pipeline's initial memory — are exactly what
-    /// issue-time driving would produce on any run. Requires
-    /// [`PipelineDesc::finalize_flags`] to have run.
-    pub(crate) fn collect_programs(&self, mem: &mut GlobalMemory, sems: &SemTable) -> Programs {
-        debug_assert!(self.finalized, "collect_programs before finalize_flags");
+    /// Collects the op program of every block of every kernel that emits
+    /// them statically under `mem` (see [`Programs`] and
+    /// [`KernelSource::static_programs`]). Each block's slice is appended
+    /// to the arena as it is emitted, so the arena grows block by block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a kernel breaks the emitter contract: a block count other
+    /// than its grid's, or `sink` calls followed by `false`.
+    pub(crate) fn collect_programs(&self, mem: &GlobalMemory) -> Programs {
         let mut programs = Programs {
             block_ops: Vec::new(),
             prog_spans: Vec::new(),
             prog_base: vec![u32::MAX; self.kernels.len()],
         };
-        let mut ops: Vec<Op> = Vec::new();
         for (k, kd) in self.kernels.iter().enumerate() {
-            if !kd.predrive {
-                continue;
-            }
-            programs.prog_base[k] = programs.prog_spans.len() as u32;
-            for linear in 0..kd.total {
-                let idx = kd.grid.delinear(linear);
-                let mut body = kd.source.block(idx);
-                ops.clear();
-                loop {
-                    let step = {
-                        let mut ctx = BlockCtx {
-                            block: idx,
-                            now: SimTime::ZERO,
-                            mem,
-                            sems,
-                            atomic_result: None,
-                        };
-                        body.resume(&mut ctx)
-                    };
-                    match step {
-                        Step::Op(op) => ops.push(op),
-                        Step::Done => break,
-                    }
-                }
-                let start = programs.block_ops.len() as u32;
-                programs.block_ops.extend_from_slice(&ops);
-                programs.prog_spans.push((start, ops.len() as u32));
+            let base = programs.prog_spans.len();
+            let Programs {
+                block_ops,
+                prog_spans,
+                ..
+            } = &mut programs;
+            let emitted = kd.source.static_programs(mem, &mut |ops: &[Op]| {
+                prog_spans.push((block_ops.len() as u32, ops.len() as u32));
+                block_ops.extend_from_slice(ops);
+            });
+            let blocks = (programs.prog_spans.len() - base) as u64;
+            if emitted {
+                assert_eq!(
+                    blocks, kd.total,
+                    "kernel `{}` emitted {blocks} static programs for {} blocks",
+                    kd.name, kd.total
+                );
+                programs.prog_base[k] = base as u32;
+            } else {
+                assert_eq!(
+                    blocks, 0,
+                    "kernel `{}` emitted static programs but declined",
+                    kd.name
+                );
             }
         }
         programs
@@ -1849,18 +1849,18 @@ impl Exec<'_> {
         }
         let units = kd.units;
         let device = kd.device;
-        let predrive = self.mode == EngineMode::Optimized && kd.predrive;
-        let (prog_start, prog_len, body) = if predrive {
-            // The block's op program was pre-driven at *compile* time
-            // (see `PipelineDesc::finalize`): replay it through a cursor
-            // as events fire, constructing no body at all. Timing is
-            // unchanged — ops are still priced at their own start times
-            // (see `KernelSource::timing_static`).
-            let base = self.progs.prog_base[k] as u64;
-            let (start, len) = self.progs.prog_spans[(base + linear) as usize];
-            (start, len, None)
-        } else {
-            (u32::MAX, 0, Some(kd.source.block(idx)))
+        let span = match self.mode {
+            EngineMode::Optimized => self.progs.span(k, linear),
+            EngineMode::Reference => None,
+        };
+        let (prog_start, prog_len, body) = match span {
+            // The kernel emitted its block programs once per compiled
+            // pipeline (see `PipelineDesc::collect_programs`): replay this
+            // one through a cursor as events fire, constructing no body at
+            // all. Timing is unchanged — ops are still priced at their own
+            // start times (see `KernelSource::static_programs`).
+            Some((start, len)) => (start, len, None),
+            None => (u32::MAX, 0, Some(kd.source.block(idx))),
         };
         self.set_sm_free(sm as usize, self.st.sm_free[sm as usize] - units);
         self.st.sm_active[sm as usize] += units;
@@ -2749,7 +2749,6 @@ impl Gpu {
             total: grid.count(),
             occupancy,
             units,
-            predrive: false,
             gates: Vec::new(),
             completion_posts: Vec::new(),
         });
@@ -2843,10 +2842,9 @@ impl Gpu {
             return Err(SimError::AlreadyRan);
         }
         self.ran = true;
-        self.desc.finalize_flags(&self.st.mem);
+        self.desc.finalize_gates();
         let programs = if self.mode == EngineMode::Optimized {
-            let RunState { mem, sems, .. } = &mut self.st;
-            self.desc.collect_programs(mem, sems)
+            self.desc.collect_programs(&self.st.mem)
         } else {
             Programs::empty()
         };

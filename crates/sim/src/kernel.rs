@@ -72,7 +72,9 @@ pub trait BlockBody: Send {
 ///
 /// Implementations describe their launch geometry and construct a
 /// [`BlockBody`] for each thread block on demand (blocks are materialized
-/// lazily, when the scheduler issues them onto an SM).
+/// lazily, when the scheduler issues them onto an SM). Kernels whose
+/// blocks ignore their context may also emit every block's op program up
+/// front ([`KernelSource::static_programs`]).
 pub trait KernelSource: Send + Sync {
     /// Kernel name, for traces and reports.
     fn name(&self) -> &str;
@@ -88,25 +90,36 @@ pub trait KernelSource: Send + Sync {
     /// Creates the program of thread block `block`.
     fn block(&self, block: Dim3) -> Box<dyn BlockBody>;
 
-    /// Whether, under the current memory configuration, this kernel's
-    /// block bodies emit **context-independent** op streams: no resume
-    /// reads [`BlockCtx::now`] or [`BlockCtx::atomic_result`], performs a
-    /// functional memory access, or otherwise varies its emitted ops based
-    /// on the context it is handed.
+    /// Writes the op program of **every** block of the grid, in one call,
+    /// when this kernel's blocks are context-independent under `mem`: no
+    /// resume would read [`BlockCtx::now`] or [`BlockCtx::atomic_result`],
+    /// perform a functional memory access, or otherwise vary its ops with
+    /// the context it is handed.
     ///
-    /// When true, the optimized engine *pre-drives* each body once at
-    /// issue time — running every `resume` back-to-back while the body's
-    /// state is hot in cache — and replays the collected ops through a
-    /// cursor over an engine-internal op arena as events fire. The
-    /// timeline is identical (op durations are still priced at each op's
-    /// own start time); only the interpreter work moves out of the event
-    /// loop's hot path.
+    /// The contract:
     ///
-    /// The default is `false` (always resume lazily, the reference
-    /// behaviour). Implementations must be conservative: returning `true`
-    /// for a context-dependent body changes simulated results.
-    fn timing_static(&self, mem: &GlobalMemory) -> bool {
-        let _ = mem;
+    /// - If any block is context-dependent (typically a functional output
+    ///   buffer, or an atomic tile-order counter), return `false` without
+    ///   calling `sink`.
+    /// - Otherwise call `sink` exactly `grid().count()` times, in linear
+    ///   block order ([`Dim3::delinear`]), each time with that block's
+    ///   full op stream — exactly what driving [`KernelSource::block`] to
+    ///   [`Step::Done`] yields — and return `true`.
+    ///
+    /// The optimized engine stores the emitted streams once per compiled
+    /// pipeline and replays each block through a cursor as its events fire,
+    /// constructing no [`BlockBody`] at all; the reference engine never
+    /// calls this. Timing is identical: each op is
+    /// still priced at its own start time. Emitters see the whole grid, so
+    /// they can hoist work every block shares (pricing, wait lists) out of
+    /// the per-block loop. They hand over one block at a time, so the
+    /// engine's op arena grows block by block.
+    ///
+    /// The default returns `false`: blocks are resumed lazily, the
+    /// reference behaviour. Returning `true` for a context-dependent
+    /// kernel changes simulated results.
+    fn static_programs(&self, mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op])) -> bool {
+        let _ = (mem, sink);
         false
     }
 
@@ -179,8 +192,11 @@ impl KernelSource for FixedKernel {
         })
     }
 
-    fn timing_static(&self, _mem: &GlobalMemory) -> bool {
+    fn static_programs(&self, _mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op])) -> bool {
         // `FixedBody` never touches its context.
+        for _ in 0..self.grid.count() {
+            sink(&self.ops);
+        }
         true
     }
 
@@ -214,8 +230,8 @@ impl BlockBody for FixedBody {
 ///
 /// This is the per-block generalization of [`FixedKernel`]: because the op
 /// lists are fixed data (no body ever reads its [`BlockCtx`]), the kernel
-/// is `timing_static` and the optimized engine pre-drives it at compile
-/// time. Used for workloads where blocks differ only in *which* tiles or
+/// emits them as [`KernelSource::static_programs`] and the optimized engine
+/// never drives a body for it. Used for workloads where blocks differ only in *which* tiles or
 /// semaphores they touch — e.g. a tensor-parallel GEMM whose tile (x, y)
 /// waits on the allreduce chunk covering its rows.
 ///
@@ -280,8 +296,11 @@ impl KernelSource for IndexedKernel {
         })
     }
 
-    fn timing_static(&self, _mem: &GlobalMemory) -> bool {
+    fn static_programs(&self, _mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op])) -> bool {
         // Op lists are fixed data; bodies never read their context.
+        for ops in &self.ops {
+            sink(ops);
+        }
         true
     }
 

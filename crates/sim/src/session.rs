@@ -1,9 +1,9 @@
 //! The compile → session → runtime lifecycle.
 //!
 //! Synchronization structure — kernel registrations, semaphore layouts,
-//! pre-computed `timing_static` flags, launch order — is a *compile-time*
-//! artifact: it never changes between invocations of the same workload.
-//! This module splits it from execution so it is built **once** and reused:
+//! launch gates, launch order — is a *compile-time* artifact: it never
+//! changes between invocations of the same workload. This module splits
+//! it from execution so it is built **once** and reused:
 //!
 //! - [`CompiledPipeline`] — the immutable, `Arc`-shareable artifact frozen
 //!   by [`Gpu::compile`]: the pipeline description plus pristine copies of
@@ -78,9 +78,10 @@ pub struct CompiledPipeline {
     /// [`GpuConfig::sched`](crate::GpuConfig) kind. A
     /// [`Session::set_sched`] override still wins per run.
     sched: Option<SchedPolicyRef>,
-    /// Pre-driven `timing_static` op programs, built on the first
-    /// optimized-engine run (then immutable and shared). Reference-engine
-    /// consumers never trigger — or pay for — collection.
+    /// Statically emitted op programs
+    /// ([`KernelSource::static_programs`](crate::KernelSource)), built on
+    /// the first optimized-engine run (then immutable and shared).
+    /// Reference-engine consumers never trigger — or pay for — collection.
     programs: OnceLock<Programs>,
 }
 
@@ -214,24 +215,19 @@ impl CompiledPipeline {
         hash
     }
 
-    /// The pre-driven op programs, collected on first use. Driving is
-    /// effect-free for `timing_static` bodies by contract, but the
-    /// `resume` signature wants mutable memory, so collection runs
-    /// against a scratch clone of the pristine initial memory — once per
+    /// The pre-driven op programs, collected on first use against the
+    /// pristine initial memory (emitters only read it) — once per
     /// pipeline, then shared by every session and runtime worker.
     fn programs(&self) -> &Programs {
-        self.programs.get_or_init(|| {
-            let mut scratch = self.mem.clone();
-            self.desc.collect_programs(&mut scratch, &self.sems)
-        })
+        self.programs
+            .get_or_init(|| self.desc.collect_programs(&self.mem))
     }
 }
 
 impl Gpu {
     /// Freezes this built (but not yet run) GPU into an immutable
     /// [`CompiledPipeline`]: kernel registrations, semaphore layout,
-    /// initial memory contents, and each kernel's pre-computed
-    /// `timing_static` eligibility.
+    /// initial memory contents and resolved launch gates.
     ///
     /// # Errors
     ///
@@ -242,7 +238,7 @@ impl Gpu {
         if self.ran {
             return Err(SimError::AlreadyRan);
         }
-        self.desc.finalize_flags(&self.st.mem);
+        self.desc.finalize_gates();
         let RunState { mem, sems, .. } = self.st;
         Ok(CompiledPipeline {
             desc: self.desc,
