@@ -54,7 +54,7 @@ use crate::mem::{BufferId, DType, GlobalMemory};
 use crate::ops::Op;
 use crate::sched::{SchedContext, SchedPolicy, SchedPolicyRef};
 use crate::sem::{SemArrayId, SemTable, WaitLists};
-use crate::stats::{waves, KernelReport, RunReport};
+use crate::stats::{waves, EngineCounters, KernelReport, MemoCount, RunReport};
 use crate::time::SimTime;
 use crate::trace::{KernelId, TraceEvent};
 
@@ -209,6 +209,12 @@ impl EventQueue {
             ((time.as_picos() as u128) << 64) | ((self.next_seq as u128) << 32) | payload as u128;
         self.next_seq += 1;
         self.heap.push(Reverse(key));
+    }
+
+    /// Number of queued events.
+    #[inline]
+    fn len(&self) -> usize {
+        self.heap.len()
     }
 
     /// Time in picoseconds of the earliest queued event.
@@ -1052,6 +1058,25 @@ pub(crate) struct KernelRun {
     /// identical in both engine modes at every try-issue instant, so
     /// dynamic [`SchedPolicy`]s may key on it.
     parked: u64,
+    /// Optimized mode: the last DRAM time priced for one of this kernel's
+    /// blocks, keyed by `(active_units[device], bytes)` — with the
+    /// kernel's device and units, everything [`Exec::dyn_mem_time`] reads.
+    mem_price: LastPrice<(u64, u64)>,
+    /// Optimized mode: the last cycle count converted at this kernel's
+    /// device clock ([`GpuConfig::cycles`]).
+    cycles_price: LastPrice<u64>,
+}
+
+/// A one-entry exact memo: the last key priced and what the formula
+/// returned for it. The value is a pure function of the key and the
+/// immutable pipeline, so a hit is bit-identical to re-running the
+/// formula. Its hit/miss count sits beside it, on the cache line every
+/// lookup already touches.
+#[derive(Debug, Clone, Copy, Default)]
+struct LastPrice<K> {
+    key: Option<K>,
+    value: SimTime,
+    count: MemoCount,
 }
 
 impl KernelRun {
@@ -1149,9 +1174,12 @@ impl FixedCosts {
 ///
 /// - heaps/slabs/vectors are cleared, not dropped (capacity survives);
 /// - `sm_free` is refilled to [`SM_CAPACITY_UNITS`] per SM of the target
-///   pipeline's config, `sm_active` to zero;
-/// - kernel progress ([`KernelRun`]) and stream cursors return to zero;
-/// - stats integrals, event counters and traces return to zero/empty;
+///   pipeline's config, `sm_active` to zero, `sm_scale` to each SM's idle
+///   [`residency_factor`];
+/// - kernel progress ([`KernelRun`], price memos included) and stream
+///   cursors return to zero;
+/// - stats integrals, event counters, [`EngineCounters`] and traces
+///   return to zero/empty;
 /// - memory and semaphores are restored separately
 ///   ([`GlobalMemory::reset_from`], [`SemTable::reset_from`]) because the
 ///   one-shot [`Gpu`] path owns them live while a
@@ -1183,6 +1211,10 @@ pub(crate) struct RunState {
     /// Per-device sum of that device's `sm_active` entries, for the
     /// dynamic DRAM-share model (each device owns its own DRAM).
     active_units: Vec<u64>,
+    /// Optimized mode: per SM, [`residency_factor`] of its `sm_active`
+    /// units — the residency scale of every block being stepped there,
+    /// refreshed by [`Exec::set_sm_active`] at each `sm_active` write.
+    sm_scale: Vec<f64>,
     blocks: Vec<BlockSlot>,
     /// Reference-mode waiter registry (the original representation).
     waiters: BTreeMap<(usize, u32), Vec<usize>>,
@@ -1214,6 +1246,12 @@ pub(crate) struct RunState {
     last_util_update: SimTime,
     first_issue: Option<SimTime>,
     last_finish: SimTime,
+    /// The [`EngineCounters`] counted as they happen; the report derives
+    /// the rest (see [`Exec::counters`]).
+    counters: EngineCounters,
+    /// `BlockResume` events that applied a deferred step instead of
+    /// stepping the block.
+    pending_resumes: u64,
 }
 
 impl RunState {
@@ -1232,6 +1270,7 @@ impl RunState {
             sm_free: Vec::new(),
             sm_active: Vec::new(),
             active_units: Vec::new(),
+            sm_scale: Vec::new(),
             blocks: Vec::new(),
             waiters: BTreeMap::new(),
             wait_lists: WaitLists::new(),
@@ -1248,6 +1287,8 @@ impl RunState {
             last_util_update: SimTime::ZERO,
             first_issue: None,
             last_finish: SimTime::ZERO,
+            counters: EngineCounters::default(),
+            pending_resumes: 0,
         }
     }
 
@@ -1276,6 +1317,12 @@ impl RunState {
         self.sm_active.resize(sms, 0);
         self.active_units.clear();
         self.active_units.resize(devices, 0);
+        self.sm_scale.clear();
+        self.sm_scale.extend(
+            desc.device_of_sm
+                .iter()
+                .map(|&d| residency_factor(0, desc.device_config(d).residency_boost)),
+        );
         self.blocks.clear();
         self.waiters.clear();
         self.wait_lists.clear_all();
@@ -1296,6 +1343,8 @@ impl RunState {
         self.last_util_update = SimTime::ZERO;
         self.first_issue = None;
         self.last_finish = SimTime::ZERO;
+        self.counters = EngineCounters::default();
+        self.pending_resumes = 0;
     }
 
     /// Restores memory and semaphores to the compiled pipeline's pristine
@@ -1373,6 +1422,13 @@ pub(crate) fn execute_with(
         st,
     };
     ex.run_all()
+}
+
+/// The residency scale of a block on an SM with `active` executing units
+/// on a device with `boost` (see [`Exec::residency_scale`]).
+fn residency_factor(active: u32, boost: f64) -> f64 {
+    let fraction = (active as f64 / SM_CAPACITY_UNITS as f64).clamp(0.0, 1.0);
+    1.0 - boost * (1.0 - fraction)
 }
 
 /// The event loop: an immutable pipeline description plus one mutable run
@@ -1494,10 +1550,20 @@ impl Exec<'_> {
         );
     }
 
+    /// Raises [`EngineCounters::peak_queue_len`] to `len`, the queue's
+    /// length (the just-popped event included) at the start of a
+    /// timestamp batch.
+    #[inline]
+    fn note_queue_len(&mut self, len: usize) {
+        let peak = &mut self.st.counters.peak_queue_len;
+        *peak = (*peak).max(len as u64);
+    }
+
     /// The original event loop: rescan-and-sort `try_issue` after every
     /// batch. Kept verbatim as the executable specification.
     fn run_reference_loop(&mut self) {
         while let Some(Reverse(event)) = self.st.events.pop() {
+            self.note_queue_len(self.st.events.len() + 1);
             debug_assert!(event.time >= self.st.now, "time went backwards");
             self.st.now = event.time;
             self.st.events_handled += 1;
@@ -1529,6 +1595,7 @@ impl Exec<'_> {
     /// SM index.
     fn run_optimized_loop(&mut self) {
         while let Some((time, kind)) = self.st.fast_events.pop() {
+            self.note_queue_len(self.st.fast_events.len() + 1);
             debug_assert!(time >= self.st.now, "time went backwards");
             self.st.now = time;
             self.st.events_handled += 1;
@@ -1553,6 +1620,7 @@ impl Exec<'_> {
     fn handle(&mut self, kind: EventKind) {
         match kind {
             EventKind::KernelReady(k) => {
+                self.st.counters.kernel_ready_events += 1;
                 let now = self.st.now;
                 self.st.kernels[k].ready = true;
                 self.st.kernels[k].ready_at = now;
@@ -1574,8 +1642,14 @@ impl Exec<'_> {
             }
             EventKind::BlockResume(b) => match self.st.blocks[b].pending.take() {
                 None => self.step_block(b),
-                Some(PendingStep::Op(op)) => self.apply_sync_op(b, op),
-                Some(PendingStep::Done) => self.finish_block(b),
+                Some(PendingStep::Op(op)) => {
+                    self.st.pending_resumes += 1;
+                    self.apply_sync_op(b, op);
+                }
+                Some(PendingStep::Done) => {
+                    self.st.pending_resumes += 1;
+                    self.finish_block(b);
+                }
             },
             EventKind::PostApply {
                 block,
@@ -1583,6 +1657,7 @@ impl Exec<'_> {
                 index,
                 inc,
             } => {
+                self.st.counters.post_apply_events += 1;
                 self.apply_post(block, table, index, inc);
             }
             EventKind::AtomicApply {
@@ -1591,6 +1666,7 @@ impl Exec<'_> {
                 index,
                 inc,
             } => {
+                self.st.counters.atomic_apply_events += 1;
                 let prev = self.st.sems.add(table, index, inc);
                 self.st.blocks[block].atomic_result = Some(prev);
                 self.push_event(self.st.now, EventKind::BlockResume(block));
@@ -1748,6 +1824,7 @@ impl Exec<'_> {
         if order.is_empty() {
             return;
         }
+        self.st.counters.issue_rounds += 1;
         if self.launch_order {
             // The original engine's sort key, kept verbatim as the
             // bit-identity baseline (== what `Fifo::order` computes).
@@ -1794,6 +1871,7 @@ impl Exec<'_> {
         if self.st.ready_queue.is_empty() {
             return;
         }
+        self.st.counters.issue_rounds += 1;
         let mut order = std::mem::take(&mut self.st.issue_scratch);
         order.clear();
         order.extend(self.st.ready_queue.iter().map(|&(_, k)| k));
@@ -1834,7 +1912,19 @@ impl Exec<'_> {
         self.st.sm_free[sm] = free;
     }
 
+    /// Writes `sm_active[sm]`, refreshing the optimized engine's
+    /// `sm_scale[sm]` from the same value.
+    fn set_sm_active(&mut self, sm: usize, active: u32) {
+        if self.mode == EngineMode::Optimized {
+            let device = self.desc.device_of_sm[sm];
+            let boost = self.desc.device_config(device).residency_boost;
+            self.st.sm_scale[sm] = residency_factor(active, boost);
+        }
+        self.st.sm_active[sm] = active;
+    }
+
     fn issue_block(&mut self, k: usize, sm: u32) {
+        self.st.counters.placements += 1;
         self.update_util();
         let now = self.st.now;
         let kd = &self.desc.kernels[k];
@@ -1863,7 +1953,7 @@ impl Exec<'_> {
             None => (u32::MAX, 0, Some(kd.source.block(idx))),
         };
         self.set_sm_free(sm as usize, self.st.sm_free[sm as usize] - units);
-        self.st.sm_active[sm as usize] += units;
+        self.set_sm_active(sm as usize, self.st.sm_active[sm as usize] + units);
         self.st.active_units[device as usize] += units as u64;
         self.st.busy_units += units as u64;
         if self.st.first_issue.is_none() {
@@ -1920,6 +2010,7 @@ impl Exec<'_> {
         if self.st.blocks[bid].has_program() {
             self.step_program(bid);
         } else {
+            self.st.counters.coroutine_steps += 1;
             self.step_coroutine(bid);
         }
     }
@@ -2097,21 +2188,28 @@ impl Exec<'_> {
     /// `used_units / SM_CAPACITY_UNITS`. This is also what staggers the
     /// completion times of a partial wave: doubled-up blocks finish later
     /// than blocks holding an SM alone.
+    #[inline(always)]
     fn residency_scale(&self, bid: usize) -> f64 {
         let sm = self.st.blocks[bid].sm as usize;
-        let active = self.st.sm_active[sm].max(self.st.blocks[bid].units) as f64;
-        let fraction = (active / SM_CAPACITY_UNITS as f64).clamp(0.0, 1.0);
+        let units = self.st.blocks[bid].units;
+        if self.mode == EngineMode::Optimized {
+            // A stepped block is active, so its own units are part of
+            // `sm_active[sm]` and the reference's `.max(units)` is a no-op.
+            debug_assert!(self.st.sm_active[sm] >= units, "stepped block is parked");
+            return self.st.sm_scale[sm];
+        }
         let boost = self
             .desc
             .device_config(self.block_device(bid))
             .residency_boost;
-        1.0 - boost * (1.0 - fraction)
+        residency_factor(self.st.sm_active[sm].max(units), boost)
     }
 
     /// Deterministic per-block duration factor in
     /// `[1 - jitter, 1 + jitter]`, derived from a SplitMix64 hash of the
     /// block's kernel and grid index (identical inputs always produce the
     /// identical timeline).
+    #[inline(always)]
     fn jitter_factor(&self, bid: usize) -> f64 {
         if self.mode == EngineMode::Optimized {
             // Computed once at issue; a pure function of (kernel, index),
@@ -2135,6 +2233,7 @@ impl Exec<'_> {
         1.0 + j * (2.0 * unit - 1.0)
     }
 
+    #[inline(always)]
     fn scaled(&self, bid: usize, t: SimTime) -> SimTime {
         let factor = self.residency_scale(bid) * self.jitter_factor(bid);
         SimTime::from_picos_rounded(t.as_picos() as f64 * factor)
@@ -2154,26 +2253,78 @@ impl Exec<'_> {
         SimTime::from_picos_rounded(bytes as f64 / share * 1e12)
     }
 
+    /// [`Exec::dyn_mem_time`]; the optimized engine answers a repeat of
+    /// the kernel's last `(active_units, bytes)` from its memo.
+    #[inline(always)]
+    fn mem_time(&mut self, bid: usize, bytes: u64) -> SimTime {
+        if self.mode == EngineMode::Reference {
+            return self.dyn_mem_time(bid, bytes);
+        }
+        let k = self.st.blocks[bid].kernel;
+        let key = (
+            self.st.active_units[self.desc.kernels[k].device as usize],
+            bytes,
+        );
+        let memo = &mut self.st.kernels[k].mem_price;
+        if memo.key == Some(key) {
+            memo.count.hits += 1;
+            return memo.value;
+        }
+        let value = self.dyn_mem_time(bid, bytes);
+        let memo = &mut self.st.kernels[k].mem_price;
+        memo.count.misses += 1;
+        memo.key = Some(key);
+        memo.value = value;
+        value
+    }
+
+    /// [`GpuConfig::cycles`] at the block's device; the optimized engine
+    /// answers a repeat of the kernel's last cycle count from its memo.
+    #[inline(always)]
+    fn cycles_time(&mut self, bid: usize, cycles: u64) -> SimTime {
+        let k = self.st.blocks[bid].kernel;
+        if self.mode == EngineMode::Reference {
+            return self.kernel_cfg(k).cycles(cycles);
+        }
+        let memo = &mut self.st.kernels[k].cycles_price;
+        if memo.key == Some(cycles) {
+            memo.count.hits += 1;
+            return memo.value;
+        }
+        let value = self.kernel_cfg(k).cycles(cycles);
+        let memo = &mut self.st.kernels[k].cycles_price;
+        memo.count.misses += 1;
+        memo.key = Some(cycles);
+        memo.value = value;
+        value
+    }
+
     /// Start-to-completion delay of a non-synchronizing op, or `None` for
     /// the ops that interact with semaphores (and so terminate a coalesced
-    /// run). The arithmetic (including every intermediate rounding) is the
-    /// single shared cost path of both engine modes.
-    fn pure_op_delay(&self, bid: usize, op: &Op) -> Option<SimTime> {
-        let device = self.block_device(bid);
-        let cfg = self.desc.device_config(device);
-        let costs = &self.desc.costs[device as usize];
+    /// run). The arithmetic (including every intermediate rounding) is
+    /// shared by both engine modes: the reference engine runs every
+    /// formula per op, the optimized one reads the residency scale from
+    /// `sm_scale` and DRAM and cycle times from exact per-kernel memos
+    /// whose misses run the same formulas (see `crates/sim/README.md`,
+    /// "Pricing memos").
+    fn pure_op_delay(&mut self, bid: usize, op: &Op) -> Option<SimTime> {
+        let costs = &self.desc.costs[self.block_device(bid) as usize];
         match *op {
-            Op::Compute { cycles } => Some(self.scaled(bid, cfg.cycles(cycles))),
+            Op::Compute { cycles } => {
+                let compute = self.cycles_time(bid, cycles);
+                Some(self.scaled(bid, compute))
+            }
             Op::GlobalRead { bytes } | Op::GlobalWrite { bytes } => {
-                let mem = self.dyn_mem_time(bid, bytes);
+                let mem = self.mem_time(bid, bytes);
                 let jitter = self.jitter_factor(bid);
                 let d = SimTime::from_picos_rounded(mem.as_picos() as f64 * jitter);
                 Some(costs.global_latency + d)
             }
             Op::MainStep { bytes, cycles } => {
                 // Loads overlap math: the step costs the slower of the two.
-                let mem = self.dyn_mem_time(bid, bytes);
-                let compute = self.scaled(bid, cfg.cycles(cycles));
+                let mem = self.mem_time(bid, bytes);
+                let compute = self.cycles_time(bid, cycles);
+                let compute = self.scaled(bid, compute);
                 let jitter = self.jitter_factor(bid);
                 let mem = SimTime::from_picos_rounded(mem.as_picos() as f64 * jitter);
                 Some(costs.global_latency + mem.max(compute))
@@ -2221,10 +2372,12 @@ impl Exec<'_> {
                         }
                     }
                     // Parked: stops competing for execution throughput.
+                    self.st.counters.parks += 1;
                     let device = self.block_device(bid) as usize;
                     let sm = self.st.blocks[bid].sm as usize;
-                    self.st.sm_active[sm] -= self.st.blocks[bid].units;
-                    self.st.active_units[device] -= self.st.blocks[bid].units as u64;
+                    let units = self.st.blocks[bid].units;
+                    self.set_sm_active(sm, self.st.sm_active[sm] - units);
+                    self.st.active_units[device] -= units as u64;
                     let kernel = self.st.blocks[bid].kernel;
                     let idx = self.st.blocks[bid].idx;
                     self.st.kernels[kernel].parked += 1;
@@ -2374,10 +2527,12 @@ impl Exec<'_> {
                 },
             );
         }
+        self.st.counters.wakes += 1;
         self.st.blocks[wbid].waiting = None;
         let sm = self.st.blocks[wbid].sm as usize;
-        self.st.sm_active[sm] += self.st.blocks[wbid].units;
-        self.st.active_units[device] += self.st.blocks[wbid].units as u64;
+        let units = self.st.blocks[wbid].units;
+        self.set_sm_active(sm, self.st.sm_active[sm] + units);
+        self.st.active_units[device] += units as u64;
         self.st.kernels[self.st.blocks[wbid].kernel].parked -= 1;
         self.push_event(wake_at, EventKind::BlockResume(wbid));
     }
@@ -2389,7 +2544,7 @@ impl Exec<'_> {
             (slot.kernel, slot.sm, slot.units, slot.idx)
         };
         self.set_sm_free(sm as usize, self.st.sm_free[sm as usize] + units);
-        self.st.sm_active[sm as usize] -= units;
+        self.set_sm_active(sm as usize, self.st.sm_active[sm as usize] - units);
         self.st.active_units[self.desc.kernels[k].device as usize] -= units as u64;
         self.st.busy_units -= units as u64;
         self.st.last_finish = self.st.now;
@@ -2444,6 +2599,27 @@ impl Exec<'_> {
         }
     }
 
+    /// The run's [`EngineCounters`]: the ones counted as they happen,
+    /// plus the hot-path counts derived here instead of incremented per
+    /// event — `BlockResume` events are the events of no other kind,
+    /// program steps the resumes that neither applied a deferred step nor
+    /// resumed a coroutine, and memo counts sum the per-kernel memos.
+    fn counters(&self) -> EngineCounters {
+        let mut c = self.st.counters;
+        c.block_resume_events = self.st.events_handled
+            - c.kernel_ready_events
+            - c.post_apply_events
+            - c.atomic_apply_events;
+        c.program_steps = c.block_resume_events - self.st.pending_resumes - c.coroutine_steps;
+        for kr in &self.st.kernels {
+            c.mem_memo.hits += kr.mem_price.count.hits;
+            c.mem_memo.misses += kr.mem_price.count.misses;
+            c.cycles_memo.hits += kr.cycles_price.count.hits;
+            c.cycles_memo.misses += kr.cycles_price.count.misses;
+        }
+        c
+    }
+
     fn report(&self) -> RunReport {
         let kernels: Vec<KernelReport> = self
             .desc
@@ -2488,6 +2664,7 @@ impl Exec<'_> {
             sm_utilization,
             sem_posts,
             sim_events: self.st.events_handled,
+            counters: self.counters(),
         }
     }
 }

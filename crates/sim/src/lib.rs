@@ -100,6 +100,6 @@ pub use sched::{
 };
 pub use sem::{SemArrayId, SemTable};
 pub use session::{run_compiled, CompiledPipeline, Runtime, Session, Ticket};
-pub use stats::{KernelReport, RunReport};
+pub use stats::{EngineCounters, KernelReport, MemoCount, RunReport};
 pub use time::SimTime;
 pub use trace::{KernelId, TraceEvent};

@@ -942,8 +942,12 @@ mod tests {
                 .unwrap()
             {
                 RunOutcome::Aborted(res) => {
-                    // The session survives a checkpointed run intact.
-                    assert_eq!(session.run(&pipeline).unwrap(), full);
+                    // The session survives a checkpointed run intact: it
+                    // replays a fresh session's run in its mode exactly
+                    // (engine counters included), on the probe's timeline.
+                    let rerun = session.run(&pipeline).unwrap();
+                    assert_eq!(rerun, Session::with_mode(mode).run(&pipeline).unwrap());
+                    assert_eq!((&rerun.kernels, rerun.total), (&full.kernels, full.total));
                     res
                 }
                 RunOutcome::Complete(_) => panic!("tiny horizon must checkpoint"),

@@ -119,6 +119,69 @@ pub struct RunReport {
     /// same (bit-identical) timeline; `BENCH_*.json` divides wall time by
     /// it to report ns/sim-event.
     pub sim_events: u64,
+    /// What the engine did to simulate the run, counted where it already
+    /// branches (or derived from those counts when the report is built).
+    /// Like `sim_events` these measure simulation *work*: they
+    /// differ between [`EngineMode`](crate::EngineMode)s by design, but
+    /// are deterministic per engine (identical with trace on and off, and
+    /// across repeated session runs).
+    pub counters: EngineCounters,
+}
+
+/// Deterministic per-run counts of the engine's work (see
+/// [`RunReport::counters`]). The event counts by kind sum to
+/// [`RunReport::sim_events`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EngineCounters {
+    /// `KernelReady` events handled.
+    pub kernel_ready_events: u64,
+    /// `BlockResume` events handled.
+    pub block_resume_events: u64,
+    /// `PostApply` events handled.
+    pub post_apply_events: u64,
+    /// `AtomicApply` events handled.
+    pub atomic_apply_events: u64,
+    /// Block steps that replayed a pre-driven op program.
+    pub program_steps: u64,
+    /// Block steps that resumed a coroutine body.
+    pub coroutine_steps: u64,
+    /// Block-placement rounds that had at least one candidate kernel.
+    pub issue_rounds: u64,
+    /// Blocks placed onto SMs.
+    pub placements: u64,
+    /// Blocks parked on an unmet semaphore.
+    pub parks: u64,
+    /// Parked blocks woken by a post.
+    pub wakes: u64,
+    /// Most events pending in the queue at the start of a timestamp
+    /// batch.
+    pub peak_queue_len: u64,
+    /// Optimized engine: DRAM-time lookups in the per-kernel price memo.
+    pub mem_memo: MemoCount,
+    /// Optimized engine: cycle-conversion lookups in the per-kernel price
+    /// memo.
+    pub cycles_memo: MemoCount,
+}
+
+/// Hits and misses of one pricing memo.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MemoCount {
+    /// Lookups answered from the memo.
+    pub hits: u64,
+    /// Lookups that ran the formula.
+    pub misses: u64,
+}
+
+impl MemoCount {
+    /// Fraction of lookups answered from the memo (0 when there were
+    /// none).
+    pub fn hit_rate(&self) -> f64 {
+        let lookups = self.hits + self.misses;
+        if lookups == 0 {
+            return 0.0;
+        }
+        self.hits as f64 / lookups as f64
+    }
 }
 
 impl RunReport {

@@ -64,11 +64,14 @@ impl SimTime {
     /// as u64)`, saturating cast included (NaN and negatives → zero, beyond
     /// `u64::MAX` → [`SimTime::MAX`]), but without the libm `round` call:
     /// every `f64` at or above 2⁵² is already an integer, and below it the
-    /// truncation and its fraction are exact.
+    /// truncation and its fraction are exact. The truncation goes through
+    /// `i64` (one signed conversion each way instead of the multi-step
+    /// unsigned ones); clamping it at zero sends every negative input,
+    /// `-∞` included, to zero exactly as the unsigned cast did.
     pub fn from_picos_rounded(ps: f64) -> Self {
         if ps < (1u64 << 52) as f64 {
-            let whole = ps as u64; // truncates; negatives saturate to 0
-            SimTime(whole + u64::from(ps - whole as f64 >= 0.5))
+            let whole = (ps as i64).max(0); // truncates; negatives clamp to 0
+            SimTime(whole as u64 + u64::from(ps - whole as f64 >= 0.5))
         } else {
             SimTime(ps as u64) // already integral, clamped, or NaN → 0
         }
@@ -256,6 +259,29 @@ mod tests {
                 libm(half),
                 "{half:e}"
             );
+        }
+        // The truncation is signed, so sweep what it handles differently
+        // from an unsigned one: negatives in every binade from -2^-2 down
+        // to the largest finite magnitude (sign-bit NaNs included), the
+        // open interval (-1, 0), both signs of every subnormal binade, and
+        // the neighbours of ±2^63, where `as i64` saturates.
+        let mut state = 0x51_6E_ED_u64;
+        for _ in 0..100_000 {
+            state = crate::splitmix64(state);
+            let mantissa = state & ((1 << 52) - 1);
+            let sign = 1 << 63;
+            let negative = f64::from_bits(sign | ((1021 + (state >> 52) % 1027) << 52) | mantissa);
+            let unit = f64::from_bits(sign | (((state >> 52) % 1023) << 52) | mantissa);
+            let subnormal = f64::from_bits((state & sign) | (mantissa >> ((state >> 52) % 52)));
+            for x in [negative, unit, subnormal] {
+                assert_eq!(SimTime::from_picos_rounded(x).as_picos(), libm(x), "{x:e}");
+            }
+        }
+        for edge in [i64::MAX as f64, i64::MIN as f64] {
+            for step in -64i64..=64 {
+                let x = f64::from_bits((edge.to_bits() as i64 + step) as u64);
+                assert_eq!(SimTime::from_picos_rounded(x).as_picos(), libm(x), "{x:e}");
+            }
         }
     }
 

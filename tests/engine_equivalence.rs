@@ -33,8 +33,8 @@ mod common;
 use common::Gen;
 
 /// Asserts every timing-observable field of two reports is identical.
-/// (`sim_events` is excluded by design: it measures simulation *work*,
-/// which the optimized engine reduces.)
+/// (`sim_events` and `counters` are excluded by design: they measure
+/// simulation *work*, which the optimized engine reduces.)
 fn assert_reports_identical(reference: &RunReport, optimized: &RunReport, what: &str) {
     assert_eq!(
         reference.kernels, optimized.kernels,
@@ -416,7 +416,7 @@ fn random_cluster_workload(seed: u64, devices: u32, gpu: &mut Gpu) {
             Arc::new(FixedKernel::new(
                 &format!("k{i}"),
                 Dim3::linear(g.range(1, 10) as u32),
-                g.range(1, 3) as u32,
+                g.range(1, 5) as u32,
                 body,
             )),
         );
@@ -459,9 +459,11 @@ proptest! {
     }
 
     /// Property: the same holds on heterogeneous clusters, where every
-    /// device draws its own SM count (1-9), clock and DRAM bandwidth — so
+    /// device draws its own SM count (1-9), clock, DRAM bandwidth,
+    /// residency boost, block jitter and DRAM saturation point — so
     /// devices own uneven SM ranges at uneven offsets and price ops at
-    /// their own rates.
+    /// their own rates, and every input the optimized engine's pricing
+    /// memos and per-SM residency scales key on varies per device.
     #[test]
     fn random_heterogeneous_clusters_are_engine_invariant(
         devices in 1u32..5,
@@ -474,6 +476,9 @@ proptest! {
                 .map(|_| GpuConfig {
                     clock_hz: g.range(700, 2_000) as f64 * 1e6,
                     dram_bytes_per_sec: g.range(200, 2_500) as f64 * 1e9,
+                    residency_boost: g.range(0, 91) as f64 / 100.0,
+                    block_jitter: g.range(0, 31) as f64 / 100.0,
+                    dram_saturation_fraction: g.range(1, 101) as f64 / 100.0,
                     ..GpuConfig::toy(g.range(1, 10) as u32)
                 })
                 .collect(),
@@ -495,11 +500,14 @@ proptest! {
     }
 }
 
-/// Both engines share one cost path, so equivalence alone cannot catch a
-/// device priced at another device's rates. Pin it directly: on a
-/// heterogeneous cluster, a kernel alone on device `d` runs exactly as it
-/// does on a solo GPU with `d`'s config. (Jitter is off: its hash keys on
-/// the kernel's index, which differs between the two pipelines.)
+/// Equivalence exercises the optimized engine's pricing path (per-SM
+/// residency scales and per-kernel price memos), but every memo miss runs
+/// the same formulas the reference engine does, so equivalence alone
+/// cannot catch a formula that reads another device's rates. Pin it
+/// directly: on a heterogeneous cluster, a kernel alone on device `d`
+/// runs exactly as it does on a solo GPU with `d`'s config. (Jitter is
+/// off: its hash keys on the kernel's index, which differs between the
+/// two pipelines.)
 #[test]
 fn heterogeneous_devices_price_at_their_own_rates() {
     let quiet = |sms: u32| GpuConfig {
@@ -557,6 +565,108 @@ fn heterogeneous_devices_price_at_their_own_rates() {
                 "{mode}: device {d}"
             );
         }
+    }
+}
+
+/// Two kernels of different occupancy share one device and issue the
+/// same `MainStep` before and after parking on a semaphore, so their
+/// per-kernel price memos see repeated keys (hits) and keys that moved
+/// with the park and the wake (misses). Both engines must agree, and the
+/// optimized engine's counters must show both.
+#[test]
+fn price_memos_track_park_and_wake() {
+    let scenario = |mode: EngineMode| {
+        let mut gpu = Gpu::with_mode(GpuConfig::toy(4), mode);
+        gpu.enable_trace();
+        let sem = gpu.alloc_sems("go", 1, 0);
+        let step = Op::main_step(48 * 1024, 30_000);
+        let poster = gpu.create_stream(0);
+        gpu.launch(
+            poster,
+            Arc::new(FixedKernel::new(
+                "poster",
+                Dim3::linear(1),
+                4,
+                vec![Op::compute(90_000), Op::Fence, Op::post(sem, 0)],
+            )),
+        );
+        for (name, occupancy) in [("wide", 2u32), ("narrow", 4)] {
+            let stream = gpu.create_stream(0);
+            gpu.launch(
+                stream,
+                Arc::new(FixedKernel::new(
+                    name,
+                    Dim3::linear(occupancy),
+                    occupancy,
+                    vec![step, step, Op::wait(sem, 0, 1), step, step, step],
+                )),
+            );
+        }
+        let report = gpu.run().expect("poster releases every waiter");
+        (report, gpu.trace().to_vec())
+    };
+    let (ref_report, ref_trace) = scenario(EngineMode::Reference);
+    let (opt_report, opt_trace) = scenario(EngineMode::Optimized);
+    assert_reports_identical(&ref_report, &opt_report, "park and wake");
+    assert_eq!(ref_trace, opt_trace, "park and wake traces");
+    let (r, o) = (ref_report.counters, opt_report.counters);
+    assert!(o.parks > 0, "the waiters park: {o:?}");
+    assert_eq!(
+        (r.parks, r.wakes),
+        (o.parks, o.wakes),
+        "same parks and wakes"
+    );
+    assert_eq!(o.wakes, o.parks, "every parked block is woken");
+    for (what, memo) in [("mem", o.mem_memo), ("cycles", o.cycles_memo)] {
+        assert!(memo.hits > 0 && memo.misses > 0, "{what} memo: {memo:?}");
+    }
+    assert_eq!(
+        r.mem_memo.hits + r.mem_memo.misses,
+        0,
+        "reference is unmemoized"
+    );
+    assert_eq!(r.cycles_memo.hits + r.cycles_memo.misses, 0);
+}
+
+/// Gates the optimized engine's pricing memos on deterministic counts:
+/// on one fixed Fig. 6 MLP cell and one fixed Fig. 7 Conv2D cell, at
+/// least 80% of DRAM-time and cycle-conversion lookups must hit. A change
+/// that silently disables a memo (a key that never repeats, a memo reset
+/// per op) fails here, not only in a wall-time benchmark.
+#[test]
+fn price_memos_hit_on_paper_cells() {
+    let gpu = GpuConfig::tesla_v100();
+    let mlp = SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT);
+    let conv = SyncMode::CuSync(PolicyKind::Conv2DTile, OptFlags::WRT);
+    let pq = cusync_models::pq_for_channels(128);
+    let cells: [(&str, &dyn Fn() -> RunReport); 2] = [
+        ("fig6 gpt3 mlp bs=256", &|| {
+            run_mlp(&gpu, MlpModel::Gpt3, 256, mlp)
+        }),
+        ("fig7 conv c=128 b=4", &|| {
+            run_conv_layer(&gpu, 4, pq, 128, 2, conv)
+        }),
+    ];
+    for (what, run) in cells {
+        let report = with_engine_mode(EngineMode::Optimized, run);
+        let c = report.counters;
+        let events = c.kernel_ready_events
+            + c.block_resume_events
+            + c.post_apply_events
+            + c.atomic_apply_events;
+        assert_eq!(events, report.sim_events, "{what}: events by kind");
+        let blocks: u64 = report.kernels.iter().map(|k| k.blocks).sum();
+        assert_eq!(c.placements, blocks, "{what}: every block placed once");
+        assert_eq!(c.parks, c.wakes, "{what}: every park woken");
+        for (memo, count) in [("mem", c.mem_memo), ("cycles", c.cycles_memo)] {
+            assert!(
+                count.hit_rate() >= 0.8,
+                "{what}: {memo} memo hit rate {:.3} ({count:?})",
+                count.hit_rate()
+            );
+        }
+        let again = with_engine_mode(EngineMode::Optimized, run);
+        assert_eq!(again.counters, c, "{what}: counters are deterministic");
     }
 }
 
@@ -676,8 +786,8 @@ proptest! {
 
 /// Tracing is **passive**: enabling it changes nothing observable. The
 /// same pipeline run with tracing on and off must produce bit-identical
-/// reports under both engines — the contract the observability layer
-/// (`crates/obs`) is built on.
+/// reports under both engines, engine counters included — the contract
+/// the observability layer (`crates/obs`) is built on.
 #[test]
 fn tracing_is_passive_in_every_engine() {
     let cluster = ClusterConfig::dgx_v100(2);

@@ -29,8 +29,9 @@ use common::Gen;
 
 const REPEATS: usize = 3;
 
-/// Every timing-observable field must match exactly; `sim_events` is
-/// included too — the session replays the identical event sequence.
+/// Every timing-observable field must match exactly; `sim_events` and the
+/// engine counters are included too — the session replays the identical
+/// event sequence, so its price memos (reset per run) hit and miss alike.
 fn assert_identical(fresh: &RunReport, reused: &RunReport, what: &str) {
     assert_eq!(fresh.kernels, reused.kernels, "{what}: kernel reports");
     assert_eq!(fresh.total, reused.total, "{what}: total");
@@ -41,6 +42,7 @@ fn assert_identical(fresh: &RunReport, reused: &RunReport, what: &str) {
         "{what}: utilization (bit-exact)"
     );
     assert_eq!(fresh.sim_events, reused.sim_events, "{what}: event counts");
+    assert_eq!(fresh.counters, reused.counters, "{what}: engine counters");
 }
 
 /// Core harness: N `Session::run`s of one compiled pipeline vs N fresh
