@@ -1079,6 +1079,27 @@ struct LastPrice<K> {
     count: MemoCount,
 }
 
+impl<K: Copy + PartialEq> LastPrice<K> {
+    /// The memoized value if `key` is the last key stored (counted as a
+    /// hit).
+    #[inline(always)]
+    fn hit(&mut self, key: K) -> Option<SimTime> {
+        if self.key == Some(key) {
+            self.count.hits += 1;
+            return Some(self.value);
+        }
+        None
+    }
+
+    /// Records the formula's `value` for `key` (counted as a miss).
+    #[inline(always)]
+    fn store(&mut self, key: K, value: SimTime) {
+        self.count.misses += 1;
+        self.key = Some(key);
+        self.value = value;
+    }
+}
+
 impl KernelRun {
     /// Blocks issued onto SMs so far (read by [`SchedContext`]).
     pub(crate) fn issued(&self) -> u64 {
@@ -1246,12 +1267,9 @@ pub(crate) struct RunState {
     last_util_update: SimTime,
     first_issue: Option<SimTime>,
     last_finish: SimTime,
-    /// The [`EngineCounters`] counted as they happen; the report derives
-    /// the rest (see [`Exec::counters`]).
+    /// The [`EngineCounters`] counted as they happen; the report adds the
+    /// per-kernel memo counts (see [`Exec::counters`]).
     counters: EngineCounters,
-    /// `BlockResume` events that applied a deferred step instead of
-    /// stepping the block.
-    pending_resumes: u64,
 }
 
 impl RunState {
@@ -1288,7 +1306,6 @@ impl RunState {
             first_issue: None,
             last_finish: SimTime::ZERO,
             counters: EngineCounters::default(),
-            pending_resumes: 0,
         }
     }
 
@@ -1344,7 +1361,6 @@ impl RunState {
         self.first_issue = None;
         self.last_finish = SimTime::ZERO;
         self.counters = EngineCounters::default();
-        self.pending_resumes = 0;
     }
 
     /// Restores memory and semaphores to the compiled pipeline's pristine
@@ -1640,17 +1656,14 @@ impl Exec<'_> {
                     },
                 );
             }
-            EventKind::BlockResume(b) => match self.st.blocks[b].pending.take() {
-                None => self.step_block(b),
-                Some(PendingStep::Op(op)) => {
-                    self.st.pending_resumes += 1;
-                    self.apply_sync_op(b, op);
+            EventKind::BlockResume(b) => {
+                self.st.counters.block_resume_events += 1;
+                match self.st.blocks[b].pending.take() {
+                    None => self.step_block(b),
+                    Some(PendingStep::Op(op)) => self.apply_sync_op(b, op),
+                    Some(PendingStep::Done) => self.finish_block(b),
                 }
-                Some(PendingStep::Done) => {
-                    self.st.pending_resumes += 1;
-                    self.finish_block(b);
-                }
-            },
+            }
             EventKind::PostApply {
                 block,
                 table,
@@ -2008,6 +2021,7 @@ impl Exec<'_> {
 
     fn step_block(&mut self, bid: usize) {
         if self.st.blocks[bid].has_program() {
+            self.st.counters.program_steps += 1;
             self.step_program(bid);
         } else {
             self.st.counters.coroutine_steps += 1;
@@ -2265,16 +2279,11 @@ impl Exec<'_> {
             self.st.active_units[self.desc.kernels[k].device as usize],
             bytes,
         );
-        let memo = &mut self.st.kernels[k].mem_price;
-        if memo.key == Some(key) {
-            memo.count.hits += 1;
-            return memo.value;
+        if let Some(value) = self.st.kernels[k].mem_price.hit(key) {
+            return value;
         }
         let value = self.dyn_mem_time(bid, bytes);
-        let memo = &mut self.st.kernels[k].mem_price;
-        memo.count.misses += 1;
-        memo.key = Some(key);
-        memo.value = value;
+        self.st.kernels[k].mem_price.store(key, value);
         value
     }
 
@@ -2286,16 +2295,11 @@ impl Exec<'_> {
         if self.mode == EngineMode::Reference {
             return self.kernel_cfg(k).cycles(cycles);
         }
-        let memo = &mut self.st.kernels[k].cycles_price;
-        if memo.key == Some(cycles) {
-            memo.count.hits += 1;
-            return memo.value;
+        if let Some(value) = self.st.kernels[k].cycles_price.hit(cycles) {
+            return value;
         }
         let value = self.kernel_cfg(k).cycles(cycles);
-        let memo = &mut self.st.kernels[k].cycles_price;
-        memo.count.misses += 1;
-        memo.key = Some(cycles);
-        memo.value = value;
+        self.st.kernels[k].cycles_price.store(cycles, value);
         value
     }
 
@@ -2600,17 +2604,9 @@ impl Exec<'_> {
     }
 
     /// The run's [`EngineCounters`]: the ones counted as they happen,
-    /// plus the hot-path counts derived here instead of incremented per
-    /// event — `BlockResume` events are the events of no other kind,
-    /// program steps the resumes that neither applied a deferred step nor
-    /// resumed a coroutine, and memo counts sum the per-kernel memos.
+    /// plus the memo counts summed over the per-kernel memos.
     fn counters(&self) -> EngineCounters {
         let mut c = self.st.counters;
-        c.block_resume_events = self.st.events_handled
-            - c.kernel_ready_events
-            - c.post_apply_events
-            - c.atomic_apply_events;
-        c.program_steps = c.block_resume_events - self.st.pending_resumes - c.coroutine_steps;
         for kr in &self.st.kernels {
             c.mem_memo.hits += kr.mem_price.count.hits;
             c.mem_memo.misses += kr.mem_price.count.misses;

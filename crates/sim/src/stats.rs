@@ -120,7 +120,7 @@ pub struct RunReport {
     /// it to report ns/sim-event.
     pub sim_events: u64,
     /// What the engine did to simulate the run, counted where it already
-    /// branches (or derived from those counts when the report is built).
+    /// branches.
     /// Like `sim_events` these measure simulation *work*: they
     /// differ between [`EngineMode`](crate::EngineMode)s by design, but
     /// are deterministic per engine (identical with trace on and off, and

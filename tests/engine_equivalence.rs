@@ -655,6 +655,10 @@ fn price_memos_hit_on_paper_cells() {
             + c.post_apply_events
             + c.atomic_apply_events;
         assert_eq!(events, report.sim_events, "{what}: events by kind");
+        assert!(
+            c.program_steps + c.coroutine_steps <= c.block_resume_events,
+            "{what}: every block step is a resume"
+        );
         let blocks: u64 = report.kernels.iter().map(|k| k.blocks).sum();
         assert_eq!(c.placements, blocks, "{what}: every block placed once");
         assert_eq!(c.parks, c.wakes, "{what}: every park woken");
