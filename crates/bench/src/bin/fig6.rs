@@ -7,14 +7,14 @@
 //! Usage: `fig6 [mlp|attention|all]`
 
 use cusync_bench::sweep::{
-    fig6_attention_configs, fig6_attention_modes, fig6_attention_row, fig6_mlp_modes, fig6_mlp_row,
-    parallel_map, SweepOptions, FIG6_MLP_BATCHES,
+    default_threads, fig6_attention_configs, fig6_attention_modes, fig6_attention_row,
+    fig6_mlp_modes, fig6_mlp_row, parallel_map, FIG6_MLP_BATCHES,
 };
 use cusync_bench::{header, pct, row};
 use cusync_models::MlpModel;
 use cusync_sim::GpuConfig;
 
-fn mlp_figure(gpu: &GpuConfig, opts: &SweepOptions, model: MlpModel, label: &str) {
+fn mlp_figure(gpu: &GpuConfig, threads: usize, model: MlpModel, label: &str) {
     println!("## Fig. 6 ({label} MLP): improvement over StreamSync\n");
     let modes = fig6_mlp_modes();
     let mut cols = vec!["BxS".to_string()];
@@ -23,8 +23,8 @@ fn mlp_figure(gpu: &GpuConfig, opts: &SweepOptions, model: MlpModel, label: &str
         "{}",
         header(&cols.iter().map(String::as_str).collect::<Vec<_>>())
     );
-    let rows = parallel_map(opts, FIG6_MLP_BATCHES.to_vec(), |bs| {
-        fig6_mlp_row(gpu, model, bs, opts.memoize)
+    let rows = parallel_map(threads, FIG6_MLP_BATCHES.to_vec(), |bs| {
+        fig6_mlp_row(gpu, model, bs)
     });
     for r in rows {
         let mut cells = vec![r.label];
@@ -34,7 +34,7 @@ fn mlp_figure(gpu: &GpuConfig, opts: &SweepOptions, model: MlpModel, label: &str
     println!();
 }
 
-fn attention_figure(gpu: &GpuConfig, opts: &SweepOptions, hidden: u32, label: &str) {
+fn attention_figure(gpu: &GpuConfig, threads: usize, hidden: u32, label: &str) {
     println!("## Fig. 6 ({label} Attention): improvement over StreamSync\n");
     let modes = fig6_attention_modes();
     let mut cols = vec!["BxS, S'".to_string()];
@@ -43,8 +43,8 @@ fn attention_figure(gpu: &GpuConfig, opts: &SweepOptions, hidden: u32, label: &s
         "{}",
         header(&cols.iter().map(String::as_str).collect::<Vec<_>>())
     );
-    let rows = parallel_map(opts, fig6_attention_configs(hidden), |(name, cfg)| {
-        fig6_attention_row(gpu, &name, cfg, opts.memoize)
+    let rows = parallel_map(threads, fig6_attention_configs(hidden), |(name, cfg)| {
+        fig6_attention_row(gpu, &name, cfg)
     });
     for r in rows {
         let mut cells = vec![r.label];
@@ -57,15 +57,15 @@ fn attention_figure(gpu: &GpuConfig, opts: &SweepOptions, hidden: u32, label: &s
 fn main() {
     let what = std::env::args().nth(1).unwrap_or_else(|| "all".to_owned());
     let gpu = GpuConfig::tesla_v100();
-    let opts = SweepOptions::fast();
+    let threads = default_threads();
     println!("# Fig. 6: MLP and Attention improvements over StreamSync\n");
     if what == "mlp" || what == "all" {
-        mlp_figure(&gpu, &opts, MlpModel::Gpt3, "GPT-3");
-        mlp_figure(&gpu, &opts, MlpModel::Llama, "LLaMA");
+        mlp_figure(&gpu, threads, MlpModel::Gpt3, "GPT-3");
+        mlp_figure(&gpu, threads, MlpModel::Llama, "LLaMA");
     }
     if what == "attention" || what == "all" {
-        attention_figure(&gpu, &opts, 12288, "GPT-3");
-        attention_figure(&gpu, &opts, 8192, "LLaMA");
+        attention_figure(&gpu, threads, 12288, "GPT-3");
+        attention_figure(&gpu, threads, 8192, "LLaMA");
     }
     println!(
         "Paper peaks: GPT-3 MLP up to 15-21% (mid sizes), LLaMA MLP up to 20%, GPT-3 \

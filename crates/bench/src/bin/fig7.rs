@@ -4,12 +4,12 @@
 //! Rows are simulated in parallel by the sweep driver; StreamSync
 //! baselines are shared across a row's modes.
 
-use cusync_bench::sweep::{fig7_jobs, fig7_row, parallel_map, SweepOptions};
+use cusync_bench::sweep::{default_threads, fig7_jobs, fig7_row, parallel_map};
 use cusync_bench::{header, pct, row};
 use cusync_models::SyncMode;
 use cusync_sim::GpuConfig;
 
-fn panel(gpu: &GpuConfig, opts: &SweepOptions, title: &str, channels: &[u32], convs: u32) {
+fn panel(gpu: &GpuConfig, threads: usize, title: &str, channels: &[u32], convs: u32) {
     println!("## {title}\n");
     let modes = SyncMode::conv_policies();
     let mut cols = vec!["Channels".to_string(), "B".to_string()];
@@ -18,8 +18,8 @@ fn panel(gpu: &GpuConfig, opts: &SweepOptions, title: &str, channels: &[u32], co
         "{}",
         header(&cols.iter().map(String::as_str).collect::<Vec<_>>())
     );
-    let rows = parallel_map(opts, fig7_jobs(channels, convs), |(c, pq, b, convs)| {
-        (c, b, fig7_row(gpu, c, pq, b, convs, opts.memoize))
+    let rows = parallel_map(threads, fig7_jobs(channels, convs), |(c, pq, b, convs)| {
+        (c, b, fig7_row(gpu, c, pq, b, convs))
     });
     for (c, b, r) in rows {
         let mut cells = vec![c.to_string(), b.to_string()];
@@ -31,25 +31,25 @@ fn panel(gpu: &GpuConfig, opts: &SweepOptions, title: &str, channels: &[u32], co
 
 fn main() {
     let gpu = GpuConfig::tesla_v100();
-    let opts = SweepOptions::fast();
+    let threads = default_threads();
     println!("# Fig. 7: Conv2D improvements over StreamSync\n");
     panel(
         &gpu,
-        &opts,
+        threads,
         "Fig. 7a: 2x Conv2Ds per layer (ResNet-38 and VGG-19), channels 64/128",
         &[64, 128],
         2,
     );
     panel(
         &gpu,
-        &opts,
+        threads,
         "Fig. 7b: 2x Conv2Ds per layer (ResNet-38), channels 256/512",
         &[256, 512],
         2,
     );
     panel(
         &gpu,
-        &opts,
+        threads,
         "Fig. 7c: 4x Conv2Ds per layer (VGG-19), channels 256/512",
         &[256, 512],
         4,

@@ -7,7 +7,7 @@
 //! Usage: `fig8 [llm|vision|all]`
 
 use cusync_bench::sweep::{
-    fig8_llm_configs, fig8_llm_row, fig8_vision_row, parallel_map, SweepOptions, FIG7_BATCHES,
+    default_threads, fig8_llm_configs, fig8_llm_row, fig8_vision_row, parallel_map, FIG7_BATCHES,
 };
 use cusync_bench::{header, pct, row};
 use cusync_sim::GpuConfig;
@@ -15,14 +15,14 @@ use cusync_sim::GpuConfig;
 fn main() {
     let what = std::env::args().nth(1).unwrap_or_else(|| "all".to_owned());
     let gpu = GpuConfig::tesla_v100();
-    let opts = SweepOptions::fast();
+    let threads = default_threads();
     println!("# Fig. 8: end-to-end inference time reductions with cuSync\n");
 
     if what == "llm" || what == "all" {
         println!("## Fig. 8a: language models (best policy per configuration)\n");
         println!("{}", header(&["BxS, S'", "GPT-3", "LLaMA"]));
-        let rows = parallel_map(&opts, fig8_llm_configs(), |(name, tokens, cached)| {
-            fig8_llm_row(&gpu, &name, tokens, cached, opts.memoize)
+        let rows = parallel_map(threads, fig8_llm_configs(), |(name, tokens, cached)| {
+            fig8_llm_row(&gpu, &name, tokens, cached)
         });
         for r in rows {
             println!(
@@ -36,8 +36,8 @@ fn main() {
     if what == "vision" || what == "all" {
         println!("## Fig. 8b: vision models (best policy per batch)\n");
         println!("{}", header(&["Batch", "ResNet-38", "VGG-19"]));
-        let rows = parallel_map(&opts, FIG7_BATCHES.to_vec(), |batch| {
-            fig8_vision_row(&gpu, batch, opts.memoize)
+        let rows = parallel_map(threads, FIG7_BATCHES.to_vec(), |batch| {
+            fig8_vision_row(&gpu, batch)
         });
         for r in rows {
             println!(

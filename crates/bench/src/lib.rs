@@ -12,17 +12,14 @@
 //! | `fig7` | Fig. 7 — Conv2D improvements (ResNet-38, VGG-19) |
 //! | `fig8` | Fig. 8 — end-to-end inference reductions |
 //! | `overhead` | Section V-D — the maximum synchronization overhead bound |
-//! | `bench_pr1` | `BENCH_PR1.json` — event-loop overhaul perf trajectory |
-//! | `bench_pr2` | `BENCH_PR2.json` — rebuild-per-run vs compiled-reuse vs pooled `Runtime` |
-//! | `bench_pr3` | `BENCH_PR3.json` — tensor-parallel allreduce overlap vs serialized baseline |
+//! | `ablation` | sensitivity of the headline result to each calibrated constant |
 //!
-//! The Criterion benches in `benches/paper.rs` wrap the same workloads for
-//! wall-clock regression tracking of the simulator itself.
+//! The committed `BENCH_PR3/9/10.json` are reproduced byte for byte by
+//! `tests/bench_golden.rs`; the simulator's wall time is measured by
+//! `perfbench/`.
 
 #![warn(missing_docs)]
 
-pub mod perf;
-pub mod reuse;
 pub mod sweep;
 
 use std::sync::Arc;

@@ -2,82 +2,26 @@
 //!
 //! Every simulated GPU is an independent deterministic state machine, so a
 //! figure's grid of (configuration × sync-mode) cells is embarrassingly
-//! parallel: [`parallel_map`] fans row jobs out over OS threads, pinning
-//! each worker to the requested [`EngineMode`] (the engine default is
-//! thread-local). Within a row, [`Memoize::Shared`] computes the StreamSync
-//! baseline once instead of once per mode — the sweep's one source of
-//! redundant simulation.
+//! parallel: [`parallel_map`] fans row jobs out over OS threads. Within a
+//! row, the StreamSync baseline is simulated once and shared by every
+//! mode.
 //!
-//! The same jobs run in two harness configurations:
-//!
-//! - [`SweepOptions::baseline`] — the *pre-refactor* shape: reference
-//!   engine, serial, every cell re-simulating its own baseline. This is
-//!   the "before" half of `BENCH_PR1.json`.
-//! - [`SweepOptions::fast`] — optimized engine, one worker per core,
-//!   shared baselines: the "after" half, and what the `fig*` binaries use.
-//!
-//! Since the compile/execute split, every cell the model helpers run
-//! (`run_mlp`/`run_attention`/`run_conv_layer`) executes through the
-//! calling worker's pooled thread session (`cusync_sim::run_compiled`),
-//! so a sweep's cells share one warmed engine per worker instead of
-//! reallocating a fresh `Gpu` per cell; the compile-once/run-many
-//! trajectory itself is measured separately by `bench_pr2`
-//! (`crate::reuse`).
+//! Every cell the model helpers run (`run_mlp`/`run_attention`/
+//! `run_conv_layer`) executes through the calling worker's pooled thread
+//! session (`cusync_sim::run_compiled`), so a sweep's cells share one
+//! warmed engine per worker instead of reallocating a fresh `Gpu` per
+//! cell.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use cusync_models::{
-    llm_step_report, resnet38, run_attention, run_conv_layer, run_mlp, vgg19, vision_step_report,
+    llm_step_time, resnet38, run_attention, run_conv_layer, run_mlp, vgg19, vision_step_time,
     AttentionConfig, MlpModel, PolicyKind, SyncMode, GPT3, LLAMA,
 };
-use cusync_sim::{with_engine_mode, EngineMode, GpuConfig};
+use cusync_sim::GpuConfig;
 
 use cusync::OptFlags;
-
-/// Whether rows share their StreamSync baseline simulation across modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Memoize {
-    /// Each cell re-simulates its own baseline (the original harness).
-    PerCell,
-    /// One baseline simulation per row, shared by every mode. Values are
-    /// identical either way — the simulator is deterministic.
-    Shared,
-}
-
-/// How a sweep executes: which engine, how many workers, baseline sharing.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepOptions {
-    /// Engine implementation every worker pins via [`with_engine_mode`].
-    pub engine: EngineMode,
-    /// Worker threads (1 = fully serial).
-    pub threads: usize,
-    /// Baseline sharing policy.
-    pub memoize: Memoize,
-}
-
-impl SweepOptions {
-    /// The production configuration: optimized engine, one worker per
-    /// available core, shared baselines.
-    pub fn fast() -> Self {
-        SweepOptions {
-            engine: EngineMode::Optimized,
-            threads: default_threads(),
-            memoize: Memoize::Shared,
-        }
-    }
-
-    /// The pre-refactor harness reconstruction: reference engine, serial,
-    /// per-cell baselines. Used as the "before" of `BENCH_PR1.json`.
-    pub fn baseline() -> Self {
-        SweepOptions {
-            engine: EngineMode::Reference,
-            threads: 1,
-            memoize: Memoize::PerCell,
-        }
-    }
-}
 
 /// Worker count: `CUSYNC_BENCH_THREADS` if set, else the machine's
 /// available parallelism.
@@ -92,38 +36,31 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Order-preserving parallel map: runs `f` over `items` on
-/// `opts.threads` workers, each pinned to `opts.engine`.
-pub fn parallel_map<T, R, F>(opts: &SweepOptions, items: Vec<T>, f: F) -> Vec<R>
+/// Order-preserving parallel map: runs `f` over `items` on `threads`
+/// workers (1 = fully serial).
+pub fn parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    if opts.threads <= 1 || items.len() <= 1 {
-        let engine = opts.engine;
-        return items
-            .into_iter()
-            .map(|item| with_engine_mode(engine, || f(item)))
-            .collect();
+    if threads <= 1 || items.len() <= 1 {
+        return items.into_iter().map(f).collect();
     }
     let queue: Vec<Mutex<Option<T>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(queue.len()));
-    let workers = opts.threads.min(queue.len());
-    let engine = opts.engine;
+    let workers = threads.min(queue.len());
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
-                with_engine_mode(engine, || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= queue.len() {
-                        break;
-                    }
-                    let item = queue[i].lock().unwrap().take().expect("item taken twice");
-                    let r = f(item);
-                    results.lock().unwrap().push((i, r));
-                });
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= queue.len() {
+                    break;
+                }
+                let item = queue[i].lock().unwrap().take().expect("item taken twice");
+                let r = f(item);
+                results.lock().unwrap().push((i, r));
             });
         }
     });
@@ -139,60 +76,6 @@ pub struct Row {
     pub label: String,
     /// Improvement percentages, one per mode, in mode order.
     pub values: Vec<f64>,
-    /// Simulator heap events this row's simulations handled.
-    pub events: u64,
-    /// Simulations (kernel-graph runs) this row performed.
-    pub cells: usize,
-}
-
-/// Outcome of one measured sweep.
-#[derive(Debug, Clone)]
-pub struct SweepOutcome {
-    /// Rows in job order.
-    pub rows: Vec<Row>,
-    /// Wall-clock time of the whole sweep.
-    pub wall: Duration,
-    /// Total simulator events across all cells.
-    pub events: u64,
-    /// Number of simulated cells (mode runs + baseline runs).
-    pub cells: usize,
-}
-
-impl SweepOutcome {
-    /// Mean wall nanoseconds per simulated event.
-    pub fn ns_per_event(&self) -> f64 {
-        if self.events == 0 {
-            return 0.0;
-        }
-        self.wall.as_nanos() as f64 / self.events as f64
-    }
-
-    /// Simulated events per wall second.
-    pub fn events_per_sec(&self) -> f64 {
-        let s = self.wall.as_secs_f64();
-        if s == 0.0 {
-            return 0.0;
-        }
-        self.events as f64 / s
-    }
-}
-
-fn run_jobs<J, F>(opts: &SweepOptions, jobs: Vec<J>, f: F) -> SweepOutcome
-where
-    J: Send,
-    F: Fn(&J) -> Row + Sync,
-{
-    let t0 = Instant::now();
-    let rows = parallel_map(opts, jobs, |job| f(&job));
-    let wall = t0.elapsed();
-    let events = rows.iter().map(|r| r.events).sum();
-    let cells = rows.iter().map(|r| r.cells).sum();
-    SweepOutcome {
-        rows,
-        wall,
-        events,
-        cells,
-    }
 }
 
 /// Percentage improvement of `t` over the StreamSync baseline `base`.
@@ -201,47 +84,17 @@ fn improvement_pct(base: cusync_sim::SimTime, t: cusync_sim::SimTime) -> f64 {
 }
 
 /// Shared row builder: improvement of each `mode` over StreamSync, with
-/// the baseline simulated once ([`Memoize::Shared`]) or per cell
-/// ([`Memoize::PerCell`] — the original harness). Values are identical
-/// either way; only the amount of simulation differs.
-fn improvement_row<F>(label: String, modes: &[SyncMode], memoize: Memoize, run: F) -> Row
+/// the baseline simulated once per row.
+fn improvement_row<F>(label: String, modes: &[SyncMode], run: F) -> Row
 where
-    F: Fn(SyncMode) -> cusync_sim::RunReport,
+    F: Fn(SyncMode) -> cusync_sim::SimTime,
 {
-    let improvement = |base: &cusync_sim::RunReport, r: &cusync_sim::RunReport| {
-        improvement_pct(base.total, r.total)
-    };
-    let mut events = 0u64;
-    let mut cells = 0usize;
-    let mut values = Vec::with_capacity(modes.len());
-    match memoize {
-        Memoize::Shared => {
-            let base = run(SyncMode::StreamSync);
-            events += base.sim_events;
-            cells += 1;
-            for mode in modes {
-                let r = run(*mode);
-                events += r.sim_events;
-                cells += 1;
-                values.push(improvement(&base, &r));
-            }
-        }
-        Memoize::PerCell => {
-            for mode in modes {
-                let base = run(SyncMode::StreamSync);
-                let r = run(*mode);
-                events += base.sim_events + r.sim_events;
-                cells += 2;
-                values.push(improvement(&base, &r));
-            }
-        }
-    }
-    Row {
-        label,
-        values,
-        events,
-        cells,
-    }
+    let base = run(SyncMode::StreamSync);
+    let values = modes
+        .iter()
+        .map(|mode| improvement_pct(base, run(*mode)))
+        .collect();
+    Row { label, values }
 }
 
 // ---------------------------------------------------------------------------
@@ -300,51 +153,16 @@ pub fn fig6_attention_configs(hidden: u32) -> Vec<(String, AttentionConfig)> {
 }
 
 /// Runs one Fig. 6 MLP row (all modes at one batch size).
-pub fn fig6_mlp_row(gpu: &GpuConfig, model: MlpModel, bs: u32, memoize: Memoize) -> Row {
-    improvement_row(bs.to_string(), &fig6_mlp_modes(), memoize, |mode| {
-        run_mlp(gpu, model, bs, mode)
+pub fn fig6_mlp_row(gpu: &GpuConfig, model: MlpModel, bs: u32) -> Row {
+    improvement_row(bs.to_string(), &fig6_mlp_modes(), |mode| {
+        run_mlp(gpu, model, bs, mode).total
     })
 }
 
 /// Runs one Fig. 6 Attention row (all modes at one configuration).
-pub fn fig6_attention_row(
-    gpu: &GpuConfig,
-    label: &str,
-    cfg: AttentionConfig,
-    memoize: Memoize,
-) -> Row {
-    improvement_row(label.to_owned(), &fig6_attention_modes(), memoize, |mode| {
-        run_attention(gpu, cfg, mode)
-    })
-}
-
-/// The full Fig. 6 sweep (both MLP panels and both Attention panels),
-/// measured. `what` filters like the binary's CLI: `mlp`, `attention` or
-/// `all`.
-pub fn fig6_sweep(gpu: &GpuConfig, opts: &SweepOptions, what: &str) -> SweepOutcome {
-    enum Job {
-        Mlp(MlpModel, u32),
-        Att(String, AttentionConfig),
-    }
-    let mut jobs = Vec::new();
-    if what == "mlp" || what == "all" {
-        for model in [MlpModel::Gpt3, MlpModel::Llama] {
-            for bs in FIG6_MLP_BATCHES {
-                jobs.push(Job::Mlp(model, bs));
-            }
-        }
-    }
-    if what == "attention" || what == "all" {
-        for hidden in [12288u32, 8192] {
-            for (label, cfg) in fig6_attention_configs(hidden) {
-                jobs.push(Job::Att(label, cfg));
-            }
-        }
-    }
-    let memoize = opts.memoize;
-    run_jobs(opts, jobs, |job| match job {
-        Job::Mlp(model, bs) => fig6_mlp_row(gpu, *model, *bs, memoize),
-        Job::Att(label, cfg) => fig6_attention_row(gpu, label, *cfg, memoize),
+pub fn fig6_attention_row(gpu: &GpuConfig, label: &str, cfg: AttentionConfig) -> Row {
+    improvement_row(label.to_owned(), &fig6_attention_modes(), |mode| {
+        run_attention(gpu, cfg, mode).total
     })
 }
 
@@ -356,19 +174,11 @@ pub fn fig6_sweep(gpu: &GpuConfig, opts: &SweepOptions, what: &str) -> SweepOutc
 pub const FIG7_BATCHES: [u32; 9] = [1, 4, 8, 12, 16, 20, 24, 28, 32];
 
 /// Runs one Fig. 7 row (all conv policies at one `(channels, batch)`).
-pub fn fig7_row(
-    gpu: &GpuConfig,
-    channels: u32,
-    pq: u32,
-    batch: u32,
-    convs: u32,
-    memoize: Memoize,
-) -> Row {
+pub fn fig7_row(gpu: &GpuConfig, channels: u32, pq: u32, batch: u32, convs: u32) -> Row {
     improvement_row(
         format!("{channels}, {batch}"),
         &SyncMode::conv_policies(),
-        memoize,
-        |mode| run_conv_layer(gpu, batch, pq, channels, convs, mode),
+        |mode| run_conv_layer(gpu, batch, pq, channels, convs, mode).total,
     )
 }
 
@@ -384,17 +194,6 @@ pub fn fig7_jobs(channels: &[u32], convs: u32) -> Vec<(u32, u32, u32, u32)> {
     jobs
 }
 
-/// The full Fig. 7 sweep (all three panels), measured.
-pub fn fig7_sweep(gpu: &GpuConfig, opts: &SweepOptions) -> SweepOutcome {
-    let mut jobs = fig7_jobs(&[64, 128], 2);
-    jobs.extend(fig7_jobs(&[256, 512], 2));
-    jobs.extend(fig7_jobs(&[256, 512], 4));
-    let memoize = opts.memoize;
-    run_jobs(opts, jobs, |&(c, pq, b, convs)| {
-        fig7_row(gpu, c, pq, b, convs, memoize)
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Fig. 8 — end-to-end inference reductions
 // ---------------------------------------------------------------------------
@@ -405,121 +204,53 @@ pub fn fig8_llm_configs() -> Vec<(String, u32, u32)> {
     llm_config_grid()
 }
 
-/// Best improvement over StreamSync across `candidates`, accumulating the
-/// events and cells simulated into the caller's row accounting. The
-/// `Memoize` semantics mirror [`improvement_row`].
-fn best_improvement<F>(
-    candidates: &[SyncMode],
-    memoize: Memoize,
-    events: &mut u64,
-    cells: &mut usize,
-    run: F,
-) -> f64
+/// Best improvement over StreamSync across `candidates`.
+fn best_improvement<F>(candidates: &[SyncMode], run: F) -> f64
 where
-    F: Fn(SyncMode) -> (cusync_sim::SimTime, u64),
+    F: Fn(SyncMode) -> cusync_sim::SimTime,
 {
-    match memoize {
-        Memoize::Shared => {
-            let (base, base_ev) = run(SyncMode::StreamSync);
-            *events += base_ev;
-            *cells += 1;
-            candidates
-                .iter()
-                .map(|mode| {
-                    let (t, ev) = run(*mode);
-                    *events += ev;
-                    *cells += 1;
-                    improvement_pct(base, t)
-                })
-                .fold(f64::MIN, f64::max)
-        }
-        Memoize::PerCell => candidates
-            .iter()
-            .map(|mode| {
-                let (base, base_ev) = run(SyncMode::StreamSync);
-                let (t, ev) = run(*mode);
-                *events += base_ev + ev;
-                *cells += 2;
-                improvement_pct(base, t)
-            })
-            .fold(f64::MIN, f64::max),
-    }
+    let base = run(SyncMode::StreamSync);
+    candidates
+        .iter()
+        .map(|mode| improvement_pct(base, run(*mode)))
+        .fold(f64::MIN, f64::max)
 }
 
 /// Runs one Fig. 8a row: best attention policy per model.
-pub fn fig8_llm_row(
-    gpu: &GpuConfig,
-    label: &str,
-    tokens: u32,
-    cached: u32,
-    memoize: Memoize,
-) -> Row {
+pub fn fig8_llm_row(gpu: &GpuConfig, label: &str, tokens: u32, cached: u32) -> Row {
     let candidates = SyncMode::attention_policies();
-    let mut events = 0u64;
-    let mut cells = 0usize;
     let values = [GPT3, LLAMA]
         .into_iter()
         .map(|model| {
-            best_improvement(&candidates, memoize, &mut events, &mut cells, |mode| {
-                llm_step_report(gpu, model, tokens, cached, mode)
+            best_improvement(&candidates, |mode| {
+                llm_step_time(gpu, model, tokens, cached, mode)
             })
         })
         .collect();
     Row {
         label: label.to_owned(),
         values,
-        events,
-        cells,
     }
 }
 
 /// Runs one Fig. 8b row: best conv policy per vision model.
-pub fn fig8_vision_row(gpu: &GpuConfig, batch: u32, memoize: Memoize) -> Row {
+pub fn fig8_vision_row(gpu: &GpuConfig, batch: u32) -> Row {
     let candidates = [
         SyncMode::CuSync(PolicyKind::Row, OptFlags::WRT),
         SyncMode::CuSync(PolicyKind::Conv2DTile, OptFlags::WRT),
     ];
-    let mut events = 0u64;
-    let mut cells = 0usize;
     let values = [resnet38(), vgg19()]
         .into_iter()
         .map(|stages| {
-            best_improvement(&candidates, memoize, &mut events, &mut cells, |mode| {
-                vision_step_report(gpu, &stages, batch, mode)
+            best_improvement(&candidates, |mode| {
+                vision_step_time(gpu, &stages, batch, mode)
             })
         })
         .collect();
     Row {
         label: batch.to_string(),
         values,
-        events,
-        cells,
     }
-}
-
-/// The full Fig. 8 sweep (LLM and vision), measured. `what` filters like
-/// the binary's CLI: `llm`, `vision` or `all`.
-pub fn fig8_sweep(gpu: &GpuConfig, opts: &SweepOptions, what: &str) -> SweepOutcome {
-    enum Job {
-        Llm(String, u32, u32),
-        Vision(u32),
-    }
-    let mut jobs = Vec::new();
-    if what == "llm" || what == "all" {
-        for (label, tokens, cached) in fig8_llm_configs() {
-            jobs.push(Job::Llm(label, tokens, cached));
-        }
-    }
-    if what == "vision" || what == "all" {
-        for batch in FIG7_BATCHES {
-            jobs.push(Job::Vision(batch));
-        }
-    }
-    let memoize = opts.memoize;
-    run_jobs(opts, jobs, |job| match job {
-        Job::Llm(label, tokens, cached) => fig8_llm_row(gpu, label, *tokens, *cached, memoize),
-        Job::Vision(batch) => fig8_vision_row(gpu, *batch, memoize),
-    })
 }
 
 #[cfg(test)]
@@ -528,41 +259,15 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_order_and_engine() {
-        let opts = SweepOptions {
-            engine: EngineMode::Reference,
-            threads: 4,
-            memoize: Memoize::Shared,
-        };
-        let out = parallel_map(&opts, (0..64).collect::<Vec<_>>(), |i| {
-            assert_eq!(cusync_sim::default_engine_mode(), EngineMode::Reference);
+        // Workers run on their own threads' pooled sessions, which are
+        // always the Optimized engine: only it consults the price memos.
+        let gpu = GpuConfig::tesla_v100();
+        let out = parallel_map(4, (0..8).collect::<Vec<_>>(), |i| {
+            let report = run_mlp(&gpu, MlpModel::Gpt3, 1, SyncMode::StreamSync);
+            let memo = report.counters.mem_memo;
+            assert!(memo.hits + memo.misses > 0, "worker ran unmemoized");
             i * 2
         });
-        assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn memoized_and_per_cell_rows_agree_exactly() {
-        // The simulator is deterministic, so sharing the baseline cannot
-        // change any printed value.
-        let gpu = GpuConfig::tesla_v100();
-        let shared = fig6_mlp_row(&gpu, MlpModel::Gpt3, 64, Memoize::Shared);
-        let per_cell = fig6_mlp_row(&gpu, MlpModel::Gpt3, 64, Memoize::PerCell);
-        assert_eq!(shared.values, per_cell.values);
-        assert!(
-            shared.events < per_cell.events,
-            "sharing must simulate less"
-        );
-    }
-
-    #[test]
-    fn sweep_outcome_rates_are_consistent() {
-        let outcome = SweepOutcome {
-            rows: Vec::new(),
-            wall: Duration::from_secs(2),
-            events: 1_000_000,
-            cells: 10,
-        };
-        assert!((outcome.ns_per_event() - 2000.0).abs() < 1e-9);
-        assert!((outcome.events_per_sec() - 500_000.0).abs() < 1e-6);
+        assert_eq!(out, (0..8).map(|i| i * 2).collect::<Vec<_>>());
     }
 }

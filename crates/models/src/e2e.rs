@@ -5,7 +5,7 @@
 
 use cusync_sim::{GpuConfig, SimTime};
 
-use crate::allreduce::ring_allreduce_report;
+use crate::allreduce::ring_allreduce_time;
 use crate::attention::AttentionConfig;
 use crate::mlp::MlpModel;
 use crate::modes::SyncMode;
@@ -54,20 +54,7 @@ pub fn llm_step_time(
     cached: u32,
     mode: SyncMode,
 ) -> SimTime {
-    llm_step_report(gpu, model, tokens, cached, mode).0
-}
-
-/// [`llm_step_time`] plus the number of simulator events the step's
-/// component simulations handled, for the bench harness's
-/// ns-per-sim-event accounting.
-pub fn llm_step_report(
-    gpu: &GpuConfig,
-    model: LlmModel,
-    tokens: u32,
-    cached: u32,
-    mode: SyncMode,
-) -> (SimTime, u64) {
-    let attn_report = crate::run_attention(
+    let attn = crate::run_attention(
         gpu,
         AttentionConfig {
             hidden: model.hidden(),
@@ -75,24 +62,19 @@ pub fn llm_step_report(
             cached,
         },
         mode,
-    );
-    let mlp_report = crate::run_mlp(gpu, model.mlp, tokens, mode);
-    let attn = attn_report.total;
-    let mlp = mlp_report.total;
+    )
+    .total;
+    let mlp = crate::run_mlp(gpu, model.mlp, tokens, mode).total;
     // The two per-layer allreduces run as simulated ring collectives on
     // an MP_DEGREE-device cluster of this GPU; their cost is identical
     // across sync modes, which is exactly the Fig. 6 → Fig. 8 dilution.
-    let (ar, ar_events) =
-        ring_allreduce_report(gpu, tokens as u64 * model.hidden() as u64 * 2, MP_DEGREE);
+    let ar = ring_allreduce_time(gpu, tokens as u64 * model.hidden() as u64 * 2, MP_DEGREE);
     let per_layer = attn + mlp + ar + ar;
     let mut total = SimTime::ZERO;
     for _ in 0..model.layers {
         total += per_layer;
     }
-    (
-        total,
-        attn_report.sim_events + mlp_report.sim_events + ar_events,
-    )
+    total
 }
 
 /// Percentage reduction in end-to-end inference time over StreamSync
@@ -117,19 +99,7 @@ pub fn vision_step_time(
     batch: u32,
     mode: SyncMode,
 ) -> SimTime {
-    vision_step_report(gpu, stages, batch, mode).0
-}
-
-/// [`vision_step_time`] plus the number of simulator events handled, for
-/// the bench harness's ns-per-sim-event accounting.
-pub fn vision_step_report(
-    gpu: &GpuConfig,
-    stages: &[ConvStage],
-    batch: u32,
-    mode: SyncMode,
-) -> (SimTime, u64) {
     let mut total = SimTime::ZERO;
-    let mut events = 0u64;
     for stage in stages {
         let report = crate::run_conv_layer(
             gpu,
@@ -139,12 +109,11 @@ pub fn vision_step_report(
             stage.convs_per_layer,
             mode,
         );
-        events += report.sim_events;
         for _ in 0..stage.layers {
             total += report.total;
         }
     }
-    (total, events)
+    total
 }
 
 /// Percentage reduction in end-to-end vision inference time (Fig. 8b).

@@ -52,8 +52,8 @@ pub use attention::{
     ATTENTION_EDGES,
 };
 pub use e2e::{
-    llm_e2e_improvement, llm_step_report, llm_step_time, vision_e2e_improvement,
-    vision_step_report, vision_step_time, LlmModel, GPT3, LLAMA, MP_DEGREE,
+    llm_e2e_improvement, llm_step_time, vision_e2e_improvement, vision_step_time, LlmModel, GPT3,
+    LLAMA, MP_DEGREE,
 };
 pub use mlp::{
     build_mlp, build_mlp_mechanisms, compile_mlp, compile_mlp_mechanisms, mlp_improvement,

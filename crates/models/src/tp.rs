@@ -21,8 +21,9 @@
 //!
 //! Both schedules price the next-layer GEMM with the identical op stream
 //! (modulo the waits), so their difference measures synchronization
-//! granularity alone. `bench_pr3` sweeps the two across (workload, tokens,
-//! devices) into `BENCH_PR3.json`.
+//! granularity alone. `tests/bench_golden.rs` sweeps the two across
+//! (workload, tokens, devices) and checks the result against the committed
+//! `BENCH_PR3.json`.
 
 use std::sync::Arc;
 
@@ -368,12 +369,11 @@ mod tests {
         let cluster = ClusterConfig::dgx_v100(3);
         let cfg = tp_mlp(4096, 320);
         for schedule in [TpSchedule::Serialized, TpSchedule::Overlap] {
-            let opt = cusync_sim::with_engine_mode(cusync_sim::EngineMode::Optimized, || {
-                run_tp_layer(&cluster, cfg, schedule)
-            });
-            let reference = cusync_sim::with_engine_mode(cusync_sim::EngineMode::Reference, || {
-                run_tp_layer(&cluster, cfg, schedule)
-            });
+            let pipeline = compile_tp_layer(&cluster, cfg, schedule);
+            let opt = run_tp_layer(&cluster, cfg, schedule);
+            let reference = cusync_sim::Session::with_mode(cusync_sim::EngineMode::Reference)
+                .run(&pipeline)
+                .expect("TP layer deadlocked");
             assert_eq!(opt.kernels, reference.kernels, "{schedule:?}");
         }
     }

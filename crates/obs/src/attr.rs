@@ -15,8 +15,8 @@
 //! The *sync-wait share* — `(spin + gate_hold) / (capacity × makespan)` —
 //! is the quantity the paper's Figure 6 argument is about: fine-grained
 //! per-tile sync converts long gate holds (stream serialization) into
-//! short overlapped spins, shrinking the share. `BENCH_PR10.json` asserts
-//! that direction on the figure grid.
+//! short overlapped spins, shrinking the share. `tests/bench_golden.rs`
+//! asserts that direction on the figure grid of `BENCH_PR10.json`.
 
 use std::collections::HashMap;
 

@@ -41,7 +41,6 @@
 //!   free-capacity index, coalesced runs of non-synchronizing ops, and
 //!   dense per-semaphore wait-lists.
 
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
@@ -72,10 +71,12 @@ impl fmt::Display for StreamId {
 ///
 /// Both modes produce **identical** simulated timelines ([`RunReport`]
 /// kernel start/end times, traces, deadlock reports); they differ only in
-/// wall-clock cost. The default for new [`Gpu`]s and
-/// [`Session`](crate::Session)s is [`EngineMode::Optimized`]; use
-/// [`with_engine_mode`] to run a scope of code (e.g. a perf baseline
-/// sweep) on the reference engine.
+/// wall-clock cost. [`Gpu::new`], [`Session::new`](crate::Session::new)
+/// and [`Runtime::new`](crate::Runtime::new) always build
+/// [`EngineMode::Optimized`]; a Reference run names its mode through
+/// [`Gpu::with_mode`], [`Gpu::cluster_with_mode`],
+/// [`Session::with_mode`](crate::Session::with_mode) or
+/// [`Runtime::with_mode`](crate::Runtime::with_mode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineMode {
     /// The original O(kernels × SMs)-per-event engine, kept as the
@@ -94,34 +95,6 @@ impl fmt::Display for EngineMode {
             EngineMode::Optimized => write!(f, "optimized"),
         }
     }
-}
-
-thread_local! {
-    static DEFAULT_ENGINE: Cell<EngineMode> = const { Cell::new(EngineMode::Optimized) };
-}
-
-/// The engine mode [`Gpu::new`] will use on this thread.
-pub fn default_engine_mode() -> EngineMode {
-    DEFAULT_ENGINE.with(Cell::get)
-}
-
-/// Runs `f` with the thread's default engine mode set to `mode`, restoring
-/// the previous default afterwards. This is how harness code runs existing
-/// workload builders (which call [`Gpu::new`] internally) on a chosen
-/// engine without threading a parameter through every layer, and the only
-/// way to change the thread's default.
-pub fn with_engine_mode<R>(mode: EngineMode, f: impl FnOnce() -> R) -> R {
-    struct Restore(EngineMode);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            DEFAULT_ENGINE.with(|m| m.set(self.0));
-        }
-    }
-    // Restore on unwind too: a panicking closure (e.g. a failed test
-    // assertion inside a scoped Reference-mode run) must not leave the
-    // thread's default pinned to `mode`.
-    let _restore = Restore(DEFAULT_ENGINE.with(|m| m.replace(mode)));
-    f()
 }
 
 /// Payload-word tag of an inline `BlockResume` in an [`EventQueue`] key
@@ -2720,10 +2693,10 @@ impl fmt::Debug for Gpu {
 }
 
 impl Gpu {
-    /// Creates a GPU with the given hardware model, using the thread's
-    /// default [`EngineMode`] (see [`with_engine_mode`]).
+    /// Creates a GPU with the given hardware model on the
+    /// [`EngineMode::Optimized`] engine.
     pub fn new(config: GpuConfig) -> Self {
-        Gpu::with_mode(config, default_engine_mode())
+        Gpu::with_mode(config, EngineMode::Optimized)
     }
 
     /// Creates a GPU pinned to a specific engine implementation.
@@ -2731,8 +2704,8 @@ impl Gpu {
         Gpu::cluster_with_mode(ClusterConfig::single(config), mode)
     }
 
-    /// Creates a multi-device node from a [`ClusterConfig`], using the
-    /// thread's default [`EngineMode`]. Streams and semaphore arrays are
+    /// Creates a multi-device node from a [`ClusterConfig`] on the
+    /// [`EngineMode::Optimized`] engine. Streams and semaphore arrays are
     /// placed on devices with [`Gpu::create_stream_on`] /
     /// [`Gpu::alloc_sems_on`]; the single-GPU methods target device 0.
     ///
@@ -2760,7 +2733,7 @@ impl Gpu {
     /// # Ok::<(), cusync_sim::SimError>(())
     /// ```
     pub fn new_cluster(cluster: ClusterConfig) -> Self {
-        Gpu::cluster_with_mode(cluster, default_engine_mode())
+        Gpu::cluster_with_mode(cluster, EngineMode::Optimized)
     }
 
     /// Creates a multi-device node pinned to a specific engine
@@ -3501,25 +3474,6 @@ mod tests {
         let optimized = run(EngineMode::Optimized);
         assert_eq!(reference.kernels, optimized.kernels);
         assert_eq!(reference.sm_utilization, optimized.sm_utilization);
-    }
-
-    #[test]
-    fn scoped_engine_mode_sets_and_restores_default() {
-        assert_eq!(default_engine_mode(), EngineMode::Optimized);
-        let inner = with_engine_mode(EngineMode::Reference, || {
-            let gpu = Gpu::new(GpuConfig::toy(1));
-            gpu.engine_mode()
-        });
-        assert_eq!(inner, EngineMode::Reference);
-        assert_eq!(default_engine_mode(), EngineMode::Optimized);
-    }
-
-    #[test]
-    fn engine_mode_restored_after_panic_in_scope() {
-        let result =
-            std::panic::catch_unwind(|| with_engine_mode(EngineMode::Reference, || panic!("boom")));
-        assert!(result.is_err());
-        assert_eq!(default_engine_mode(), EngineMode::Optimized);
     }
 
     #[test]

@@ -85,9 +85,8 @@ mod trace;
 pub use config::{ClusterConfig, GpuConfig, MAX_OCCUPANCY, SM_CAPACITY_UNITS};
 pub use dim::Dim3;
 pub use engine::{
-    default_engine_mode, with_engine_mode, BlockedBlock, BuildError, BuildErrorKind,
-    DeadlockReport, EngineMode, Gpu, LaunchGate, LinkScale, PendingKernel, RunOutcome, RunResidue,
-    SimError, SmOccupancy, StreamId,
+    BlockedBlock, BuildError, BuildErrorKind, DeadlockReport, EngineMode, Gpu, LaunchGate,
+    LinkScale, PendingKernel, RunOutcome, RunResidue, SimError, SmOccupancy, StreamId,
 };
 pub use json::{json_escape, json_escape_into};
 pub use kernel::{BlockBody, BlockCtx, FixedKernel, FnKernel, IndexedKernel, KernelSource, Step};

@@ -31,8 +31,8 @@ use std::thread;
 use std::sync::OnceLock;
 
 use crate::engine::{
-    default_engine_mode, execute_with, EngineMode, Gpu, LinkScale, PipelineDesc, Programs,
-    RunOptions, RunOutcome, RunState, SimError,
+    execute_with, EngineMode, Gpu, LinkScale, PipelineDesc, Programs, RunOptions, RunOutcome,
+    RunState, SimError,
 };
 use crate::mem::GlobalMemory;
 use crate::sched::SchedPolicyRef;
@@ -291,10 +291,9 @@ impl Default for Session {
 }
 
 impl Session {
-    /// Creates a session using the thread's default [`EngineMode`] (see
-    /// [`crate::with_engine_mode`]).
+    /// Creates a session on the [`EngineMode::Optimized`] engine.
     pub fn new() -> Self {
-        Session::with_mode(default_engine_mode())
+        Session::with_mode(EngineMode::Optimized)
     }
 
     /// Creates a session pinned to a specific engine implementation.
@@ -446,21 +445,13 @@ thread_local! {
     static THREAD_SESSION: RefCell<Session> = RefCell::new(Session::new());
 }
 
-/// Runs `pipeline` on this thread's pooled [`Session`], creating it on
-/// first use and re-creating it if the thread's default [`EngineMode`]
-/// changed since (so [`crate::with_engine_mode`] scopes behave exactly as
-/// they do for [`Gpu::new`]).
+/// Runs `pipeline` on this thread's pooled [`EngineMode::Optimized`]
+/// [`Session`], creating it on first use.
 ///
 /// This is the convenience the one-shot model/bench helpers run on: every
 /// call after the first on a given thread reuses the warmed engine arenas.
 pub fn run_compiled(pipeline: &CompiledPipeline) -> Result<RunReport, SimError> {
-    THREAD_SESSION.with(|cell| {
-        let mut session = cell.borrow_mut();
-        if session.mode() != default_engine_mode() {
-            *session = Session::with_mode(default_engine_mode());
-        }
-        session.run(pipeline)
-    })
+    THREAD_SESSION.with(|cell| cell.borrow_mut().run(pipeline))
 }
 
 struct Job {
@@ -567,10 +558,10 @@ impl fmt::Debug for Runtime {
 }
 
 impl Runtime {
-    /// Creates a pool of `workers` sessions (at least one) using the
-    /// calling thread's default [`EngineMode`].
+    /// Creates a pool of `workers` sessions (at least one) on the
+    /// [`EngineMode::Optimized`] engine.
     pub fn new(workers: usize) -> Self {
-        Runtime::with_mode(default_engine_mode(), workers)
+        Runtime::with_mode(EngineMode::Optimized, workers)
     }
 
     /// Creates a pool pinned to a specific engine implementation.
@@ -884,10 +875,28 @@ mod tests {
         let pooled = run_compiled(&pipeline).unwrap();
         let dedicated = Session::new().run(&pipeline).unwrap();
         assert_eq!(pooled, dedicated);
-        // And respects engine-mode scopes.
-        let reference =
-            crate::with_engine_mode(EngineMode::Reference, || run_compiled(&pipeline).unwrap());
+        let reference = Session::with_mode(EngineMode::Reference)
+            .run(&pipeline)
+            .unwrap();
         assert_eq!(reference.kernels, pooled.kernels);
+    }
+
+    #[test]
+    fn new_constructors_build_the_optimized_engine() {
+        let optimized = EngineMode::Optimized;
+        assert_eq!(Gpu::new(quiet_config()).engine_mode(), optimized);
+        let cluster = crate::ClusterConfig::dgx_v100(2);
+        assert_eq!(Gpu::new_cluster(cluster).engine_mode(), optimized);
+        assert_eq!(Session::new().mode(), optimized);
+        assert_eq!(Runtime::new(1).mode(), optimized);
+        // Only the Optimized engine prices through its memos, so the
+        // pooled thread session must report lookups.
+        let counters = run_compiled(&two_kernel_pipeline()).unwrap().counters;
+        let lookups = |m: crate::MemoCount| m.hits + m.misses;
+        assert!(
+            lookups(counters.cycles_memo) + lookups(counters.mem_memo) > 0,
+            "{counters:?}"
+        );
     }
 
     #[test]

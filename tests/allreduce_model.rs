@@ -10,8 +10,8 @@
 //! either the interconnect calibration (`ClusterConfig::nvlink_ring`) or
 //! the ring kernel's op structure regressed.
 
-use cusync_models::{allreduce_time, ring_allreduce_report, ring_allreduce_time};
-use cusync_sim::{with_engine_mode, EngineMode, GpuConfig, SimTime};
+use cusync_models::{allreduce_time, launch_ring_allreduce, ring_allreduce_time};
+use cusync_sim::{ClusterConfig, EngineMode, Gpu, GpuConfig, RunReport, SimTime, StreamId};
 
 const TOLERANCE: f64 = 0.10;
 
@@ -71,21 +71,31 @@ fn oracle_structure_survives_in_the_simulation() {
 fn ring_time_is_engine_invariant() {
     let gpu = GpuConfig::tesla_v100();
     for (bytes, gpus) in [(1u64 << 20, 4u32), (8 << 20, 8), (64, 2)] {
-        let reference = with_engine_mode(EngineMode::Reference, || {
-            ring_allreduce_report(&gpu, bytes, gpus)
-        });
-        let optimized = with_engine_mode(EngineMode::Optimized, || {
-            ring_allreduce_report(&gpu, bytes, gpus)
-        });
+        let run = |mode: EngineMode| -> RunReport {
+            let mut node =
+                Gpu::cluster_with_mode(ClusterConfig::nvlink_ring(gpus, gpu.clone()), mode);
+            let streams: Vec<StreamId> = (0..gpus).map(|d| node.create_stream_on(d, 0)).collect();
+            launch_ring_allreduce(&mut node, "ar", bytes, &streams);
+            node.run().expect("ring allreduce cannot deadlock")
+        };
+        let reference = run(EngineMode::Reference);
+        let optimized = run(EngineMode::Optimized);
         assert_eq!(
-            reference.0, optimized.0,
-            "{bytes} bytes / {gpus} GPUs: spans must be bit-identical"
+            (&reference.kernels, reference.total),
+            (&optimized.kernels, optimized.total),
+            "{bytes} bytes / {gpus} GPUs: timelines must be bit-identical"
+        );
+        let start = optimized.kernels.iter().map(|k| k.start).min().unwrap();
+        assert_eq!(
+            optimized.total.saturating_sub(start),
+            ring_allreduce_time(&gpu, bytes, gpus),
+            "{bytes} bytes / {gpus} GPUs: the helper measures this span"
         );
         assert!(
-            optimized.1 <= reference.1,
+            optimized.sim_events <= reference.sim_events,
             "optimized engine should not handle more events ({} vs {})",
-            optimized.1,
-            reference.1
+            optimized.sim_events,
+            reference.sim_events
         );
     }
 }

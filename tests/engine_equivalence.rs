@@ -13,18 +13,18 @@ use std::sync::Arc;
 use cusync::SyncMechanism;
 use cusync::{CuStage, NoSync, OptFlags, SyncGraph, TileSync};
 use cusync_kernels::{GemmBuilder, GemmDims, InputDep, TileShape};
-use cusync_models::compile_tp_layer;
 use cusync_models::{
-    compile_attention_mechanisms, compile_conv_layer_mechanisms, compile_mlp_mechanisms,
+    compile_attention, compile_attention_mechanisms, compile_conv_layer,
+    compile_conv_layer_mechanisms, compile_mlp, compile_mlp_mechanisms, compile_tp_layer,
     ATTENTION_EDGES,
 };
 use cusync_models::{
-    run_attention, run_conv_layer, run_mlp, run_tp_layer, tp_attention, tp_mlp, AttentionConfig,
-    MlpModel, PolicyKind, SyncMode, TpSchedule,
+    run_conv_layer, run_mlp, tp_attention, tp_mlp, AttentionConfig, MlpModel, PolicyKind, SyncMode,
+    TpSchedule,
 };
 use cusync_sim::{
-    run_compiled, with_engine_mode, ClusterConfig, CompiledPipeline, DType, Dim3, EngineMode,
-    FixedKernel, Gpu, GpuConfig, LaunchGate, Op, RunReport, Session, SimError, SimTime,
+    ClusterConfig, CompiledPipeline, DType, Dim3, EngineMode, FixedKernel, Gpu, GpuConfig,
+    LaunchGate, Op, RunReport, Session, SimError, SimTime,
 };
 use proptest::prelude::*;
 
@@ -52,9 +52,16 @@ fn assert_reports_identical(reference: &RunReport, optimized: &RunReport, what: 
     );
 }
 
-fn both_modes<F: Fn() -> RunReport>(what: &str, run: F) {
-    let reference = with_engine_mode(EngineMode::Reference, &run);
-    let optimized = with_engine_mode(EngineMode::Optimized, &run);
+/// Runs `pipeline` on a fresh session of the given engine.
+fn run_on(engine: EngineMode, pipeline: &CompiledPipeline) -> RunReport {
+    Session::with_mode(engine)
+        .run(pipeline)
+        .expect("pipeline runs")
+}
+
+fn both_modes<F: Fn(EngineMode) -> RunReport>(what: &str, run: F) {
+    let reference = run(EngineMode::Reference);
+    let optimized = run(EngineMode::Optimized);
     assert_reports_identical(&reference, &optimized, what);
     assert!(
         optimized.sim_events <= reference.sim_events,
@@ -75,17 +82,13 @@ fn mlp_pipelines_are_engine_invariant() {
             SyncMode::CuSync(PolicyKind::Row, OptFlags::NONE),
             SyncMode::StreamK,
         ] {
-            both_modes(&format!("gpt3 mlp bs={bs} {mode}"), || {
-                run_mlp(&gpu, MlpModel::Gpt3, bs, mode)
+            both_modes(&format!("gpt3 mlp bs={bs} {mode}"), |engine| {
+                run_on(engine, &compile_mlp(&gpu, MlpModel::Gpt3, bs, mode))
             });
         }
-        both_modes(&format!("llama mlp bs={bs}"), || {
-            run_mlp(
-                &gpu,
-                MlpModel::Llama,
-                bs,
-                SyncMode::CuSync(PolicyKind::Strided, OptFlags::WRT),
-            )
+        let strided = SyncMode::CuSync(PolicyKind::Strided, OptFlags::WRT);
+        both_modes(&format!("llama mlp bs={bs}"), |engine| {
+            run_on(engine, &compile_mlp(&gpu, MlpModel::Llama, bs, strided))
         });
     }
 }
@@ -101,8 +104,8 @@ fn attention_chains_are_engine_invariant() {
             SyncMode::StreamSync,
             SyncMode::CuSync(PolicyKind::Strided, OptFlags::WRT),
         ] {
-            both_modes(&format!("attention {cfg:?} {mode}"), || {
-                run_attention(&gpu, cfg, mode)
+            both_modes(&format!("attention {cfg:?} {mode}"), |engine| {
+                run_on(engine, &compile_attention(&gpu, cfg, mode))
             });
         }
     }
@@ -117,8 +120,11 @@ fn conv_layers_are_engine_invariant() {
             SyncMode::StreamSync,
             SyncMode::CuSync(PolicyKind::Conv2DTile, OptFlags::WRT),
         ] {
-            both_modes(&format!("conv c={channels} b={batch} {mode}"), || {
-                run_conv_layer(&gpu, batch, pq, channels, 2, mode)
+            both_modes(&format!("conv c={channels} b={batch} {mode}"), |engine| {
+                run_on(
+                    engine,
+                    &compile_conv_layer(&gpu, batch, pq, channels, 2, mode),
+                )
             });
         }
     }
@@ -133,12 +139,10 @@ fn gated_pipelines_are_engine_invariant() {
     let gpu = GpuConfig::tesla_v100();
     // MLP: each uniform assignment plus the classic fine edge.
     for m in SyncMechanism::ALL {
-        both_modes(&format!("gpt3 mlp bs=256 mech={m}"), || {
-            run_compiled(
-                &compile_mlp_mechanisms(&gpu, MlpModel::Gpt3, 256, OptFlags::WRT, &[m])
-                    .expect("valid single-edge assignment"),
-            )
-            .expect("mlp mechanism run")
+        let pipeline = compile_mlp_mechanisms(&gpu, MlpModel::Gpt3, 256, OptFlags::WRT, &[m])
+            .expect("valid single-edge assignment");
+        both_modes(&format!("gpt3 mlp bs=256 mech={m}"), |engine| {
+            run_on(engine, &pipeline)
         });
     }
     // Attention: a deliberately mixed assignment — PDL off g1, fine
@@ -153,12 +157,10 @@ fn gated_pipelines_are_engine_invariant() {
     ];
     let cfg = AttentionConfig::prompt(12288, 512);
     for ms in [[SyncMechanism::Pdl; ATTENTION_EDGES], mixed] {
-        both_modes(&format!("attention mixed mech {ms:?}"), || {
-            run_compiled(
-                &compile_attention_mechanisms(&gpu, cfg, OptFlags::WRT, &ms)
-                    .expect("valid attention assignment"),
-            )
-            .expect("attention mechanism run")
+        let pipeline = compile_attention_mechanisms(&gpu, cfg, OptFlags::WRT, &ms)
+            .expect("valid attention assignment");
+        both_modes(&format!("attention mixed mech {ms:?}"), |engine| {
+            run_on(engine, &pipeline)
         });
     }
     // Conv chain: alternate PDL and fine sync along four convs.
@@ -167,13 +169,9 @@ fn gated_pipelines_are_engine_invariant() {
         SyncMechanism::TileSync,
         SyncMechanism::StreamSerial,
     ];
-    both_modes("conv chain mixed mech", || {
-        run_compiled(
-            &compile_conv_layer_mechanisms(&gpu, 4, 14, 256, 4, OptFlags::WRT, &chain)
-                .expect("valid chain assignment"),
-        )
-        .expect("conv mechanism run")
-    });
+    let pipeline = compile_conv_layer_mechanisms(&gpu, 4, 14, 256, 4, OptFlags::WRT, &chain)
+        .expect("valid chain assignment");
+    both_modes("conv chain mixed mech", |engine| run_on(engine, &pipeline));
 }
 
 /// Raw launch-gate semantics at the simulator level, checked under both
@@ -182,8 +180,8 @@ fn gated_pipelines_are_engine_invariant() {
 /// `AfterCompletionOf` consumer cannot start until the producer is done.
 #[test]
 fn launch_gate_semantics_are_engine_invariant() {
-    let scenario = || {
-        let mut gpu = Gpu::new(GpuConfig::toy(4));
+    let scenario = |engine: EngineMode| {
+        let mut gpu = Gpu::with_mode(GpuConfig::toy(4), engine);
         let grid_sem = gpu.alloc_sems("p.grid", 1, 0);
         let s1 = gpu.create_stream(0);
         let s2 = gpu.create_stream(0);
@@ -220,8 +218,8 @@ fn launch_gate_semantics_are_engine_invariant() {
         gpu.gate_launch(serial_consumer, LaunchGate::AfterCompletionOf(producer));
         gpu.run().unwrap()
     };
-    let reference = with_engine_mode(EngineMode::Reference, scenario);
-    let optimized = with_engine_mode(EngineMode::Optimized, scenario);
+    let reference = scenario(EngineMode::Reference);
+    let optimized = scenario(EngineMode::Optimized);
     assert_reports_identical(&reference, &optimized, "launch gates");
     let producer = reference.kernel("producer");
     let pdl = reference.kernel("pdl_consumer");
@@ -240,14 +238,17 @@ fn launch_gate_semantics_are_engine_invariant() {
 /// agree.
 #[test]
 fn functional_pipeline_is_engine_invariant() {
-    let scenario = || {
+    let scenario = |engine: EngineMode| {
         let tile = TileShape::new(8, 8, 8);
         let (m, h, k) = (16u32, 24u32, 16u32);
-        let mut gpu = Gpu::new(GpuConfig {
-            host_launch_gap: SimTime::ZERO,
-            kernel_dispatch_latency: SimTime::ZERO,
-            ..GpuConfig::toy(4)
-        });
+        let mut gpu = Gpu::with_mode(
+            GpuConfig {
+                host_launch_gap: SimTime::ZERO,
+                kernel_dispatch_latency: SimTime::ZERO,
+                ..GpuConfig::toy(4)
+            },
+            engine,
+        );
         let data = |len: usize| (0..len).map(|i| (i % 7) as f32 * 0.1).collect::<Vec<_>>();
         let x = gpu
             .mem_mut()
@@ -288,8 +289,8 @@ fn functional_pipeline_is_engine_invariant() {
         let values = gpu.mem().snapshot(out).unwrap().to_vec();
         (report, values)
     };
-    let (ref_report, ref_values) = with_engine_mode(EngineMode::Reference, scenario);
-    let (opt_report, opt_values) = with_engine_mode(EngineMode::Optimized, scenario);
+    let (ref_report, ref_values) = scenario(EngineMode::Reference);
+    let (opt_report, opt_values) = scenario(EngineMode::Optimized);
     assert_reports_identical(&ref_report, &opt_report, "functional mlp");
     assert_eq!(ref_report.races, 0);
     assert_eq!(ref_values, opt_values, "computed outputs must be identical");
@@ -299,13 +300,16 @@ fn functional_pipeline_is_engine_invariant() {
 /// same simulated time with the same blocked/pending sets.
 #[test]
 fn deadlock_reports_are_engine_invariant() {
-    let scenario = || {
-        let mut gpu = Gpu::new(GpuConfig {
-            host_launch_gap: SimTime::ZERO,
-            kernel_dispatch_latency: SimTime::ZERO,
-            block_jitter: 0.0,
-            ..GpuConfig::toy(4)
-        });
+    let scenario = |engine: EngineMode| {
+        let mut gpu = Gpu::with_mode(
+            GpuConfig {
+                host_launch_gap: SimTime::ZERO,
+                kernel_dispatch_latency: SimTime::ZERO,
+                block_jitter: 0.0,
+                ..GpuConfig::toy(4)
+            },
+            engine,
+        );
         let sem = gpu.alloc_sems("tile", 1, 0);
         let s1 = gpu.create_stream(0);
         let s2 = gpu.create_stream(1);
@@ -329,8 +333,8 @@ fn deadlock_reports_are_engine_invariant() {
         );
         gpu.run().unwrap_err()
     };
-    let reference = with_engine_mode(EngineMode::Reference, scenario);
-    let optimized = with_engine_mode(EngineMode::Optimized, scenario);
+    let reference = scenario(EngineMode::Reference);
+    let optimized = scenario(EngineMode::Optimized);
     assert_eq!(reference, optimized, "deadlock blocked/pending sets");
     let SimError::Deadlock(report) = reference else {
         panic!("expected a deadlock");
@@ -363,9 +367,10 @@ fn tensor_parallel_layers_are_engine_invariant() {
         let cluster = ClusterConfig::dgx_v100(devices);
         for schedule in [TpSchedule::Serialized, TpSchedule::Overlap] {
             for cfg in [tp_mlp(4096, 256), tp_attention(4096, 256)] {
+                let pipeline = compile_tp_layer(&cluster, cfg, schedule);
                 both_modes(
                     &format!("tp {cfg:?} devices={devices} {schedule:?}"),
-                    || run_tp_layer(&cluster, cfg, schedule),
+                    |engine| run_on(engine, &pipeline),
                 );
             }
         }
@@ -648,7 +653,7 @@ fn price_memos_hit_on_paper_cells() {
         }),
     ];
     for (what, run) in cells {
-        let report = with_engine_mode(EngineMode::Optimized, run);
+        let report = run();
         let c = report.counters;
         let events = c.kernel_ready_events
             + c.block_resume_events
@@ -669,7 +674,7 @@ fn price_memos_hit_on_paper_cells() {
                 count.hit_rate()
             );
         }
-        let again = with_engine_mode(EngineMode::Optimized, run);
+        let again = run();
         assert_eq!(again.counters, c, "{what}: counters are deterministic");
     }
 }

@@ -18,8 +18,8 @@ use cusync_models::{
     AttentionConfig, MlpModel, PolicyKind, SyncMode, TpSchedule,
 };
 use cusync_sim::{
-    with_engine_mode, ClusterConfig, CompiledPipeline, DType, Dim3, EngineMode, FixedKernel, Gpu,
-    GpuConfig, Op, RunReport, Runtime, Session, StreamId,
+    ClusterConfig, CompiledPipeline, DType, Dim3, EngineMode, FixedKernel, Gpu, GpuConfig, Op,
+    RunReport, Runtime, Session, StreamId,
 };
 use proptest::prelude::*;
 
@@ -50,19 +50,17 @@ fn assert_identical(fresh: &RunReport, reused: &RunReport, what: &str) {
 fn check_reuse<C, F>(what: &str, compile: C, fresh_gpu: F)
 where
     C: Fn() -> CompiledPipeline,
-    F: Fn() -> Gpu,
+    F: Fn(EngineMode) -> Gpu,
 {
     for mode in [EngineMode::Reference, EngineMode::Optimized] {
-        with_engine_mode(mode, || {
-            let pipeline = compile();
-            let mut session = Session::new();
-            for rep in 0..REPEATS {
-                let reused = session.run(&pipeline).expect("session run");
-                let mut gpu = fresh_gpu();
-                let fresh = gpu.run().expect("one-shot run");
-                assert_identical(&fresh, &reused, &format!("{what} [{mode}] rep {rep}"));
-            }
-        });
+        let pipeline = compile();
+        let mut session = Session::with_mode(mode);
+        for rep in 0..REPEATS {
+            let reused = session.run(&pipeline).expect("session run");
+            let mut gpu = fresh_gpu(mode);
+            let fresh = gpu.run().expect("one-shot run");
+            assert_identical(&fresh, &reused, &format!("{what} [{mode}] rep {rep}"));
+        }
     }
 }
 
@@ -80,8 +78,8 @@ fn mlp_session_reuse_is_bit_identical() {
         check_reuse(
             &format!("gpt3 mlp bs={bs} {mode}"),
             || compile_mlp(&gpu, MlpModel::Gpt3, bs, mode),
-            || {
-                let mut g = Gpu::new(gpu.clone());
+            |engine| {
+                let mut g = Gpu::with_mode(gpu.clone(), engine);
                 build_mlp(&mut g, MlpModel::Gpt3, bs, mode);
                 g
             },
@@ -92,8 +90,8 @@ fn mlp_session_reuse_is_bit_identical() {
     check_reuse(
         "llama mlp bs=512 strided",
         || compile_mlp(&gpu, MlpModel::Llama, 512, mode),
-        || {
-            let mut g = Gpu::new(gpu.clone());
+        |engine| {
+            let mut g = Gpu::with_mode(gpu.clone(), engine);
             build_mlp(&mut g, MlpModel::Llama, 512, mode);
             g
         },
@@ -106,8 +104,8 @@ fn streamk_session_reuse_is_bit_identical() {
     check_reuse(
         "gpt3 mlp bs=128 stream-k",
         || compile_mlp(&gpu, MlpModel::Gpt3, 128, SyncMode::StreamK),
-        || {
-            let mut g = Gpu::new(gpu.clone());
+        |engine| {
+            let mut g = Gpu::with_mode(gpu.clone(), engine);
             build_mlp(&mut g, MlpModel::Gpt3, 128, SyncMode::StreamK);
             g
         },
@@ -130,8 +128,8 @@ fn attention_session_reuse_is_bit_identical() {
         check_reuse(
             &format!("attention {cfg:?} {mode}"),
             || compile_attention(&gpu, cfg, mode),
-            || {
-                let mut g = Gpu::new(gpu.clone());
+            |engine| {
+                let mut g = Gpu::with_mode(gpu.clone(), engine);
                 build_attention(&mut g, cfg, mode);
                 g
             },
@@ -146,8 +144,8 @@ fn conv_session_reuse_is_bit_identical() {
     check_reuse(
         "conv c=128 b=4",
         || compile_conv_layer(&gpu, 4, 28, 128, 2, mode),
-        || {
-            let mut g = Gpu::new(gpu.clone());
+        |engine| {
+            let mut g = Gpu::with_mode(gpu.clone(), engine);
             build_conv_layer(&mut g, 4, 28, 128, 2, mode);
             g
         },
@@ -208,45 +206,43 @@ fn functional_memory_resets_between_session_runs() {
         out
     };
     for mode in [EngineMode::Reference, EngineMode::Optimized] {
-        with_engine_mode(mode, || {
-            let mut gpu = Gpu::new(config.clone());
-            let out = build(&mut gpu);
-            let pipeline = gpu.compile().unwrap();
-            // The compiled artifact stays poisoned-pristine.
-            assert!(pipeline.initial_mem().snapshot(out).unwrap()[0].is_nan());
+        let mut gpu = Gpu::with_mode(config.clone(), mode);
+        let out = build(&mut gpu);
+        let pipeline = gpu.compile().unwrap();
+        // The compiled artifact stays poisoned-pristine.
+        assert!(pipeline.initial_mem().snapshot(out).unwrap()[0].is_nan());
 
-            let mut session = Session::new();
-            let mut values: Option<Vec<f32>> = None;
-            let mut reports: Option<RunReport> = None;
-            for _ in 0..REPEATS {
-                let report = session.run(&pipeline).expect("functional run");
-                assert_eq!(
-                    report.races, 0,
-                    "[{mode}] poison must be rewritten each run"
-                );
-                let got = session.mem().snapshot(out).unwrap().to_vec();
-                assert!(got.iter().all(|v| !v.is_nan()));
-                match (&values, &reports) {
-                    (Some(v), Some(r)) => {
-                        assert_eq!(v, &got, "[{mode}] outputs drifted across reuse");
-                        assert_identical(r, &report, &format!("functional [{mode}]"));
-                    }
-                    _ => {
-                        values = Some(got);
-                        reports = Some(report);
-                    }
+        let mut session = Session::with_mode(mode);
+        let mut values: Option<Vec<f32>> = None;
+        let mut reports: Option<RunReport> = None;
+        for _ in 0..REPEATS {
+            let report = session.run(&pipeline).expect("functional run");
+            assert_eq!(
+                report.races, 0,
+                "[{mode}] poison must be rewritten each run"
+            );
+            let got = session.mem().snapshot(out).unwrap().to_vec();
+            assert!(got.iter().all(|v| !v.is_nan()));
+            match (&values, &reports) {
+                (Some(v), Some(r)) => {
+                    assert_eq!(v, &got, "[{mode}] outputs drifted across reuse");
+                    assert_identical(r, &report, &format!("functional [{mode}]"));
+                }
+                _ => {
+                    values = Some(got);
+                    reports = Some(report);
                 }
             }
-            // One-shot comparator.
-            let mut gpu = Gpu::new(config.clone());
-            let out2 = build(&mut gpu);
-            let fresh = gpu.run().unwrap();
-            assert_identical(&fresh, reports.as_ref().unwrap(), "functional vs one-shot");
-            assert_eq!(
-                gpu.mem().snapshot(out2).unwrap(),
-                values.as_deref().unwrap()
-            );
-        });
+        }
+        // One-shot comparator.
+        let mut gpu = Gpu::with_mode(config.clone(), mode);
+        let out2 = build(&mut gpu);
+        let fresh = gpu.run().unwrap();
+        assert_identical(&fresh, reports.as_ref().unwrap(), "functional vs one-shot");
+        assert_eq!(
+            gpu.mem().snapshot(out2).unwrap(),
+            values.as_deref().unwrap()
+        );
     }
 }
 
@@ -265,8 +261,8 @@ fn tensor_parallel_session_reuse_is_bit_identical() {
         check_reuse(
             &format!("tp {cfg:?} devices={devices} {schedule:?}"),
             || compile_tp_layer(&cluster, cfg, schedule),
-            || {
-                let mut g = Gpu::new_cluster(cluster.clone());
+            |engine| {
+                let mut g = Gpu::cluster_with_mode(cluster.clone(), engine);
                 build_tp_layer(&mut g, cfg, schedule);
                 g
             },
@@ -291,8 +287,8 @@ fn ring_allreduce_session_reuse_is_bit_identical() {
             build(&mut g);
             g.compile().expect("unrun cluster gpu")
         },
-        || {
-            let mut g = Gpu::new_cluster(cluster.clone());
+        |engine| {
+            let mut g = Gpu::cluster_with_mode(cluster.clone(), engine);
             build(&mut g);
             g
         },
@@ -412,19 +408,17 @@ proptest! {
     ) {
         let config = GpuConfig::toy(sms);
         for mode in [EngineMode::Reference, EngineMode::Optimized] {
-            with_engine_mode(mode, || {
-                let mut built = Gpu::new(config.clone());
-                random_workload(seed, &mut built);
-                let pipeline = built.compile().expect("unrun gpu");
-                let mut session = Session::new();
-                for _ in 0..2 {
-                    let reused = session.run(&pipeline).expect("session");
-                    let mut gpu = Gpu::new(config.clone());
-                    random_workload(seed, &mut gpu);
-                    let fresh = gpu.run().expect("fresh");
-                    prop_assert_eq!(&fresh, &reused);
-                }
-            });
+            let mut built = Gpu::with_mode(config.clone(), mode);
+            random_workload(seed, &mut built);
+            let pipeline = built.compile().expect("unrun gpu");
+            let mut session = Session::with_mode(mode);
+            for _ in 0..2 {
+                let reused = session.run(&pipeline).expect("session");
+                let mut gpu = Gpu::with_mode(config.clone(), mode);
+                random_workload(seed, &mut gpu);
+                let fresh = gpu.run().expect("fresh");
+                prop_assert_eq!(&fresh, &reused);
+            }
         }
     }
 }
