@@ -24,7 +24,7 @@
 //! Synchronization structure is a compile-time artifact: [`Pipeline`]
 //! freezes a built graph + kernel launches into a reusable
 //! `cusync_sim::CompiledPipeline`, executed any number of times through
-//! `cusync_sim::{Session, Runtime}` (the one-shot [`Gpu`](cusync_sim::Gpu)
+//! `cusync_sim::Session` (the one-shot [`Gpu`](cusync_sim::Gpu)
 //! flow below still works for single runs).
 //!
 //! ## Example

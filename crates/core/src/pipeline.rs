@@ -2,13 +2,13 @@
 //! kernel pipeline once, freeze it, run it many times.
 //!
 //! [`Pipeline::compile`] is the cusync-level face of the simulator's
-//! compile/execute split (see `cusync_sim::{CompiledPipeline, Session,
-//! Runtime}`): the closure gets a fresh [`Gpu`] to allocate buffers,
-//! bind a [`SyncGraph`](crate::SyncGraph) and launch instrumented
-//! kernels on — everything the one-shot flow did — and the result is an
-//! immutable [`CompiledPipeline`] in which the synthesized policies,
-//! semaphore layouts, wait-kernel injections and launch order are all
-//! frozen compile-time artifacts.
+//! compile/execute split (see `cusync_sim::{CompiledPipeline, Session}`):
+//! the closure gets a fresh [`Gpu`] to allocate buffers, bind a
+//! [`SyncGraph`](crate::SyncGraph) and launch instrumented kernels on —
+//! everything the one-shot flow did — and the result is an immutable
+//! [`CompiledPipeline`] in which the synthesized policies, semaphore
+//! layouts, wait-kernel injections and launch order are all frozen
+//! compile-time artifacts.
 
 use cusync_sim::{CompiledPipeline, Gpu, GpuConfig};
 
@@ -29,8 +29,7 @@ impl Pipeline {
     /// [`SyncGraph`](crate::SyncGraph), and launch kernels (possibly via
     /// [`BoundGraph::launch`](crate::BoundGraph::launch), which injects
     /// wait-kernels). Nothing is executed; the frozen artifact can then
-    /// be run any number of times through `cusync_sim::Session` /
-    /// `cusync_sim::Runtime`.
+    /// be run any number of times through `cusync_sim::Session`.
     ///
     /// # Errors
     ///

@@ -463,7 +463,7 @@ fn build_attention_inner(
 
 /// Compiles one attention chain into an immutable, reusable
 /// [`CompiledPipeline`]: build once, run any number of times through a
-/// [`Session`](cusync_sim::Session) or [`Runtime`](cusync_sim::Runtime).
+/// [`Session`](cusync_sim::Session).
 pub fn compile_attention(
     gpu_cfg: &GpuConfig,
     cfg: AttentionConfig,

@@ -269,7 +269,7 @@ fn build_mlp_inner(gpu: &mut Gpu, model: MlpModel, bs: u32, launch: MlpLaunch<'_
 
 /// Compiles one MLP block into an immutable, reusable
 /// [`CompiledPipeline`]: build once, run any number of times through a
-/// [`Session`](cusync_sim::Session) or [`Runtime`](cusync_sim::Runtime).
+/// [`Session`](cusync_sim::Session).
 pub fn compile_mlp(
     gpu_cfg: &GpuConfig,
     model: MlpModel,

@@ -276,8 +276,8 @@ pub fn build_tp_layer(gpu: &mut Gpu, cfg: TpLayerConfig, schedule: TpSchedule) {
 
 /// Compiles one tensor-parallel layer into an immutable, reusable
 /// [`CompiledPipeline`] — the session layer is device-count-agnostic, so
-/// a multi-device pipeline runs through the same `Session`/`Runtime`
-/// machinery as a single-GPU one.
+/// a multi-device pipeline runs through the same `Session` machinery as
+/// a single-GPU one.
 pub fn compile_tp_layer(
     cluster: &ClusterConfig,
     cfg: TpLayerConfig,

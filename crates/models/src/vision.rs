@@ -302,7 +302,7 @@ fn build_conv_inner(
 
 /// Compiles one conv layer into an immutable, reusable
 /// [`CompiledPipeline`]: build once, run any number of times through a
-/// [`Session`](cusync_sim::Session) or [`Runtime`](cusync_sim::Runtime).
+/// [`Session`](cusync_sim::Session).
 pub fn compile_conv_layer(
     gpu_cfg: &GpuConfig,
     batch: u32,

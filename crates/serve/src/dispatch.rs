@@ -953,8 +953,8 @@ impl<'a> Sim<'a> {
     }
 
     /// A worker panic kills the in-flight batch (partial work wasted, the
-    /// burned device time stays charged) but the device survives —
-    /// mirroring the simulator's `WorkerPanic` recovery semantics.
+    /// burned device time stays charged) but the device survives and
+    /// keeps serving.
     fn handle_panic_inject(&mut self, now: SimTime, device: usize) {
         if !self.alive[device] || self.busy[device].is_none() {
             return; // nothing running to kill

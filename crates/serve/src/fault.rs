@@ -3,8 +3,8 @@
 //! A [`FaultPlan`] schedules hardware misbehaviour at fixed virtual-time
 //! instants: device dropout (the device vanishes mid-horizon and its
 //! in-flight requests are re-routed across the survivors), worker panics
-//! (the in-flight batch is lost and re-executed from scratch, mirroring
-//! the simulator's `WorkerPanic` recovery path), and link degradation
+//! (the in-flight batch is lost and re-executed from scratch on a device
+//! that keeps serving), and link degradation
 //! (subsequent batches are priced with `LinkSend` wire time scaled by a
 //! [`LinkScale`]). Because the plan is plain data and every injection
 //! lands at a fixed instant, a faulted serve run is exactly as

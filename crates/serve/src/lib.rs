@@ -1,7 +1,7 @@
 //! # cusync-serve: a simulated multi-tenant inference service
 //!
 //! The ROADMAP's north star is *serving heavy traffic*; this crate builds
-//! that layer on top of the compile → session → runtime stack. It turns
+//! that layer on top of the compile → session stack. It turns
 //! the repository's compiled pipelines into a **deterministic,
 //! virtual-clock serving simulation**:
 //!
@@ -49,8 +49,8 @@
 //! *continuous batching* re-forms the running batch at every decode-step
 //! boundary — finished sequences leave, queued requests join mid-run, and
 //! each sequence grows a paged KV-cache allocation from a per-device
-//! block pool ([`KvPool`](cusync_sim::KvPool)) carved out of the
-//! simulated GPU's DRAM. Memory pressure evicts retained pages, then
+//! block pool ([`KvPool`]) carved out of the simulated GPU's DRAM.
+//! Memory pressure evicts retained pages, then
 //! preempts the youngest co-resident sequence for recompute; the report
 //! tracks tokens-per-second goodput and the token conservation law
 //! `tokens_generated = tokens_out + recomputed_tokens`

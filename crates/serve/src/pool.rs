@@ -415,7 +415,7 @@ impl ServicePool {
         max_decode: u32,
         device: u32,
     ) -> SimTime {
-        let slot = self.model_of_device[device as usize];
+        let (_, slot) = self.shape_index(tenant, width, device);
         let key = (tenant, width, max_decode, slot);
         if let Some(&total) = self.lazy.borrow().static_decode.get(&key) {
             return total;
@@ -621,6 +621,18 @@ mod tests {
     #[should_panic(expected = "shape (tenant 0, width 1, device 1) was not warmed")]
     fn device_out_of_range_is_rejected() {
         two_tenant_pool().checkpoint(0, 1, 1, SimTime::ZERO, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "shape (tenant 1, width 1, device 1) was not warmed")]
+    fn static_decode_device_out_of_range_is_rejected() {
+        two_tenant_pool().static_decode_service(1, 1, 4, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "shape (tenant 2, width 1, device 0) was not warmed")]
+    fn static_decode_tenant_out_of_range_is_rejected() {
+        two_tenant_pool().static_decode_service(2, 1, 4, 0);
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub struct GpuConfig {
     /// ~6us kernel invocation time the paper measures (Section V-E1).
     pub kernel_dispatch_latency: SimTime,
     /// Block-issue ordering of this device's work distributor (see
-    /// [`crate::sched`]). The default, [`SchedPolicyKind::Fifo`], is the
+    /// [`SchedPolicy`](crate::SchedPolicy)). The default, [`SchedPolicyKind::Fifo`], is the
     /// launch-order behaviour the paper observed on Volta/Ampere and the
     /// only ordering preserving the seed engine's bit-identical
     /// timelines; the others explore the schedule space. Multi-device

@@ -19,8 +19,7 @@
 //! [`Gpu`] remains the one-shot convenience wrapper: it owns one
 //! `PipelineDesc` under construction plus one `RunState`, and
 //! [`Gpu::run`] drives them through `execute` exactly once. Reusable
-//! execution lives in [`Session`](crate::Session) /
-//! [`Runtime`](crate::Runtime).
+//! execution lives in [`Session`](crate::Session).
 //!
 //! The simulated semantics are unchanged from the original engine:
 //! thread blocks issue onto SM slots in kernel launch order — the
@@ -71,12 +70,10 @@ impl fmt::Display for StreamId {
 ///
 /// Both modes produce **identical** simulated timelines ([`RunReport`]
 /// kernel start/end times, traces, deadlock reports); they differ only in
-/// wall-clock cost. [`Gpu::new`], [`Session::new`](crate::Session::new)
-/// and [`Runtime::new`](crate::Runtime::new) always build
-/// [`EngineMode::Optimized`]; a Reference run names its mode through
-/// [`Gpu::with_mode`], [`Gpu::cluster_with_mode`],
-/// [`Session::with_mode`](crate::Session::with_mode) or
-/// [`Runtime::with_mode`](crate::Runtime::with_mode).
+/// wall-clock cost. [`Gpu::new`] and [`Session::new`](crate::Session::new)
+/// always build [`EngineMode::Optimized`]; a Reference run names its mode
+/// through [`Gpu::with_mode`], [`Gpu::cluster_with_mode`] or
+/// [`Session::with_mode`](crate::Session::with_mode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineMode {
     /// The original O(kernels × SMs)-per-event engine, kept as the
@@ -575,22 +572,6 @@ pub enum SimError {
     /// A kernel builder rejected its inputs (surfaced here so pipeline
     /// assembly code can use one error type end to end).
     Build(BuildError),
-    /// A [`Runtime`](crate::Runtime) worker disappeared before the
-    /// submitted pipeline produced a report (the pool was dropped or a
-    /// worker panicked).
-    RuntimeShutdown,
-    /// The submitted pipeline panicked while executing on a
-    /// [`Runtime`](crate::Runtime) worker. The payload is the panic
-    /// message; the worker survives (it replaces its possibly-poisoned
-    /// session) and keeps serving subsequent submissions.
-    WorkerPanic(String),
-    /// A [`Runtime`](crate::Runtime) worker produced no result within the
-    /// deadline passed to [`Ticket::wait_deadline`](crate::Ticket) — the
-    /// worker died outside the panic path (e.g. the OS killed its thread)
-    /// or is wedged. Unlike [`SimError::RuntimeShutdown`] the submission
-    /// channel is still open, so a later wait may yet observe a result if
-    /// the worker recovers.
-    WorkerLost,
 }
 
 impl From<BuildError> for SimError {
@@ -607,18 +588,6 @@ impl fmt::Display for SimError {
                 write!(f, "Gpu::run may only be called once per Gpu")
             }
             SimError::Build(e) => write!(f, "{e}"),
-            SimError::RuntimeShutdown => {
-                write!(f, "runtime worker pool shut down before the run completed")
-            }
-            SimError::WorkerPanic(msg) => {
-                write!(f, "pipeline panicked on a runtime worker: {msg}")
-            }
-            SimError::WorkerLost => {
-                write!(
-                    f,
-                    "runtime worker produced no result within the wait deadline"
-                )
-            }
         }
     }
 }
@@ -628,10 +597,7 @@ impl std::error::Error for SimError {
         match self {
             SimError::Build(e) => Some(e),
             SimError::Deadlock(report) => Some(report.as_ref()),
-            SimError::AlreadyRan
-            | SimError::RuntimeShutdown
-            | SimError::WorkerPanic(_)
-            | SimError::WorkerLost => None,
+            SimError::AlreadyRan => None,
         }
     }
 }
@@ -2640,17 +2606,16 @@ impl Exec<'_> {
 
 /// The simulated GPU: hardware model, memory, streams, and event loop,
 /// packaged as a **one-shot** convenience. `Gpu` is now a thin wrapper
-/// over the compile/execute split: it owns one [`PipelineDesc`] under
-/// construction plus one [`RunState`], and [`Gpu::run`] drives them
-/// through the shared engine exactly once.
+/// over the compile/execute split: it owns one pipeline description under
+/// construction plus one run state, and [`Gpu::run`] drives them through
+/// the shared engine exactly once.
 ///
 /// **Note (session layer):** for repeated execution of the same workload,
 /// finish building, call [`Gpu::compile`] to freeze a
 /// [`CompiledPipeline`](crate::CompiledPipeline), and run it any number of
-/// times through a [`Session`](crate::Session) (or concurrently through a
-/// [`Runtime`](crate::Runtime)). `Gpu::new` + `Gpu::run` remain supported
-/// for single runs, but new code with any reuse should prefer the session
-/// API.
+/// times through a [`Session`](crate::Session). `Gpu::new` + `Gpu::run`
+/// remain supported for single runs, but new code with any reuse should
+/// prefer the session API.
 ///
 /// # Examples
 ///
@@ -2962,12 +2927,6 @@ impl Gpu {
     /// The recorded trace (empty unless [`Gpu::enable_trace`] was called).
     pub fn trace(&self) -> &[TraceEvent] {
         &self.st.trace
-    }
-
-    /// Heap events handled so far (a measure of simulation work, reported
-    /// as [`RunReport::sim_events`]).
-    pub fn events_handled(&self) -> u64 {
-        self.st.events_handled
     }
 
     /// Runs all launched kernels to completion.

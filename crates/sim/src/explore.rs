@@ -18,9 +18,10 @@
 //!   issues exactly each kernel's grid (a permutation of its blocks).
 //! - **Functional determinism** — all runs that complete agree on the
 //!   functional outcome: bit-identical final memory
-//!   ([`GlobalMemory::fingerprint`]), race counts and semaphore post
-//!   totals; correct synchronization makes results schedule-*independent*
-//!   even though timelines are schedule-dependent.
+//!   ([`GlobalMemory::fingerprint`](crate::GlobalMemory::fingerprint)),
+//!   race counts and semaphore post totals; correct synchronization makes
+//!   results schedule-*independent* even though timelines are
+//!   schedule-dependent.
 //! - **Classified failures** — a run that stalls must produce a
 //!   [`DeadlockReport`] that actually names the wait cycle (blocked
 //!   blocks, polled semaphores, starved kernels), not an opaque hang.
@@ -29,19 +30,14 @@
 //!   [`Expectation::Deadlocks`] for adversarial ones (wait-kernel
 //!   disabled on a downscaled GPU).
 //!
-//! The optional cross-engine check re-runs every schedule on the other
-//! [`EngineMode`] and demands bit-identical reports: the ref ↔ opt
-//! equivalence contract extended from one schedule to the whole space.
-//!
-//! Downscaled hardware variants (fewer SMs — the knob that turns benign
-//! schedules hostile by shrinking the capacity the spinners fight over)
-//! run through [`explore_scaled`], which rebuilds the pipeline per
-//! variant via a caller-supplied builder.
+//! Sweeps run on the [`EngineMode::Optimized`] engine. The optional
+//! cross-engine check re-runs every schedule on [`EngineMode::Reference`]
+//! and demands bit-identical reports: the ref ↔ opt equivalence contract
+//! extended from one schedule to the whole space.
 
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::config::ClusterConfig;
 use crate::engine::{DeadlockReport, EngineMode, SimError};
 use crate::session::{CompiledPipeline, Session};
 use crate::stats::RunReport;
@@ -68,12 +64,10 @@ pub struct ExploreConfig {
     /// Schedules to run, in order. The first entry is the baseline the
     /// functional-determinism check compares against.
     pub schedules: Vec<SchedPolicyKind>,
-    /// Engine the sweep runs on.
-    pub mode: EngineMode,
     /// Outcome assertion (see [`Expectation`]).
     pub expectation: Expectation,
-    /// Re-run every schedule on the other engine and require bit-identical
-    /// reports and final memory.
+    /// Re-run every schedule on the Reference engine and require
+    /// bit-identical reports and final memory.
     pub cross_check_modes: bool,
 }
 
@@ -93,7 +87,6 @@ impl ExploreConfig {
         }));
         ExploreConfig {
             schedules,
-            mode: EngineMode::Optimized,
             expectation: Expectation::Either,
             cross_check_modes: false,
         }
@@ -108,12 +101,6 @@ impl ExploreConfig {
     /// Enables the cross-engine bit-identity check.
     pub fn cross_checked(mut self) -> Self {
         self.cross_check_modes = true;
-        self
-    }
-
-    /// Pins the sweep's engine mode.
-    pub fn on_mode(mut self, mode: EngineMode) -> Self {
-        self.mode = mode;
         self
     }
 }
@@ -402,7 +389,7 @@ fn check_trace(
 /// [`ExploreSummary::violations`].
 pub fn explore(pipeline: &CompiledPipeline, cfg: &ExploreConfig) -> ExploreSummary {
     let mut summary = ExploreSummary::default();
-    let mut session = Session::with_mode(cfg.mode);
+    let mut session = Session::new();
     session.enable_trace();
     let grids: Vec<crate::Dim3> = pipeline.kernel_grids().collect();
     // Baseline functional outcome of the first completed schedule: final
@@ -472,13 +459,7 @@ pub fn explore(pipeline: &CompiledPipeline, cfg: &ExploreConfig) -> ExploreSumma
             }
         };
         if cfg.cross_check_modes {
-            cross_check(
-                pipeline,
-                schedule,
-                cfg.mode,
-                &outcome,
-                &mut summary.violations,
-            );
+            cross_check(pipeline, schedule, &outcome, &mut summary.violations);
         }
         summary.results.push(ScheduleResult { schedule, outcome });
     }
@@ -509,20 +490,15 @@ pub fn explore(pipeline: &CompiledPipeline, cfg: &ExploreConfig) -> ExploreSumma
     summary
 }
 
-/// Re-runs `schedule` on the other engine and demands a bit-identical
+/// Re-runs `schedule` on the Reference engine and demands a bit-identical
 /// outcome — the ref ↔ opt equivalence contract, enforced per schedule.
 fn cross_check(
     pipeline: &CompiledPipeline,
     schedule: SchedPolicyKind,
-    mode: EngineMode,
     outcome: &ScheduleOutcome,
     violations: &mut Vec<String>,
 ) {
-    let other = match mode {
-        EngineMode::Reference => EngineMode::Optimized,
-        EngineMode::Optimized => EngineMode::Reference,
-    };
-    let mut session = Session::with_mode(other);
+    let mut session = Session::with_mode(EngineMode::Reference);
     session.set_sched(Some(schedule.instantiate()));
     match (session.run(pipeline), outcome) {
         (
@@ -542,25 +518,25 @@ fn cross_check(
                 || report.sm_utilization.to_bits() != expected.sm_utilization.to_bits()
             {
                 violations.push(format!(
-                    "{schedule}: {other} engine timeline diverged from {mode}",
+                    "{schedule}: reference engine timeline diverged from optimized",
                 ));
             }
             if session.mem().fingerprint() != *mem_fingerprint {
                 violations.push(format!(
-                    "{schedule}: {other} engine final memory diverged from {mode}",
+                    "{schedule}: reference engine final memory diverged from optimized",
                 ));
             }
         }
         (Err(SimError::Deadlock(report)), ScheduleOutcome::Deadlocked(expected)) => {
             if &report != expected {
                 violations.push(format!(
-                    "{schedule}: {other} engine deadlock report diverged from {mode}",
+                    "{schedule}: reference engine deadlock report diverged from optimized",
                 ));
             }
         }
         (got, _) => {
             violations.push(format!(
-                "{schedule}: engines disagree on the outcome ({mode} vs {other}: {})",
+                "{schedule}: engines disagree on the outcome (optimized vs reference: {})",
                 match got {
                     Ok(_) => "completed".to_owned(),
                     Err(e) => format!("{e}"),
@@ -568,55 +544,6 @@ fn cross_check(
             ));
         }
     }
-}
-
-/// `cluster` with every device's SM count divided by `divisor` (floored at
-/// one SM) — the downscaling knob that shrinks the capacity spinning
-/// blocks and unlaunched producers fight over.
-pub fn downscale_sms(cluster: &ClusterConfig, divisor: u32) -> ClusterConfig {
-    let mut scaled = cluster.clone();
-    for device in &mut scaled.devices {
-        device.num_sms = (device.num_sms / divisor.max(1)).max(1);
-    }
-    scaled
-}
-
-/// One hardware variant's sweep within [`explore_scaled`].
-#[derive(Debug, Clone)]
-pub struct ScaledExplore {
-    /// The SM-count divisor this variant ran with.
-    pub divisor: u32,
-    /// Its sweep summary.
-    pub summary: ExploreSummary,
-}
-
-/// Runs the `cfg` sweep across hardware variants: for each divisor the
-/// pipeline is rebuilt (grids and occupancies depend on the SM count)
-/// against [`downscale_sms`] of `base` and explored.
-///
-/// # Errors
-///
-/// Propagates the first builder failure; individual schedule outcomes
-/// never error (they land in the summaries).
-pub fn explore_scaled<B>(
-    build: B,
-    base: &ClusterConfig,
-    divisors: &[u32],
-    cfg: &ExploreConfig,
-) -> Result<Vec<ScaledExplore>, SimError>
-where
-    B: Fn(&ClusterConfig) -> Result<CompiledPipeline, SimError>,
-{
-    let mut out = Vec::with_capacity(divisors.len());
-    for &divisor in divisors {
-        let cluster = downscale_sms(base, divisor);
-        let pipeline = build(&cluster)?;
-        out.push(ScaledExplore {
-            divisor,
-            summary: explore(&pipeline, cfg),
-        });
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -706,55 +633,5 @@ mod tests {
         assert!(json.contains("\"SemStarver\""), "{json}");
         assert!(json.contains("SeededShuffle"), "{json}");
         assert!(json.contains("\"ok\": true"), "{json}");
-    }
-
-    #[test]
-    fn downscale_floors_at_one_sm() {
-        let base = crate::ClusterConfig::single(quiet_config(8));
-        assert_eq!(downscale_sms(&base, 2).devices[0].num_sms, 4);
-        assert_eq!(downscale_sms(&base, 100).devices[0].num_sms, 1);
-        assert_eq!(downscale_sms(&base, 0).devices[0].num_sms, 8);
-    }
-
-    #[test]
-    fn explore_scaled_rebuilds_per_variant() {
-        let base = crate::ClusterConfig::single(quiet_config(8));
-        let cfg = ExploreConfig::seeded(4, 3);
-        let sweeps = explore_scaled(
-            |cluster| {
-                let mut gpu = Gpu::new_cluster(cluster.clone());
-                let sem = gpu.alloc_sems("tiles", 1, 0);
-                let s1 = gpu.create_stream(0);
-                let s2 = gpu.create_stream(0);
-                gpu.launch(
-                    s1,
-                    Arc::new(FixedKernel::new(
-                        "producer",
-                        Dim3::linear(4),
-                        1,
-                        vec![Op::compute(50_000), Op::post(sem, 0)],
-                    )),
-                );
-                gpu.launch(
-                    s2,
-                    Arc::new(FixedKernel::new(
-                        "consumer",
-                        Dim3::linear(4),
-                        1,
-                        vec![Op::wait(sem, 0, 4), Op::compute(1_000)],
-                    )),
-                );
-                gpu.compile()
-            },
-            &base,
-            &[1, 4],
-            &cfg,
-        )
-        .unwrap();
-        assert_eq!(sweeps.len(), 2);
-        // Full capacity: everything fits, all schedules complete.
-        assert_eq!(sweeps[0].summary.deadlocked(), 0, "{}", sweeps[0].summary);
-        // Downscaled to 2 SMs: the spinners can wedge the machine.
-        assert!(sweeps[1].summary.deadlocked() >= 1, "{}", sweeps[1].summary);
     }
 }

@@ -32,13 +32,13 @@
 //! queues are deterministic, so identical inputs produce identical
 //! timelines on every run — policy comparisons are exactly noise-free.
 //!
-//! Execution follows a **compile → session → runtime** lifecycle: build a
-//! workload on a [`Gpu`], freeze it once into an immutable, shareable
+//! Execution follows a **compile → session** lifecycle: build a workload
+//! on a [`Gpu`], freeze it once into an immutable, shareable
 //! [`CompiledPipeline`] ([`Gpu::compile`]), then execute it any number of
-//! times through a reusable [`Session`] (allocation-free after warmup) or
-//! concurrently through a [`Runtime`] worker pool. [`Gpu::run`] remains
-//! the one-shot convenience over the same engine; repeated session runs
-//! are bit-identical to fresh one-shot runs (see `crates/sim/README.md`).
+//! times through a reusable [`Session`] (allocation-free after warmup).
+//! [`Gpu::run`] remains the one-shot convenience over the same engine;
+//! repeated session runs are bit-identical to fresh one-shot runs (see
+//! `crates/sim/README.md`).
 //!
 //! ## Example: two dependent kernels synchronized by a semaphore
 //!
@@ -98,7 +98,7 @@ pub use sched::{
     SeededShuffle, SemStarver,
 };
 pub use sem::{SemArrayId, SemTable};
-pub use session::{run_compiled, CompiledPipeline, Runtime, Session, Ticket};
+pub use session::{run_compiled, CompiledPipeline, Session};
 pub use stats::{EngineCounters, KernelReport, MemoCount, RunReport};
 pub use time::SimTime;
 pub use trace::{KernelId, TraceEvent};

@@ -105,8 +105,10 @@ impl SchedContext<'_> {
 /// A block-issue ordering policy: given the issuable kernels of one
 /// placement round, decides the order in which they compete for SM slots.
 ///
-/// See the [module docs](self) for the determinism contract and for which
-/// policies preserve the bit-identity contract with the original engine.
+/// Determinism contract: [`SchedPolicy::order`] must order the same *set*
+/// of candidates identically whatever their incoming order, and depend
+/// only on the [`SchedContext`]. Only [`Fifo`] preserves the bit-identity
+/// contract with the original engine's timelines.
 pub trait SchedPolicy: fmt::Debug + Send + Sync {
     /// Display name, used in exploration summaries and reports.
     fn name(&self) -> String;

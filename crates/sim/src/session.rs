@@ -1,4 +1,4 @@
-//! The compile → session → runtime lifecycle.
+//! The compile → session lifecycle.
 //!
 //! Synchronization structure — kernel registrations, semaphore layouts,
 //! launch gates, launch order — is a *compile-time* artifact: it never
@@ -9,14 +9,11 @@
 //!   by [`Gpu::compile`]: the pipeline description plus pristine copies of
 //!   initial memory and semaphores.
 //! - [`Session`] — a reusable execution engine. [`Session::run`] executes
-//!   any compiled pipeline against a pooled [`RunState`] whose arenas
+//!   any compiled pipeline against a pooled run state whose arenas
 //!   (event heaps, slabs, block programs, wait-lists) are *reset*, not
 //!   reallocated, between runs — so repeated runs of one pipeline are
 //!   allocation-free after warmup, and `AlreadyRan` disappears from the
-//!   happy path.
-//! - [`Runtime`] — a pool of worker threads, each owning one `Session`,
-//!   accepting concurrent pipeline submissions ([`Runtime::submit`]) for
-//!   the multi-tenant serving story.
+//!   happy path. [`run_compiled`] runs on a per-thread session.
 //!
 //! Determinism is preserved end to end: a `Session` re-run of a pipeline
 //! is bit-identical to a fresh [`Gpu`] run of the same workload, in both
@@ -24,10 +21,6 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread;
-
 use std::sync::OnceLock;
 
 use crate::engine::{
@@ -42,13 +35,12 @@ use crate::trace::TraceEvent;
 use crate::GpuConfig;
 
 /// An immutable, shareable, repeatedly-executable workload: the frozen
-/// [`PipelineDesc`] plus pristine initial memory and semaphore state.
+/// pipeline description plus pristine initial memory and semaphore state.
 ///
 /// Produced by [`Gpu::compile`] (or the higher-level
-/// `cusync::Pipeline::compile`); executed by [`Session::run`],
-/// [`run_compiled`], or a [`Runtime`] pool. A `CompiledPipeline` is
-/// `Send + Sync`, so one `Arc<CompiledPipeline>` can serve any number of
-/// concurrent sessions.
+/// `cusync::Pipeline::compile`); executed by [`Session::run`] or
+/// [`run_compiled`]. A `CompiledPipeline` is `Send + Sync`, so one
+/// `Arc<CompiledPipeline>` can serve sessions on any number of threads.
 ///
 /// # Examples
 ///
@@ -103,10 +95,9 @@ impl CompiledPipeline {
         self.desc.primary_config()
     }
 
-    /// The full cluster model the pipeline was compiled for. Sessions and
-    /// runtimes are device-count-agnostic: a compiled multi-device
-    /// pipeline runs through exactly the same [`Session::run`] /
-    /// [`Runtime::submit`] paths as a single-GPU one.
+    /// The full cluster model the pipeline was compiled for. Sessions are
+    /// device-count-agnostic: a compiled multi-device pipeline runs
+    /// through exactly the same [`Session::run`] path as a single-GPU one.
     pub fn cluster(&self) -> &crate::ClusterConfig {
         &self.desc.cluster
     }
@@ -217,7 +208,7 @@ impl CompiledPipeline {
 
     /// The pre-driven op programs, collected on first use against the
     /// pristine initial memory (emitters only read it) — once per
-    /// pipeline, then shared by every session and runtime worker.
+    /// pipeline, then shared by every session.
     fn programs(&self) -> &Programs {
         self.programs
             .get_or_init(|| self.desc.collect_programs(&self.mem))
@@ -250,7 +241,7 @@ impl Gpu {
     }
 }
 
-/// A reusable execution engine: one pooled [`RunState`] that any
+/// A reusable execution engine: one pooled run state that any
 /// [`CompiledPipeline`] can run on, any number of times.
 ///
 /// Between runs every per-run arena (event heap and slab, block slots,
@@ -454,221 +445,11 @@ pub fn run_compiled(pipeline: &CompiledPipeline) -> Result<RunReport, SimError> 
     THREAD_SESSION.with(|cell| cell.borrow_mut().run(pipeline))
 }
 
-struct Job {
-    pipeline: Arc<CompiledPipeline>,
-    reply: mpsc::Sender<Result<RunReport, SimError>>,
-}
-
-/// Best-effort extraction of a panic payload's message (the common `&str`
-/// and `String` payloads of `panic!`; anything else gets a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
-/// A handle to one pipeline submission on a [`Runtime`]; resolve it with
-/// [`Ticket::wait`].
-#[derive(Debug)]
-pub struct Ticket {
-    rx: mpsc::Receiver<Result<RunReport, SimError>>,
-}
-
-impl Ticket {
-    /// Blocks until the submitted run completes and returns its report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the run's [`SimError`], or [`SimError::RuntimeShutdown`]
-    /// if the worker pool disappeared before completing the run.
-    pub fn wait(self) -> Result<RunReport, SimError> {
-        self.rx.recv().unwrap_or(Err(SimError::RuntimeShutdown))
-    }
-
-    /// Like [`Ticket::wait`], but bounded: blocks at most `deadline` of
-    /// wall-clock time. A worker that died *outside* the panic path (the
-    /// OS killed its thread, or it is wedged in a runaway pipeline) never
-    /// sends a reply and never drops its channel — a plain
-    /// [`Ticket::wait`] on such a submission hangs forever. This variant
-    /// surfaces that as [`SimError::WorkerLost`] instead.
-    ///
-    /// The ticket stays valid after a timeout: a later wait still
-    /// observes the result if the worker was merely slow.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the run's [`SimError`]; [`SimError::WorkerLost`] if no
-    /// result arrived within `deadline`; [`SimError::RuntimeShutdown`] if
-    /// the worker pool disappeared before completing the run.
-    pub fn wait_deadline(&self, deadline: std::time::Duration) -> Result<RunReport, SimError> {
-        match self.rx.recv_timeout(deadline) {
-            Ok(result) => result,
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(SimError::WorkerLost),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(SimError::RuntimeShutdown),
-        }
-    }
-}
-
-/// A multi-tenant execution pool: `workers` OS threads, each owning one
-/// warmed [`Session`], draining a shared submission queue of
-/// `Arc<CompiledPipeline>`s.
-///
-/// This is the "serve heavy traffic" layer: compile each workload once,
-/// then submit it (and others) concurrently from any number of client
-/// threads. Every individual run is still fully deterministic — the pool
-/// only changes *wall-clock* scheduling, never simulated results.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use cusync_sim::{Dim3, FixedKernel, Gpu, GpuConfig, Op, Runtime};
-///
-/// let mut gpu = Gpu::new(GpuConfig::toy(4));
-/// let s = gpu.create_stream(0);
-/// gpu.launch(s, Arc::new(FixedKernel::new(
-///     "k", Dim3::linear(4), 1, vec![Op::compute(500)],
-/// )));
-/// let pipeline = Arc::new(gpu.compile()?);
-///
-/// let runtime = Runtime::new(2);
-/// let tickets: Vec<_> = (0..8).map(|_| runtime.submit(Arc::clone(&pipeline))).collect();
-/// for t in tickets {
-///     assert_eq!(t.wait()?.kernels[0].blocks, 4);
-/// }
-/// # Ok::<(), cusync_sim::SimError>(())
-/// ```
-pub struct Runtime {
-    tx: Option<mpsc::Sender<Job>>,
-    workers: Vec<thread::JoinHandle<()>>,
-    mode: EngineMode,
-}
-
-impl fmt::Debug for Runtime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Runtime")
-            .field("workers", &self.workers.len())
-            .field("mode", &self.mode)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Runtime {
-    /// Creates a pool of `workers` sessions (at least one) on the
-    /// [`EngineMode::Optimized`] engine.
-    pub fn new(workers: usize) -> Self {
-        Runtime::with_mode(EngineMode::Optimized, workers)
-    }
-
-    /// Creates a pool pinned to a specific engine implementation.
-    pub fn with_mode(mode: EngineMode, workers: usize) -> Self {
-        Runtime::with_mode_and_sched(mode, workers, None)
-    }
-
-    /// Creates a pool whose every worker session runs with the given
-    /// block-issue ordering override (`None` follows each submitted
-    /// pipeline's config policy).
-    pub fn with_mode_and_sched(
-        mode: EngineMode,
-        workers: usize,
-        sched: Option<SchedPolicyRef>,
-    ) -> Self {
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..workers.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let sched = sched.clone();
-                thread::spawn(move || {
-                    let mut session = Session::with_mode(mode);
-                    session.set_sched(sched.clone());
-                    loop {
-                        // Hold the lock only for the dequeue, not the run.
-                        let job = match rx.lock() {
-                            Ok(guard) => guard.recv(),
-                            Err(_) => break,
-                        };
-                        let Ok(job) = job else { break };
-                        // A panicking pipeline (a kernel body that panics)
-                        // must not kill the worker: queued jobs behind it
-                        // would then hang forever with their reply senders
-                        // parked in the submission queue. Catch it, surface
-                        // it on the ticket, and replace the session — the
-                        // unwound RunState may hold partial run state.
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            session.run(&job.pipeline)
-                        }))
-                        .unwrap_or_else(|payload| {
-                            session = Session::with_mode(mode);
-                            session.set_sched(sched.clone());
-                            Err(SimError::WorkerPanic(panic_message(payload.as_ref())))
-                        });
-                        // The client may have dropped its ticket; that is
-                        // not this worker's problem.
-                        let _ = job.reply.send(result);
-                    }
-                })
-            })
-            .collect();
-        Runtime {
-            tx: Some(tx),
-            workers,
-            mode,
-        }
-    }
-
-    /// Number of worker sessions in the pool.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// The engine implementation the pool's sessions run on.
-    pub fn mode(&self) -> EngineMode {
-        self.mode
-    }
-
-    /// Enqueues one run of `pipeline`; the returned [`Ticket`] resolves to
-    /// its [`RunReport`]. Submissions are picked up by whichever worker
-    /// frees first.
-    pub fn submit(&self, pipeline: Arc<CompiledPipeline>) -> Ticket {
-        let (reply, rx) = mpsc::channel();
-        let job = Job { pipeline, reply };
-        // The queue only closes in Drop, so send can fail only if every
-        // worker thread died; the ticket then resolves to RuntimeShutdown.
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(job);
-        }
-        Ticket { rx }
-    }
-
-    /// Submits every pipeline and waits for all of them, preserving order.
-    pub fn run_all<I>(&self, pipelines: I) -> Vec<Result<RunReport, SimError>>
-    where
-        I: IntoIterator<Item = Arc<CompiledPipeline>>,
-    {
-        let tickets: Vec<Ticket> = pipelines.into_iter().map(|p| self.submit(p)).collect();
-        tickets.into_iter().map(Ticket::wait).collect()
-    }
-}
-
-impl Drop for Runtime {
-    fn drop(&mut self) {
-        // Close the queue, then let every worker drain and exit.
-        self.tx.take();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Dim3, FixedKernel, Op, SimTime};
+    use std::sync::Arc;
 
     fn quiet_config() -> GpuConfig {
         GpuConfig {
@@ -888,7 +669,6 @@ mod tests {
         let cluster = crate::ClusterConfig::dgx_v100(2);
         assert_eq!(Gpu::new_cluster(cluster).engine_mode(), optimized);
         assert_eq!(Session::new().mode(), optimized);
-        assert_eq!(Runtime::new(1).mode(), optimized);
         // Only the Optimized engine prices through its memos, so the
         // pooled thread session must report lookups.
         let counters = run_compiled(&two_kernel_pipeline()).unwrap().counters;
@@ -897,19 +677,6 @@ mod tests {
             lookups(counters.cycles_memo) + lookups(counters.mem_memo) > 0,
             "{counters:?}"
         );
-    }
-
-    #[test]
-    fn runtime_pool_serves_concurrent_submissions() {
-        let pipeline = Arc::new(two_kernel_pipeline());
-        let serial = Session::new().run(&pipeline).unwrap();
-        let runtime = Runtime::new(3);
-        assert_eq!(runtime.workers(), 3);
-        let results = runtime.run_all((0..16).map(|_| Arc::clone(&pipeline)));
-        assert_eq!(results.len(), 16);
-        for r in results {
-            assert_eq!(r.unwrap(), serial, "pooled runs must be deterministic");
-        }
     }
 
     #[test]
@@ -1048,52 +815,5 @@ mod tests {
         session.set_link_scale(Some(LinkScale::times(8)));
         session.set_link_scale(None);
         assert_eq!(session.run(&pipeline).unwrap().total, healthy);
-    }
-
-    #[test]
-    fn wait_deadline_surfaces_lost_and_shutdown_workers() {
-        use std::time::Duration;
-        // A worker that died outside the panic path: the reply sender is
-        // parked forever but never dropped. `wait` would hang; the
-        // deadline variant surfaces WorkerLost and the ticket survives.
-        let (tx, rx) = mpsc::channel();
-        let ticket = Ticket { rx };
-        assert_eq!(
-            ticket.wait_deadline(Duration::from_millis(10)).unwrap_err(),
-            SimError::WorkerLost
-        );
-        // The worker recovers and replies: the same ticket resolves.
-        let pipeline = two_kernel_pipeline();
-        let report = Session::new().run(&pipeline).unwrap();
-        tx.send(Ok(report.clone())).unwrap();
-        assert_eq!(
-            ticket.wait_deadline(Duration::from_millis(10)).unwrap(),
-            report
-        );
-        // A dropped channel is a shutdown, not a lost worker.
-        drop(tx);
-        assert_eq!(
-            ticket.wait_deadline(Duration::from_millis(10)).unwrap_err(),
-            SimError::RuntimeShutdown
-        );
-        // And on a live pool the deadline path returns normal results.
-        let runtime = Runtime::new(1);
-        let t = runtime.submit(Arc::new(two_kernel_pipeline()));
-        assert!(t.wait_deadline(Duration::from_secs(30)).is_ok());
-    }
-
-    #[test]
-    fn dropped_runtime_resolves_tickets_to_shutdown() {
-        let pipeline = Arc::new(two_kernel_pipeline());
-        let ticket = {
-            let runtime = Runtime::new(1);
-            let t = runtime.submit(Arc::clone(&pipeline));
-            // Drop the runtime; the in-flight job still completes because
-            // Drop joins the workers after closing the queue.
-            drop(runtime);
-            t
-        };
-        // The job was accepted before the drop, so it resolves normally.
-        assert!(ticket.wait().is_ok());
     }
 }

@@ -3,7 +3,7 @@
 //! Derives a whole randomized multi-stage pipeline from one `u64` seed: a
 //! stage DAG (a chain plus random skip edges) over the paper's kernel
 //! archetypes (GeMM / Conv2D / SoftmaxDropout / elementwise cost shapes),
-//! with a random [`SyncPolicy`] per producer stage
+//! with a random [`SyncPolicy`](cusync::SyncPolicy) per producer stage
 //! ([`TileSync`] / [`RowSync`] / [`Conv2DTileSync`]; sinks get
 //! [`NoSync`]), random occupancies, and random device placement on a
 //! multi-GPU node (so dependence edges randomly cross the interconnect).

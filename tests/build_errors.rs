@@ -250,16 +250,8 @@ fn sim_error_display_and_source_cover_every_variant() {
         &build
     );
 
-    // The leaf variants have no source but still render actionably.
-    for (err, fragment) in [
-        (SimError::AlreadyRan, "once per Gpu"),
-        (SimError::RuntimeShutdown, "worker pool"),
-        (
-            SimError::WorkerPanic("kernel body exploded".into()),
-            "kernel body exploded",
-        ),
-    ] {
-        assert!(err.to_string().contains(fragment), "{err}");
-        assert!(err.source().is_none());
-    }
+    // The leaf variant has no source but still renders actionably.
+    let err = SimError::AlreadyRan;
+    assert!(err.to_string().contains("once per Gpu"), "{err}");
+    assert!(err.source().is_none());
 }

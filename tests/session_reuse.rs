@@ -6,9 +6,9 @@
 //! start/end timestamps, totals, race counts, semaphore post counts, the
 //! utilization float to the last bit), in both [`EngineMode`]s, across the
 //! paper's MLP / Attention / Conv / Stream-K scenarios, functional
-//! pipelines, and randomized kernel soups. It also covers the
-//! [`Runtime`] pool (scheduling may differ in wall-clock; simulated
-//! results may not) and the pristine-ness of the compiled artifact.
+//! pipelines, and randomized kernel soups. It also covers one session
+//! switching between single- and multi-device pipelines, and the
+//! pristine-ness of the compiled artifact.
 
 use std::sync::Arc;
 
@@ -19,7 +19,7 @@ use cusync_models::{
 };
 use cusync_sim::{
     ClusterConfig, CompiledPipeline, DType, Dim3, EngineMode, FixedKernel, Gpu, GpuConfig, Op,
-    RunReport, Runtime, Session, StreamId,
+    RunReport, Session, StreamId,
 };
 use proptest::prelude::*;
 
@@ -295,61 +295,77 @@ fn ring_allreduce_session_reuse_is_bit_identical() {
     );
 }
 
-/// The pooled `Runtime` serves multi-device pipelines like any other:
-/// repeated concurrent submissions resolve to the identical simulation.
-#[test]
-fn multi_device_runtime_pool_matches_serial_sessions() {
-    let cluster = ClusterConfig::dgx_v100(4);
-    let pipelines: Vec<Arc<CompiledPipeline>> = [TpSchedule::Serialized, TpSchedule::Overlap]
-        .into_iter()
-        .map(|s| Arc::new(compile_tp_layer(&cluster, tp_mlp(4096, 256), s)))
-        .collect();
-    let mut session = Session::new();
-    let serial: Vec<RunReport> = pipelines
-        .iter()
-        .map(|p| session.run(p).expect("serial run"))
-        .collect();
-    let runtime = Runtime::new(3);
-    let results = runtime.run_all((0..3).flat_map(|_| pipelines.iter().map(Arc::clone)));
-    for (i, result) in results.into_iter().enumerate() {
-        let report = result.expect("pooled run");
-        assert_identical(
-            &serial[i % pipelines.len()],
-            &report,
-            &format!("pooled multi-device submission {i}"),
-        );
+/// Runs an interleaved mix of `pipelines` on one shared session, `REPEATS`
+/// rounds, on both engines, and checks every run against the same
+/// pipeline's run on a fresh dedicated session.
+fn check_interleaved(pipelines: &[(String, CompiledPipeline)]) {
+    for mode in [EngineMode::Reference, EngineMode::Optimized] {
+        let fresh: Vec<RunReport> = pipelines
+            .iter()
+            .map(|(_, p)| Session::with_mode(mode).run(p).expect("fresh run"))
+            .collect();
+        let mut session = Session::with_mode(mode);
+        for round in 0..REPEATS {
+            for ((what, pipeline), expected) in pipelines.iter().zip(&fresh) {
+                let report = session.run(pipeline).expect("shared session run");
+                assert_identical(expected, &report, &format!("{what} [{mode}] round {round}"));
+            }
+        }
     }
 }
 
-/// A `Runtime` pool run is the same simulation as a serial session run.
-#[test]
-fn runtime_pool_matches_serial_sessions() {
+fn gpt3_mlp_pipelines() -> Vec<(String, CompiledPipeline)> {
     let gpu = GpuConfig::tesla_v100();
-    let modes = [
+    [
         SyncMode::StreamSync,
         SyncMode::CuSync(PolicyKind::Tile, cusync::OptFlags::WRT),
         SyncMode::StreamK,
-    ];
-    let pipelines: Vec<Arc<CompiledPipeline>> = modes
-        .iter()
-        .map(|&m| Arc::new(compile_mlp(&gpu, MlpModel::Gpt3, 64, m)))
-        .collect();
-    let mut session = Session::new();
-    let serial: Vec<RunReport> = pipelines
-        .iter()
-        .map(|p| session.run(p).expect("serial run"))
-        .collect();
-    let runtime = Runtime::new(3);
-    // Submit each pipeline several times, interleaved, from one client.
-    let results = runtime.run_all((0..3).flat_map(|_| pipelines.iter().map(Arc::clone)));
-    for (i, result) in results.into_iter().enumerate() {
-        let report = result.expect("pooled run");
-        assert_identical(
-            &serial[i % pipelines.len()],
-            &report,
-            &format!("pooled submission {i}"),
-        );
-    }
+    ]
+    .into_iter()
+    .map(|m| {
+        let what = format!("gpt3 mlp bs=64 {m}");
+        (what, compile_mlp(&gpu, MlpModel::Gpt3, 64, m))
+    })
+    .collect()
+}
+
+fn tp_mlp_pipelines() -> Vec<(String, CompiledPipeline)> {
+    let cluster = ClusterConfig::dgx_v100(4);
+    [TpSchedule::Serialized, TpSchedule::Overlap]
+        .into_iter()
+        .map(|schedule| {
+            (
+                format!("tp mlp devices=4 {schedule:?}"),
+                compile_tp_layer(&cluster, tp_mlp(4096, 256), schedule),
+            )
+        })
+        .collect()
+}
+
+/// Repeated, interleaved submissions of the GPT-3 MLP in several sync
+/// modes to one session resolve to the same simulation as serial runs on
+/// fresh sessions.
+#[test]
+fn runtime_pool_matches_serial_sessions() {
+    check_interleaved(&gpt3_mlp_pipelines());
+}
+
+/// Multi-device pipelines behave like any other: repeated, interleaved
+/// submissions of 4-device TP schedules to one session resolve to the
+/// same simulation as serial runs on fresh sessions.
+#[test]
+fn multi_device_runtime_pool_matches_serial_sessions() {
+    check_interleaved(&tp_mlp_pipelines());
+}
+
+/// One session switches freely between single-GPU and 4-device
+/// pipelines: every run of an interleaved mix is identical to the same
+/// pipeline's run on a fresh dedicated session, on both engines.
+#[test]
+fn one_session_interleaves_single_and_multi_device_pipelines() {
+    let mut pipelines = gpt3_mlp_pipelines();
+    pipelines.extend(tp_mlp_pipelines());
+    check_interleaved(&pipelines);
 }
 
 /// Builds a randomized multi-stream FixedKernel workload from `seed`:
@@ -421,74 +437,4 @@ proptest! {
             }
         }
     }
-}
-
-/// A kernel whose every block panics on its first resume — the worst-case
-/// tenant a multi-tenant [`Runtime`] can be handed.
-fn panicking_pipeline() -> CompiledPipeline {
-    use cusync_sim::{BlockBody, BlockCtx, FnKernel, Step};
-    struct Boom;
-    impl BlockBody for Boom {
-        fn resume(&mut self, _ctx: &mut BlockCtx<'_>) -> Step {
-            panic!("intentional test panic: kernel body exploded");
-        }
-    }
-    let mut gpu = Gpu::new(GpuConfig::toy(2));
-    let s = gpu.create_stream(0);
-    gpu.launch(
-        s,
-        Arc::new(FnKernel::new("boom", Dim3::linear(1), 1, |_| {
-            Box::new(Boom)
-        })),
-    );
-    gpu.compile().expect("unrun gpu")
-}
-
-fn healthy_pipeline() -> CompiledPipeline {
-    let mut gpu = Gpu::new(GpuConfig::toy(2));
-    let s = gpu.create_stream(0);
-    gpu.launch(
-        s,
-        Arc::new(FixedKernel::new(
-            "ok",
-            Dim3::linear(2),
-            1,
-            vec![Op::compute(1_000)],
-        )),
-    );
-    gpu.compile().expect("unrun gpu")
-}
-
-/// Runtime lifecycle: a pipeline that panics mid-run surfaces as
-/// [`SimError::WorkerPanic`] on its own ticket, while the worker survives
-/// to serve every job queued behind it — no hang, no lost tickets — and
-/// dropping the pool still joins cleanly.
-#[test]
-fn runtime_worker_panic_surfaces_as_error_not_hang() {
-    use cusync_sim::SimError;
-    let bad = Arc::new(panicking_pipeline());
-    let good = Arc::new(healthy_pipeline());
-    let baseline = Session::new().run(&good).expect("healthy pipeline runs");
-
-    // One worker: the panicking job is strictly ahead of the good ones in
-    // the queue, so the pre-fix behaviour (worker dies, queue never
-    // drains) would hang this test on the second ticket.
-    let runtime = Runtime::new(1);
-    let bad_ticket = runtime.submit(Arc::clone(&bad));
-    let good_tickets: Vec<_> = (0..4).map(|_| runtime.submit(Arc::clone(&good))).collect();
-
-    match bad_ticket.wait() {
-        Err(SimError::WorkerPanic(msg)) => {
-            assert!(msg.contains("intentional test panic"), "{msg}");
-        }
-        other => panic!("expected WorkerPanic, got {other:?}"),
-    }
-    for ticket in good_tickets {
-        let report = ticket.wait().expect("worker must survive the panic");
-        assert_identical(&baseline, &report, "post-panic worker session");
-    }
-    // Interleave once more, then drop: Drop joins the (alive) worker.
-    let t = runtime.submit(Arc::clone(&bad));
-    drop(runtime);
-    assert!(matches!(t.wait(), Err(SimError::WorkerPanic(_))));
 }
