@@ -1,6 +1,6 @@
-//! Ablation of the simulator's calibration decisions (DESIGN.md section 6):
-//! how sensitive is the headline result — the Table IV batch-256/512
-//! improvement and the policy ranking — to each model constant?
+//! Ablation of the simulator's calibration decisions: how sensitive is the
+//! headline result — the Table IV batch-256/512 improvement and the
+//! policy ranking — to each model constant?
 //!
 //! A reproduction whose conclusions flip when a calibrated constant moves
 //! by 2x would be fragile; this harness shows the cuSync-vs-StreamSync

@@ -9,7 +9,7 @@
 //!
 //! Split-K note: when a producer grid has `z > 1`, every z-slice of a tile
 //! posts once, so expected values are scaled by `grid.z` — the semantics of
-//! CUTLASS split-K accumulation, documented in DESIGN.md.
+//! CUTLASS split-K accumulation.
 
 use std::fmt;
 use std::sync::Arc;

@@ -14,7 +14,7 @@
 //! tile also needs the producer tiles holding its neighboring pixels
 //! (±((r-1)/2·q + (s-1)/2) flattened rows). The paper's single-tile wait
 //! under-synchronizes at tile boundaries; with halo-aware waits the
-//! functional checker proves the chain race-free (see DESIGN.md).
+//! functional checker proves the chain race-free.
 
 use std::sync::Arc;
 

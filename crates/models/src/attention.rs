@@ -18,7 +18,7 @@
 //!
 //! Attention runs timing-only: its constituent kernels are functionally
 //! verified in `cusync-kernels`, and the KV-cache concatenation makes the
-//! flattened buffer views non-functional by construction (see DESIGN.md).
+//! flattened buffer views non-functional by construction.
 
 use std::sync::Arc;
 

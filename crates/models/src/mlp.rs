@@ -31,7 +31,7 @@ pub enum MlpModel {
     /// LLaMA 65B: H = 8192, first two GeMMs combined into one producing
     /// `[gate | value]`, SwiGLU fused into the third (Fig. 3). The per-GPU
     /// intermediate width 22016/8 = 2752 is padded to 2816 so the gate and
-    /// value halves align to 256-wide tiles (see DESIGN.md).
+    /// value halves align to 256-wide tiles.
     Llama,
 }
 

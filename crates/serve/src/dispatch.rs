@@ -273,9 +273,9 @@ impl Server {
     /// # Panics
     ///
     /// Panics if the spec fails [`WorkloadSpec::validate`] (no tenants, a
-    /// zero queue capacity or weight, a non-finite or non-positive rate,
-    /// a clientless closed loop, a degenerate decode model) or if
-    /// `max_width` is zero.
+    /// zero horizon, a zero queue capacity or weight, a non-finite or
+    /// non-positive rate, a clientless closed loop, a degenerate decode
+    /// model) or if `max_width` is zero.
     pub fn new(spec: WorkloadSpec, cluster: &cusync_sim::ClusterConfig, max_width: u32) -> Self {
         if let Err(err) = spec.validate() {
             panic!("{err}");

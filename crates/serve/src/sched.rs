@@ -23,7 +23,8 @@ pub enum RequestSched {
 }
 
 impl RequestSched {
-    /// All built-in schedulers, the sweep axis of `serve_smoke`.
+    /// All built-in schedulers, the sweep axis of the `BENCH_PR5.json` and
+    /// `BENCH_PR6.json` documents.
     pub const ALL: [RequestSched; 3] = [
         RequestSched::Fifo,
         RequestSched::Edf,

@@ -26,6 +26,9 @@ use crate::zoo::ModelKind;
 pub enum WorkloadError {
     /// The spec has no tenants.
     NoTenants,
+    /// The horizon is zero, so every per-second rate would divide by
+    /// zero.
+    ZeroHorizon,
     /// A tenant's bounded queue has zero capacity.
     ZeroQueueCap {
         /// Offending tenant name.
@@ -62,6 +65,7 @@ impl fmt::Display for WorkloadError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WorkloadError::NoTenants => f.write_str("a workload needs tenants"),
+            WorkloadError::ZeroHorizon => f.write_str("a workload needs a horizon > 0"),
             WorkloadError::ZeroQueueCap { tenant } => {
                 write!(f, "{tenant}: queue_cap must be > 0")
             }
@@ -498,12 +502,13 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Checks the spec's structural invariants: at least one tenant, and
-    /// per tenant a positive queue capacity and weight, a finite positive
-    /// open-loop rate, at least one closed-loop client, and a
-    /// non-degenerate decode shape. The `Server` constructors call this,
-    /// so a bad rate fails construction with a typed error instead of
-    /// saturating to a zero-length arrival gap deep in the generator.
+    /// Checks the spec's structural invariants: at least one tenant, a
+    /// positive horizon, and per tenant a positive queue capacity and
+    /// weight, a finite positive open-loop rate, at least one closed-loop
+    /// client, and a non-degenerate decode shape. The `Server`
+    /// constructors call this, so a bad rate fails construction with a
+    /// typed error instead of saturating to a zero-length arrival gap deep
+    /// in the generator.
     ///
     /// # Errors
     ///
@@ -511,6 +516,9 @@ impl WorkloadSpec {
     pub fn validate(&self) -> Result<(), WorkloadError> {
         if self.tenants.is_empty() {
             return Err(WorkloadError::NoTenants);
+        }
+        if self.horizon == SimTime::ZERO {
+            return Err(WorkloadError::ZeroHorizon);
         }
         for tenant in &self.tenants {
             let name = || tenant.name.clone();
@@ -888,6 +896,13 @@ mod tests {
             seed: 0,
         };
         assert_eq!(empty.validate(), Err(WorkloadError::NoTenants));
+
+        // A zero horizon would make every per-second rate NaN.
+        let instant = WorkloadSpec {
+            horizon: SimTime::ZERO,
+            ..spec(valid_tenant())
+        };
+        assert_eq!(instant.validate(), Err(WorkloadError::ZeroHorizon));
 
         let mut t = valid_tenant();
         t.queue_cap = 0;

@@ -36,7 +36,6 @@
 //! extended from one schedule to the whole space.
 
 use std::fmt;
-use std::fmt::Write as _;
 
 use crate::engine::{DeadlockReport, EngineMode, SimError};
 use crate::session::{CompiledPipeline, Session};
@@ -186,64 +185,6 @@ impl ExploreSummary {
             ScheduleOutcome::Deadlocked(report) => Some(report.as_ref()),
             ScheduleOutcome::Completed { .. } => None,
         })
-    }
-
-    /// Renders the summary as a small JSON document (schedule → outcome,
-    /// violations), the artifact the CI smoke job uploads. Hand-rolled —
-    /// the workspace takes no serialization dependency.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schedules\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            let comma = if i + 1 == self.results.len() { "" } else { "," };
-            match &r.outcome {
-                ScheduleOutcome::Completed {
-                    report,
-                    mem_fingerprint,
-                } => {
-                    let _ = writeln!(
-                        out,
-                        "    {{\"schedule\": \"{}\", \"outcome\": \"completed\", \
-                         \"total_ps\": {}, \"sem_posts\": {}, \"mem_fingerprint\": \"{:016x}\"}}{}",
-                        r.schedule,
-                        report.total.as_picos(),
-                        report.sem_posts,
-                        mem_fingerprint,
-                        comma,
-                    );
-                }
-                ScheduleOutcome::Deadlocked(report) => {
-                    let _ = writeln!(
-                        out,
-                        "    {{\"schedule\": \"{}\", \"outcome\": \"deadlock\", \
-                         \"time_ps\": {}, \"blocked\": {}, \"starved\": {}}}{}",
-                        r.schedule,
-                        report.time.as_picos(),
-                        report.blocked.len(),
-                        report.starved().count(),
-                        comma,
-                    );
-                }
-            }
-        }
-        out.push_str("  ],\n  \"violations\": [\n");
-        for (i, v) in self.violations.iter().enumerate() {
-            let comma = if i + 1 == self.violations.len() {
-                ""
-            } else {
-                ","
-            };
-            let _ = writeln!(out, "    \"{}\"{comma}", crate::json_escape(v));
-        }
-        let _ = write!(
-            out,
-            "  ],\n  \"completed\": {},\n  \"deadlocked\": {},\n  \
-             \"distinct_timelines\": {},\n  \"ok\": {}\n}}",
-            self.completed(),
-            self.deadlocked(),
-            self.distinct_timelines(),
-            self.ok(),
-        );
-        out
     }
 }
 
@@ -621,17 +562,5 @@ mod tests {
         let cycle = report.wait_cycle().expect("classified cycle");
         assert!(cycle.contains("consumer"), "{cycle}");
         assert!(cycle.contains("producer"), "{cycle}");
-    }
-
-    #[test]
-    fn summary_json_names_every_schedule() {
-        let pipeline = producer_consumer(8);
-        let summary = explore(&pipeline, &ExploreConfig::seeded(2, 1));
-        let json = summary.to_json();
-        assert!(json.contains("\"Fifo\""), "{json}");
-        assert!(json.contains("\"Lifo\""), "{json}");
-        assert!(json.contains("\"SemStarver\""), "{json}");
-        assert!(json.contains("SeededShuffle"), "{json}");
-        assert!(json.contains("\"ok\": true"), "{json}");
     }
 }

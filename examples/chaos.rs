@@ -11,9 +11,15 @@
 //! ```text
 //! cargo run --release --example chaos
 //! ```
+//!
+//! The device-loss run is traced: it writes `trace_chaos.json` to the
+//! current directory, the request-lifecycle Chrome trace (evacuated
+//! batches show up as `preempted` phases). Open it in `chrome://tracing`
+//! or <https://ui.perfetto.dev>.
 
 use std::error::Error;
 
+use cusync_obs::{chrome_trace_json, validate_chrome_trace};
 use cusync_serve::{
     ArrivalModel, BatchPolicy, DeviceDrop, FaultPlan, ModelKind, PreemptPolicy, RequestSched,
     ServeConfig, Server, TenantClass, TenantSpec, WorkloadSpec,
@@ -66,8 +72,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     };
 
     // Fault-free baseline, then the same workload with device 1 dying at
-    // mid-horizon. Same seed: every arrival instant is identical, so the
-    // delta is purely the fault.
+    // mid-horizon, traced. Same seed: every arrival instant is identical,
+    // so the delta is purely the fault.
     let healthy = server.run_with_faults(&config, &FaultPlan::none());
     let plan = FaultPlan {
         drops: vec![DeviceDrop {
@@ -76,7 +82,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         }],
         ..FaultPlan::none()
     };
-    let faulted = server.run_with_faults(&config, &plan);
+    let (faulted, spans) = server.run_traced_with_faults(&config, &plan);
     for (name, report) in [("healthy", &healthy), ("device-loss", &faulted)] {
         report.check().map_err(|e| format!("{name}: {e}"))?;
     }
@@ -115,6 +121,16 @@ fn main() -> Result<(), Box<dyn Error>> {
         "\ndevice 1 died at {}; {} in-flight requests re-routed to device 0, 0 stranded",
         SimTime::from_picos(horizon.as_picos() / 2),
         rerouted,
+    );
+
+    // Request-lifecycle Chrome trace of the device-loss run (validated
+    // before writing).
+    let chrome = chrome_trace_json(&spans);
+    let stats = validate_chrome_trace(&chrome)?;
+    std::fs::write("trace_chaos.json", &chrome)?;
+    println!(
+        "wrote trace_chaos.json ({} spans on {} lanes)",
+        stats.spans, stats.lanes
     );
     Ok(())
 }

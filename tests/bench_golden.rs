@@ -1,15 +1,30 @@
-//! The committed `BENCH_PR3.json`, `BENCH_PR9.json` and `BENCH_PR10.json`
-//! reproduced byte for byte.
+//! The committed `BENCH_*.json` virtual-time documents reproduced byte for
+//! byte: `BENCH_PR3.json`, `BENCH_PR5.json`, `BENCH_PR6.json`,
+//! `BENCH_PR8.json`, `BENCH_PR9.json` and `BENCH_PR10.json`.
 //!
-//! Each test rebuilds every cell of one document with the model builders,
-//! renders it in the document's own format and compares the result with
-//! the committed file line by line. The only line skipped is
-//! `BENCH_PR3.json`'s `"wall_seconds"`, a wall-clock reading. Along the
-//! way each test asserts the claims its document records:
+//! Each test rebuilds every cell of one document with the model builders
+//! or the serving layer, renders it in the document's own format and
+//! compares the result with the committed file line by line. The only
+//! line skipped is `BENCH_PR3.json`'s `"wall_seconds"`, a wall-clock
+//! reading. Along the way each test asserts the claims its document
+//! records:
 //!
 //! - `BENCH_PR3.json` (tensor-parallel allreduce overlap): every cell is
 //!   engine-invariant, and the overlap schedule beats the serialized one
 //!   on every cell.
+//! - `BENCH_PR5.json` (request scheduling × dynamic batching × load on a
+//!   two-GPU node): at the saturating load, batching delivers at least
+//!   1.2× the no-batching goodput under every scheduler, and tracing the
+//!   top-load batched FIFO cell with the sampler on is passive.
+//! - `BENCH_PR6.json` (failure scenarios): losing a device strands
+//!   nothing and re-routes its work, preemption strictly improves the
+//!   interactive tenant's p99 under every scheduler while the bulk tenant
+//!   keeps at least half its goodput, and tracing the device-loss FIFO
+//!   cell is passive.
+//! - `BENCH_PR8.json` (continuous-batching decode): at the saturating
+//!   load, continuous batching delivers at least 1.2× the static-width
+//!   tokens goodput, and the KV-pressure cell preempts and recomputes and
+//!   traces passively.
 //! - `BENCH_PR9.json` (per-edge sync-mechanism autotuning): the tuned
 //!   time never exceeds a valid anchor, the tuned pipeline is
 //!   engine-invariant, a warm-cache replay re-simulates nothing, at least
@@ -21,6 +36,10 @@
 //!   stream-serialized one on every cell, fine cells hold no launch gates
 //!   while stream-serialized cells do, and the largest GPT-3 fine cell
 //!   exports a valid Chrome trace.
+//!
+//! Every serving cell runs twice, and its two reports must be
+//! bit-identical and pass `ServeReport::check`; every exported Chrome
+//! trace must validate.
 
 use std::fmt::Write as _;
 
@@ -32,9 +51,14 @@ use cusync_models::{
     ring_allreduce_time, tp_attention, tp_mlp, AttentionConfig, MlpModel, TpLayerConfig,
     TpSchedule, ATTENTION_EDGES, MLP_EDGES,
 };
-use cusync_obs::{chrome_trace_json, collect_spans, validate_chrome_trace, Attribution};
+use cusync_obs::{chrome_trace_json, collect_spans, validate_chrome_trace, Attribution, Span};
+use cusync_serve::{
+    ArrivalModel, ArrivalTrace, BatchPolicy, DecodePolicy, DeviceDrop, FaultPlan, LinkDegrade,
+    ModelKind, PreemptPolicy, RequestSched, RetryPolicy, ServeConfig, ServeReport, Server,
+    ServicePool, TenantClass, TenantSpec, TraceShape, WorkloadSpec,
+};
 use cusync_sim::{
-    splitmix64, ClusterConfig, CompiledPipeline, EngineMode, GpuConfig, Session, SimTime,
+    splitmix64, ClusterConfig, CompiledPipeline, EngineMode, GpuConfig, LinkScale, Session, SimTime,
 };
 use cusyncgen::{autotune_sync_mechanisms, MechanismPlan, TuneCache};
 
@@ -596,6 +620,607 @@ fn sync_wait_attribution_document_is_reproduced() {
         "BENCH_PR10.json",
         include_str!("../BENCH_PR10.json"),
         &render_attribution(&cells),
+        &[],
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Serving documents: BENCH_PR5.json, BENCH_PR6.json and BENCH_PR8.json
+// ---------------------------------------------------------------------------
+
+/// Runs one serving cell twice, asserting the two reports are
+/// bit-identical and the report's conservation laws hold.
+fn serve_cell(what: &str, run: impl Fn() -> ServeReport) -> ServeReport {
+    let report = run();
+    assert!(report == run(), "{what}: nondeterministic");
+    report.check().unwrap_or_else(|e| panic!("{what}: {e}"));
+    report
+}
+
+/// Renders a serving document's `cells` array: each cell's leading fields
+/// `head`, then its report under `"report"`.
+fn render_cells(json: &mut String, cells: &[(String, &ServeReport)]) {
+    json.push_str("  \"cells\": [\n");
+    for (i, (head, report)) in cells.iter().enumerate() {
+        let report = report
+            .to_json()
+            .lines()
+            .collect::<Vec<_>>()
+            .join("\n      ");
+        let _ = write!(json, "    {{{head}, \"report\": {report}}}");
+        json.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
+    }
+    json.push_str("  ],\n");
+}
+
+/// Asserts a traced serving run is passive and exports a valid Chrome
+/// trace.
+fn assert_traced(what: &str, untraced: &ServeReport, (traced, spans): (ServeReport, Vec<Span>)) {
+    assert!(
+        traced == *untraced,
+        "{what}: traced report differs from the untraced one"
+    );
+    validate_chrome_trace(&chrome_trace_json(&spans))
+        .unwrap_or_else(|e| panic!("{what}: invalid chrome trace: {e}"));
+}
+
+/// `BENCH_PR5.json`'s tenant mix: model, open-loop (else closed-loop)
+/// arrivals, and weighted-fair-queueing weight.
+const BATCHING_MIX: [(ModelKind, bool, u32); 4] = [
+    (ModelKind::MlpGpt3, true, 3),
+    (ModelKind::ConvStack, false, 2),
+    (ModelKind::Attention { hidden: 8192 }, true, 1),
+    (ModelKind::StreamKGemm, true, 1),
+];
+
+/// The `BENCH_PR5.json` workload at `load`. Load levels self-calibrate:
+/// each tenant offers `load × devices / (tenants × t₁)` requests per
+/// second, where `t₁` is its measured width-1 service time, so load 1
+/// offers exactly the unbatched pool capacity. A closed-loop tenant gets
+/// the client count that offers the same rate by Little's law.
+fn batching_spec(load: f64, solo: &[SimTime], slo: &[SimTime], devices: f64) -> WorkloadSpec {
+    let n = BATCHING_MIX.len() as f64;
+    let tenants = BATCHING_MIX
+        .iter()
+        .enumerate()
+        .map(|(i, &(model, open, weight))| {
+            let t1 = solo[i].as_secs_f64();
+            let fair_rps = devices / (n * t1);
+            let arrival = if open {
+                ArrivalModel::OpenPoisson {
+                    rate_rps: load * fair_rps,
+                }
+            } else {
+                let think = SimTime::from_picos((4.0 * solo[i].as_picos() as f64) as u64);
+                let per_client = 1.0 / (think.as_secs_f64() + t1);
+                ArrivalModel::ClosedLoop {
+                    clients: ((load * fair_rps / per_client).round() as u32).max(1),
+                    think,
+                }
+            };
+            TenantSpec {
+                name: format!("{model}"),
+                model,
+                arrival,
+                slo: slo[i],
+                queue_cap: 32,
+                weight,
+                class: TenantClass::Throughput,
+                retry: None,
+            }
+        })
+        .collect();
+    WorkloadSpec {
+        tenants,
+        horizon: SimTime::from_millis(150),
+        seed: 0xC60_2024,
+    }
+}
+
+/// One `BENCH_PR5.json` cell.
+struct BatchingCell {
+    load: f64,
+    sched: RequestSched,
+    batched: bool,
+    slo_admission: bool,
+    report: ServeReport,
+}
+
+#[test]
+fn request_batching_document_is_reproduced() {
+    let cluster = ClusterConfig::dgx_v100(2);
+    let devices = cluster.num_devices() as f64;
+    let max_batch = 8u32;
+    let loads = [0.5, 1.0, 3.0];
+    let top_load = 3.0;
+    let tenants = BATCHING_MIX.len();
+
+    // Warm the pool once. The probe's rates and SLOs do not reach the
+    // service times, which depend only on the models.
+    let probe = batching_spec(
+        1.0,
+        &vec![SimTime::from_micros(100.0); tenants],
+        &vec![SimTime::from_millis(10); tenants],
+        devices,
+    );
+    let mut pool = ServicePool::build(&cluster, &probe.tenants, max_batch);
+    // SLOs cover a half-full unbatched queue, so saturation stresses the
+    // goodput metric without nullifying it.
+    let solo: Vec<SimTime> = (0..tenants).map(|t| pool.service_time(t, 1, 0)).collect();
+    let slo: Vec<SimTime> = solo
+        .iter()
+        .map(|&t1| SimTime::from_picos(t1.as_picos() * 16))
+        .collect();
+    let batching = BatchPolicy::new(max_batch, SimTime::from_picos(solo[0].as_picos() * 2));
+
+    let mut cells = Vec::new();
+    for load in loads {
+        let server = Server::with_pool(batching_spec(load, &solo, &slo, devices), pool);
+        for sched in RequestSched::ALL {
+            for (batched, slo_admission) in [(false, false), (true, false), (true, true)] {
+                let config = ServeConfig {
+                    sched,
+                    batch: if batched {
+                        batching
+                    } else {
+                        BatchPolicy::off()
+                    },
+                    slo_admission,
+                    ..ServeConfig::baseline()
+                };
+                let what = format!("PR5 load {load} {sched} batched={batched} adm={slo_admission}");
+                let report = serve_cell(&what, || server.run(&config));
+                if load == top_load && sched == RequestSched::Fifo && batched && !slo_admission {
+                    // Tracing with the virtual-time sampler on is passive.
+                    let sampled = ServeConfig {
+                        sample_every: Some(SimTime::from_millis(1)),
+                        ..config
+                    };
+                    let traced = server.run_traced(&sampled);
+                    assert!(!traced.0.samples.is_empty(), "{what}: no samples");
+                    assert_traced(&what, &server.run(&sampled), traced);
+                }
+                cells.push(BatchingCell {
+                    load,
+                    sched,
+                    batched,
+                    slo_admission,
+                    report,
+                });
+            }
+        }
+        pool = server.into_pool();
+    }
+
+    // At the saturating load, dynamic batching beats no-batching on
+    // goodput by at least 1.2x under every scheduler.
+    let mut ratios = String::new();
+    for sched in RequestSched::ALL {
+        let goodput = |batched: bool| {
+            cells
+                .iter()
+                .find(|c| {
+                    c.load == top_load
+                        && c.sched == sched
+                        && c.batched == batched
+                        && !c.slo_admission
+                })
+                .expect("cell swept")
+                .report
+                .goodput_rps()
+        };
+        let ratio = goodput(true) / goodput(false);
+        assert!(
+            ratio >= 1.2,
+            "PR5 load {top_load} {sched}: batching goodput ratio {ratio:.2} < 1.2"
+        );
+        if !ratios.is_empty() {
+            ratios.push_str(", ");
+        }
+        let _ = write!(ratios, "\"{}\": {ratio:.4}", sched.name());
+    }
+
+    let mut json = String::from("{\n  \"bench\": \"PR5\",\n");
+    let _ = writeln!(json, "  \"seed\": {},", 0xC60_2024u64);
+    let _ = writeln!(json, "  \"quick\": false,");
+    let _ = writeln!(json, "  \"devices\": {},", devices as u32);
+    let _ = writeln!(json, "  \"max_batch\": {max_batch},");
+    let _ = writeln!(
+        json,
+        "  \"batching_goodput_ratio_at_load_{top_load}\": {{{ratios}}},"
+    );
+    let heads: Vec<(String, &ServeReport)> = cells
+        .iter()
+        .map(|c| {
+            let head = format!(
+                "\"load\": {}, \"sched\": \"{}\", \"batched\": {}, \"slo_admission\": {}, \
+                 \"deterministic\": true",
+                c.load,
+                c.sched.name(),
+                c.batched,
+                c.slo_admission,
+            );
+            (head, &c.report)
+        })
+        .collect();
+    render_cells(&mut json, &heads);
+    json.push_str("  \"failures\": 0\n}\n");
+    assert_golden(
+        "BENCH_PR5.json",
+        include_str!("../BENCH_PR5.json"),
+        &json,
+        &[],
+    );
+}
+
+/// `BENCH_PR6.json`'s failure scenarios, in document order.
+const CHAOS_SCENARIOS: [&str; 5] = [
+    "baseline",
+    "burst-trace",
+    "device-loss",
+    "link-degraded",
+    "preempt-on",
+];
+
+/// The `BENCH_PR6.json` tenants. Tenant 0 is the interactive
+/// latency-class tenant (small local model, retry with backoff); tenant 1
+/// is the bulk throughput-class tenant, whose model ships its activations
+/// across the interconnect so that link degradation bites.
+fn chaos_tenants(rate_rps: f64, slo: SimTime, clients: u32) -> Vec<TenantSpec> {
+    vec![
+        TenantSpec {
+            name: "interactive".into(),
+            model: ModelKind::Toy {
+                blocks: 2,
+                compute_cycles: 100_000,
+            },
+            arrival: ArrivalModel::OpenPoisson { rate_rps },
+            slo,
+            queue_cap: 64,
+            weight: 3,
+            class: TenantClass::Latency,
+            retry: Some(RetryPolicy {
+                base: SimTime::from_micros(50.0),
+                max_retries: 2,
+            }),
+        },
+        TenantSpec {
+            name: "bulk".into(),
+            model: ModelKind::ToyRemote {
+                blocks: 4,
+                compute_cycles: 1_500_000,
+                payload: 1 << 20,
+            },
+            arrival: ArrivalModel::ClosedLoop {
+                clients,
+                think: SimTime::from_micros(50.0),
+            },
+            slo: SimTime::from_millis(50),
+            queue_cap: 32,
+            weight: 1,
+            class: TenantClass::Throughput,
+            retry: None,
+        },
+    ]
+}
+
+#[test]
+fn serving_chaos_document_is_reproduced() {
+    const RETENTION_BOUND: f64 = 0.5;
+    let seed = 0xC60_2026u64;
+    let devices = 2u32;
+    let cluster = ClusterConfig::dgx_v100(devices);
+    let max_batch = 4u32;
+    let horizon = SimTime::from_millis(60);
+
+    let probe = chaos_tenants(1_000.0, SimTime::from_millis(5), 1);
+    let mut pool = ServicePool::build(&cluster, &probe, max_batch);
+    // The interactive tenant offers ~40% of one device's unbatched
+    // capacity; the bulk tenant's closed-loop clients keep both devices
+    // loaded with long batches.
+    let t1_int = pool.service_time(0, 1, 0);
+    let t1_bulk = pool.service_time(1, 1, 0);
+    let rate_rps = 0.4 / t1_int.as_secs_f64();
+    let slo = SimTime::from_picos(t1_bulk.as_picos() * 4);
+    let clients = 8;
+    let burst = ArrivalTrace::synthesize(
+        TraceShape::Bursty {
+            base_rps: 0.3 * rate_rps,
+            burst_rps: 5.0 * rate_rps,
+            period: SimTime::from_picos(horizon.as_picos() / 8),
+            duty: 0.25,
+        },
+        horizon,
+        seed ^ 0xB0B0,
+    );
+    let mid = SimTime::from_picos(horizon.as_picos() / 2);
+    let third = SimTime::from_picos(horizon.as_picos() / 3);
+
+    let mut cells = Vec::new();
+    for scenario in CHAOS_SCENARIOS {
+        let mut tenants = chaos_tenants(rate_rps, slo, clients);
+        if scenario == "burst-trace" {
+            tenants[0].arrival = ArrivalModel::Trace(burst.clone());
+        }
+        let spec = WorkloadSpec {
+            tenants,
+            horizon,
+            seed,
+        };
+        let plan = match scenario {
+            "device-loss" => FaultPlan {
+                drops: vec![DeviceDrop { device: 1, at: mid }],
+                ..FaultPlan::none()
+            },
+            "link-degraded" => FaultPlan {
+                link: Some(LinkDegrade {
+                    at: third,
+                    scale: LinkScale::times(6),
+                }),
+                ..FaultPlan::none()
+            },
+            _ => FaultPlan::none(),
+        };
+        let server = Server::with_pool(spec, pool);
+        for sched in RequestSched::ALL {
+            let config = ServeConfig {
+                sched,
+                batch: BatchPolicy::new(max_batch, SimTime::from_picos(t1_int.as_picos() * 2)),
+                preempt: (scenario == "preempt-on")
+                    .then(|| PreemptPolicy::new(SimTime::from_micros(20.0))),
+                ..ServeConfig::baseline()
+            };
+            let what = format!("PR6 {scenario} {sched}");
+            let report = serve_cell(&what, || server.run_with_faults(&config, &plan));
+            if scenario == "device-loss" {
+                // With a survivor alive, every in-flight request is
+                // re-routed off the dead device.
+                assert_eq!(report.faults.devices_lost, 1, "{what}: devices lost");
+                assert_eq!(report.faults.stranded, 0, "{what}: stranded requests");
+                let rerouted: u64 = report.tenants.iter().map(|t| t.rerouted).sum();
+                assert!(
+                    rerouted > 0,
+                    "{what}: nothing re-routed off the dead device"
+                );
+                if sched == RequestSched::Fifo {
+                    assert_traced(
+                        &what,
+                        &report,
+                        server.run_traced_with_faults(&config, &plan),
+                    );
+                }
+            }
+            cells.push((scenario, sched, report));
+        }
+        pool = server.into_pool();
+    }
+
+    let report = |scenario: &str, sched: RequestSched| -> &ServeReport {
+        &cells
+            .iter()
+            .find(|c| c.0 == scenario && c.1 == sched)
+            .expect("cell swept")
+            .2
+    };
+    // Preemption strictly improves the interactive tenant's p99 under
+    // every scheduler, and the bulk tenant keeps at least half its
+    // fault-free goodput.
+    let mut gates = String::new();
+    for sched in RequestSched::ALL {
+        let base = report("baseline", sched);
+        let pre = report("preempt-on", sched);
+        let p99_base = base.tenants[0].latency_quantile(0.99);
+        let p99_pre = pre.tenants[0].latency_quantile(0.99);
+        assert!(
+            p99_pre < p99_base,
+            "PR6 preempt-on {sched}: interactive p99 {p99_pre} not below baseline {p99_base}"
+        );
+        let retention =
+            pre.tenants[1].goodput_count() as f64 / base.tenants[1].goodput_count().max(1) as f64;
+        assert!(
+            retention >= RETENTION_BOUND,
+            "PR6 preempt-on {sched}: bulk goodput retention {retention:.2} < {RETENTION_BOUND}"
+        );
+        if !gates.is_empty() {
+            gates.push_str(", ");
+        }
+        let _ = write!(
+            gates,
+            "\"{}\": {{\"interactive_p99_us\": {:.3}, \"baseline_p99_us\": {:.3}, \
+             \"bulk_goodput_retention\": {retention:.4}}}",
+            sched.name(),
+            p99_pre.as_micros(),
+            p99_base.as_micros(),
+        );
+    }
+
+    let mut json = String::from("{\n  \"bench\": \"PR6\",\n");
+    let _ = writeln!(json, "  \"seed\": {seed},");
+    let _ = writeln!(json, "  \"quick\": false,");
+    let _ = writeln!(json, "  \"devices\": {devices},");
+    let _ = writeln!(json, "  \"max_batch\": {max_batch},");
+    let _ = writeln!(
+        json,
+        "  \"bulk_goodput_retention_bound\": {RETENTION_BOUND},"
+    );
+    let _ = writeln!(json, "  \"preemption_gates\": {{{gates}}},");
+    let violation_rate = |r: &ServeReport| {
+        let done: u64 = r.tenants.iter().map(|t| t.completed).sum();
+        let violations: u64 = r.tenants.iter().map(|t| t.violations).sum();
+        violations as f64 / done.max(1) as f64
+    };
+    let heads: Vec<(String, &ServeReport)> = cells
+        .iter()
+        .map(|(scenario, sched, r)| {
+            let base = report("baseline", *sched);
+            let head = format!(
+                "\"scenario\": \"{scenario}\", \"sched\": \"{}\", \"deterministic\": true, \
+                 \"goodput_delta_rps\": {:.1}, \"violation_rate_delta\": {:.4}",
+                sched.name(),
+                r.goodput_rps() - base.goodput_rps(),
+                violation_rate(r) - violation_rate(base),
+            );
+            (head, r)
+        })
+        .collect();
+    render_cells(&mut json, &heads);
+    json.push_str("  \"failures\": 0\n}\n");
+    assert_golden(
+        "BENCH_PR6.json",
+        include_str!("../BENCH_PR6.json"),
+        &json,
+        &[],
+    );
+}
+
+/// A decode-heavy model: generation dominates the prefill, the regime
+/// continuous batching targets.
+fn decode_model(kv_bytes_per_token: u64) -> ModelKind {
+    ModelKind::DecodeLlm {
+        prompt: 16,
+        max_new: 96,
+        step_cycles: 40_000,
+        ctx_cycles: 400,
+        kv_bytes_per_token,
+    }
+}
+
+/// The `BENCH_PR8.json` workload at `load`: one open-loop decode tenant
+/// offering `load × devices / t_typ` requests per second, where `t_typ`
+/// is the measured width-1 service time of a typical-length request (half
+/// the decode cap), so load 1 offers about one unbatched device's worth
+/// of decode work per device.
+fn decode_spec(
+    load: f64,
+    model: ModelKind,
+    t_typ: SimTime,
+    slo: SimTime,
+    devices: f64,
+) -> WorkloadSpec {
+    WorkloadSpec {
+        tenants: vec![TenantSpec {
+            name: format!("{model}"),
+            model,
+            arrival: ArrivalModel::OpenPoisson {
+                rate_rps: load * devices / t_typ.as_secs_f64(),
+            },
+            slo,
+            queue_cap: 64,
+            weight: 1,
+            class: TenantClass::Throughput,
+            retry: None,
+        }],
+        horizon: SimTime::from_millis(100),
+        seed: 0xC60_2024,
+    }
+}
+
+#[test]
+fn continuous_decode_document_is_reproduced() {
+    let cluster = ClusterConfig::dgx_v100(2);
+    let devices = cluster.num_devices() as f64;
+    let max_batch = 8u32;
+    let max_new = 96u32;
+    let loads = [0.5, 2.0, 10.0];
+    let top_load = 10.0;
+    let model = decode_model(4 << 10);
+
+    let probe = decode_spec(
+        1.0,
+        model,
+        SimTime::from_micros(100.0),
+        SimTime::from_millis(10),
+        devices,
+    );
+    let mut pool = ServicePool::build(&cluster, &probe.tenants, max_batch);
+    let t_typ = pool.static_decode_service(0, 1, max_new / 2, 0);
+    let slo = SimTime::from_picos(t_typ.as_picos().saturating_mul(16));
+    let batch = BatchPolicy::new(max_batch, SimTime::from_picos(t_typ.as_picos() / 8));
+
+    let mut cells = Vec::new();
+    for load in loads {
+        let server = Server::with_pool(decode_spec(load, model, t_typ, slo, devices), pool);
+        for continuous in [false, true] {
+            let decode = if continuous {
+                DecodePolicy::continuous_batching()
+            } else {
+                DecodePolicy::static_width()
+            };
+            let config = ServeConfig {
+                batch,
+                decode,
+                ..ServeConfig::baseline()
+            };
+            let name = format!("load{load}-{decode}");
+            let report = serve_cell(&format!("PR8 {name}"), || server.run(&config));
+            cells.push((name, load, continuous, report));
+        }
+        pool = server.into_pool();
+    }
+
+    // At the saturating load, continuous batching beats static-width
+    // decode on tokens/sec goodput by at least 1.2x.
+    let goodput = |continuous: bool| {
+        cells
+            .iter()
+            .find(|c| c.1 == top_load && c.2 == continuous)
+            .expect("cell swept")
+            .3
+            .tokens_goodput_per_sec()
+    };
+    let ratio = goodput(true) / goodput(false);
+    assert!(
+        ratio >= 1.2,
+        "PR8 load {top_load}: continuous/static tokens goodput {ratio:.2} < 1.2"
+    );
+
+    // The pressure cell: the saturating load with 1-MiB-per-token KV on a
+    // pool squeezed to a few blocks, so preemption-and-recompute fires.
+    let spec = decode_spec(top_load, decode_model(1 << 20), t_typ, slo, devices);
+    let server = Server::new(spec, &cluster, max_batch);
+    let config = ServeConfig {
+        batch,
+        decode: DecodePolicy::new(true, 16, 2),
+        ..ServeConfig::baseline()
+    };
+    let report = serve_cell("PR8 pressure", || server.run(&config));
+    assert!(
+        report.tenants[0].decode_preemptions > 0,
+        "PR8 pressure: no decode preemptions"
+    );
+    assert!(
+        report.tenants[0].recomputed_tokens > 0,
+        "PR8 pressure: no recomputed tokens"
+    );
+    assert_traced("PR8 pressure", &report, server.run_traced(&config));
+    cells.push(("pressure".into(), top_load, true, report));
+
+    let mut json = String::from("{\n  \"bench\": \"PR8\",\n");
+    let _ = writeln!(json, "  \"seed\": {},", 0xC60_2024u64);
+    let _ = writeln!(json, "  \"quick\": false,");
+    let _ = writeln!(json, "  \"devices\": {},", devices as u32);
+    let _ = writeln!(json, "  \"max_batch\": {max_batch},");
+    let _ = writeln!(json, "  \"max_new\": {max_new},");
+    let _ = writeln!(
+        json,
+        "  \"continuous_goodput_ratio_at_load_{top_load}\": {ratio:.4},"
+    );
+    let heads: Vec<(String, &ServeReport)> = cells
+        .iter()
+        .map(|(name, load, continuous, report)| {
+            let head = format!(
+                "\"name\": \"{name}\", \"load\": {load}, \"continuous\": {continuous}, \
+                 \"deterministic\": true"
+            );
+            (head, report)
+        })
+        .collect();
+    render_cells(&mut json, &heads);
+    json.push_str("  \"failures\": 0\n}\n");
+    assert_golden(
+        "BENCH_PR8.json",
+        include_str!("../BENCH_PR8.json"),
+        &json,
         &[],
     );
 }

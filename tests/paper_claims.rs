@@ -1,5 +1,5 @@
-//! Acceptance checks for the paper's headline claims (DESIGN.md section 5),
-//! executed against the V100 model.
+//! Acceptance checks for the paper's headline claims, executed against
+//! the V100 model.
 
 use cusync::OptFlags;
 use cusync_bench::overhead_experiment;

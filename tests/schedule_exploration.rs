@@ -84,17 +84,34 @@ fn same_graph_without_wait_kernels_yields_a_classified_deadlock() {
 /// The ref ↔ opt bit-identity contract, extended across the schedule
 /// space: every policy (including the dynamic SemStarver) must produce
 /// identical timelines, final memory and deadlock reports on both
-/// engines.
+/// engines. Each regime must also reach its expected outcome: the safe
+/// regime (wait-kernels on, capacity-safe cluster) terminates under every
+/// schedule, and the starved one (wait-kernels off, downscaled GPU)
+/// deadlocks under at least one.
 #[test]
 fn engines_agree_under_every_schedule_policy() {
-    for seed in [3u64, 11] {
+    for seed in [0xC60_2024u64, 3, 7, 11, 42, 1337] {
         let graph = generate(seed, 2);
-        let safe = graph.build(&graph.safe_cluster(), true).unwrap();
-        let summary = explore(&safe, &ExploreConfig::seeded(4, seed).cross_checked());
-        assert!(summary.ok(), "seed {seed} safe: {summary}");
-        let starved = graph.build(&graph.starved_cluster(), false).unwrap();
-        let summary = explore(&starved, &ExploreConfig::seeded(4, seed).cross_checked());
-        assert!(summary.ok(), "seed {seed} starved: {summary}");
+        let regimes = [
+            (
+                "safe",
+                graph.build(&graph.safe_cluster(), true),
+                Expectation::Terminates,
+            ),
+            (
+                "starved",
+                graph.build(&graph.starved_cluster(), false),
+                Expectation::Deadlocks,
+            ),
+        ];
+        for (regime, pipeline, expectation) in regimes {
+            let pipeline = pipeline.unwrap_or_else(|e| panic!("seed {seed} {regime}: {e}"));
+            let cfg = ExploreConfig::seeded(16, seed)
+                .expecting(expectation)
+                .cross_checked();
+            let summary = explore(&pipeline, &cfg);
+            assert!(summary.ok(), "seed {seed} {regime}: {summary}");
+        }
     }
 }
 
