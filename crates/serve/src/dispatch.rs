@@ -83,7 +83,9 @@ use cusync_obs::{Lane, Span, SpanKind};
 use cusync_sim::{KvPool, KvStats, LinkScale, SimTime};
 
 use crate::fault::FaultPlan;
-use crate::metrics::{DeviceMetrics, FaultOutcome, MetricSample, ServeReport, TenantMetrics};
+use crate::metrics::{
+    CompletionRecord, DeviceMetrics, FaultOutcome, MetricSample, ServeReport, TenantMetrics,
+};
 use crate::pool::ServicePool;
 use crate::sched::{BatchPolicy, DecodePolicy, PreemptPolicy, RequestSched};
 use crate::workload::{ArrivalModel, Rng, TenantClass, WorkloadSpec};
@@ -536,7 +538,7 @@ struct Sim<'a> {
     served: Vec<u128>,
     tenants: Vec<TenantMetrics>,
     devices: Vec<DeviceMetrics>,
-    completions: Vec<SimTime>,
+    completions: CompletionRecord,
     devices_lost: u64,
     panics_injected: u64,
     stranded: u64,
@@ -630,7 +632,7 @@ impl<'a> Sim<'a> {
                     kv: KvStats::default(),
                 })
                 .collect(),
-            completions: Vec::new(),
+            completions: CompletionRecord::default(),
             devices_lost: 0,
             panics_injected: 0,
             stranded: 0,
@@ -1504,15 +1506,13 @@ impl<'a> Sim<'a> {
             }
         }
         let horizon = self.server.spec.horizon;
-        let makespan = self
-            .completions
-            .last()
-            .copied()
-            .unwrap_or(horizon)
-            .max(horizon);
+        let makespan = self.completions.last.unwrap_or(horizon).max(horizon);
         let mut tenants = self.tenants;
         for tenant in &mut tenants {
+            // The report may be kept long after the run: sorted, and with
+            // no spare capacity from the pushes.
             tenant.latencies.sort_unstable();
+            tenant.latencies.shrink_to_fit();
         }
         for (device, pool) in self.kv.iter().enumerate() {
             self.devices[device].kv = pool.stats();

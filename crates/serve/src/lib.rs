@@ -105,7 +105,9 @@ mod zoo;
 pub use cusync_sim::{KvPool, KvStats};
 pub use dispatch::{ServeConfig, Server};
 pub use fault::{DeviceDrop, FaultPlan, LinkDegrade, PanicInjection};
-pub use metrics::{DeviceMetrics, FaultOutcome, MetricSample, ServeReport, TenantMetrics};
+pub use metrics::{
+    CompletionRecord, DeviceMetrics, FaultOutcome, MetricSample, ServeReport, TenantMetrics,
+};
 pub use pool::ServicePool;
 pub use sched::{BatchPolicy, DecodePolicy, PreemptPolicy, RequestSched};
 pub use workload::{

@@ -197,9 +197,56 @@ pub struct MetricSample {
     pub devices_busy: u32,
 }
 
+/// Every completion instant of one serve run, in event order, folded into
+/// a fixed-size record as it happens: the run keeps no per-request
+/// timestamp. It holds what [`ServeReport::check`] needs (the count, the
+/// last instant and the first pair that ran backwards) and a digest of the
+/// whole sequence, so equal records mean equal sequences up to a 64-bit
+/// hash collision.
+///
+/// The digest step is `digest = (digest ^ picoseconds) * DIGEST_PRIME`
+/// (wrapping). The prime is odd, so each step maps distinct inputs to
+/// distinct outputs: two sequences of one length that differ in exactly
+/// one instant always differ in the digest. It costs one multiply per
+/// completion, measurably less than a full `splitmix64` mix on the
+/// dispatcher's hot path.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CompletionRecord {
+    /// Completions recorded.
+    pub count: u64,
+    /// The last completion instant (`None` with none).
+    pub last: Option<SimTime>,
+    /// The first consecutive pair `(earlier, later)` in event order whose
+    /// later instant precedes the earlier one, if any.
+    pub first_regression: Option<(SimTime, SimTime)>,
+    /// Running digest of the instants in event order, from 0 (see the
+    /// type docs).
+    pub digest: u64,
+}
+
+/// The FNV-1a 64-bit prime, the multiplier of [`CompletionRecord`]'s
+/// digest.
+const DIGEST_PRIME: u64 = 0x0100_0000_01b3;
+
+impl CompletionRecord {
+    /// Records one completion at `at`.
+    pub fn push(&mut self, at: SimTime) {
+        if let Some(last) = self.last {
+            if at < last && self.first_regression.is_none() {
+                self.first_regression = Some((last, at));
+            }
+        }
+        self.count += 1;
+        self.last = Some(at);
+        self.digest = (self.digest ^ at.as_picos()).wrapping_mul(DIGEST_PRIME);
+    }
+}
+
 /// Complete outcome of one serve run. `PartialEq` is exact — two reports
 /// compare equal iff every counter, latency sample and timestamp is
-/// bit-identical, which is how per-seed determinism is asserted.
+/// bit-identical (the completion sequence through its
+/// [`CompletionRecord`] digest), which is how per-seed determinism is
+/// asserted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Per-tenant metrics, in spec order.
@@ -210,9 +257,9 @@ pub struct ServeReport {
     pub horizon: SimTime,
     /// Virtual time of the last completion (≥ horizon under load).
     pub makespan: SimTime,
-    /// Every completion instant, in event order — the monotone
-    /// virtual-clock witness ([`ServeReport::check`]).
-    pub completions: Vec<SimTime>,
+    /// Every completion instant, in event order, as a fixed-size record —
+    /// the monotone virtual-clock witness ([`ServeReport::check`]).
+    pub completions: CompletionRecord,
     /// Injected-fault summary (all zeros for a fault-free run).
     pub faults: FaultOutcome,
     /// Virtual-time sampler output (empty unless
@@ -263,11 +310,13 @@ impl ServeReport {
     /// 1. conservation per tenant: `offered = admitted + rejected` and
     ///    `admitted = completed + shed`;
     /// 2. completion instants are non-decreasing in event order (the
-    ///    virtual clock never runs backwards);
-    /// 3. latency sample counts equal completion counts, and per-tenant
-    ///    `violations ≤ completed`;
-    /// 4. the makespan is the last completion (or the horizon if nothing
-    ///    completed);
+    ///    virtual clock never runs backwards): the [`CompletionRecord`]
+    ///    holds no regressing pair;
+    /// 3. latency sample counts equal completion counts, per-tenant
+    ///    `violations ≤ completed`, and the tenants' `completed` counts sum
+    ///    to the record's count;
+    /// 4. the makespan is the later of the last completion and the horizon
+    ///    (the horizon if nothing completed);
     /// 5. fault accounting is coherent: `retries ≤ offered` per tenant,
     ///    and requests strand only when a device was actually lost;
     /// 6. token conservation per tenant:
@@ -349,18 +398,17 @@ impl ServeReport {
                 self.faults.stranded
             ));
         }
-        if let Some(w) = self.completions.windows(2).find(|w| w[0] > w[1]) {
-            return Err(format!("completions regress: {} then {}", w[0], w[1]));
+        if let Some((earlier, later)) = self.completions.first_regression {
+            return Err(format!("completions regress: {earlier} then {later}"));
         }
         let total: u64 = self.tenants.iter().map(|t| t.completed).sum();
-        if total != self.completions.len() as u64 {
+        if total != self.completions.count {
             return Err(format!(
                 "{} tenant completions but {} completion events",
-                total,
-                self.completions.len()
+                total, self.completions.count
             ));
         }
-        let last = self.completions.last().copied().unwrap_or(self.horizon);
+        let last = self.completions.last.unwrap_or(self.horizon);
         if self.makespan != last.max(self.horizon) {
             return Err(format!(
                 "makespan {} != max(last completion {last}, horizon {})",
@@ -487,6 +535,15 @@ impl ServeReport {
 mod tests {
     use super::*;
 
+    /// The record of completions at `us`, in that order.
+    fn record(us: &[f64]) -> CompletionRecord {
+        let mut record = CompletionRecord::default();
+        for &at in us {
+            record.push(SimTime::from_micros(at));
+        }
+        record
+    }
+
     fn tenant_with(latencies_us: &[f64]) -> TenantMetrics {
         let mut t = TenantMetrics::new("t");
         t.latencies = latencies_us
@@ -531,7 +588,7 @@ mod tests {
             devices: vec![],
             horizon: SimTime::from_millis(1),
             makespan: SimTime::from_millis(1),
-            completions: vec![SimTime::from_micros(10.0)],
+            completions: record(&[10.0]),
             faults: FaultOutcome::default(),
             samples: vec![],
         };
@@ -541,9 +598,71 @@ mod tests {
         assert!(err.contains("offered"), "{err}");
         report.tenants[0].rejected += 1;
         assert!(report.check().is_ok());
-        report.completions = vec![SimTime::from_micros(10.0), SimTime::from_micros(5.0)];
+    }
+
+    /// A one-tenant report whose completions happened at `us`.
+    fn completed_at(us: &[f64]) -> ServeReport {
+        let mut sorted = us.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        ServeReport {
+            tenants: vec![tenant_with(&sorted)],
+            devices: vec![],
+            horizon: SimTime::from_micros(15.0),
+            makespan: SimTime::from_micros(us.iter().copied().fold(15.0, f64::max)),
+            completions: record(us),
+            faults: FaultOutcome::default(),
+            samples: vec![],
+        }
+    }
+
+    #[test]
+    fn check_catches_regressing_completions() {
+        assert_eq!(completed_at(&[10.0, 20.0]).check(), Ok(()));
+        let report = completed_at(&[10.0, 20.0, 5.0, 30.0, 1.0]);
+        assert_eq!(
+            report.completions.first_regression,
+            Some((SimTime::from_micros(20.0), SimTime::from_micros(5.0))),
+            "the first pair that runs backwards is kept"
+        );
         let err = report.check().unwrap_err();
         assert!(err.contains("regress"), "{err}");
+    }
+
+    #[test]
+    fn check_catches_a_completion_count_mismatch() {
+        let mut report = completed_at(&[10.0, 20.0]);
+        report.completions.count += 1;
+        let err = report.check().unwrap_err();
+        assert!(err.contains("completion events"), "{err}");
+    }
+
+    #[test]
+    fn check_catches_a_makespan_mismatch() {
+        // Last completion 20 µs past a 15-µs horizon: makespan 20 µs.
+        let mut report = completed_at(&[10.0, 20.0]);
+        report.makespan = SimTime::from_micros(15.0);
+        let err = report.check().unwrap_err();
+        assert!(err.contains("makespan"), "{err}");
+        // Nothing completed: the makespan is the horizon.
+        let mut idle = completed_at(&[]);
+        assert_eq!(idle.check(), Ok(()));
+        idle.makespan = SimTime::from_micros(16.0);
+        let err = idle.check().unwrap_err();
+        assert!(err.contains("makespan"), "{err}");
+    }
+
+    #[test]
+    fn one_changed_completion_instant_makes_reports_differ() {
+        let report = completed_at(&[10.0, 20.0, 30.0]);
+        assert_eq!(report, completed_at(&[10.0, 20.0, 30.0]));
+        let mut moved = report.clone();
+        moved.completions = record(&[10.0, 20.5, 30.0]);
+        assert_eq!(moved.completions.count, report.completions.count);
+        assert_eq!(moved.completions.last, report.completions.last);
+        assert_ne!(moved, report, "the digest sees the moved instant");
+        let mut swapped = report.clone();
+        swapped.completions = record(&[20.0, 10.0, 30.0]);
+        assert_ne!(swapped, report, "the digest sees the order");
     }
 
     #[test]
@@ -553,7 +672,7 @@ mod tests {
             devices: vec![],
             horizon: SimTime::from_millis(1),
             makespan: SimTime::from_millis(1),
-            completions: vec![SimTime::from_micros(10.0)],
+            completions: record(&[10.0]),
             faults: FaultOutcome::default(),
             samples: vec![],
         };
@@ -585,7 +704,7 @@ mod tests {
             }],
             horizon: SimTime::from_millis(1),
             makespan: SimTime::from_millis(1),
-            completions: vec![SimTime::from_micros(10.0)],
+            completions: record(&[10.0]),
             faults: FaultOutcome::default(),
             samples: vec![],
         };
@@ -619,7 +738,7 @@ mod tests {
             devices: vec![],
             horizon: SimTime::from_millis(1),
             makespan: SimTime::from_millis(1),
-            completions: vec![SimTime::from_micros(10.0)],
+            completions: record(&[10.0]),
             faults: FaultOutcome::default(),
             samples: vec![],
         };
@@ -638,7 +757,7 @@ mod tests {
             }],
             horizon: SimTime::from_millis(1),
             makespan: SimTime::from_millis(1),
-            completions: vec![SimTime::from_micros(10.0), SimTime::from_micros(20.0)],
+            completions: record(&[10.0, 20.0]),
             faults: FaultOutcome {
                 devices_lost: 1,
                 panics: 2,
@@ -666,7 +785,7 @@ mod tests {
             devices: vec![],
             horizon: SimTime::from_millis(1),
             makespan: SimTime::from_millis(1),
-            completions: vec![SimTime::from_micros(10.0)],
+            completions: record(&[10.0]),
             faults: FaultOutcome::default(),
             samples: vec![],
         };

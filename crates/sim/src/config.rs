@@ -1,5 +1,7 @@
 //! GPU hardware model configuration.
 
+use std::fmt;
+
 use crate::sched::SchedPolicyKind;
 use crate::time::SimTime;
 
@@ -218,6 +220,154 @@ impl GpuConfig {
     }
 }
 
+/// A hardware-model field outside the range the simulator is defined on,
+/// returned by [`GpuConfig::validate`] and [`ClusterConfig::validate`]
+/// (and by compile and run as [`SimError::Config`](crate::SimError)).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfigError {
+    /// The field, prefixed `devices[i].` for a device of a cluster.
+    pub field: String,
+    /// The range the field must lie in.
+    pub bound: &'static str,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "invalid hardware model: `{}` must be {}",
+            self.field, self.bound
+        )
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+/// `Ok` when `ok` holds, else the error naming `field` and `bound`.
+fn check(ok: bool, field: &str, bound: &'static str) -> Result<(), ConfigError> {
+    if ok {
+        return Ok(());
+    }
+    Err(ConfigError {
+        field: field.to_owned(),
+        bound,
+    })
+}
+
+/// Most SMs one device may have: far beyond any real GPU, and small enough
+/// that the engine's per-SM arrays stay small.
+const MAX_SMS: u32 = 1 << 16;
+
+/// Longest fixed latency, as cycles or as a [`SimTime`]: a second at
+/// 1 GHz. Sums of many such latencies stay far inside the picosecond
+/// clock's range (about 213 days).
+const MAX_LATENCY_CYCLES: u64 = 1_000_000_000;
+const MAX_LATENCY: SimTime = SimTime::from_picos(1_000_000_000_000);
+const MAX_LATENCY_BOUND: &str = "at most 1e9 cycles";
+const MAX_TIME_BOUND: &str = "at most 1 s";
+
+/// Clock range: a cycle is at least the clock's one-picosecond resolution
+/// and at most a microsecond.
+const CLOCK_HZ: (f64, f64) = (1e6, 1e12);
+/// Bandwidth range (DRAM and links), bytes per second.
+const BYTES_PER_SEC: (f64, f64) = (1e6, 1e15);
+
+/// `lo <= v <= hi`, false for NaN.
+fn within(v: f64, (lo, hi): (f64, f64)) -> bool {
+    lo <= v && v <= hi
+}
+
+impl GpuConfig {
+    /// Checks every field the timing model divides by, scales with or adds
+    /// against the range it is defined on:
+    ///
+    /// - `num_sms` is in `[1, 65536]`;
+    /// - `clock_hz` is in `[1e6, 1e12]`, and `dram_bytes_per_sec` in
+    ///   `[1e6, 1e15]`;
+    /// - `tensor_flop_per_cycle_sm` and `fma_flop_per_cycle_sm` are in
+    ///   `[1, 1e6]`, and `compute_efficiency` in `[0.01, 1]`;
+    /// - `block_jitter` is in `[0, 1)`, so every block's factor is
+    ///   positive;
+    /// - `residency_boost` is in `[0, 1]`, so residency scales lie in
+    ///   `[0, 1]` and grow with occupancy;
+    /// - `dram_saturation_fraction` is in `(0, 1]`;
+    /// - the five latency fields in cycles are at most 1e9, and
+    ///   `host_launch_gap` and `kernel_dispatch_latency` at most 1 s.
+    ///
+    /// The ranges are orders of magnitude wider than any real GPU. Out of
+    /// them, a run would return a plausible wrong answer (a negative
+    /// bandwidth makes DRAM free, a NaN clock prices nothing, a zero or
+    /// vanishing clock, efficiency or bandwidth saturates every op),
+    /// overflow the picosecond clock with one latency, or size the
+    /// per-SM arrays from a hostile `num_sms`.
+    ///
+    /// # Errors
+    ///
+    /// The first field out of range, as a [`ConfigError`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        check(
+            (1..=MAX_SMS).contains(&self.num_sms),
+            "num_sms",
+            "in [1, 65536]",
+        )?;
+        check(
+            within(self.clock_hz, CLOCK_HZ),
+            "clock_hz",
+            "in [1e6, 1e12]",
+        )?;
+        for (v, field) in [
+            (self.tensor_flop_per_cycle_sm, "tensor_flop_per_cycle_sm"),
+            (self.fma_flop_per_cycle_sm, "fma_flop_per_cycle_sm"),
+        ] {
+            check(within(v, (1.0, 1e6)), field, "in [1, 1e6]")?;
+        }
+        check(
+            within(self.dram_bytes_per_sec, BYTES_PER_SEC),
+            "dram_bytes_per_sec",
+            "in [1e6, 1e15]",
+        )?;
+        check(
+            within(self.compute_efficiency, (0.01, 1.0)),
+            "compute_efficiency",
+            "in [0.01, 1]",
+        )?;
+        for (v, field) in [
+            (self.global_latency_cycles, "global_latency_cycles"),
+            (self.atomic_latency_cycles, "atomic_latency_cycles"),
+            (self.poll_latency_cycles, "poll_latency_cycles"),
+            (self.fence_cycles, "fence_cycles"),
+            (self.syncthreads_cycles, "syncthreads_cycles"),
+        ] {
+            check(v <= MAX_LATENCY_CYCLES, field, MAX_LATENCY_BOUND)?;
+        }
+        check(
+            within(self.residency_boost, (0.0, 1.0)),
+            "residency_boost",
+            "in [0, 1]",
+        )?;
+        check(
+            (0.0..1.0).contains(&self.block_jitter),
+            "block_jitter",
+            "in [0, 1)",
+        )?;
+        check(
+            self.dram_saturation_fraction > 0.0 && self.dram_saturation_fraction <= 1.0,
+            "dram_saturation_fraction",
+            "in (0, 1]",
+        )?;
+        check(
+            self.host_launch_gap <= MAX_LATENCY,
+            "host_launch_gap",
+            MAX_TIME_BOUND,
+        )?;
+        check(
+            self.kernel_dispatch_latency <= MAX_LATENCY,
+            "kernel_dispatch_latency",
+            MAX_TIME_BOUND,
+        )
+    }
+}
+
 impl Default for GpuConfig {
     fn default() -> Self {
         GpuConfig::tesla_v100()
@@ -360,6 +510,34 @@ impl ClusterConfig {
     /// included; that is paid by the cross-device semaphore edge).
     pub fn link_wire_time(&self, bytes: u64) -> SimTime {
         SimTime::from_picos_rounded(bytes as f64 / self.link_bytes_per_sec * 1e12)
+    }
+
+    /// Checks the node: at least one device, `link_bytes_per_sec` in
+    /// `[1e6, 1e15]`, `link_latency` at most 1 s, and every device per
+    /// [`GpuConfig::validate`] (its fields named `devices[i].field`).
+    ///
+    /// # Errors
+    ///
+    /// The first field out of range, as a [`ConfigError`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        check(!self.devices.is_empty(), "devices", "non-empty")?;
+        check(
+            within(self.link_bytes_per_sec, BYTES_PER_SEC),
+            "link_bytes_per_sec",
+            "in [1e6, 1e15]",
+        )?;
+        check(
+            self.link_latency <= MAX_LATENCY,
+            "link_latency",
+            MAX_TIME_BOUND,
+        )?;
+        for (i, gpu) in self.devices.iter().enumerate() {
+            gpu.validate().map_err(|e| ConfigError {
+                field: format!("devices[{i}].{}", e.field),
+                ..e
+            })?;
+        }
+        Ok(())
     }
 
     /// The node's effective block-issue ordering: device 0's

@@ -45,7 +45,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 use std::sync::Arc;
 
-use crate::config::{ClusterConfig, GpuConfig, SM_CAPACITY_UNITS};
+use crate::config::{ClusterConfig, ConfigError, GpuConfig, SM_CAPACITY_UNITS};
 use crate::dim::Dim3;
 use crate::kernel::{BlockCtx, KernelSource, Step};
 use crate::mem::{BufferId, DType, GlobalMemory};
@@ -572,6 +572,15 @@ pub enum SimError {
     /// A kernel builder rejected its inputs (surfaced here so pipeline
     /// assembly code can use one error type end to end).
     Build(BuildError),
+    /// A hardware-model field is out of range ([`GpuConfig::validate`]);
+    /// compile and run reject it before any event is simulated.
+    Config(ConfigError),
+}
+
+impl From<ConfigError> for SimError {
+    fn from(e: ConfigError) -> Self {
+        SimError::Config(e)
+    }
 }
 
 impl From<BuildError> for SimError {
@@ -588,6 +597,7 @@ impl fmt::Display for SimError {
                 write!(f, "Gpu::run may only be called once per Gpu")
             }
             SimError::Build(e) => write!(f, "{e}"),
+            SimError::Config(e) => write!(f, "{e}"),
         }
     }
 }
@@ -596,6 +606,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Build(e) => Some(e),
+            SimError::Config(e) => Some(e),
             SimError::Deadlock(report) => Some(report.as_ref()),
             SimError::AlreadyRan => None,
         }
@@ -881,12 +892,17 @@ impl PipelineDesc {
     pub(crate) fn new(cluster: ClusterConfig) -> Self {
         let costs = cluster.devices.iter().map(FixedCosts::of).collect();
         let mut sm_base = Vec::with_capacity(cluster.devices.len());
-        let mut device_of_sm = Vec::with_capacity(cluster.total_sms() as usize);
+        let mut device_of_sm = Vec::new();
         let mut base = 0u32;
-        for (d, gpu) in cluster.devices.iter().enumerate() {
-            sm_base.push(base);
-            device_of_sm.extend(std::iter::repeat_n(d as u32, gpu.num_sms as usize));
-            base += gpu.num_sms;
+        // Compile and run reject an out-of-range model before reading the
+        // SM map, so such a model gets none: a hostile `num_sms` must not
+        // size an allocation.
+        if cluster.validate().is_ok() {
+            for (d, gpu) in cluster.devices.iter().enumerate() {
+                sm_base.push(base);
+                device_of_sm.extend(std::iter::repeat_n(d as u32, gpu.num_sms as usize));
+                base += gpu.num_sms;
+            }
         }
         let host_time = vec![SimTime::ZERO; cluster.devices.len()];
         PipelineDesc {
@@ -1060,9 +1076,19 @@ enum PendingStep {
     Done,
 }
 
+/// One resident block. Slots are pooled per run: [`Exec::finish_block`]
+/// returns a finished block's slot to [`RunState::free_slots`] and
+/// [`Exec::issue_block`] takes from there before growing `blocks`, so a
+/// run holds at most as many slots as blocks were ever resident at once
+/// ([`EngineCounters::peak_block_slots`]).
 struct BlockSlot {
     kernel: usize,
     idx: Dim3,
+    /// The block's place in the run's issue order (its
+    /// [`EngineCounters::placements`] ordinal), or [`FREED_SLOT`] once it
+    /// finished. Reports that list blocks sort by it, since slot order is
+    /// not issue order once slots are reused.
+    issue_seq: u64,
     sm: u32,
     units: u32,
     body: Option<Box<dyn crate::kernel::BlockBody>>,
@@ -1082,6 +1108,9 @@ struct BlockSlot {
     prog_len: u32,
     prog_pc: u32,
 }
+
+/// [`BlockSlot::issue_seq`] of a slot whose block finished.
+const FREED_SLOT: u64 = u64::MAX;
 
 impl BlockSlot {
     #[inline]
@@ -1176,6 +1205,9 @@ pub(crate) struct RunState {
     /// refreshed by [`Exec::set_sm_active`] at each `sm_active` write.
     sm_scale: Vec<f64>,
     blocks: Vec<BlockSlot>,
+    /// Slots of finished blocks, reused by the next placements (last
+    /// freed, first reused).
+    free_slots: Vec<usize>,
     /// Reference-mode waiter registry (the original representation).
     waiters: BTreeMap<(usize, u32), Vec<usize>>,
     /// Optimized-mode waiter registry: dense per-array wait-lists.
@@ -1229,6 +1261,7 @@ impl RunState {
             active_units: Vec::new(),
             sm_scale: Vec::new(),
             blocks: Vec::new(),
+            free_slots: Vec::new(),
             waiters: BTreeMap::new(),
             wait_lists: WaitLists::new(),
             ready_queue: BTreeSet::new(),
@@ -1280,6 +1313,7 @@ impl RunState {
                 .map(|&d| residency_factor(0, desc.device_config(d).residency_boost)),
         );
         self.blocks.clear();
+        self.free_slots.clear();
         self.waiters.clear();
         self.wait_lists.clear_all();
         self.ready_queue.clear();
@@ -1597,6 +1631,7 @@ impl Exec<'_> {
             }
             EventKind::BlockResume(b) => {
                 self.st.counters.block_resume_events += 1;
+                self.debug_assert_resident(b);
                 match self.st.blocks[b].pending.take() {
                     None => self.step_block(b),
                     Some(PendingStep::Op(op)) => self.apply_sync_op(b, op),
@@ -1610,6 +1645,7 @@ impl Exec<'_> {
                 inc,
             } => {
                 self.st.counters.post_apply_events += 1;
+                self.debug_assert_resident(block);
                 self.apply_post(block, table, index, inc);
             }
             EventKind::AtomicApply {
@@ -1619,6 +1655,7 @@ impl Exec<'_> {
                 inc,
             } => {
                 self.st.counters.atomic_apply_events += 1;
+                self.debug_assert_resident(block);
                 let prev = self.st.sems.add(table, index, inc);
                 self.st.blocks[block].atomic_result = Some(prev);
                 self.push_event(self.st.now, EventKind::BlockResume(block));
@@ -1626,25 +1663,39 @@ impl Exec<'_> {
         }
     }
 
+    /// Debug builds: every event naming a block is pending only while the
+    /// block is resident, so it never names a freed (or reused) slot.
+    #[inline(always)]
+    fn debug_assert_resident(&self, bid: usize) {
+        debug_assert!(
+            self.st.blocks[bid].issue_seq != FREED_SLOT,
+            "an event names the freed block slot {bid}"
+        );
+    }
+
     fn deadlock_error(&self, incomplete: &[usize]) -> SimError {
-        let blocked: Vec<BlockedBlock> = self
+        // Slots are reused, so slot order is not issue order: list the
+        // parked blocks by issue sequence.
+        let mut parked: Vec<_> = self
             .st
             .blocks
             .iter()
-            .filter_map(|slot| {
-                let (table, index, value) = slot.waiting?;
-                Some(BlockedBlock {
-                    kernel: KernelId(slot.kernel),
-                    kernel_name: self.desc.kernels[slot.kernel].name.clone(),
-                    block: slot.idx,
-                    sm: slot.sm,
-                    device: self.desc.kernels[slot.kernel].device,
-                    sem: table,
-                    sem_name: self.st.sems.name(table).to_owned(),
-                    index,
-                    target: value,
-                    current: self.st.sems.value(table, index),
-                })
+            .filter_map(|slot| Some((slot, slot.waiting?)))
+            .collect();
+        parked.sort_unstable_by_key(|(slot, _)| slot.issue_seq);
+        let blocked: Vec<BlockedBlock> = parked
+            .into_iter()
+            .map(|(slot, (table, index, value))| BlockedBlock {
+                kernel: KernelId(slot.kernel),
+                kernel_name: self.desc.kernels[slot.kernel].name.clone(),
+                block: slot.idx,
+                sm: slot.sm,
+                device: self.desc.kernels[slot.kernel].device,
+                sem: table,
+                sem_name: self.st.sems.name(table).to_owned(),
+                index,
+                target: value,
+                current: self.st.sems.value(table, index),
             })
             .collect();
         let pending = incomplete
@@ -1876,6 +1927,7 @@ impl Exec<'_> {
     }
 
     fn issue_block(&mut self, k: usize, sm: u32) {
+        let issue_seq = self.st.counters.placements;
         self.st.counters.placements += 1;
         self.update_util();
         let now = self.st.now;
@@ -1911,11 +1963,11 @@ impl Exec<'_> {
         if self.st.first_issue.is_none() {
             self.st.first_issue = Some(now);
         }
-        let bid = self.st.blocks.len();
         let jitter = self.jitter_value(k, idx);
-        self.st.blocks.push(BlockSlot {
+        let slot = BlockSlot {
             kernel: k,
             idx,
+            issue_seq,
             sm,
             units,
             body,
@@ -1926,7 +1978,18 @@ impl Exec<'_> {
             prog_start,
             prog_len,
             prog_pc: 0,
-        });
+        };
+        let bid = match self.st.free_slots.pop() {
+            Some(bid) => {
+                self.st.blocks[bid] = slot;
+                bid
+            }
+            None => {
+                self.st.blocks.push(slot);
+                self.st.counters.peak_block_slots = self.st.blocks.len() as u64;
+                self.st.blocks.len() - 1
+            }
+        };
         self.record(
             device,
             TraceEvent::BlockIssued {
@@ -2483,9 +2546,11 @@ impl Exec<'_> {
     fn finish_block(&mut self, bid: usize) {
         self.update_util();
         let (k, sm, units, idx) = {
-            let slot = &self.st.blocks[bid];
+            let slot = &mut self.st.blocks[bid];
+            slot.issue_seq = FREED_SLOT;
             (slot.kernel, slot.sm, slot.units, slot.idx)
         };
+        self.st.free_slots.push(bid);
         self.set_sm_free(sm as usize, self.st.sm_free[sm as usize] + units);
         self.set_sm_active(sm as usize, self.st.sm_active[sm as usize] - units);
         self.st.active_units[self.desc.kernels[k].device as usize] -= units as u64;
@@ -2865,7 +2930,8 @@ impl Gpu {
         });
         // Each device's host rank owns its own launch queue; launches to
         // different devices do not serialize against each other.
-        self.desc.host_time[device as usize] += launch_gap;
+        let host = &mut self.desc.host_time[device as usize];
+        *host = host.saturating_add(launch_gap);
         self.desc.streams[stream.0].queue.push(id);
         KernelId(id)
     }
@@ -2941,11 +3007,14 @@ impl Gpu {
     ///
     /// Returns [`SimError::Deadlock`] if execution stalls with incomplete
     /// kernels — every resident block waiting on a semaphore that nothing
-    /// can post — and [`SimError::AlreadyRan`] if this [`Gpu`] already ran.
+    /// can post — [`SimError::AlreadyRan`] if this [`Gpu`] already ran, and
+    /// [`SimError::Config`] if its hardware model is out of range
+    /// ([`ClusterConfig::validate`]).
     pub fn run(&mut self) -> Result<RunReport, SimError> {
         if self.ran {
             return Err(SimError::AlreadyRan);
         }
+        self.desc.cluster.validate()?;
         self.ran = true;
         self.desc.finalize_gates();
         let programs = if self.mode == EngineMode::Optimized {
@@ -3003,6 +3072,35 @@ mod tests {
         // Two sequential waves of compute(1000 cycles).
         let one_wave = GpuConfig::toy(4).cycles(1000);
         assert_eq!(k.duration, one_wave + one_wave);
+    }
+
+    /// A slot is touched on every event of its block: keep it within two
+    /// cache lines.
+    #[test]
+    fn block_slot_fits_in_128_bytes() {
+        let size = std::mem::size_of::<BlockSlot>();
+        assert!(size <= 128, "BlockSlot is {size} bytes");
+    }
+
+    /// The second wave reuses the first wave's slots on both engines.
+    #[test]
+    fn finished_block_slots_are_reused() {
+        for mode in [EngineMode::Reference, EngineMode::Optimized] {
+            let mut gpu = Gpu::with_mode(quiet_config(), mode);
+            let s = gpu.create_stream(0);
+            gpu.launch(
+                s,
+                Arc::new(FixedKernel::new(
+                    "k",
+                    Dim3::linear(6),
+                    1,
+                    vec![Op::compute(1000)],
+                )),
+            );
+            let report = gpu.run().unwrap();
+            assert_eq!(report.counters.placements, 6, "{mode:?}");
+            assert_eq!(report.counters.peak_block_slots, 4, "{mode:?}");
+        }
     }
 
     #[test]

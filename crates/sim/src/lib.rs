@@ -82,7 +82,7 @@ pub mod stats;
 mod time;
 mod trace;
 
-pub use config::{ClusterConfig, GpuConfig, MAX_OCCUPANCY, SM_CAPACITY_UNITS};
+pub use config::{ClusterConfig, ConfigError, GpuConfig, MAX_OCCUPANCY, SM_CAPACITY_UNITS};
 pub use dim::Dim3;
 pub use engine::{
     BlockedBlock, BuildError, BuildErrorKind, DeadlockReport, EngineMode, Gpu, LaunchGate,

@@ -224,11 +224,13 @@ impl Gpu {
     ///
     /// Returns [`SimError::AlreadyRan`] if the GPU has already executed —
     /// its memory and semaphores would no longer be the pipeline's initial
-    /// state.
+    /// state — and [`SimError::Config`] if its hardware model is out of
+    /// range ([`ClusterConfig::validate`](crate::ClusterConfig::validate)).
     pub fn compile(mut self) -> Result<CompiledPipeline, SimError> {
         if self.ran {
             return Err(SimError::AlreadyRan);
         }
+        self.desc.cluster.validate()?;
         self.desc.finalize_gates();
         let RunState { mem, sems, .. } = self.st;
         Ok(CompiledPipeline {

@@ -156,6 +156,10 @@ pub struct EngineCounters {
     /// Most events pending in the queue at the start of a timestamp
     /// batch.
     pub peak_queue_len: u64,
+    /// Most block slots the run held: finished blocks' slots are reused,
+    /// so this is the most blocks resident at once, never more than the
+    /// sum of the kernels' [`KernelReport::max_concurrent`].
+    pub peak_block_slots: u64,
     /// Optimized engine: DRAM-time lookups in the per-kernel price memo.
     pub mem_memo: MemoCount,
     /// Optimized engine: cycle-conversion lookups in the per-kernel price

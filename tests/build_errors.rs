@@ -5,7 +5,10 @@
 use cusync_kernels::{
     Conv2DBuilder, Conv2DShape, GemmBuilder, GemmDims, SoftmaxDropoutBuilder, TileShape,
 };
-use cusync_sim::{BuildError, BuildErrorKind, GpuConfig, SimError};
+use cusync_sim::{
+    BuildError, BuildErrorKind, ClusterConfig, Dim3, FixedKernel, Gpu, GpuConfig, Op, SimError,
+    SimTime,
+};
 use cusync_streamk::StreamKBuilder;
 
 fn v100() -> GpuConfig {
@@ -254,4 +257,217 @@ fn sim_error_display_and_source_cover_every_variant() {
     let err = SimError::AlreadyRan;
     assert!(err.to_string().contains("once per Gpu"), "{err}");
     assert!(err.source().is_none());
+}
+
+/// A pipeline small enough to run on any valid hardware model: two
+/// launches, so a hostile launch gap is added twice before validation.
+fn tiny_pipeline(cluster: ClusterConfig) -> Gpu {
+    let mut gpu = Gpu::new_cluster(cluster);
+    let stream = gpu.create_stream(0);
+    for name in ["copy", "copy again"] {
+        gpu.launch(
+            stream,
+            std::sync::Arc::new(FixedKernel::new(
+                name,
+                Dim3::linear(4),
+                2,
+                vec![Op::read(4096), Op::compute(1_000), Op::write(4096)],
+            )),
+        );
+    }
+    gpu
+}
+
+/// The validated fields of a device, in [`break_field`]'s numbering.
+const DEVICE_FIELDS: u32 = 17;
+
+/// Sets validated field `field` of `gpu` out of its range and returns the
+/// field's name. `kind` picks 0, a negative value, NaN, infinity or an
+/// extreme (1e300, or the type's maximum); where a kind cannot be
+/// represented or lies in range (0 latency, NaN cycles) the value lands
+/// `magnitude` past the field's upper bound instead.
+fn break_field(gpu: &mut GpuConfig, field: u32, kind: u32, magnitude: f64) -> &'static str {
+    let float = || match kind {
+        0 => 0.0,
+        1 => -magnitude,
+        2 => f64::NAN,
+        3 => f64::INFINITY,
+        _ => 1e300,
+    };
+    // Fields whose range is within [0, 1] and holds 0: past 1 instead.
+    let unit_from_zero = || match kind {
+        0 => 1.0 + magnitude,
+        _ => float(),
+    };
+    let cycles = match kind {
+        4 => u64::MAX,
+        _ => 1_000_000_001 + magnitude as u64,
+    };
+    let time = match kind {
+        4 => SimTime::MAX,
+        _ => SimTime::from_picos(1_000_000_000_001 + magnitude as u64),
+    };
+    match field {
+        0 => {
+            gpu.num_sms = match kind {
+                0 => 0,
+                4 => u32::MAX,
+                _ => 65_537 + magnitude as u32,
+            };
+            "num_sms"
+        }
+        1 => {
+            gpu.clock_hz = float();
+            "clock_hz"
+        }
+        2 => {
+            gpu.tensor_flop_per_cycle_sm = float();
+            "tensor_flop_per_cycle_sm"
+        }
+        3 => {
+            gpu.fma_flop_per_cycle_sm = float();
+            "fma_flop_per_cycle_sm"
+        }
+        4 => {
+            gpu.dram_bytes_per_sec = float();
+            "dram_bytes_per_sec"
+        }
+        5 => {
+            gpu.compute_efficiency = float();
+            "compute_efficiency"
+        }
+        6 => {
+            gpu.global_latency_cycles = cycles;
+            "global_latency_cycles"
+        }
+        7 => {
+            gpu.atomic_latency_cycles = cycles;
+            "atomic_latency_cycles"
+        }
+        8 => {
+            gpu.poll_latency_cycles = cycles;
+            "poll_latency_cycles"
+        }
+        9 => {
+            gpu.fence_cycles = cycles;
+            "fence_cycles"
+        }
+        10 => {
+            gpu.syncthreads_cycles = cycles;
+            "syncthreads_cycles"
+        }
+        11 => {
+            gpu.residency_boost = unit_from_zero();
+            "residency_boost"
+        }
+        12 => {
+            gpu.block_jitter = unit_from_zero();
+            "block_jitter"
+        }
+        13 => {
+            gpu.dram_saturation_fraction = float();
+            "dram_saturation_fraction"
+        }
+        14 => {
+            gpu.host_launch_gap = time;
+            "host_launch_gap"
+        }
+        15 => {
+            gpu.kernel_dispatch_latency = time;
+            "kernel_dispatch_latency"
+        }
+        _ => {
+            // Just below the clock's floor: positive, finite and wrong.
+            gpu.clock_hz = 1e6 / (2.0 + magnitude);
+            "clock_hz"
+        }
+    }
+}
+
+/// `err` is a `SimError::Config` naming `want`.
+#[track_caller]
+fn assert_config_error(err: SimError, want: &str) {
+    match err {
+        SimError::Config(e) => {
+            assert_eq!(e.field, want, "{e}");
+            let sim = SimError::Config(e);
+            assert!(sim.to_string().contains(want), "{sim}");
+            assert!(std::error::Error::source(&sim).is_some());
+        }
+        other => panic!("{want}: expected SimError::Config, got {other}"),
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+    /// Property: a hardware model with any validated field at 0, negative,
+    /// NaN, infinite or extreme is rejected by both compile and run as
+    /// `SimError::Config` naming that field (never a run, never a panic),
+    /// on a lone GPU and on device 1 of a cluster.
+    #[test]
+    fn out_of_range_hardware_models_are_config_errors(
+        field in 0u32..DEVICE_FIELDS,
+        kind in 0u32..5,
+        magnitude in 1u64..1_000_000,
+    ) {
+        let mut broken = GpuConfig::toy(2);
+        let name = break_field(&mut broken, field, kind, magnitude as f64 / 1_000.0);
+        proptest::prop_assert!(broken.validate().is_err(), "{name} accepted");
+        let lone = ClusterConfig::single(broken.clone());
+        let mut node = ClusterConfig::dgx_v100(2);
+        node.devices[1] = broken;
+        for (cluster, want) in [
+            (lone, format!("devices[0].{name}")),
+            (node, format!("devices[1].{name}")),
+        ] {
+            let err = tiny_pipeline(cluster.clone()).compile().map(|_| ()).unwrap_err();
+            assert_config_error(err, &want);
+            let err = tiny_pipeline(cluster).run().map(|_| ()).unwrap_err();
+            assert_config_error(err, &want);
+        }
+    }
+}
+
+/// Every preset validates and still runs; the node-level fields are
+/// checked too.
+#[test]
+fn presets_validate_and_cluster_fields_are_checked() {
+    for gpu in [
+        GpuConfig::tesla_v100(),
+        GpuConfig::ampere_a100(),
+        GpuConfig::toy(1),
+    ] {
+        assert_eq!(gpu.validate(), Ok(()), "{}", gpu.name);
+        let cluster = ClusterConfig::single(gpu);
+        assert_eq!(cluster.validate(), Ok(()));
+        tiny_pipeline(cluster).run().expect("a preset runs");
+    }
+    for n in 1..=8 {
+        assert_eq!(ClusterConfig::dgx_v100(n).validate(), Ok(()));
+        assert_eq!(
+            ClusterConfig::nvlink_ring(n, GpuConfig::ampere_a100()).validate(),
+            Ok(())
+        );
+    }
+    let broken = |edit: fn(&mut ClusterConfig)| {
+        let mut node = ClusterConfig::dgx_v100(2);
+        edit(&mut node);
+        tiny_pipeline(node).compile().map(|_| ()).unwrap_err()
+    };
+    for link in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e300] {
+        let mut node = ClusterConfig::dgx_v100(2);
+        node.link_bytes_per_sec = link;
+        assert_eq!(node.validate().unwrap_err().field, "link_bytes_per_sec");
+    }
+    assert_config_error(
+        broken(|n| n.link_bytes_per_sec = f64::NAN),
+        "link_bytes_per_sec",
+    );
+    assert_config_error(broken(|n| n.link_latency = SimTime::MAX), "link_latency");
+    let empty = ClusterConfig {
+        devices: Vec::new(),
+        ..ClusterConfig::dgx_v100(1)
+    };
+    assert_eq!(empty.validate().unwrap_err().field, "devices");
 }

@@ -358,6 +358,73 @@ fn deadlock_reports_are_engine_invariant() {
     assert!(report.wait_cycle().is_some());
 }
 
+/// A deadlock reached only after earlier blocks finished: `runner`'s three
+/// blocks finish at jittered instants while `waiter`'s first five spin,
+/// and `waiter`'s last three take the capacity they free. The report lists
+/// the blocked blocks in issue order on both engines, whichever block
+/// slots they ended up in.
+#[test]
+fn deadlock_report_keeps_issue_order_after_blocks_finish() {
+    let scenario = |engine: EngineMode| {
+        let mut gpu = Gpu::with_mode(
+            GpuConfig {
+                host_launch_gap: SimTime::ZERO,
+                kernel_dispatch_latency: SimTime::ZERO,
+                block_jitter: 0.3,
+                ..GpuConfig::toy(2)
+            },
+            engine,
+        );
+        let never = gpu.alloc_sems("never", 1, 0);
+        let hi = gpu.create_stream(1);
+        let lo = gpu.create_stream(0);
+        gpu.launch(
+            hi,
+            Arc::new(FixedKernel::new(
+                "runner",
+                Dim3::linear(3),
+                4,
+                vec![Op::compute(20_000)],
+            )),
+        );
+        gpu.launch(
+            lo,
+            Arc::new(FixedKernel::new(
+                "waiter",
+                Dim3::linear(8),
+                4,
+                vec![Op::wait(never, 0, 1)],
+            )),
+        );
+        match gpu.run() {
+            Err(SimError::Deadlock(report)) => report,
+            other => panic!("expected a deadlock, got {other:?}"),
+        }
+    };
+    let reference = scenario(EngineMode::Reference);
+    let optimized = scenario(EngineMode::Optimized);
+    assert_eq!(reference, optimized, "deadlock reports");
+    let blocked: Vec<(usize, u32)> = optimized
+        .blocked
+        .iter()
+        .map(|b| (b.kernel.index(), b.block.x))
+        .collect();
+    assert_eq!(
+        blocked,
+        [
+            (1, 0),
+            (1, 1),
+            (1, 2),
+            (1, 3),
+            (1, 4),
+            (1, 5),
+            (1, 6),
+            (1, 7)
+        ]
+    );
+    assert_eq!(optimized.pending_names(), vec!["waiter".to_string()]);
+}
+
 /// The tensor-parallel layer boundary — shard GEMMs, simulated ring
 /// allreduce and the chunk-synchronized next-layer GEMM across 2–8
 /// devices — must be engine-invariant under both schedules.

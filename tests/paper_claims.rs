@@ -171,3 +171,34 @@ fn conv_layers_improve_with_conv2d_tile_sync() {
         "at least one batch should gain >2%, got {gains:?}"
     );
 }
+
+/// Claim (Section II-A): only `num_SMs × occupancy` blocks are resident at
+/// once, so the engine holds one block slot per resident block, not one
+/// per block of the grid. The GPT-3 MLP at batch 1024 runs 2.4 waves per
+/// GeMM; both engines reuse finished blocks' slots the same way.
+#[test]
+fn block_slots_track_resident_blocks_not_the_grid() {
+    use cusync_models::compile_mlp;
+    use cusync_sim::{EngineMode, Session};
+    for mode in [
+        SyncMode::StreamSync,
+        SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
+    ] {
+        let pipeline = compile_mlp(&v100(), MlpModel::Gpt3, 1024, mode);
+        let run = |engine| {
+            Session::with_mode(engine)
+                .run(&pipeline)
+                .expect("the MLP runs")
+        };
+        let reference = run(EngineMode::Reference);
+        let optimized = run(EngineMode::Optimized);
+        let peak = optimized.counters.peak_block_slots;
+        assert_eq!(peak, reference.counters.peak_block_slots, "{mode}");
+        let resident: u64 = optimized.kernels.iter().map(|k| k.max_concurrent).sum();
+        let blocks: u64 = optimized.kernels.iter().map(|k| k.blocks).sum();
+        assert!(
+            peak <= resident && resident < blocks,
+            "{mode}: {peak} slots, {resident} resident at most, {blocks} blocks"
+        );
+    }
+}
