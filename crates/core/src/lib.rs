@@ -21,11 +21,12 @@
 //! | custom tile processing order (III-C) | [`TileOrder`] + per-stage atomic counter |
 //! | tile dependency semaphores (III-D) | [`SyncPolicy`] (`TileSync`, `RowSync`, `StridedSync`, ...) |
 //!
-//! Synchronization structure is a compile-time artifact: [`Pipeline`]
-//! freezes a built graph + kernel launches into a reusable
-//! `cusync_sim::CompiledPipeline`, executed any number of times through
-//! `cusync_sim::Session` (the one-shot [`Gpu`](cusync_sim::Gpu)
-//! flow below still works for single runs).
+//! Synchronization structure is a compile-time artifact:
+//! [`Gpu::compile`](cusync_sim::Gpu::compile) freezes a built graph +
+//! kernel launches into a reusable `cusync_sim::CompiledPipeline`,
+//! executed any number of times through `cusync_sim::Session` (the
+//! one-shot [`Gpu`](cusync_sim::Gpu) flow below still works for single
+//! runs).
 //!
 //! ## Example
 //!
@@ -68,7 +69,6 @@ mod graph;
 mod mechanism;
 mod opt;
 pub mod order;
-mod pipeline;
 pub mod policy;
 mod stage;
 mod wait_kernel;
@@ -79,7 +79,6 @@ pub use graph::{producer_map, BoundGraph, SyncGraph};
 pub use mechanism::SyncMechanism;
 pub use opt::OptFlags;
 pub use order::{ColumnMajor, OrderRef, RowMajor, TableOrder, TileOrder, TileSchedule};
-pub use pipeline::Pipeline;
 pub use policy::{
     BatchedRowSync, Conv2DTileSync, NoSync, PolicyRef, RowSync, StridedSync, SyncPolicy, TileSync,
 };

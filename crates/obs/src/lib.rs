@@ -36,5 +36,5 @@ pub use attr::{
     KernelAttribution,
 };
 pub use chrome::{chrome_trace_json, validate_chrome_trace, ChromeTraceStats};
-pub use span::{Lane, Span, SpanCollector, SpanKind, TraceSink};
-pub use timeline::{collect_spans, spans_from_trace};
+pub use span::{Lane, Span, SpanKind};
+pub use timeline::collect_spans;

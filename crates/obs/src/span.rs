@@ -93,65 +93,3 @@ impl Span {
         self.end.saturating_sub(self.start)
     }
 }
-
-/// Receiver of finished spans. Implemented by [`SpanCollector`] (and by
-/// plain `Vec<Span>`); custom sinks can stream spans elsewhere — the
-/// producers only ever hand over values.
-pub trait TraceSink {
-    /// Receives one finished span.
-    fn record(&mut self, span: Span);
-}
-
-impl TraceSink for Vec<Span> {
-    fn record(&mut self, span: Span) {
-        self.push(span);
-    }
-}
-
-/// The simplest [`TraceSink`]: collects spans into a vector.
-#[derive(Debug, Default, Clone)]
-pub struct SpanCollector {
-    /// Spans received so far, in arrival order.
-    pub spans: Vec<Span>,
-}
-
-impl SpanCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the collector, returning its spans.
-    pub fn into_spans(self) -> Vec<Span> {
-        self.spans
-    }
-}
-
-impl TraceSink for SpanCollector {
-    fn record(&mut self, span: Span) {
-        self.spans.push(span);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn collector_collects_in_order() {
-        let mut sink = SpanCollector::new();
-        for i in 0..3u64 {
-            sink.record(Span {
-                name: format!("s{i}"),
-                kind: SpanKind::Block,
-                lane: Lane::Device { device: 0 },
-                start: SimTime::from_picos(i),
-                end: SimTime::from_picos(i + 1),
-            });
-        }
-        let spans = sink.into_spans();
-        assert_eq!(spans.len(), 3);
-        assert_eq!(spans[2].name, "s2");
-        assert_eq!(spans[2].duration(), SimTime::from_picos(1));
-    }
-}

@@ -1,6 +1,6 @@
 //! Span extraction from a finished engine run.
 //!
-//! [`spans_from_trace`] walks a canonical [`TraceEvent`] buffer (already
+//! [`collect_spans`] walks a canonical [`TraceEvent`] buffer (already
 //! time-sorted by the engine, identically in both engines) plus the run's
 //! [`RunReport`] and renders the
 //! paper's cost structure as spans:
@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 use cusync_sim::{ClusterConfig, RunReport, SimTime, TraceEvent};
 
-use crate::span::{Lane, Span, SpanKind, TraceSink};
+use crate::span::{Lane, Span, SpanKind};
 
 /// Maps each global SM index to its owning device, mirroring the
 /// simulator's flat SM numbering (device 0's SMs first, then device 1's…).
@@ -33,17 +33,17 @@ pub(crate) fn device_of_sm(cluster: &ClusterConfig) -> Vec<u32> {
 /// Renders the trace of one finished run into spans, in a deterministic
 /// order (kernel spans in launch order, then event-derived spans in trace
 /// order).
-pub fn spans_from_trace(
+pub fn collect_spans(
     cluster: &ClusterConfig,
     report: &RunReport,
     trace: &[TraceEvent],
-    sink: &mut dyn TraceSink,
-) {
+) -> Vec<Span> {
+    let mut spans = Vec::new();
     let horizon = report.total;
     let sm_device = device_of_sm(cluster);
     for (k, kr) in report.kernels.iter().enumerate() {
         if kr.end > kr.start || kr.blocks > 0 {
-            sink.record(Span {
+            spans.push(Span {
                 name: format!("{} (k{k})", kr.name),
                 kind: SpanKind::Kernel,
                 lane: Lane::Device { device: kr.device },
@@ -81,7 +81,7 @@ pub fn spans_from_trace(
             } => {
                 if let Some((start, sm)) = resident.remove(&(kernel.index(), *block)) {
                     let device = sm_device.get(sm as usize).copied().unwrap_or(0);
-                    sink.record(Span {
+                    spans.push(Span {
                         name: format!("{} {block}", kernel_name(kernel.index())),
                         kind: SpanKind::Block,
                         lane: Lane::Sm { device, sm },
@@ -110,7 +110,7 @@ pub fn spans_from_trace(
                         .map(|&(_, sm)| sm)
                         .unwrap_or(0);
                     let device = sm_device.get(sm as usize).copied().unwrap_or(0);
-                    sink.record(Span {
+                    spans.push(Span {
                         name: format!("{} {block} spin", kernel_name(kernel.index())),
                         kind: SpanKind::Spin,
                         lane: Lane::Sm { device, sm },
@@ -129,7 +129,7 @@ pub fn spans_from_trace(
                         .get(kernel.index())
                         .map(|kr| kr.device)
                         .unwrap_or(0);
-                    sink.record(Span {
+                    spans.push(Span {
                         name: format!("{} gate", kernel_name(kernel.index())),
                         kind: SpanKind::GateHold,
                         lane: Lane::Device { device },
@@ -150,7 +150,7 @@ pub fn spans_from_trace(
                     .get(kernel.index())
                     .map(|kr| kr.device)
                     .unwrap_or(0);
-                sink.record(Span {
+                spans.push(Span {
                     name: format!("{} {block} send {bytes}B", kernel_name(kernel.index())),
                     kind: SpanKind::Link,
                     lane: Lane::Link { device },
@@ -196,18 +196,6 @@ pub fn spans_from_trace(
         });
     }
     leftovers.sort_by(|a, b| (a.start, &a.name).cmp(&(b.start, &b.name)));
-    for span in leftovers {
-        sink.record(span);
-    }
-}
-
-/// Convenience wrapper over [`spans_from_trace`] collecting into a vector.
-pub fn collect_spans(
-    cluster: &ClusterConfig,
-    report: &RunReport,
-    trace: &[TraceEvent],
-) -> Vec<Span> {
-    let mut spans = Vec::new();
-    spans_from_trace(cluster, report, trace, &mut spans);
+    spans.extend(leftovers);
     spans
 }

@@ -490,6 +490,31 @@ mod tests {
         assert!(pool.service_time(2, 1, 0) > pool.service_time(0, 1, 0));
     }
 
+    /// Two device models that share a name but not a clock compile to
+    /// pipelines with different fingerprints, so each device is priced
+    /// by its own model, exactly as a pool of that model alone prices it.
+    #[test]
+    fn heterogeneous_devices_are_priced_by_their_own_model() {
+        let fast = GpuConfig::toy(4);
+        let slow = GpuConfig {
+            clock_hz: fast.clock_hz / 4.0,
+            ..fast.clone()
+        };
+        let cluster = ClusterConfig {
+            devices: vec![fast.clone(), slow.clone()],
+            ..ClusterConfig::single(fast.clone())
+        };
+        let tenants = [toy_tenant("a", 2)];
+        let pool = ServicePool::build(&cluster, &tenants, 1);
+        let alone = |config: GpuConfig| {
+            ServicePool::build(&ClusterConfig::single(config), &tenants, 1).service_time(0, 1, 0)
+        };
+        assert_eq!(pool.service_time(0, 1, 0), alone(fast));
+        assert_eq!(pool.service_time(0, 1, 1), alone(slow));
+        assert!(pool.service_time(0, 1, 1) > pool.service_time(0, 1, 0));
+        assert_eq!(pool.num_pipelines(), 2);
+    }
+
     #[test]
     fn service_times_are_reproducible() {
         let cluster = ClusterConfig::single(GpuConfig::toy(4));

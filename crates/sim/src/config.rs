@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use crate::sched::SchedPolicyKind;
 use crate::time::SimTime;
 
 /// Normalized per-SM capacity units.
@@ -94,14 +93,6 @@ pub struct GpuConfig {
     /// block starting. Together with `host_launch_gap` this reproduces the
     /// ~6us kernel invocation time the paper measures (Section V-E1).
     pub kernel_dispatch_latency: SimTime,
-    /// Block-issue ordering of this device's work distributor (see
-    /// [`SchedPolicy`](crate::SchedPolicy)). The default, [`SchedPolicyKind::Fifo`], is the
-    /// launch-order behaviour the paper observed on Volta/Ampere and the
-    /// only ordering preserving the seed engine's bit-identical
-    /// timelines; the others explore the schedule space. Multi-device
-    /// nodes follow device 0's setting
-    /// ([`ClusterConfig::effective_sched`]).
-    pub sched: SchedPolicyKind,
 }
 
 impl GpuConfig {
@@ -128,7 +119,6 @@ impl GpuConfig {
             dram_saturation_fraction: 0.5,
             host_launch_gap: SimTime::from_micros(1.2),
             kernel_dispatch_latency: SimTime::from_micros(4.8),
-            sched: SchedPolicyKind::Fifo,
         }
     }
 
@@ -156,7 +146,6 @@ impl GpuConfig {
             dram_saturation_fraction: 0.5,
             host_launch_gap: SimTime::from_micros(1.2),
             kernel_dispatch_latency: SimTime::from_micros(4.0),
-            sched: SchedPolicyKind::Fifo,
         }
     }
 
@@ -538,16 +527,6 @@ impl ClusterConfig {
             })?;
         }
         Ok(())
-    }
-
-    /// The node's effective block-issue ordering: device 0's
-    /// [`GpuConfig::sched`]. Issue order is a property of the whole
-    /// placement round (kernels on different devices never contend for the
-    /// same SM, so a per-device split would be indistinguishable), and
-    /// every cluster constructor builds homogeneous devices, so device 0
-    /// speaks for the node.
-    pub fn effective_sched(&self) -> SchedPolicyKind {
-        self.devices[0].sched
     }
 }
 

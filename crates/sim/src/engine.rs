@@ -12,14 +12,16 @@
 //!   SM capacity indexes, stats and traces. [`RunState::reset`] rewinds it
 //!   to the pipeline's initial conditions while keeping every arena
 //!   allocation, so repeated runs are allocation-free after warmup.
-//! - [`execute`] — the event loop itself, generic over both pieces. Both
-//!   [`EngineMode`]s run through it and produce bit-identical timelines
-//!   (`tests/engine_equivalence.rs`, `tests/session_reuse.rs`).
+//! - [`execute_with`] — the event loop itself, generic over both pieces.
+//!   Both [`EngineMode`]s run through it and produce bit-identical
+//!   timelines (`tests/engine_equivalence.rs`, `tests/session_reuse.rs`).
 //!
-//! [`Gpu`] remains the one-shot convenience wrapper: it owns one
-//! `PipelineDesc` under construction plus one `RunState`, and
-//! [`Gpu::run`] drives them through `execute` exactly once. Reusable
-//! execution lives in [`Session`](crate::Session).
+//! [`Session`] is the one driver of `execute_with`: it owns the run state
+//! and every run setting (engine mode, trace flag, issue-order override,
+//! link scale). [`Gpu`] remains the one-shot convenience wrapper: it owns
+//! one `PipelineDesc` under construction plus one `Session` holding the
+//! build storage, and [`Gpu::run`] runs the description on that session
+//! exactly once.
 //!
 //! The simulated semantics are unchanged from the original engine:
 //! thread blocks issue onto SM slots in kernel launch order — the
@@ -50,8 +52,9 @@ use crate::dim::Dim3;
 use crate::kernel::{BlockCtx, KernelSource, Step};
 use crate::mem::{BufferId, DType, GlobalMemory};
 use crate::ops::Op;
-use crate::sched::{SchedContext, SchedPolicy, SchedPolicyRef};
+use crate::sched::{SchedContext, SchedPolicy};
 use crate::sem::{SemArrayId, SemTable, WaitLists};
+use crate::session::Session;
 use crate::stats::{waves, EngineCounters, KernelReport, MemoCount, RunReport};
 use crate::time::SimTime;
 use crate::trace::{KernelId, TraceEvent};
@@ -664,8 +667,8 @@ impl LinkScale {
 
 /// Per-run execution knobs threaded from [`Session`](crate::Session) into
 /// the engine: the abort horizon of a checkpointed run and the link
-/// degradation scale. `Default` is a plain unbounded, healthy-link run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// degradation scale.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RunOptions {
     /// Abort at the first kernel-completion boundary at or after this
     /// virtual instant (see [`RunOutcome::Aborted`]).
@@ -1170,10 +1173,10 @@ impl FixedCosts {
 /// - stats integrals, event counters, [`EngineCounters`] and traces
 ///   return to zero/empty;
 /// - memory and semaphores are restored separately
-///   ([`GlobalMemory::reset_from`], [`SemTable::reset_from`]) because the
-///   one-shot [`Gpu`] path owns them live while a
-///   [`Session`](crate::Session) restores them from the compiled
-///   pipeline's pristine copies.
+///   ([`GlobalMemory::reset_from`], [`SemTable::reset_from`]) because a
+///   [`Session`] restores them from the compiled pipeline's pristine
+///   copies, while the one-shot [`Gpu::run`] runs on the memory and
+///   semaphores the kernels were built against.
 pub(crate) struct RunState {
     pub(crate) mem: GlobalMemory,
     pub(crate) sems: SemTable,
@@ -1191,7 +1194,6 @@ pub(crate) struct RunState {
     /// Optimized-mode event queue: heap sifts move 16-byte keys instead
     /// of full [`Event`] structs.
     fast_events: EventQueue,
-    events_handled: u64,
     sm_free: Vec<u32>,
     /// Units of *actively executing* (not semaphore-waiting) blocks per
     /// SM; busy-wait spinners occupy their slot but consume negligible
@@ -1255,7 +1257,6 @@ impl RunState {
             events: BinaryHeap::new(),
             event_seq: 0,
             fast_events: EventQueue::new(),
-            events_handled: 0,
             sm_free: Vec::new(),
             sm_active: Vec::new(),
             active_units: Vec::new(),
@@ -1299,7 +1300,6 @@ impl RunState {
         self.events.clear();
         self.event_seq = 0;
         self.fast_events.clear();
-        self.events_handled = 0;
         self.sm_free.clear();
         self.sm_free.resize(sms, SM_CAPACITY_UNITS);
         self.sm_active.clear();
@@ -1369,33 +1369,17 @@ impl RunState {
 }
 
 /// Runs `desc` to completion on `st` (which the caller has prepared with
-/// [`RunState::reset`] and initial memory/semaphores), in `mode`.
-/// `progs` must hold the pipeline's pre-driven programs for an
-/// [`EngineMode::Optimized`] run; the reference engine ignores it (pass
-/// [`Programs::empty`]). `sched` decides the block-issue order — pass the
-/// config's policy (`desc.cluster.effective_sched().instantiate()`) unless
-/// the caller carries an override.
-pub(crate) fn execute(
-    desc: &PipelineDesc,
-    progs: &Programs,
-    mode: EngineMode,
-    sched: &dyn SchedPolicy,
-    st: &mut RunState,
-) -> Result<RunReport, SimError> {
-    match execute_with(desc, progs, mode, sched, st, RunOptions::default())? {
-        RunOutcome::Complete(report) => Ok(report),
-        RunOutcome::Aborted(_) => unreachable!("no abort horizon was requested"),
-    }
-}
-
-/// [`execute`] with per-run [`RunOptions`]: the abort-horizon and
-/// link-degradation entry point [`Session::run_until`](crate::Session) and
-/// fault injection drive.
+/// [`RunState::reset`] and initial memory/semaphores), in `mode`, with the
+/// per-run [`RunOptions`]. `progs` must hold the pipeline's pre-driven
+/// programs for an [`EngineMode::Optimized`] run; the reference engine
+/// ignores it (pass [`Programs::empty`]). `sched` overrides the
+/// block-issue order; `None` issues in the hardware launch order. The
+/// [`Session`](crate::Session) is the only caller.
 pub(crate) fn execute_with(
     desc: &PipelineDesc,
     progs: &Programs,
     mode: EngineMode,
-    sched: &dyn SchedPolicy,
+    sched: Option<&dyn SchedPolicy>,
     st: &mut RunState,
     opts: RunOptions,
 ) -> Result<RunOutcome, SimError> {
@@ -1404,7 +1388,6 @@ pub(crate) fn execute_with(
         progs,
         mode,
         sched,
-        launch_order: sched.is_launch_order(),
         abort_at: opts.abort_at,
         link_scale: opts.link_scale.filter(|s| !s.is_identity()),
         abort_flag: false,
@@ -1421,17 +1404,16 @@ fn residency_factor(active: u32, boost: f64) -> f64 {
 }
 
 /// The event loop: an immutable pipeline description plus one mutable run
-/// state. All scheduling methods live here; `Gpu` and `Session` are thin
-/// drivers around [`execute`].
+/// state. All scheduling methods live here; [`Session`](crate::Session)
+/// is the thin driver around [`execute_with`].
 struct Exec<'a> {
     desc: &'a PipelineDesc,
     progs: &'a Programs,
     mode: EngineMode,
-    /// Block-issue ordering policy for this run.
-    sched: &'a dyn SchedPolicy,
-    /// Cached `sched.is_launch_order()`: when true both engines keep their
-    /// original (pre-policy) hot paths byte for byte.
-    launch_order: bool,
+    /// Block-issue ordering override for this run; `None` keeps the
+    /// hardware launch order, the engines' original hot paths byte for
+    /// byte.
+    sched: Option<&'a dyn SchedPolicy>,
     /// Abort horizon: checkpoint at the first kernel boundary at or past
     /// this instant (see [`RunOutcome::Aborted`]). `None` runs unbounded.
     abort_at: Option<SimTime>,
@@ -1555,7 +1537,6 @@ impl Exec<'_> {
             self.note_queue_len(self.st.events.len() + 1);
             debug_assert!(event.time >= self.st.now, "time went backwards");
             self.st.now = event.time;
-            self.st.events_handled += 1;
             self.handle(event.kind);
             // Drain every event at this timestamp before issuing blocks, so
             // that kernels becoming ready at the same instant compete for SM
@@ -1565,7 +1546,6 @@ impl Exec<'_> {
                     break;
                 }
                 let Reverse(event) = self.st.events.pop().expect("peeked event");
-                self.st.events_handled += 1;
                 self.handle(event.kind);
             }
             // A kernel boundary at or past the abort horizon checkpoints
@@ -1587,11 +1567,9 @@ impl Exec<'_> {
             self.note_queue_len(self.st.fast_events.len() + 1);
             debug_assert!(time >= self.st.now, "time went backwards");
             self.st.now = time;
-            self.st.events_handled += 1;
             self.handle(kind);
             while self.st.fast_events.peek_time() == Some(time.as_picos()) {
                 let (_, kind) = self.st.fast_events.pop().expect("peeked event");
-                self.st.events_handled += 1;
                 self.handle(kind);
             }
             // Same checkpoint semantics as the reference loop: both modes
@@ -1806,13 +1784,13 @@ impl Exec<'_> {
     /// for the same candidate *set* regardless of incoming order, which is
     /// what keeps the two engines' issue sequences identical under every
     /// policy (they enumerate candidates differently).
-    fn order_candidates(&self, candidates: &mut [usize]) {
+    fn order_candidates(&self, policy: &dyn SchedPolicy, candidates: &mut [usize]) {
         let ctx = SchedContext {
             desc: self.desc,
             runs: &self.st.kernels,
             sems: &self.st.sems,
         };
-        self.sched.order(&ctx, candidates);
+        policy.order(&ctx, candidates);
     }
 
     /// Reference block placement: filter + sort every kernel, then scan
@@ -1828,12 +1806,11 @@ impl Exec<'_> {
             return;
         }
         self.st.counters.issue_rounds += 1;
-        if self.launch_order {
+        match self.sched {
             // The original engine's sort key, kept verbatim as the
             // bit-identity baseline (== what `Fifo::order` computes).
-            order.sort_by_key(|&k| (Reverse(self.desc.kernels[k].priority), k));
-        } else {
-            self.order_candidates(&mut order);
+            None => order.sort_by_key(|&k| (Reverse(self.desc.kernels[k].priority), k)),
+            Some(policy) => self.order_candidates(policy, &mut order),
         }
         for k in order {
             let device = self.desc.kernels[k].device as usize;
@@ -1862,11 +1839,11 @@ impl Exec<'_> {
         }
     }
 
-    /// Optimized block placement. Under the launch-order policy the
+    /// Optimized block placement. Without an override the
     /// ready-queue's `(Reverse(priority), k)` ordering is exactly the
     /// reference scan's sort key, and `sm_index`'s maximum is exactly the
     /// reference scan's `max_by_key((f, Reverse(i)))`, so the sequence of
-    /// `issue_block` calls is identical. Under any other policy the
+    /// `issue_block` calls is identical. Under an override the
     /// ready-queue supplies the candidate *set* and the policy re-orders
     /// it — producing, again, the same sequence the reference engine's
     /// policy-ordered scan issues.
@@ -1878,8 +1855,8 @@ impl Exec<'_> {
         let mut order = std::mem::take(&mut self.st.issue_scratch);
         order.clear();
         order.extend(self.st.ready_queue.iter().map(|&(_, k)| k));
-        if !self.launch_order {
-            self.order_candidates(&mut order);
+        if let Some(policy) = self.sched {
+            self.order_candidates(policy, &mut order);
         }
         for &k in &order {
             let device = self.desc.kernels[k].device as usize;
@@ -2657,23 +2634,30 @@ impl Exec<'_> {
             0.0
         };
         let sem_posts = self.st.sems.ids().map(|id| self.st.sems.posts(id)).sum();
+        // `handle` counts every event under exactly one kind.
+        let c = &self.st.counters;
+        let sim_events = c.kernel_ready_events
+            + c.block_resume_events
+            + c.post_apply_events
+            + c.atomic_apply_events;
         RunReport {
             total,
             kernels,
             races: self.st.mem.races_total(),
             sm_utilization,
             sem_posts,
-            sim_events: self.st.events_handled,
+            sim_events,
             counters: self.counters(),
         }
     }
 }
 
 /// The simulated GPU: hardware model, memory, streams, and event loop,
-/// packaged as a **one-shot** convenience. `Gpu` is now a thin wrapper
-/// over the compile/execute split: it owns one pipeline description under
-/// construction plus one run state, and [`Gpu::run`] drives them through
-/// the shared engine exactly once.
+/// packaged as a **one-shot** convenience. `Gpu` is a thin wrapper over
+/// the compile/execute split: it owns one pipeline description under
+/// construction plus one [`Session`] whose memory and semaphores are the
+/// build storage, and [`Gpu::run`] executes the description on that
+/// session exactly once.
 ///
 /// **Note (session layer):** for repeated execution of the same workload,
 /// finish building, call [`Gpu::compile`] to freeze a
@@ -2701,12 +2685,9 @@ impl Exec<'_> {
 /// ```
 pub struct Gpu {
     pub(crate) desc: PipelineDesc,
-    pub(crate) st: RunState,
-    mode: EngineMode,
-    /// Per-`Gpu` scheduling override; `None` follows the config's
-    /// [`SchedPolicyKind`](crate::SchedPolicyKind). Carried into the
-    /// [`CompiledPipeline`](crate::CompiledPipeline) by [`Gpu::compile`].
-    pub(crate) sched: Option<SchedPolicyRef>,
+    /// Engine mode, trace flag, and the memory and semaphores kernels are
+    /// built against (and run on, by [`Gpu::run`]).
+    pub(crate) session: Session,
     pub(crate) ran: bool,
 }
 
@@ -2715,7 +2696,7 @@ impl fmt::Debug for Gpu {
         f.debug_struct("Gpu")
             .field("config", &self.desc.primary_config().name)
             .field("devices", &self.desc.cluster.devices.len())
-            .field("mode", &self.mode)
+            .field("session", &self.session)
             .field("kernels", &self.desc.kernels.len())
             .field("ran", &self.ran)
             .finish_non_exhaustive()
@@ -2771,30 +2752,9 @@ impl Gpu {
     pub fn cluster_with_mode(cluster: ClusterConfig, mode: EngineMode) -> Self {
         Gpu {
             desc: PipelineDesc::new(cluster),
-            st: RunState::new(),
-            mode,
-            sched: None,
+            session: Session::with_mode(mode),
             ran: false,
         }
-    }
-
-    /// Overrides the block-issue ordering for this GPU's run, replacing
-    /// the config's [`GpuConfig::sched`] policy. Accepts custom
-    /// [`SchedPolicy`] implementations; built-ins come from
-    /// [`SchedPolicyKind::instantiate`](crate::SchedPolicyKind::instantiate).
-    /// [`Gpu::compile`] carries the override into the compiled pipeline,
-    /// where a [`Session::set_sched`](crate::Session::set_sched) override
-    /// still takes precedence per run.
-    pub fn set_sched(&mut self, sched: SchedPolicyRef) {
-        self.sched = Some(sched);
-    }
-
-    /// The block-issue ordering this GPU will run with: the override set
-    /// by [`Gpu::set_sched`], or the config policy.
-    pub fn sched(&self) -> SchedPolicyRef {
-        self.sched
-            .clone()
-            .unwrap_or_else(|| self.desc.cluster.effective_sched().instantiate())
     }
 
     /// The hardware model in use (device 0's for a multi-device node; see
@@ -2813,40 +2773,35 @@ impl Gpu {
         self.desc.cluster.num_devices()
     }
 
-    /// The event-loop implementation this GPU runs on.
-    pub fn engine_mode(&self) -> EngineMode {
-        self.mode
-    }
-
     /// Read access to global memory.
     pub fn mem(&self) -> &GlobalMemory {
-        &self.st.mem
+        self.session.mem()
     }
 
     /// Mutable access to global memory (allocation, verification).
     pub fn mem_mut(&mut self) -> &mut GlobalMemory {
-        &mut self.st.mem
+        &mut self.session.st.mem
     }
 
     /// Read access to the semaphore table.
     pub fn sems(&self) -> &SemTable {
-        &self.st.sems
+        self.session.sems()
     }
 
     /// Mutable access to the semaphore table (allocation, re-init).
     pub fn sems_mut(&mut self) -> &mut SemTable {
-        &mut self.st.sems
+        &mut self.session.st.sems
     }
 
     /// Allocates a timing-only buffer (convenience for [`GlobalMemory::alloc`]).
     pub fn alloc(&mut self, name: &str, len: usize, dtype: DType) -> BufferId {
-        self.st.mem.alloc(name, len, dtype)
+        self.mem_mut().alloc(name, len, dtype)
     }
 
     /// Allocates a semaphore array in device 0's memory (convenience for
     /// [`SemTable::alloc`]).
     pub fn alloc_sems(&mut self, name: &str, len: usize, init: u32) -> SemArrayId {
-        self.st.sems.alloc(name, len, init)
+        self.sems_mut().alloc(name, len, init)
     }
 
     /// Allocates a semaphore array homed in `device`'s global memory.
@@ -2862,7 +2817,7 @@ impl Gpu {
             "device {device} outside 0..{}",
             self.num_devices()
         );
-        self.st.sems.alloc_on(name, len, init, device)
+        self.sems_mut().alloc_on(name, len, init, device)
     }
 
     /// Creates a stream on device 0. Streams with numerically higher
@@ -2976,7 +2931,7 @@ impl Gpu {
             kernel.0
         );
         assert!(
-            (index as usize) < self.st.sems.len(table),
+            (index as usize) < self.sems().len(table),
             "semaphore index {index} outside {table}"
         );
         let posts = &mut self.desc.kernels[kernel.0].completion_posts;
@@ -2987,21 +2942,23 @@ impl Gpu {
 
     /// Records scheduling events for inspection by [`Gpu::trace`].
     pub fn enable_trace(&mut self) {
-        self.st.trace_enabled = true;
+        self.session.enable_trace();
     }
 
     /// The recorded trace (empty unless [`Gpu::enable_trace`] was called).
     pub fn trace(&self) -> &[TraceEvent] {
-        &self.st.trace
+        self.session.trace()
     }
 
     /// Runs all launched kernels to completion.
     ///
-    /// This is the **one-shot** path: a run consumes the launched kernels
-    /// and leaves memory/semaphores in their final state, so a `Gpu` is
+    /// This is the **one-shot** path: it validates the hardware model,
+    /// finalizes the launch gates and runs the description on this GPU's
+    /// [`Session`], whose memory and semaphores are the ones the kernels
+    /// were built against. So the run leaves them in their final state
+    /// ([`Gpu::mem`] holds the functional outputs), and a `Gpu` is
     /// single-shot. For repeated runs, use [`Gpu::compile`] +
-    /// [`Session::run`](crate::Session::run) instead — the session layer
-    /// is what this method drives internally.
+    /// [`Session::run`] instead; both paths share the session's run tail.
     ///
     /// # Errors
     ///
@@ -3017,22 +2974,7 @@ impl Gpu {
         self.desc.cluster.validate()?;
         self.ran = true;
         self.desc.finalize_gates();
-        let programs = if self.mode == EngineMode::Optimized {
-            self.desc.collect_programs(&self.st.mem)
-        } else {
-            Programs::empty()
-        };
-        let trace_enabled = self.st.trace_enabled;
-        self.st.reset(&self.desc);
-        self.st.trace_enabled = trace_enabled;
-        let sched = self.sched();
-        execute(
-            &self.desc,
-            &programs,
-            self.mode,
-            sched.as_ref(),
-            &mut self.st,
-        )
+        self.session.run_built(&self.desc)
     }
 }
 
@@ -3829,7 +3771,7 @@ mod tests {
         let run = |seq_limit: u64| {
             let mut gpu = Gpu::with_mode(quiet_config(), EngineMode::Optimized);
             gpu.enable_trace();
-            gpu.st.fast_events.seq_limit = seq_limit;
+            gpu.session.st.fast_events.seq_limit = seq_limit;
             let sem = gpu.alloc_sems("s", 4, 0);
             // The producer outranks the consumer, so spinners never
             // starve it of SM slots.

@@ -10,18 +10,20 @@
 //! observe far more aggressive reordering on real devices than any single
 //! fixed order.
 //!
-//! This module makes the issue-order decision a first-class, pluggable
-//! axis of the simulator. A [`SchedPolicy`] orders the set of *issuable*
-//! kernels (ready, with unissued blocks) each placement round; everything
-//! else — stream FIFO order, SM placement (least-loaded first), occupancy
-//! accounting — is unchanged hardware behaviour.
+//! This module lets one run replace that order. A [`SchedPolicy`] orders
+//! the set of *issuable* kernels (ready, with unissued blocks) each
+//! placement round; everything else — stream FIFO order, SM placement
+//! (least-loaded first), occupancy accounting — is unchanged hardware
+//! behaviour. There is one knob:
+//! [`Session::set_sched`](crate::Session::set_sched). A session without
+//! an override issues in the hardware launch order, and so does every
+//! one-shot [`Gpu::run`](crate::Gpu::run).
 //!
-//! **Only [`Fifo`] preserves the reference ↔ optimized bit-identity
-//! contract with the original engine's timelines** (it *is* the original
-//! order). The other policies are schedule-space exploration tools: each
-//! still produces a deterministic timeline, identical across both
-//! [`EngineMode`](crate::EngineMode)s, but different from `Fifo`'s. See
-//! `crates/sim/src/explore.rs` for the exploration driver built on top.
+//! The non-[`Fifo`] policies are schedule-space probes: each still
+//! produces a deterministic timeline, identical across both
+//! [`EngineMode`](crate::EngineMode)s, but different from the hardware
+//! order's. See `crates/sim/src/explore.rs` for the exploration driver
+//! built on top.
 //!
 //! # Determinism contract for implementations
 //!
@@ -116,13 +118,6 @@ pub trait SchedPolicy: fmt::Debug + Send + Sync {
     /// Reorders `candidates` (indexes of ready kernels with unissued
     /// blocks) into the order they should be offered SM capacity.
     fn order(&self, ctx: &SchedContext<'_>, candidates: &mut [usize]);
-
-    /// True if this policy reproduces the hardware launch-order scan of
-    /// the original engine (`Fifo`). The optimized engine then reuses its
-    /// pre-sorted ready queue instead of re-ordering per round.
-    fn is_launch_order(&self) -> bool {
-        false
-    }
 }
 
 /// Shared handle to a scheduling policy.
@@ -156,11 +151,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The hardware launch order (the default): higher stream priority first,
-/// then kernel launch order. This is exactly the original engine's
-/// behaviour, so it is the only policy under which the
-/// `tests/engine_equivalence.rs` timelines are bit-identical to the seed
-/// engine's.
+/// The hardware launch order as a policy: higher stream priority first,
+/// then kernel launch order. A session without an override already
+/// issues in this order; setting `Fifo` explicitly sorts each round's
+/// candidates through [`SchedPolicy::order`] by the same key, so the
+/// timeline is the same.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fifo;
 
@@ -171,10 +166,6 @@ impl SchedPolicy for Fifo {
 
     fn order(&self, ctx: &SchedContext<'_>, candidates: &mut [usize]) {
         candidates.sort_by_key(|&k| (std::cmp::Reverse(ctx.priority(k)), k));
-    }
-
-    fn is_launch_order(&self) -> bool {
-        true
     }
 }
 
@@ -247,11 +238,9 @@ impl SchedPolicy for SemStarver {
 }
 
 /// A nameable, comparable, copyable description of a built-in scheduling
-/// policy — what configs ([`GpuConfig::sched`](crate::GpuConfig)) carry
-/// and exploration summaries report. Custom [`SchedPolicy`]
-/// implementations are plugged in directly via
-/// [`Session::set_sched`](crate::Session::set_sched) /
-/// [`Gpu::set_sched`](crate::Gpu::set_sched).
+/// policy — what exploration schedules name and summaries report. Custom
+/// [`SchedPolicy`] implementations are plugged in directly via
+/// [`Session::set_sched`](crate::Session::set_sched).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum SchedPolicyKind {
     /// [`Fifo`]: the hardware launch order (default).
@@ -274,12 +263,6 @@ impl SchedPolicyKind {
             SchedPolicyKind::SeededShuffle(seed) => Arc::new(SeededShuffle(seed)),
             SchedPolicyKind::SemStarver => Arc::new(SemStarver),
         }
-    }
-
-    /// True for the launch-order policy (the only one preserving the
-    /// seed engine's bit-identical timelines).
-    pub fn is_launch_order(&self) -> bool {
-        matches!(self, SchedPolicyKind::Fifo)
     }
 }
 
@@ -308,14 +291,12 @@ mod tests {
         ] {
             let policy = kind.instantiate();
             assert_eq!(policy.name(), kind.to_string());
-            assert_eq!(policy.is_launch_order(), kind.is_launch_order());
         }
     }
 
     #[test]
     fn default_kind_is_fifo() {
         assert_eq!(SchedPolicyKind::default(), SchedPolicyKind::Fifo);
-        assert!(SchedPolicyKind::default().is_launch_order());
     }
 
     #[test]

@@ -31,14 +31,14 @@ use crate::mem::GlobalMemory;
 use crate::sched::SchedPolicyRef;
 use crate::sem::SemTable;
 use crate::stats::RunReport;
+use crate::time::SimTime;
 use crate::trace::TraceEvent;
 use crate::GpuConfig;
 
 /// An immutable, shareable, repeatedly-executable workload: the frozen
 /// pipeline description plus pristine initial memory and semaphore state.
 ///
-/// Produced by [`Gpu::compile`] (or the higher-level
-/// `cusync::Pipeline::compile`); executed by [`Session::run`] or
+/// Produced by [`Gpu::compile`]; executed by [`Session::run`] or
 /// [`run_compiled`]. A `CompiledPipeline` is `Send + Sync`, so one
 /// `Arc<CompiledPipeline>` can serve sessions on any number of threads.
 ///
@@ -65,11 +65,6 @@ pub struct CompiledPipeline {
     desc: PipelineDesc,
     mem: GlobalMemory,
     sems: SemTable,
-    /// Scheduling override installed via [`Gpu::set_sched`] before
-    /// compilation; `None` follows the config's
-    /// [`GpuConfig::sched`](crate::GpuConfig) kind. A
-    /// [`Session::set_sched`] override still wins per run.
-    sched: Option<SchedPolicyRef>,
     /// Statically emitted op programs
     /// ([`KernelSource::static_programs`](crate::KernelSource)), built on
     /// the first optimized-engine run (then immutable and shared).
@@ -136,7 +131,9 @@ impl CompiledPipeline {
     }
 
     /// A deterministic 64-bit digest of everything that identifies this
-    /// pipeline as a *workload*: the cluster shape, stream layout, kernel
+    /// pipeline as a *workload*: the hardware model (every field
+    /// [`GpuConfig::validate`] range-checks, per device, plus the link),
+    /// stream layout, kernel
     /// registrations (name, grid, occupancy, device, stream, and each
     /// source's [`cost_signature`](crate::KernelSource::cost_signature) —
     /// so identical grids of differently-priced work do not collide),
@@ -161,9 +158,33 @@ impl CompiledPipeline {
         let cluster = &self.desc.cluster;
         eat(&cluster.num_devices().to_le_bytes());
         eat(&cluster.link_latency.as_picos().to_le_bytes());
+        eat(&cluster.link_bytes_per_sec.to_bits().to_le_bytes());
+        // Devices of one name can differ in any priced field (a
+        // heterogeneous pool compiles one pipeline per device model).
         for device in &cluster.devices {
             eat(device.name.as_bytes());
             eat(&device.num_sms.to_le_bytes());
+            for v in [
+                device.clock_hz,
+                device.tensor_flop_per_cycle_sm,
+                device.fma_flop_per_cycle_sm,
+                device.dram_bytes_per_sec,
+                device.compute_efficiency,
+                device.residency_boost,
+                device.block_jitter,
+                device.dram_saturation_fraction,
+            ] {
+                eat(&v.to_bits().to_le_bytes());
+            }
+            for cycles in [
+                device.global_latency_cycles,
+                device.atomic_latency_cycles,
+                device.poll_latency_cycles,
+                device.fence_cycles,
+                device.syncthreads_cycles,
+            ] {
+                eat(&cycles.to_le_bytes());
+            }
             eat(&device.host_launch_gap.as_picos().to_le_bytes());
             eat(&device.kernel_dispatch_latency.as_picos().to_le_bytes());
         }
@@ -232,12 +253,11 @@ impl Gpu {
         }
         self.desc.cluster.validate()?;
         self.desc.finalize_gates();
-        let RunState { mem, sems, .. } = self.st;
+        let RunState { mem, sems, .. } = self.session.st;
         Ok(CompiledPipeline {
             desc: self.desc,
             mem,
             sems,
-            sched: self.sched,
             programs: OnceLock::new(),
         })
     }
@@ -251,14 +271,17 @@ impl Gpu {
 /// memory/semaphores are restored from the pipeline's pristine copies —
 /// re-running the *same* pipeline allocates nothing after warmup, and
 /// running a *different* pipeline just re-primes the storage.
+///
+/// A session owns every run setting: the engine mode, the trace flag, the
+/// block-issue order and the link scale. Every run goes through it,
+/// [`Gpu::run`] included.
 pub struct Session {
     mode: EngineMode,
-    st: RunState,
+    pub(crate) st: RunState,
     trace_enabled: bool,
-    /// Per-session scheduling override; `None` follows each pipeline's
-    /// compiled-in config policy. This is what lets one compiled pipeline
-    /// be explored under many schedules without recompiling (see
-    /// [`crate::explore`]).
+    /// Block-issue ordering override; `None` issues in the hardware
+    /// launch order. This is what lets one compiled pipeline be explored
+    /// under many schedules without recompiling (see [`crate::explore`]).
     sched: Option<SchedPolicyRef>,
     /// Per-session link degradation: while set, every run scales its
     /// [`Op::LinkSend`](crate::Op) wire time by this factor — the fault
@@ -300,22 +323,14 @@ impl Session {
         }
     }
 
-    /// The engine implementation this session runs on.
-    pub fn mode(&self) -> EngineMode {
-        self.mode
-    }
-
-    /// Sets (or with `None`, clears) this session's block-issue ordering
-    /// override. While set, every [`Session::run`] uses it instead of the
-    /// pipeline's compiled-in [`GpuConfig::sched`](crate::GpuConfig)
-    /// policy — the hook schedule-space exploration runs through.
+    /// Sets (or with `None`, clears) this session's block-issue ordering.
+    /// While set, every [`Session::run`] offers SM capacity in the order
+    /// the policy gives; without it, runs issue in the hardware launch
+    /// order (stream priority, then launch order). This is the only way
+    /// to choose an issue order, and the hook schedule-space exploration
+    /// ([`crate::explore`]) runs through.
     pub fn set_sched(&mut self, sched: Option<SchedPolicyRef>) {
         self.sched = sched;
-    }
-
-    /// The current scheduling override, if any.
-    pub fn sched(&self) -> Option<&SchedPolicyRef> {
-        self.sched.as_ref()
     }
 
     /// Sets (or with `None`, clears) this session's link degradation
@@ -325,11 +340,6 @@ impl Session {
     /// modes; no recompilation.
     pub fn set_link_scale(&mut self, scale: Option<LinkScale>) {
         self.link_scale = scale;
-    }
-
-    /// The current link degradation scale, if any.
-    pub fn link_scale(&self) -> Option<LinkScale> {
-        self.link_scale
     }
 
     /// Records scheduling events for inspection by [`Session::trace`].
@@ -365,10 +375,7 @@ impl Session {
     /// Returns [`SimError::Deadlock`] if execution stalls with incomplete
     /// kernels (the session remains usable afterwards).
     pub fn run(&mut self, pipeline: &CompiledPipeline) -> Result<RunReport, SimError> {
-        match self.run_with(pipeline, None)? {
-            RunOutcome::Complete(report) => Ok(report),
-            RunOutcome::Aborted(_) => unreachable!("unbounded run cannot abort"),
-        }
+        completed(self.run_with(pipeline, None))
     }
 
     /// Executes `pipeline` with an **abort horizon**: the engine runs
@@ -392,7 +399,7 @@ impl Session {
     pub fn run_until(
         &mut self,
         pipeline: &CompiledPipeline,
-        horizon: crate::SimTime,
+        horizon: SimTime,
     ) -> Result<RunOutcome, SimError> {
         self.run_with(pipeline, Some(horizon))
     }
@@ -400,11 +407,9 @@ impl Session {
     fn run_with(
         &mut self,
         pipeline: &CompiledPipeline,
-        abort_at: Option<crate::SimTime>,
+        abort_at: Option<SimTime>,
     ) -> Result<RunOutcome, SimError> {
-        self.st.reset(&pipeline.desc);
         self.st.reset_storage(&pipeline.mem, &pipeline.sems);
-        self.st.trace_enabled = self.trace_enabled;
         // The reference engine never replays programs; don't trigger
         // their (lazy, once-per-pipeline) collection for it.
         static EMPTY_PROGRAMS: OnceLock<Programs> = OnceLock::new();
@@ -412,25 +417,51 @@ impl Session {
             EngineMode::Optimized => pipeline.programs(),
             EngineMode::Reference => EMPTY_PROGRAMS.get_or_init(Programs::empty),
         };
-        // Override precedence: session > pipeline (a `Gpu::set_sched`
-        // carried through compile) > config kind.
-        let sched = self
-            .sched
-            .clone()
-            .or_else(|| pipeline.sched.clone())
-            .unwrap_or_else(|| pipeline.desc.cluster.effective_sched().instantiate());
+        self.run_desc(&pipeline.desc, programs, abort_at)
+    }
+
+    /// [`Gpu::run`]'s entry: runs the finalized `desc` on this session's
+    /// current memory and semaphores (the GPU's build storage), which
+    /// keep the run's final state.
+    pub(crate) fn run_built(&mut self, desc: &PipelineDesc) -> Result<RunReport, SimError> {
+        let programs = match self.mode {
+            EngineMode::Optimized => desc.collect_programs(&self.st.mem),
+            EngineMode::Reference => Programs::empty(),
+        };
+        completed(self.run_desc(desc, &programs, None))
+    }
+
+    /// The tail every run shares: rewinds the scheduling state for `desc`
+    /// and runs it on the current memory and semaphores with this
+    /// session's settings.
+    fn run_desc(
+        &mut self,
+        desc: &PipelineDesc,
+        programs: &Programs,
+        abort_at: Option<SimTime>,
+    ) -> Result<RunOutcome, SimError> {
+        self.st.reset(desc);
+        self.st.trace_enabled = self.trace_enabled;
         let opts = RunOptions {
             abort_at,
             link_scale: self.link_scale,
         };
         execute_with(
-            &pipeline.desc,
+            desc,
             programs,
             self.mode,
-            sched.as_ref(),
+            self.sched.as_deref(),
             &mut self.st,
             opts,
         )
+    }
+}
+
+/// The report of a run without an abort horizon.
+fn completed(outcome: Result<RunOutcome, SimError>) -> Result<RunReport, SimError> {
+    match outcome? {
+        RunOutcome::Complete(report) => Ok(report),
+        RunOutcome::Aborted(_) => unreachable!("unbounded run cannot abort"),
     }
 }
 
@@ -531,63 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn gpu_sched_override_survives_compilation() {
-        use crate::trace::TraceEvent;
-        let build = |lifo: bool| {
-            let mut gpu = Gpu::new(quiet_config());
-            if lifo {
-                gpu.set_sched(Arc::new(crate::Lifo));
-            }
-            let s1 = gpu.create_stream(0);
-            let s2 = gpu.create_stream(0);
-            for (name, s) in [("first", s1), ("second", s2)] {
-                gpu.launch(
-                    s,
-                    Arc::new(FixedKernel::new(
-                        name,
-                        Dim3::linear(2),
-                        1,
-                        vec![Op::compute(1000)],
-                    )),
-                );
-            }
-            gpu.compile().unwrap()
-        };
-        let first_issued = |pipeline: &CompiledPipeline| {
-            let mut session = Session::new();
-            session.enable_trace();
-            session.run(pipeline).unwrap();
-            session
-                .trace()
-                .iter()
-                .find_map(|e| match e {
-                    TraceEvent::BlockIssued { kernel, .. } => Some(*kernel),
-                    _ => None,
-                })
-                .unwrap()
-        };
-        // Config default (Fifo): launch order; with the Gpu-level Lifo
-        // override carried through compile, the later launch issues first.
-        assert_eq!(first_issued(&build(false)), crate::KernelId(0));
-        assert_eq!(first_issued(&build(true)), crate::KernelId(1));
-        // A session-level override still wins over the compiled-in one.
-        let pipeline = build(true);
-        let mut session = Session::new();
-        session.enable_trace();
-        session.set_sched(Some(Arc::new(crate::Fifo)));
-        session.run(&pipeline).unwrap();
-        let first = session
-            .trace()
-            .iter()
-            .find_map(|e| match e {
-                TraceEvent::BlockIssued { kernel, .. } => Some(*kernel),
-                _ => None,
-            })
-            .unwrap();
-        assert_eq!(first, crate::KernelId(0));
-    }
-
-    #[test]
     fn fingerprint_is_stable_and_discriminating() {
         let a = two_kernel_pipeline();
         let b = two_kernel_pipeline();
@@ -641,6 +615,33 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_distinguishes_clock_at_identical_names() {
+        // A device model differing only in a priced field (here the
+        // clock, under the same name) is a different workload: the serve
+        // pool keys its per-device measurements on the fingerprint.
+        let build = |clock_hz: f64| {
+            let mut gpu = Gpu::new(GpuConfig {
+                clock_hz,
+                ..quiet_config()
+            });
+            let s = gpu.create_stream(0);
+            gpu.launch(
+                s,
+                Arc::new(FixedKernel::new(
+                    "k",
+                    Dim3::linear(4),
+                    1,
+                    vec![Op::compute(100_000)],
+                )),
+            );
+            gpu.compile().unwrap()
+        };
+        let clock = quiet_config().clock_hz;
+        assert_ne!(build(clock).fingerprint(), build(clock / 4.0).fingerprint());
+        assert_eq!(build(clock).fingerprint(), build(clock).fingerprint());
+    }
+
+    #[test]
     fn compile_after_run_is_rejected() {
         let mut gpu = Gpu::new(quiet_config());
         let s = gpu.create_stream(0);
@@ -666,19 +667,33 @@ mod tests {
 
     #[test]
     fn new_constructors_build_the_optimized_engine() {
-        let optimized = EngineMode::Optimized;
-        assert_eq!(Gpu::new(quiet_config()).engine_mode(), optimized);
+        // Only the Optimized engine prices through its memos, so every
+        // constructor without a mode must report lookups.
+        let lookups = |report: RunReport| {
+            let c = report.counters;
+            c.cycles_memo.hits + c.cycles_memo.misses + c.mem_memo.hits + c.mem_memo.misses
+        };
+        let one_kernel = |mut gpu: Gpu| {
+            let s = gpu.create_stream(0);
+            gpu.launch(
+                s,
+                Arc::new(FixedKernel::new(
+                    "k",
+                    Dim3::linear(2),
+                    1,
+                    vec![Op::compute(1000)],
+                )),
+            );
+            gpu.run().unwrap()
+        };
+        assert!(lookups(one_kernel(Gpu::new(quiet_config()))) > 0);
         let cluster = crate::ClusterConfig::dgx_v100(2);
-        assert_eq!(Gpu::new_cluster(cluster).engine_mode(), optimized);
-        assert_eq!(Session::new().mode(), optimized);
-        // Only the Optimized engine prices through its memos, so the
-        // pooled thread session must report lookups.
-        let counters = run_compiled(&two_kernel_pipeline()).unwrap().counters;
-        let lookups = |m: crate::MemoCount| m.hits + m.misses;
-        assert!(
-            lookups(counters.cycles_memo) + lookups(counters.mem_memo) > 0,
-            "{counters:?}"
-        );
+        assert!(lookups(one_kernel(Gpu::new_cluster(cluster))) > 0);
+        let pipeline = two_kernel_pipeline();
+        assert!(lookups(Session::new().run(&pipeline).unwrap()) > 0);
+        assert!(lookups(run_compiled(&pipeline).unwrap()) > 0);
+        let reference = Session::with_mode(EngineMode::Reference).run(&pipeline);
+        assert_eq!(lookups(reference.unwrap()), 0);
     }
 
     #[test]

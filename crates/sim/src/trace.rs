@@ -166,7 +166,7 @@ impl TraceEvent {
 mod tests {
     use super::*;
     use crate::stats::waves;
-    use crate::{Dim3, FixedKernel, Gpu, GpuConfig, Op, SchedPolicyKind};
+    use crate::{Dim3, FixedKernel, Gpu, GpuConfig, Op, RunReport, SchedPolicyKind, Session};
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
@@ -196,35 +196,52 @@ mod tests {
         }
     }
 
+    /// Compiles what `build` launches and runs it traced on a session
+    /// issuing blocks under `policy`, returning the report and trace.
+    fn run_under(
+        policy: SchedPolicyKind,
+        sms: u32,
+        build: impl FnOnce(&mut Gpu),
+    ) -> (RunReport, Vec<TraceEvent>) {
+        let mut gpu = Gpu::new(quiet_config(sms));
+        build(&mut gpu);
+        let pipeline = gpu.compile().unwrap();
+        let mut session = Session::new();
+        session.set_sched(Some(policy.instantiate()));
+        session.enable_trace();
+        let report = session
+            .run(&pipeline)
+            .expect("capacity-safe workload terminates");
+        (report, session.trace().to_vec())
+    }
+
     /// A producer/consumer workload with partial waves and semaphores,
     /// traced under `policy`.
     fn traced_run(policy: SchedPolicyKind) -> Vec<TraceEvent> {
-        let mut gpu = Gpu::new(quiet_config(4));
-        gpu.set_sched(policy.instantiate());
-        gpu.enable_trace();
-        let sem = gpu.alloc_sems("tiles", 4, 0);
-        let s1 = gpu.create_stream(0);
-        let s2 = gpu.create_stream(0);
-        gpu.launch(
-            s1,
-            Arc::new(FixedKernel::new(
-                "producer",
-                Dim3::linear(6),
-                2,
-                vec![Op::compute(40_000), Op::Fence, Op::post(sem, 0)],
-            )),
-        );
-        gpu.launch(
-            s2,
-            Arc::new(FixedKernel::new(
-                "consumer",
-                Dim3::linear(6),
-                2,
-                vec![Op::wait(sem, 0, 3), Op::compute(5_000)],
-            )),
-        );
-        gpu.run().expect("capacity-safe workload terminates");
-        gpu.trace().to_vec()
+        run_under(policy, 4, |gpu| {
+            let sem = gpu.alloc_sems("tiles", 4, 0);
+            let s1 = gpu.create_stream(0);
+            let s2 = gpu.create_stream(0);
+            gpu.launch(
+                s1,
+                Arc::new(FixedKernel::new(
+                    "producer",
+                    Dim3::linear(6),
+                    2,
+                    vec![Op::compute(40_000), Op::Fence, Op::post(sem, 0)],
+                )),
+            );
+            gpu.launch(
+                s2,
+                Arc::new(FixedKernel::new(
+                    "consumer",
+                    Dim3::linear(6),
+                    2,
+                    vec![Op::wait(sem, 0, 3), Op::compute(5_000)],
+                )),
+            );
+        })
+        .1
     }
 
     /// Issue order is a permutation of each kernel's grid: every block
@@ -318,22 +335,19 @@ mod tests {
     fn wave_boundaries_match_static_wave_arithmetic_under_every_policy() {
         for policy in ALL_POLICIES {
             let (blocks, occupancy, sms) = (6u64, 1u32, 4u32);
-            let mut gpu = Gpu::new(quiet_config(sms));
-            gpu.set_sched(policy.instantiate());
-            gpu.enable_trace();
-            let s = gpu.create_stream(0);
-            gpu.launch(
-                s,
-                Arc::new(FixedKernel::new(
-                    "solo",
-                    Dim3::linear(blocks as u32),
-                    occupancy,
-                    vec![Op::compute(10_000)],
-                )),
-            );
-            let report = gpu.run().unwrap();
-            let mut issue_times: Vec<SimTime> = gpu
-                .trace()
+            let (report, trace) = run_under(policy, sms, |gpu| {
+                let s = gpu.create_stream(0);
+                gpu.launch(
+                    s,
+                    Arc::new(FixedKernel::new(
+                        "solo",
+                        Dim3::linear(blocks as u32),
+                        occupancy,
+                        vec![Op::compute(10_000)],
+                    )),
+                );
+            });
+            let mut issue_times: Vec<SimTime> = trace
                 .iter()
                 .filter_map(|e| match e {
                     TraceEvent::BlockIssued { time, .. } => Some(*time),

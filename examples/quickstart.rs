@@ -16,9 +16,9 @@
 use std::error::Error;
 use std::sync::Arc;
 
-use cusync::{launch_stream_sync, CuStage, NoSync, OptFlags, Pipeline, SyncGraph, TileSync};
+use cusync::{launch_stream_sync, CuStage, NoSync, OptFlags, SyncGraph, TileSync};
 use cusync_kernels::{Epilogue, GemmBuilder, GemmDims, InputDep, TileShape};
-use cusync_sim::{DType, Dim3, GpuConfig, KernelSource, Session};
+use cusync_sim::{DType, Dim3, Gpu, GpuConfig, KernelSource, Session};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let gpu_cfg = GpuConfig::tesla_v100();
@@ -27,7 +27,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     let tile = TileShape::new(256, 128, 32);
 
     // --- Compile the baseline: stream synchronization -------------------
-    let baseline = Pipeline::compile(gpu_cfg.clone(), |gpu| {
+    let baseline = {
+        let mut gpu = Gpu::new(gpu_cfg.clone());
         let x = gpu.alloc("x", (m * h) as usize, DType::F16);
         let w1 = gpu.alloc("w1", (h * inter) as usize, DType::F16);
         let w2 = gpu.alloc("w2", (inter * h) as usize, DType::F16);
@@ -43,17 +44,18 @@ fn main() -> Result<(), Box<dyn Error>> {
             .split_k(2)
             .build(gpu.config())?;
         launch_stream_sync(
-            gpu,
+            &mut gpu,
             [
                 Arc::new(gemm1) as Arc<dyn KernelSource>,
                 Arc::new(gemm2) as Arc<dyn KernelSource>,
             ],
         );
-        Ok(())
-    })?;
+        gpu.compile()?
+    };
 
     // --- Compile cuSync: fine-grained tile synchronization --------------
-    let synced = Pipeline::compile(gpu_cfg, |gpu| {
+    let synced = {
+        let mut gpu = Gpu::new(gpu_cfg);
         let x = gpu.alloc("x", (m * h) as usize, DType::F16);
         let w1 = gpu.alloc("w1", (h * inter) as usize, DType::F16);
         let w2 = gpu.alloc("w2", (inter * h) as usize, DType::F16);
@@ -74,7 +76,7 @@ fn main() -> Result<(), Box<dyn Error>> {
                 .opts(OptFlags::WRT),
         );
         graph.dependency(s1, s2, xw1)?;
-        let bound = graph.bind(gpu)?;
+        let bound = graph.bind(&mut gpu)?;
 
         let gemm1 = GemmBuilder::new("gemm1", GemmDims::new(m, inter, h), tile)
             .operands(x, w1, xw1)
@@ -88,10 +90,10 @@ fn main() -> Result<(), Box<dyn Error>> {
             .stage(Arc::clone(bound.stage(s2)))
             .a_dep(InputDep::row_aligned(grid1), grid1.x)
             .build(gpu.config())?;
-        bound.launch(gpu, s1, Arc::new(gemm1))?;
-        bound.launch(gpu, s2, Arc::new(gemm2))?;
-        Ok(())
-    })?;
+        bound.launch(&mut gpu, s1, Arc::new(gemm1))?;
+        bound.launch(&mut gpu, s2, Arc::new(gemm2))?;
+        gpu.compile()?
+    };
 
     // --- Execute: one session, many runs, no rebuilds -------------------
     let mut session = Session::new();
