@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use cusync::{launch_stream_sync, CuStage, NoSync, OptFlags, SyncGraph, TileSync};
 use cusync_kernels::CopyKernel;
-use cusync_sim::{DType, Gpu, GpuConfig, KernelSource, SimTime, MAX_OCCUPANCY};
+use cusync_sim::{DType, Gpu, GpuConfig, KernelSource, Session, SimTime, MAX_OCCUPANCY};
 
 /// Formats a markdown table row.
 pub fn row(cells: &[String]) -> String {
@@ -91,7 +91,10 @@ pub fn overhead_experiment(gpu_cfg: &GpuConfig, elems_per_block: u32) -> Overhea
                 Arc::new(CopyKernel::new("consumer", len, elems_per_block, mid, out)),
             ],
         );
-        gpu.run().expect("stream-sync copy chain").total
+        gpu.compile()
+            .and_then(|p| Session::new().run(&p))
+            .expect("stream-sync copy chain")
+            .total
     };
 
     let cusync = {
@@ -121,7 +124,10 @@ pub fn overhead_experiment(gpu_cfg: &GpuConfig, elems_per_block: u32) -> Overhea
         bound
             .launch(&mut gpu, s2, Arc::new(consumer))
             .expect("launch consumer");
-        gpu.run().expect("cusync copy chain").total
+        gpu.compile()
+            .and_then(|p| Session::new().run(&p))
+            .expect("cusync copy chain")
+            .total
     };
 
     let overhead_pct = 100.0 * (cusync.as_picos() as f64 - stream_sync.as_picos() as f64)

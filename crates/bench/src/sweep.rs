@@ -7,10 +7,7 @@
 //! mode.
 //!
 //! Every cell the model helpers run (`run_mlp`/`run_attention`/
-//! `run_conv_layer`) executes through the calling worker's pooled thread
-//! session (`cusync_sim::run_compiled`), so a sweep's cells share one
-//! warmed engine per worker instead of reallocating a fresh `Gpu` per
-//! cell.
+//! `run_conv_layer`) is compiled and run on a fresh `cusync_sim::Session`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

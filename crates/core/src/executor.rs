@@ -135,7 +135,7 @@ mod tests {
     use crate::policy::TileSync;
     use crate::stage::CuStage;
     use crate::OptFlags;
-    use cusync_sim::{DType, Dim3, FixedKernel, GpuConfig, Op, SimTime};
+    use cusync_sim::{DType, Dim3, FixedKernel, GpuConfig, Op, Session, SimTime};
 
     fn quiet_gpu(sms: u32) -> Gpu {
         Gpu::new(GpuConfig {
@@ -161,7 +161,7 @@ mod tests {
             vec![Op::compute(1000)],
         ));
         launch_stream_sync(&mut gpu, [k1, k2]);
-        let report = gpu.run().unwrap();
+        let report = gpu.compile().and_then(|p| Session::new().run(&p)).unwrap();
         assert!(report.kernel("k2").start >= report.kernel("k1").end);
     }
 
@@ -224,7 +224,7 @@ mod tests {
                     )),
                 )
                 .unwrap();
-            let report = gpu.run().unwrap();
+            let report = gpu.compile().and_then(|p| Session::new().run(&p)).unwrap();
             assert_eq!(report.kernels.len(), expected_kernels, "avoid={avoid}");
         }
     }

@@ -24,16 +24,15 @@
 //! Synchronization structure is a compile-time artifact:
 //! [`Gpu::compile`](cusync_sim::Gpu::compile) freezes a built graph +
 //! kernel launches into a reusable `cusync_sim::CompiledPipeline`,
-//! executed any number of times through `cusync_sim::Session` (the
-//! one-shot [`Gpu`](cusync_sim::Gpu) flow below still works for single
-//! runs).
+//! executed any number of times through `cusync_sim::Session`, the only
+//! way to run it (the example below runs it once).
 //!
 //! ## Example
 //!
 //! ```
 //! use std::sync::Arc;
 //! use cusync::{CuStage, OptFlags, RowSync, SyncGraph, TileSync};
-//! use cusync_sim::{DType, Dim3, Gpu, GpuConfig, FixedKernel, Op};
+//! use cusync_sim::{DType, Dim3, Gpu, GpuConfig, FixedKernel, Op, Session};
 //!
 //! let mut gpu = Gpu::new(GpuConfig::tesla_v100());
 //! let xw1 = gpu.alloc("xw1", 1 << 20, DType::F16);
@@ -55,7 +54,7 @@
 //! bound.launch(&mut gpu, cons, Arc::new(FixedKernel::new(
 //!     "gemm2", Dim3::new(48, 2, 1), 1, vec![Op::compute(1000)],
 //! )))?;
-//! let report = gpu.run().expect("no deadlock");
+//! let report = gpu.compile().and_then(|p| Session::new().run(&p)).expect("no deadlock");
 //! assert_eq!(report.kernels.len(), 2);
 //! # Ok::<(), cusync::CuSyncError>(())
 //! ```

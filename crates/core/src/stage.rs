@@ -89,12 +89,6 @@ impl CuStage {
         self
     }
 
-    /// Sets the tile processing order from a shared handle.
-    pub fn order_ref(mut self, order: OrderRef) -> Self {
-        self.order = order;
-        self
-    }
-
     /// Sets the optimization flags.
     pub fn opts(mut self, opts: OptFlags) -> Self {
         self.opts = opts;
@@ -291,16 +285,6 @@ impl StageRuntime {
         out
     }
 
-    /// The declared mechanism of the edge reading `buffer`: `Some(None)`
-    /// for a classic producer-policy edge, `Some(Some(m))` for an explicit
-    /// mechanism, `None` when the buffer is not a declared dependency.
-    pub fn edge_mechanism(&self, buffer: BufferId) -> Option<Option<SyncMechanism>> {
-        self.producers
-            .iter()
-            .find(|(b, _, _)| *b == buffer)
-            .map(|(_, _, m)| *m)
-    }
-
     /// `stage.post(tile)`: the fence + post op pair signalling `tile`
     /// complete, or `None` when the policy allocates no semaphores.
     pub fn post_ops(&self, tile: Dim3) -> Option<[Op; 2]> {
@@ -320,18 +304,6 @@ impl StageRuntime {
     /// dependent ones (the `R` optimization).
     pub fn reorder_loads(&self) -> bool {
         self.opts.reorder_loads
-    }
-
-    /// Distinct producer stages this stage depends on (over every edge,
-    /// regardless of mechanism).
-    pub fn producer_stages(&self) -> Vec<Arc<StageRuntime>> {
-        let mut out: Vec<Arc<StageRuntime>> = Vec::new();
-        for (_, p, _) in &self.producers {
-            if !out.iter().any(|q| Arc::ptr_eq(q, p)) {
-                out.push(Arc::clone(p));
-            }
-        }
-        out
     }
 
     /// Distinct producer stages reached over *fine-grained* edges (the

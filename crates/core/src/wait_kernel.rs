@@ -112,7 +112,7 @@ pub fn start_ops(stage: &Arc<StageRuntime>, block: Dim3) -> Vec<Op> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cusync_sim::{FixedKernel, Gpu, GpuConfig, SimTime};
+    use cusync_sim::{FixedKernel, Gpu, GpuConfig, Session, SimTime};
 
     #[test]
     fn wait_kernel_defers_consumer_until_producer_starts() {
@@ -146,7 +146,7 @@ mod tests {
                 vec![Op::compute(10)],
             )),
         );
-        let report = gpu.run().unwrap();
+        let report = gpu.compile().and_then(|p| Session::new().run(&p)).unwrap();
         // The consumer starts only after the producer posted its start sem,
         // but well before the producer finishes (fine-grained overlap).
         let producer = report.kernel("producer");

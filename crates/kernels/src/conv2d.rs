@@ -723,7 +723,7 @@ mod tests {
     use crate::gemm::DepPlan;
     use crate::reference::{assert_close, conv2d, relu};
     use cusync::{launch_stream_sync, Conv2DTileSync, CuStage, RowSync, SyncGraph, TileSync};
-    use cusync_sim::{Gpu, SimTime};
+    use cusync_sim::{Gpu, Session, SimTime};
 
     fn quiet_gpu() -> Gpu {
         Gpu::new(GpuConfig {
@@ -756,7 +756,8 @@ mod tests {
             .build(gpu.config())
             .expect("operands set");
         launch_stream_sync(&mut gpu, [Arc::new(conv) as Arc<dyn KernelSource>]);
-        let report = gpu.run().unwrap();
+        let mut session = Session::new();
+        let report = gpu.compile().and_then(|p| session.run(&p)).unwrap();
         assert_eq!(report.races, 0);
         let expected = conv2d(
             &in_data,
@@ -769,7 +770,7 @@ mod tests {
             3,
             shape.k as usize,
         );
-        assert_close(gpu.mem().snapshot(output).unwrap(), &expected, 1e-2);
+        assert_close(session.mem().snapshot(output).unwrap(), &expected, 1e-2);
     }
 
     #[test]
@@ -824,7 +825,8 @@ mod tests {
             .expect("operands set");
         bound.launch(&mut gpu, s1, Arc::new(conv1)).unwrap();
         bound.launch(&mut gpu, s2, Arc::new(conv2)).unwrap();
-        let report = gpu.run().unwrap();
+        let mut session = Session::new();
+        let report = gpu.compile().and_then(|p| session.run(&p)).unwrap();
         assert_eq!(report.races, 0, "{report}");
 
         let mid_ref: Vec<f32> = conv2d(
@@ -852,7 +854,7 @@ mod tests {
             3,
             shape2.k as usize,
         );
-        assert_close(gpu.mem().snapshot(out).unwrap(), &out_ref, 5e-2);
+        assert_close(session.mem().snapshot(out).unwrap(), &out_ref, 5e-2);
         // The chain overlapped.
         assert!(report.kernel("conv2").start < report.kernel("conv1").end);
     }
@@ -902,7 +904,8 @@ mod tests {
             .expect("operands set");
         bound.launch(&mut gpu, s1, Arc::new(conv1)).unwrap();
         bound.launch(&mut gpu, s2, Arc::new(conv2)).unwrap();
-        let report = gpu.run().unwrap();
+        let mut session = Session::new();
+        let report = gpu.compile().and_then(|p| session.run(&p)).unwrap();
         assert_eq!(report.races, 0, "{report}");
         let mid_ref = conv2d(
             &in_data,
@@ -926,7 +929,7 @@ mod tests {
             3,
             shape2.k as usize,
         );
-        assert_close(gpu.mem().snapshot(out).unwrap(), &out_ref, 5e-2);
+        assert_close(session.mem().snapshot(out).unwrap(), &out_ref, 5e-2);
     }
 
     #[test]
@@ -952,8 +955,9 @@ mod tests {
             .build(gpu.config())
             .expect("operands set");
         launch_stream_sync(&mut gpu, [Arc::new(conv) as Arc<dyn KernelSource>]);
-        gpu.run().unwrap();
-        let out = gpu.mem().snapshot(output).unwrap();
+        let mut session = Session::new();
+        gpu.compile().and_then(|p| session.run(&p)).unwrap();
+        let out = session.mem().snapshot(output).unwrap();
         assert_eq!(out[0], 4.0); // corner: 2x2 valid neighborhood
         assert_eq!(out[5], 9.0); // interior: full 3x3
     }

@@ -16,7 +16,6 @@ use cusync_sim::{
     BlockBody, BlockCtx, BufferId, DType, Dim3, GlobalMemory, KernelSource, Op, Step, MAX_OCCUPANCY,
 };
 
-use crate::gemm::{DepPlan, InputDep};
 use crate::program::RowPrograms;
 
 /// A 1-D block-per-tile copy kernel: block `i` copies elements
@@ -59,14 +58,6 @@ impl CopyKernel {
         self.stage = Some(stage);
         self.depends_on_src = depends_on_src;
         self
-    }
-
-    /// The same-block dependency plan used by the consumer copy.
-    pub fn same_block_dep(prod_grid: Dim3) -> InputDep {
-        InputDep {
-            prod_grid,
-            plan: DepPlan::Custom(Arc::new(|tile, _chunk| vec![tile])),
-        }
     }
 }
 
@@ -282,7 +273,7 @@ mod tests {
     use super::*;
     use crate::reference::assert_close;
     use cusync::{CuStage, SyncGraph, TileSync};
-    use cusync_sim::{Gpu, GpuConfig, SimTime};
+    use cusync_sim::{Gpu, GpuConfig, Session, SimTime};
 
     fn quiet_gpu() -> Gpu {
         Gpu::new(GpuConfig {
@@ -316,9 +307,10 @@ mod tests {
             .with_stage(Arc::clone(bound.stage(s2)), true);
         bound.launch(&mut gpu, s1, Arc::new(c1)).unwrap();
         bound.launch(&mut gpu, s2, Arc::new(c2)).unwrap();
-        let report = gpu.run().unwrap();
+        let mut session = Session::new();
+        let report = gpu.compile().and_then(|p| session.run(&p)).unwrap();
         assert_eq!(report.races, 0, "{report}");
-        assert_close(gpu.mem().snapshot(out).unwrap(), &data, 0.0);
+        assert_close(session.mem().snapshot(out).unwrap(), &data, 0.0);
     }
 
     #[test]
@@ -332,8 +324,9 @@ mod tests {
             .alloc_poisoned("out", len as usize, DType::F16);
         let kernel = CopyKernel::new("copy", len, 8, input, out);
         cusync::launch_stream_sync(&mut gpu, [Arc::new(kernel) as Arc<dyn KernelSource>]);
-        let report = gpu.run().unwrap();
+        let mut session = Session::new();
+        let report = gpu.compile().and_then(|p| session.run(&p)).unwrap();
         assert_eq!(report.races, 0);
-        assert_close(gpu.mem().snapshot(out).unwrap(), &data, 0.0);
+        assert_close(session.mem().snapshot(out).unwrap(), &data, 0.0);
     }
 }

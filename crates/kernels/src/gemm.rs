@@ -990,7 +990,7 @@ mod tests {
     use super::*;
     use crate::reference::{assert_close, matmul};
     use cusync::{launch_stream_sync, CuStage, RowSync, SyncGraph, TileSync};
-    use cusync_sim::{Gpu, SimTime};
+    use cusync_sim::{Gpu, Session, SimTime};
     use std::sync::Arc;
 
     fn quiet_gpu() -> Gpu {
@@ -1023,10 +1023,11 @@ mod tests {
             .build(gpu.config())
             .expect("operands set");
         launch_stream_sync(&mut gpu, [Arc::new(gemm) as Arc<dyn KernelSource>]);
-        let report = gpu.run().unwrap();
+        let mut session = Session::new();
+        let report = gpu.compile().and_then(|p| session.run(&p)).unwrap();
         assert_eq!(report.races, 0);
         let expected = matmul(&a_data, &b_data, m as usize, n as usize, k as usize);
-        assert_close(gpu.mem().snapshot(c).unwrap(), &expected, 1e-3);
+        assert_close(session.mem().snapshot(c).unwrap(), &expected, 1e-3);
     }
 
     #[test]
@@ -1046,12 +1047,13 @@ mod tests {
             .build(gpu.config())
             .expect("operands set");
         launch_stream_sync(&mut gpu, [Arc::new(gemm) as Arc<dyn KernelSource>]);
-        gpu.run().unwrap();
+        let mut session = Session::new();
+        gpu.compile().and_then(|p| session.run(&p)).unwrap();
         let mut expected = matmul(&a_data, &b_data, m as usize, n as usize, k as usize);
         for v in &mut expected {
             *v = gelu(*v);
         }
-        assert_close(gpu.mem().snapshot(c).unwrap(), &expected, 1e-3);
+        assert_close(session.mem().snapshot(c).unwrap(), &expected, 1e-3);
     }
 
     #[test]
@@ -1071,9 +1073,10 @@ mod tests {
             .build(gpu.config())
             .expect("operands set");
         launch_stream_sync(&mut gpu, [Arc::new(gemm) as Arc<dyn KernelSource>]);
-        gpu.run().unwrap();
+        let mut session = Session::new();
+        gpu.compile().and_then(|p| session.run(&p)).unwrap();
         let expected = matmul(&a_data, &b_data, m as usize, n as usize, k as usize);
-        assert_close(gpu.mem().snapshot(c).unwrap(), &expected, 1e-3);
+        assert_close(session.mem().snapshot(c).unwrap(), &expected, 1e-3);
     }
 
     /// Builds the two-GeMM MLP chain of Fig. 4a with real data and checks
@@ -1123,11 +1126,12 @@ mod tests {
             .expect("operands set");
         bound.launch(&mut gpu, s1, Arc::new(g1)).unwrap();
         bound.launch(&mut gpu, s2, Arc::new(g2)).unwrap();
-        let report = gpu.run().unwrap();
+        let mut session = Session::new();
+        let report = gpu.compile().and_then(|p| session.run(&p)).unwrap();
 
         let xw1_ref = matmul(&x_data, &w1_data, m as usize, h as usize, k as usize);
         let out_ref = matmul(&xw1_ref, &w2_data, m as usize, k as usize, h as usize);
-        let got = gpu.mem().snapshot(out).unwrap().to_vec();
+        let got = session.mem().snapshot(out).unwrap().to_vec();
         (report, got, out_ref)
     }
 
@@ -1186,7 +1190,7 @@ mod tests {
             .expect("operands set");
         gpu.launch(s1, Arc::new(g1));
         gpu.launch(s2, Arc::new(g2));
-        let report = gpu.run().unwrap();
+        let report = gpu.compile().and_then(|p| Session::new().run(&p)).unwrap();
         assert!(report.races > 0, "expected races, got none");
     }
 
@@ -1210,7 +1214,8 @@ mod tests {
             .build(gpu.config())
             .expect("operands set");
         launch_stream_sync(&mut gpu, [Arc::new(gemm) as Arc<dyn KernelSource>]);
-        gpu.run().unwrap();
+        let mut session = Session::new();
+        gpu.compile().and_then(|p| session.run(&p)).unwrap();
         let mut a_eff = vec![0.0f32; (m * k) as usize];
         for i in 0..m as usize {
             for j in 0..k as usize {
@@ -1220,7 +1225,7 @@ mod tests {
             }
         }
         let expected = matmul(&a_eff, &w_data, m as usize, n as usize, k as usize);
-        assert_close(gpu.mem().snapshot(out).unwrap(), &expected, 5e-3);
+        assert_close(session.mem().snapshot(out).unwrap(), &expected, 5e-3);
     }
 
     #[test]
@@ -1247,9 +1252,10 @@ mod tests {
             .build(gpu.config())
             .expect("operands set");
         launch_stream_sync(&mut gpu, [Arc::new(gemm) as Arc<dyn KernelSource>]);
-        let report = gpu.run().unwrap();
+        let mut session = Session::new();
+        let report = gpu.compile().and_then(|p| session.run(&p)).unwrap();
         assert_eq!(report.races, 0);
         let expected = matmul(&a_data, &b_data, m as usize, n as usize, k as usize);
-        assert_close(gpu.mem().snapshot(c).unwrap(), &expected, 1e-3);
+        assert_close(session.mem().snapshot(c).unwrap(), &expected, 1e-3);
     }
 }

@@ -24,7 +24,7 @@
 //! use std::sync::Arc;
 //! use cusync::{CuStage, RowSync, SyncGraph, TileSync};
 //! use cusync_kernels::{GemmBuilder, GemmDims, InputDep, TileShape};
-//! use cusync_sim::{DType, Dim3, Gpu, GpuConfig};
+//! use cusync_sim::{DType, Dim3, Gpu, GpuConfig, Session};
 //!
 //! let mut gpu = Gpu::new(GpuConfig::tesla_v100());
 //! let (m, h, k) = (64, 256, 128);
@@ -54,7 +54,7 @@
 //!     .build(gpu.config()).expect("operands set");
 //! bound.launch(&mut gpu, s1, Arc::new(g1))?;
 //! bound.launch(&mut gpu, s2, Arc::new(g2))?;
-//! let report = gpu.run().expect("no deadlock");
+//! let report = gpu.compile().and_then(|p| Session::new().run(&p)).expect("no deadlock");
 //! assert_eq!(report.races, 0);
 //! # Ok::<(), cusync::CuSyncError>(())
 //! ```

@@ -429,7 +429,7 @@ mod tests {
     use crate::gemm::DepPlan;
     use crate::reference::{assert_close, dropout, softmax_rows};
     use cusync::{launch_stream_sync, CuStage, RowSync, SyncGraph};
-    use cusync_sim::{Gpu, GpuConfig, SimTime};
+    use cusync_sim::{Gpu, GpuConfig, Session, SimTime};
 
     fn quiet_gpu() -> Gpu {
         Gpu::new(GpuConfig {
@@ -454,10 +454,11 @@ mod tests {
             .build(gpu.config())
             .expect("operands set");
         launch_stream_sync(&mut gpu, [Arc::new(kernel) as Arc<dyn KernelSource>]);
-        let report = gpu.run().unwrap();
+        let mut session = Session::new();
+        let report = gpu.compile().and_then(|p| session.run(&p)).unwrap();
         assert_eq!(report.races, 0);
         let expected = dropout(&softmax_rows(&data, rows as usize, cols as usize), 99, 0.8);
-        assert_close(gpu.mem().snapshot(output).unwrap(), &expected, 1e-3);
+        assert_close(session.mem().snapshot(output).unwrap(), &expected, 1e-3);
     }
 
     #[test]
@@ -475,9 +476,10 @@ mod tests {
             .build(gpu.config())
             .expect("operands set");
         launch_stream_sync(&mut gpu, [Arc::new(kernel) as Arc<dyn KernelSource>]);
-        gpu.run().unwrap();
+        let mut session = Session::new();
+        gpu.compile().and_then(|p| session.run(&p)).unwrap();
         let expected = softmax_rows(&data, rows as usize, cols as usize);
-        assert_close(gpu.mem().snapshot(output).unwrap(), &expected, 1e-4);
+        assert_close(session.mem().snapshot(output).unwrap(), &expected, 1e-4);
     }
 
     #[test]

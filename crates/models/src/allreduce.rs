@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use cusync_sim::{
-    ClusterConfig, Dim3, FixedKernel, Gpu, GpuConfig, Op, SemArrayId, SimTime, StreamId,
+    ClusterConfig, Dim3, FixedKernel, Gpu, GpuConfig, Op, SemArrayId, Session, SimTime, StreamId,
 };
 
 /// Peak NVLink ring bandwidth per GPU on a DGX-2 class machine, bytes/s —
@@ -198,7 +198,10 @@ pub fn ring_allreduce_report(gpu: &GpuConfig, bytes: u64, gpus: u32) -> (SimTime
     let mut node = Gpu::new_cluster(ClusterConfig::nvlink_ring(gpus, gpu.clone()));
     let streams: Vec<StreamId> = (0..gpus).map(|d| node.create_stream_on(d, 0)).collect();
     launch_ring_allreduce(&mut node, "ar", bytes, &streams);
-    let report = node.run().expect("ring allreduce cannot deadlock");
+    let report = node
+        .compile()
+        .and_then(|p| Session::new().run(&p))
+        .expect("ring allreduce cannot deadlock");
     let start = report
         .kernels
         .iter()
@@ -272,11 +275,12 @@ mod tests {
         // exploit.
         let gpu = GpuConfig::tesla_v100();
         let mut node = Gpu::new_cluster(ClusterConfig::nvlink_ring(4, gpu));
-        node.enable_trace();
         let streams: Vec<StreamId> = (0..4).map(|d| node.create_stream_on(d, 0)).collect();
         let ar = launch_ring_allreduce(&mut node, "ar", 4 << 20, &streams);
-        let report = node.run().unwrap();
-        let finals: Vec<_> = node
+        let mut session = Session::new();
+        session.enable_trace();
+        let report = session.run(&node.compile().unwrap()).unwrap();
+        let finals: Vec<_> = session
             .trace()
             .iter()
             .filter_map(|e| match e {

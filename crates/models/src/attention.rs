@@ -27,9 +27,7 @@ use cusync::{
     SyncMechanism, TileSync,
 };
 use cusync_kernels::{DepPlan, GemmBuilder, GemmDims, InputDep, SoftmaxDropoutBuilder, TileShape};
-use cusync_sim::{
-    run_compiled, CompiledPipeline, DType, Dim3, Gpu, GpuConfig, KernelSource, RunReport,
-};
+use cusync_sim::{CompiledPipeline, DType, Dim3, Gpu, GpuConfig, KernelSource, RunReport, Session};
 use cusync_streamk::StreamKBuilder;
 
 use crate::mech::{fine_labels, label_policy};
@@ -490,15 +488,16 @@ pub fn compile_attention_mechanisms(
 
 /// Runs the five-kernel attention chain under `mode`.
 ///
-/// Compiles the pipeline and executes it on the calling thread's pooled
-/// session ([`run_compiled`]); results are bit-identical to a fresh
-/// one-shot [`Gpu::run`] of the same workload.
+/// Compiles the pipeline ([`compile_attention`]) and runs it on a fresh
+/// [`Session`].
 ///
 /// # Panics
 ///
 /// Panics if the simulated run deadlocks.
 pub fn run_attention(gpu_cfg: &GpuConfig, cfg: AttentionConfig, mode: SyncMode) -> RunReport {
-    run_compiled(&compile_attention(gpu_cfg, cfg, mode)).expect("attention run deadlocked")
+    Session::new()
+        .run(&compile_attention(gpu_cfg, cfg, mode))
+        .expect("attention run deadlocked")
 }
 
 /// Total simulated time of one attention block.
@@ -583,7 +582,9 @@ mod tests {
             let ms = [m; ATTENTION_EDGES];
             let pipeline = compile_attention_mechanisms(&v100(), cfg, OptFlags::WRT, &ms)
                 .expect("uniform assignments are valid");
-            let report = run_compiled(&pipeline).expect("attention mechanism run deadlocked");
+            let report = Session::new()
+                .run(&pipeline)
+                .expect("attention mechanism run deadlocked");
             assert!(report.total > cusync_sim::SimTime::ZERO, "{m}");
         }
     }

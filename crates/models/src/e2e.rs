@@ -116,18 +116,6 @@ pub fn vision_step_time(
     total
 }
 
-/// Percentage reduction in end-to-end vision inference time (Fig. 8b).
-pub fn vision_e2e_improvement(
-    gpu: &GpuConfig,
-    stages: &[ConvStage],
-    batch: u32,
-    mode: SyncMode,
-) -> f64 {
-    let base = vision_step_time(gpu, stages, batch, SyncMode::StreamSync);
-    let t = vision_step_time(gpu, stages, batch, mode);
-    100.0 * (1.0 - t.as_picos() as f64 / base.as_picos() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

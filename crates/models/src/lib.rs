@@ -15,6 +15,10 @@
 //! each runnable under [`SyncMode::StreamSync`], [`SyncMode::StreamK`] or
 //! [`SyncMode::CuSync`] with any of the paper's policies.
 //!
+//! Every `run_*` helper compiles its pipeline (the matching `compile_*`)
+//! and runs it on a fresh [`cusync_sim::Session`]. To reuse one session's
+//! warmed arenas across runs, call `compile_*` and keep the session.
+//!
 //! ## Example
 //!
 //! ```
@@ -52,8 +56,7 @@ pub use attention::{
     ATTENTION_EDGES,
 };
 pub use e2e::{
-    llm_e2e_improvement, llm_step_time, vision_e2e_improvement, vision_step_time, LlmModel, GPT3,
-    LLAMA, MP_DEGREE,
+    llm_e2e_improvement, llm_step_time, vision_step_time, LlmModel, GPT3, LLAMA, MP_DEGREE,
 };
 pub use mlp::{
     build_mlp, build_mlp_mechanisms, compile_mlp, compile_mlp_mechanisms, mlp_improvement,

@@ -8,9 +8,7 @@ use cusync::{
     SyncMechanism, TileSync,
 };
 use cusync_kernels::{DepPlan, Epilogue, GemmBuilder, GemmDims, InputDep};
-use cusync_sim::{
-    run_compiled, CompiledPipeline, DType, Dim3, Gpu, GpuConfig, KernelSource, RunReport,
-};
+use cusync_sim::{CompiledPipeline, DType, Dim3, Gpu, GpuConfig, KernelSource, RunReport, Session};
 use cusync_streamk::StreamKBuilder;
 
 use crate::mech::{fine_labels, label_policy};
@@ -298,16 +296,17 @@ pub fn compile_mlp_mechanisms(
 
 /// Builds and runs one MLP block, returning the full run report.
 ///
-/// Compiles the pipeline and executes it on the calling thread's pooled
-/// session ([`run_compiled`]); results are bit-identical to a fresh
-/// one-shot [`Gpu::run`] of the same workload.
+/// Compiles the pipeline ([`compile_mlp`]) and runs it on a fresh
+/// [`Session`].
 ///
 /// # Panics
 ///
 /// Panics if the simulated run deadlocks (it cannot, for these launch
 /// orders).
 pub fn run_mlp(gpu_cfg: &GpuConfig, model: MlpModel, bs: u32, mode: SyncMode) -> RunReport {
-    run_compiled(&compile_mlp(gpu_cfg, model, bs, mode)).expect("MLP run deadlocked")
+    Session::new()
+        .run(&compile_mlp(gpu_cfg, model, bs, mode))
+        .expect("MLP run deadlocked")
 }
 
 /// Convenience: total simulated time of one MLP block.
@@ -383,11 +382,11 @@ mod tests {
     #[test]
     fn pdl_edge_overlaps_and_stream_serial_serializes() {
         let run = |ms: &[SyncMechanism]| {
-            run_compiled(
-                &compile_mlp_mechanisms(&v100(), MlpModel::Gpt3, 256, OptFlags::WRT, ms)
-                    .expect("single-edge assignments are always valid"),
-            )
-            .expect("mechanism run deadlocked")
+            let pipeline = compile_mlp_mechanisms(&v100(), MlpModel::Gpt3, 256, OptFlags::WRT, ms)
+                .expect("single-edge assignments are always valid");
+            Session::new()
+                .run(&pipeline)
+                .expect("mechanism run deadlocked")
         };
         // PDL: gemm2's launch waits only for gemm1's last block to become
         // resident, then its body blocks on the grid semaphore — it may

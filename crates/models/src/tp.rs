@@ -30,8 +30,8 @@ use std::sync::Arc;
 use cusync_kernels::timing::{gemm_flops, mma_cycles};
 use cusync_kernels::{GemmBuilder, GemmDims};
 use cusync_sim::{
-    run_compiled, ClusterConfig, CompiledPipeline, DType, Dim3, FixedKernel, Gpu, IndexedKernel,
-    Op, RunReport, SimTime, StreamId, MAX_OCCUPANCY,
+    ClusterConfig, CompiledPipeline, DType, Dim3, FixedKernel, Gpu, IndexedKernel, Op, RunReport,
+    Session, SimTime, StreamId, MAX_OCCUPANCY,
 };
 
 use crate::allreduce::launch_ring_allreduce;
@@ -288,8 +288,7 @@ pub fn compile_tp_layer(
     gpu.compile().expect("freshly built TP pipeline")
 }
 
-/// Builds and runs one tensor-parallel layer on the calling thread's
-/// pooled session.
+/// Builds and runs one tensor-parallel layer on a fresh [`Session`].
 ///
 /// # Panics
 ///
@@ -300,7 +299,9 @@ pub fn run_tp_layer(
     cfg: TpLayerConfig,
     schedule: TpSchedule,
 ) -> RunReport {
-    run_compiled(&compile_tp_layer(cluster, cfg, schedule)).expect("TP layer deadlocked")
+    Session::new()
+        .run(&compile_tp_layer(cluster, cfg, schedule))
+        .expect("TP layer deadlocked")
 }
 
 /// Total simulated time of one tensor-parallel layer boundary.

@@ -7,9 +7,7 @@ use cusync::{
     SyncMechanism, TileSync,
 };
 use cusync_kernels::{Conv2DBuilder, Conv2DShape, DepPlan, Epilogue, InputDep};
-use cusync_sim::{
-    run_compiled, CompiledPipeline, DType, Dim3, Gpu, GpuConfig, KernelSource, RunReport,
-};
+use cusync_sim::{CompiledPipeline, DType, Dim3, Gpu, GpuConfig, KernelSource, RunReport, Session};
 
 use crate::mech::{fine_labels, label_policy};
 use crate::modes::{PolicyKind, SyncMode};
@@ -337,9 +335,8 @@ pub fn compile_conv_layer_mechanisms(
 /// Runs one layer: `convs` chained 3x3 convolutions of `channels`
 /// channels on `batch` images of `pq x pq` pixels.
 ///
-/// Compiles the pipeline and executes it on the calling thread's pooled
-/// session ([`run_compiled`]); results are bit-identical to a fresh
-/// one-shot [`Gpu::run`] of the same workload.
+/// Compiles the pipeline ([`compile_conv_layer`]) and runs it on a fresh
+/// [`Session`].
 ///
 /// # Panics
 ///
@@ -353,10 +350,11 @@ pub fn run_conv_layer(
     convs: u32,
     mode: SyncMode,
 ) -> RunReport {
-    run_compiled(&compile_conv_layer(
-        gpu_cfg, batch, pq, channels, convs, mode,
-    ))
-    .expect("conv layer run deadlocked")
+    Session::new()
+        .run(&compile_conv_layer(
+            gpu_cfg, batch, pq, channels, convs, mode,
+        ))
+        .expect("conv layer run deadlocked")
 }
 
 /// Total simulated time of one conv layer.

@@ -144,8 +144,8 @@ pub struct Attribution {
 
 impl Attribution {
     /// Analyzes one finished run: `trace` must be the canonical trace of
-    /// the run `report` describes (from [`Gpu::trace`](cusync_sim::Gpu) or
-    /// [`Session::trace`](cusync_sim::Session) with tracing enabled).
+    /// the run `report` describes ([`Session::trace`](cusync_sim::Session)
+    /// with tracing enabled).
     pub fn analyze(cluster: &ClusterConfig, report: &RunReport, trace: &[TraceEvent]) -> Self {
         let makespan = report.total;
         let ndev = cluster.devices.len();

@@ -164,13 +164,6 @@ impl GpuConfig {
         SimTime::from_cycles(cycles, self.clock_hz)
     }
 
-    /// Inverse of [`GpuConfig::cycles`]: the cycle count closest to `time`
-    /// at this GPU's clock. Used by kernels that model software pipelining
-    /// by charging `max(memory time, compute time)` as one operation.
-    pub fn cycles_for(&self, time: SimTime) -> u64 {
-        ((time.as_picos() as f64) * self.clock_hz / 1e12).round() as u64
-    }
-
     /// Time to move `bytes` through this GPU's DRAM, assuming each SM gets a
     /// uniform `1/num_sms` share of the aggregate bandwidth. A deliberate
     /// simplification: tiled ML kernels keep all SMs loaded, so the uniform

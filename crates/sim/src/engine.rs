@@ -18,10 +18,9 @@
 //!
 //! [`Session`] is the one driver of `execute_with`: it owns the run state
 //! and every run setting (engine mode, trace flag, issue-order override,
-//! link scale). [`Gpu`] remains the one-shot convenience wrapper: it owns
-//! one `PipelineDesc` under construction plus one `Session` holding the
-//! build storage, and [`Gpu::run`] runs the description on that session
-//! exactly once.
+//! link scale). [`Gpu`] is only the builder: it owns one `PipelineDesc`
+//! under construction plus the memory and semaphores kernels are built
+//! against, and [`Gpu::compile`] freezes them for a `Session` to run.
 //!
 //! The simulated semantics are unchanged from the original engine:
 //! thread blocks issue onto SM slots in kernel launch order — the
@@ -54,7 +53,6 @@ use crate::mem::{BufferId, DType, GlobalMemory};
 use crate::ops::Op;
 use crate::sched::{SchedContext, SchedPolicy};
 use crate::sem::{SemArrayId, SemTable, WaitLists};
-use crate::session::Session;
 use crate::stats::{waves, EngineCounters, KernelReport, MemoCount, RunReport};
 use crate::time::SimTime;
 use crate::trace::{KernelId, TraceEvent};
@@ -73,10 +71,10 @@ impl fmt::Display for StreamId {
 ///
 /// Both modes produce **identical** simulated timelines ([`RunReport`]
 /// kernel start/end times, traces, deadlock reports); they differ only in
-/// wall-clock cost. [`Gpu::new`] and [`Session::new`](crate::Session::new)
-/// always build [`EngineMode::Optimized`]; a Reference run names its mode
-/// through [`Gpu::with_mode`], [`Gpu::cluster_with_mode`] or
-/// [`Session::with_mode`](crate::Session::with_mode).
+/// wall-clock cost. [`Session::new`](crate::Session::new) runs
+/// [`EngineMode::Optimized`]; a Reference run names its mode through
+/// [`Session::with_mode`](crate::Session::with_mode), the only place a
+/// mode is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineMode {
     /// The original O(kernels × SMs)-per-event engine, kept as the
@@ -558,7 +556,7 @@ impl fmt::Display for DeadlockReport {
 
 impl std::error::Error for DeadlockReport {}
 
-/// Error raised by [`Gpu::run`] and [`Session::run`](crate::Session::run).
+/// Error raised by [`Gpu::compile`] and [`Session::run`](crate::Session::run).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// No event can make progress but kernels remain incomplete: every
@@ -567,16 +565,11 @@ pub enum SimError {
     /// wait-kernel (Section III-B). The report names the wait cycle; see
     /// [`DeadlockReport`].
     Deadlock(Box<DeadlockReport>),
-    /// [`Gpu::run`] was called a second time on the same [`Gpu`], or
-    /// [`Gpu::compile`] was called after a run. The one-shot `Gpu` wrapper
-    /// consumes its launched kernels; for repeated execution compile the
-    /// pipeline once and run it through a [`Session`](crate::Session).
-    AlreadyRan,
     /// A kernel builder rejected its inputs (surfaced here so pipeline
     /// assembly code can use one error type end to end).
     Build(BuildError),
     /// A hardware-model field is out of range ([`GpuConfig::validate`]);
-    /// compile and run reject it before any event is simulated.
+    /// [`Gpu::compile`] rejects it before any event is simulated.
     Config(ConfigError),
 }
 
@@ -596,9 +589,6 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::Deadlock(report) => write!(f, "{report}"),
-            SimError::AlreadyRan => {
-                write!(f, "Gpu::run may only be called once per Gpu")
-            }
             SimError::Build(e) => write!(f, "{e}"),
             SimError::Config(e) => write!(f, "{e}"),
         }
@@ -611,7 +601,6 @@ impl std::error::Error for SimError {
             SimError::Build(e) => Some(e),
             SimError::Config(e) => Some(e),
             SimError::Deadlock(report) => Some(report.as_ref()),
-            SimError::AlreadyRan => None,
         }
     }
 }
@@ -854,8 +843,8 @@ pub(crate) struct PipelineDesc {
 /// contiguous op slices, so optimized-engine runs replay them through a
 /// cursor without constructing or interpreting any coroutine body. The
 /// reference engine never reads this: it is built lazily, only for runs
-/// that will execute optimized (by `CompiledPipeline::programs` or
-/// [`Gpu::run`]), so reference-engine baselines don't pay for it.
+/// that will execute optimized (by `CompiledPipeline::programs`), so
+/// reference-engine baselines don't pay for it.
 pub(crate) struct Programs {
     /// Arena of program ops; each block's program is contiguous.
     block_ops: Vec<Op>,
@@ -1059,11 +1048,6 @@ impl<K: Copy + PartialEq> LastPrice<K> {
 }
 
 impl KernelRun {
-    /// Blocks issued onto SMs so far (read by [`SchedContext`]).
-    pub(crate) fn issued(&self) -> u64 {
-        self.issued
-    }
-
     /// Blocks currently parked on unmet semaphores (read by
     /// [`SchedContext`]).
     pub(crate) fn parked(&self) -> u64 {
@@ -1173,10 +1157,9 @@ impl FixedCosts {
 /// - stats integrals, event counters, [`EngineCounters`] and traces
 ///   return to zero/empty;
 /// - memory and semaphores are restored separately
-///   ([`GlobalMemory::reset_from`], [`SemTable::reset_from`]) because a
-///   [`Session`] restores them from the compiled pipeline's pristine
-///   copies, while the one-shot [`Gpu::run`] runs on the memory and
-///   semaphores the kernels were built against.
+///   ([`GlobalMemory::reset_from`], [`SemTable::reset_from`]): the
+///   [`Session`](crate::Session) restores them from the compiled
+///   pipeline's pristine copies.
 pub(crate) struct RunState {
     pub(crate) mem: GlobalMemory,
     pub(crate) sems: SemTable,
@@ -1243,6 +1226,11 @@ pub(crate) struct RunState {
     /// The [`EngineCounters`] counted as they happen; the report adds the
     /// per-kernel memo counts (see [`Exec::counters`]).
     counters: EngineCounters,
+    /// Debug builds: events pushed this run. Counted apart from
+    /// `counters`, so the end-of-run check in [`Exec::run_all`] catches an
+    /// event that `handle` counts twice or not at all.
+    #[cfg(debug_assertions)]
+    pushes: u64,
 }
 
 impl RunState {
@@ -1279,6 +1267,8 @@ impl RunState {
             first_issue: None,
             last_finish: SimTime::ZERO,
             counters: EngineCounters::default(),
+            #[cfg(debug_assertions)]
+            pushes: 0,
         }
     }
 
@@ -1334,6 +1324,10 @@ impl RunState {
         self.first_issue = None;
         self.last_finish = SimTime::ZERO;
         self.counters = EngineCounters::default();
+        #[cfg(debug_assertions)]
+        {
+            self.pushes = 0;
+        }
     }
 
     /// Restores memory and semaphores to the compiled pipeline's pristine
@@ -1436,6 +1430,20 @@ impl Exec<'_> {
             EngineMode::Reference => self.run_reference_loop(),
             EngineMode::Optimized => self.run_optimized_loop(),
         }
+        #[cfg(debug_assertions)]
+        {
+            // Completed, aborted and deadlocked runs alike: every pushed
+            // event was either handled exactly once or is still queued.
+            let queued = match self.mode {
+                EngineMode::Reference => self.st.events.len(),
+                EngineMode::Optimized => self.st.fast_events.len(),
+            };
+            assert_eq!(
+                self.st.pushes - queued as u64,
+                self.events_handled(),
+                "handled events do not match pushes minus still-queued events"
+            );
+        }
         if self.st.trace_enabled {
             // Canonicalize in every exit path so the trace is readable
             // even after an abort or deadlock.
@@ -1475,6 +1483,10 @@ impl Exec<'_> {
     }
 
     fn push_event(&mut self, time: SimTime, kind: EventKind) {
+        #[cfg(debug_assertions)]
+        {
+            self.st.pushes += 1;
+        }
         match self.mode {
             EngineMode::Reference => {
                 let seq = self.st.event_seq;
@@ -1788,7 +1800,6 @@ impl Exec<'_> {
         let ctx = SchedContext {
             desc: self.desc,
             runs: &self.st.kernels,
-            sems: &self.st.sems,
         };
         policy.order(&ctx, candidates);
     }
@@ -2597,6 +2608,13 @@ impl Exec<'_> {
         c
     }
 
+    /// Events handled this run: `handle` counts every event under exactly
+    /// one kind.
+    fn events_handled(&self) -> u64 {
+        let c = &self.st.counters;
+        c.kernel_ready_events + c.block_resume_events + c.post_apply_events + c.atomic_apply_events
+    }
+
     fn report(&self) -> RunReport {
         let kernels: Vec<KernelReport> = self
             .desc
@@ -2634,50 +2652,37 @@ impl Exec<'_> {
             0.0
         };
         let sem_posts = self.st.sems.ids().map(|id| self.st.sems.posts(id)).sum();
-        // `handle` counts every event under exactly one kind.
-        let c = &self.st.counters;
-        let sim_events = c.kernel_ready_events
-            + c.block_resume_events
-            + c.post_apply_events
-            + c.atomic_apply_events;
         RunReport {
             total,
             kernels,
             races: self.st.mem.races_total(),
             sm_utilization,
             sem_posts,
-            sim_events,
+            sim_events: self.events_handled(),
             counters: self.counters(),
         }
     }
 }
 
-/// The simulated GPU: hardware model, memory, streams, and event loop,
-/// packaged as a **one-shot** convenience. `Gpu` is a thin wrapper over
-/// the compile/execute split: it owns one pipeline description under
-/// construction plus one [`Session`] whose memory and semaphores are the
-/// build storage, and [`Gpu::run`] executes the description on that
-/// session exactly once.
-///
-/// **Note (session layer):** for repeated execution of the same workload,
-/// finish building, call [`Gpu::compile`] to freeze a
-/// [`CompiledPipeline`](crate::CompiledPipeline), and run it any number of
-/// times through a [`Session`](crate::Session). `Gpu::new` + `Gpu::run`
-/// remain supported for single runs, but new code with any reuse should
-/// prefer the session API.
+/// The simulated GPU under construction: hardware model, streams, kernel
+/// registrations, and the memory and semaphores kernels are built
+/// against. `Gpu` only builds; it never runs. [`Gpu::compile`] consumes
+/// it into an immutable [`CompiledPipeline`](crate::CompiledPipeline),
+/// and a [`Session`](crate::Session) runs that any number of times, so
+/// a built workload is compiled exactly once by construction.
 ///
 /// # Examples
 ///
 /// ```
 /// use std::sync::Arc;
-/// use cusync_sim::{Dim3, FixedKernel, Gpu, GpuConfig, Op};
+/// use cusync_sim::{Dim3, FixedKernel, Gpu, GpuConfig, Op, Session};
 ///
 /// let mut gpu = Gpu::new(GpuConfig::toy(4));
 /// let stream = gpu.create_stream(0);
 /// gpu.launch(stream, Arc::new(FixedKernel::new(
 ///     "copy", Dim3::linear(6), 1, vec![Op::read(4096), Op::write(4096)],
 /// )));
-/// let report = gpu.run()?;
+/// let report = Session::new().run(&gpu.compile()?)?;
 /// assert_eq!(report.kernels[0].blocks, 6);
 /// // 6 blocks on 4 SMs at occupancy 1 is 1.5 waves.
 /// assert!((report.kernels[0].static_waves - 1.5).abs() < 1e-9);
@@ -2685,10 +2690,8 @@ impl Exec<'_> {
 /// ```
 pub struct Gpu {
     pub(crate) desc: PipelineDesc,
-    /// Engine mode, trace flag, and the memory and semaphores kernels are
-    /// built against (and run on, by [`Gpu::run`]).
-    pub(crate) session: Session,
-    pub(crate) ran: bool,
+    pub(crate) mem: GlobalMemory,
+    pub(crate) sems: SemTable,
 }
 
 impl fmt::Debug for Gpu {
@@ -2696,35 +2699,27 @@ impl fmt::Debug for Gpu {
         f.debug_struct("Gpu")
             .field("config", &self.desc.primary_config().name)
             .field("devices", &self.desc.cluster.devices.len())
-            .field("session", &self.session)
             .field("kernels", &self.desc.kernels.len())
-            .field("ran", &self.ran)
             .finish_non_exhaustive()
     }
 }
 
 impl Gpu {
-    /// Creates a GPU with the given hardware model on the
-    /// [`EngineMode::Optimized`] engine.
+    /// Creates a single-GPU builder with the given hardware model.
     pub fn new(config: GpuConfig) -> Self {
-        Gpu::with_mode(config, EngineMode::Optimized)
+        Gpu::new_cluster(ClusterConfig::single(config))
     }
 
-    /// Creates a GPU pinned to a specific engine implementation.
-    pub fn with_mode(config: GpuConfig, mode: EngineMode) -> Self {
-        Gpu::cluster_with_mode(ClusterConfig::single(config), mode)
-    }
-
-    /// Creates a multi-device node from a [`ClusterConfig`] on the
-    /// [`EngineMode::Optimized`] engine. Streams and semaphore arrays are
-    /// placed on devices with [`Gpu::create_stream_on`] /
-    /// [`Gpu::alloc_sems_on`]; the single-GPU methods target device 0.
+    /// Creates a multi-device node from a [`ClusterConfig`]. Streams and
+    /// semaphore arrays are placed on devices with
+    /// [`Gpu::create_stream_on`] / [`Gpu::alloc_sems_on`]; the single-GPU
+    /// methods target device 0.
     ///
     /// # Examples
     ///
     /// ```
     /// use std::sync::Arc;
-    /// use cusync_sim::{ClusterConfig, Dim3, FixedKernel, Gpu, Op};
+    /// use cusync_sim::{ClusterConfig, Dim3, FixedKernel, Gpu, Op, Session};
     ///
     /// let mut node = Gpu::new_cluster(ClusterConfig::dgx_v100(2));
     /// let ready = node.alloc_sems_on(1, "ready", 1, 0);
@@ -2739,21 +2734,15 @@ impl Gpu {
     ///     "consumer", Dim3::linear(1), 1,
     ///     vec![Op::wait(ready, 0, 1), Op::compute(10_000)],
     /// )));
-    /// let report = node.run()?;
+    /// let report = Session::new().run(&node.compile()?)?;
     /// assert!(report.kernel("consumer").end > report.kernel("producer").end);
     /// # Ok::<(), cusync_sim::SimError>(())
     /// ```
     pub fn new_cluster(cluster: ClusterConfig) -> Self {
-        Gpu::cluster_with_mode(cluster, EngineMode::Optimized)
-    }
-
-    /// Creates a multi-device node pinned to a specific engine
-    /// implementation.
-    pub fn cluster_with_mode(cluster: ClusterConfig, mode: EngineMode) -> Self {
         Gpu {
             desc: PipelineDesc::new(cluster),
-            session: Session::with_mode(mode),
-            ran: false,
+            mem: GlobalMemory::new(),
+            sems: SemTable::new(),
         }
     }
 
@@ -2775,22 +2764,22 @@ impl Gpu {
 
     /// Read access to global memory.
     pub fn mem(&self) -> &GlobalMemory {
-        self.session.mem()
+        &self.mem
     }
 
     /// Mutable access to global memory (allocation, verification).
     pub fn mem_mut(&mut self) -> &mut GlobalMemory {
-        &mut self.session.st.mem
+        &mut self.mem
     }
 
     /// Read access to the semaphore table.
     pub fn sems(&self) -> &SemTable {
-        self.session.sems()
+        &self.sems
     }
 
     /// Mutable access to the semaphore table (allocation, re-init).
     pub fn sems_mut(&mut self) -> &mut SemTable {
-        &mut self.session.st.sems
+        &mut self.sems
     }
 
     /// Allocates a timing-only buffer (convenience for [`GlobalMemory::alloc`]).
@@ -2896,7 +2885,7 @@ impl Gpu {
     /// becomes dispatchable only once its stream reaches it **and** every
     /// registered gate is satisfied; see [`LaunchGate`] for the two
     /// trigger points. Gates may be registered any time before
-    /// [`Gpu::run`] / [`Gpu::compile`], in either launch order.
+    /// [`Gpu::compile`], in either launch order.
     ///
     /// # Panics
     ///
@@ -2939,49 +2928,13 @@ impl Gpu {
             posts.push((table, index));
         }
     }
-
-    /// Records scheduling events for inspection by [`Gpu::trace`].
-    pub fn enable_trace(&mut self) {
-        self.session.enable_trace();
-    }
-
-    /// The recorded trace (empty unless [`Gpu::enable_trace`] was called).
-    pub fn trace(&self) -> &[TraceEvent] {
-        self.session.trace()
-    }
-
-    /// Runs all launched kernels to completion.
-    ///
-    /// This is the **one-shot** path: it validates the hardware model,
-    /// finalizes the launch gates and runs the description on this GPU's
-    /// [`Session`], whose memory and semaphores are the ones the kernels
-    /// were built against. So the run leaves them in their final state
-    /// ([`Gpu::mem`] holds the functional outputs), and a `Gpu` is
-    /// single-shot. For repeated runs, use [`Gpu::compile`] +
-    /// [`Session::run`] instead; both paths share the session's run tail.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Deadlock`] if execution stalls with incomplete
-    /// kernels — every resident block waiting on a semaphore that nothing
-    /// can post — [`SimError::AlreadyRan`] if this [`Gpu`] already ran, and
-    /// [`SimError::Config`] if its hardware model is out of range
-    /// ([`ClusterConfig::validate`]).
-    pub fn run(&mut self) -> Result<RunReport, SimError> {
-        if self.ran {
-            return Err(SimError::AlreadyRan);
-        }
-        self.desc.cluster.validate()?;
-        self.ran = true;
-        self.desc.finalize_gates();
-        self.session.run_built(&self.desc)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::FixedKernel;
+    use crate::Session;
 
     fn quiet_config() -> GpuConfig {
         GpuConfig {
@@ -2990,6 +2943,29 @@ mod tests {
             block_jitter: 0.0,
             ..GpuConfig::toy(4)
         }
+    }
+
+    /// Compiles `gpu` and runs it on `session`.
+    fn run_on(session: &mut Session, gpu: Gpu) -> Result<RunReport, SimError> {
+        session.run(&gpu.compile()?)
+    }
+
+    /// Compiles `gpu` and runs it on a fresh session in `mode`.
+    fn run_in(gpu: Gpu, mode: EngineMode) -> Result<RunReport, SimError> {
+        run_on(&mut Session::with_mode(mode), gpu)
+    }
+
+    /// Compiles `gpu` and runs it on a fresh optimized session.
+    fn run_once(gpu: Gpu) -> Result<RunReport, SimError> {
+        run_in(gpu, EngineMode::Optimized)
+    }
+
+    /// [`run_in`] on a tracing session: the report and the run's trace.
+    fn traced_in(gpu: Gpu, mode: EngineMode) -> (RunReport, Vec<TraceEvent>) {
+        let mut session = Session::with_mode(mode);
+        session.enable_trace();
+        let report = run_on(&mut session, gpu).unwrap();
+        (report, session.trace().to_vec())
     }
 
     #[test]
@@ -3006,7 +2982,7 @@ mod tests {
                 vec![Op::compute(1000)],
             )),
         );
-        let report = gpu.run().unwrap();
+        let report = run_once(gpu).unwrap();
         let k = &report.kernels[0];
         assert_eq!(k.blocks, 6);
         assert!((k.static_waves - 1.5).abs() < 1e-9);
@@ -3028,7 +3004,7 @@ mod tests {
     #[test]
     fn finished_block_slots_are_reused() {
         for mode in [EngineMode::Reference, EngineMode::Optimized] {
-            let mut gpu = Gpu::with_mode(quiet_config(), mode);
+            let mut gpu = Gpu::new(quiet_config());
             let s = gpu.create_stream(0);
             gpu.launch(
                 s,
@@ -3039,7 +3015,7 @@ mod tests {
                     vec![Op::compute(1000)],
                 )),
             );
-            let report = gpu.run().unwrap();
+            let report = run_in(gpu, mode).unwrap();
             assert_eq!(report.counters.placements, 6, "{mode:?}");
             assert_eq!(report.counters.peak_block_slots, 4, "{mode:?}");
         }
@@ -3067,7 +3043,7 @@ mod tests {
                 vec![Op::compute(500)],
             )),
         );
-        let report = gpu.run().unwrap();
+        let report = run_once(gpu).unwrap();
         assert!(report.kernel("b").start >= report.kernel("a").end);
     }
 
@@ -3094,7 +3070,7 @@ mod tests {
                 vec![Op::compute(10_000)],
             )),
         );
-        let report = gpu.run().unwrap();
+        let report = run_once(gpu).unwrap();
         // 4 SMs fit both 2-block kernels at once.
         assert!(report.kernel("b").start < report.kernel("a").end);
     }
@@ -3123,7 +3099,7 @@ mod tests {
                 vec![Op::wait(sem, 0, 1), Op::compute(10)],
             )),
         );
-        let report = gpu.run().unwrap();
+        let report = run_once(gpu).unwrap();
         let producer_end = report.kernel("producer").end;
         let consumer_end = report.kernel("consumer").end;
         assert!(consumer_end > producer_end);
@@ -3144,7 +3120,7 @@ mod tests {
                 vec![Op::wait(sem, 0, 1)],
             )),
         );
-        let err = gpu.run().unwrap_err();
+        let err = run_once(gpu).unwrap_err();
         match err {
             SimError::Deadlock(report) => {
                 assert_eq!(report.pending_names(), vec!["stuck".to_string()]);
@@ -3188,7 +3164,7 @@ mod tests {
                 vec![Op::wait(sem, 0, 4), Op::compute(10)],
             )),
         );
-        let err = gpu.run().unwrap_err();
+        let err = run_once(gpu).unwrap_err();
         let SimError::Deadlock(report) = err else {
             panic!("expected deadlock, got {err}");
         };
@@ -3207,7 +3183,6 @@ mod tests {
     #[test]
     fn priority_orders_block_issue() {
         let mut gpu = Gpu::new(quiet_config());
-        gpu.enable_trace();
         let lo = gpu.create_stream(0);
         let hi = gpu.create_stream(5);
         gpu.launch(
@@ -3228,9 +3203,8 @@ mod tests {
                 vec![Op::compute(100)],
             )),
         );
-        let _ = gpu.run().unwrap();
-        let first_issue = gpu
-            .trace()
+        let (_, trace) = traced_in(gpu, EngineMode::Optimized);
+        let first_issue = trace
             .iter()
             .find_map(|e| match e {
                 TraceEvent::BlockIssued { kernel, .. } => Some(*kernel),
@@ -3286,22 +3260,9 @@ mod tests {
                 })
             })),
         );
-        gpu.run().unwrap();
-        assert_eq!(gpu.sems().value(counter, 0), 3);
-    }
-
-    #[test]
-    fn run_is_single_shot() {
-        let mut gpu = Gpu::new(quiet_config());
-        let s = gpu.create_stream(0);
-        gpu.launch(
-            s,
-            Arc::new(FixedKernel::new("k", Dim3::linear(1), 1, vec![])),
-        );
-        gpu.run().unwrap();
-        // A second run is an error, not an abort: library callers (e.g.
-        // bench harness worker threads) must be able to recover.
-        assert_eq!(gpu.run().unwrap_err(), SimError::AlreadyRan);
+        let mut session = Session::new();
+        run_on(&mut session, gpu).unwrap();
+        assert_eq!(session.sems().value(counter, 0), 3);
     }
 
     #[test]
@@ -3318,7 +3279,7 @@ mod tests {
                 vec![Op::compute(1000)],
             )),
         );
-        let report = gpu.run().unwrap();
+        let report = run_once(gpu).unwrap();
         assert!(
             (report.sm_utilization - 0.5).abs() < 1e-6,
             "{}",
@@ -3383,11 +3344,9 @@ mod tests {
     #[test]
     fn optimized_engine_matches_reference_exactly() {
         let run = |mode: EngineMode| {
-            let mut gpu = Gpu::with_mode(GpuConfig::toy(4), mode);
-            gpu.enable_trace();
+            let mut gpu = Gpu::new(GpuConfig::toy(4));
             mixed_workload(&mut gpu);
-            let report = gpu.run().unwrap();
-            (report, gpu.trace().to_vec())
+            traced_in(gpu, mode)
         };
         let (ref_report, ref_trace) = run(EngineMode::Reference);
         let (opt_report, opt_trace) = run(EngineMode::Optimized);
@@ -3409,14 +3368,11 @@ mod tests {
     #[test]
     fn optimized_engine_matches_reference_on_deadlocks() {
         let run = |mode: EngineMode| {
-            let mut gpu = Gpu::with_mode(
-                GpuConfig {
-                    host_launch_gap: SimTime::ZERO,
-                    kernel_dispatch_latency: SimTime::ZERO,
-                    ..GpuConfig::toy(4)
-                },
-                mode,
-            );
+            let mut gpu = Gpu::new(GpuConfig {
+                host_launch_gap: SimTime::ZERO,
+                kernel_dispatch_latency: SimTime::ZERO,
+                ..GpuConfig::toy(4)
+            });
             let sem = gpu.alloc_sems("tile", 2, 0);
             let s1 = gpu.create_stream(0);
             let s2 = gpu.create_stream(1);
@@ -3438,7 +3394,7 @@ mod tests {
                     vec![Op::wait(sem, 0, 4), Op::compute(10)],
                 )),
             );
-            gpu.run().unwrap_err()
+            run_in(gpu, mode).unwrap_err()
         };
         let reference = run(EngineMode::Reference);
         let optimized = run(EngineMode::Optimized);
@@ -3451,7 +3407,7 @@ mod tests {
         // later ops see different `active_units` than its first op did;
         // coalescing across those boundaries would drift the timeline.
         let run = |mode: EngineMode| {
-            let mut gpu = Gpu::with_mode(GpuConfig::toy(3), mode);
+            let mut gpu = Gpu::new(GpuConfig::toy(3));
             let s = gpu.create_stream(0);
             gpu.launch(
                 s,
@@ -3467,7 +3423,7 @@ mod tests {
                     ],
                 )),
             );
-            gpu.run().unwrap()
+            run_in(gpu, mode).unwrap()
         };
         let reference = run(EngineMode::Reference);
         let optimized = run(EngineMode::Optimized);
@@ -3480,13 +3436,13 @@ mod tests {
         // One block, no competitors: every op between launch and finish
         // coalesces, so the heap sees O(1) events instead of O(ops).
         let ops: Vec<Op> = (0..1000).map(|_| Op::compute(100)).collect();
-        let mut gpu = Gpu::with_mode(quiet_config(), EngineMode::Optimized);
+        let mut gpu = Gpu::new(quiet_config());
         let s = gpu.create_stream(0);
         gpu.launch(
             s,
             Arc::new(FixedKernel::new("solo", Dim3::linear(1), 1, ops)),
         );
-        let report = gpu.run().unwrap();
+        let report = run_once(gpu).unwrap();
         assert!(
             report.sim_events < 20,
             "expected a coalesced run, saw {} events",
@@ -3526,7 +3482,7 @@ mod tests {
                 )),
             );
         }
-        let report = node.run().unwrap();
+        let report = run_once(node).unwrap();
         assert_eq!(report.kernel("a").start, report.kernel("b").start);
         assert_eq!(report.kernel("a").end, report.kernel("b").end);
         assert_eq!(report.kernel("a").device, 0);
@@ -3558,7 +3514,7 @@ mod tests {
                     vec![Op::wait(sem, 0, 1), Op::compute(10)],
                 )),
             );
-            node.run().unwrap().kernel("consumer").end
+            run_once(node).unwrap().kernel("consumer").end
         };
         let local = run(0);
         let remote = run(1);
@@ -3595,7 +3551,7 @@ mod tests {
                     vec![Op::wait(sem, 0, 1), Op::compute(10)],
                 )),
             );
-            node.run().unwrap().kernel("consumer").end
+            run_once(node).unwrap().kernel("consumer").end
         };
         // Homed on 0 (remote poll) vs homed on 1 (remote post): both pay
         // exactly one traversal, so the end times coincide.
@@ -3616,7 +3572,7 @@ mod tests {
                 vec![Op::link_send(100_000_000)],
             )),
         );
-        let report = node.run().unwrap();
+        let report = run_once(node).unwrap();
         // 100 MB at 100 GB/s = 1 ms, unscaled by residency or jitter.
         assert_eq!(
             report.kernel("send").duration,
@@ -3628,8 +3584,7 @@ mod tests {
     #[test]
     fn cluster_engines_match_on_cross_device_pipelines() {
         let run = |mode: EngineMode| {
-            let mut node = Gpu::cluster_with_mode(quiet_cluster(3, 4), mode);
-            node.enable_trace();
+            let mut node = Gpu::new_cluster(quiet_cluster(3, 4));
             let sems: Vec<_> = (0..3)
                 .map(|d| node.alloc_sems_on(d, &format!("ring{d}"), 4, 0))
                 .collect();
@@ -3652,8 +3607,7 @@ mod tests {
                     Arc::new(FixedKernel::new(&format!("k{d}"), Dim3::linear(5), 2, ops)),
                 );
             }
-            let report = node.run().unwrap();
-            (report, node.trace().to_vec())
+            traced_in(node, mode)
         };
         let (ref_report, ref_trace) = run(EngineMode::Reference);
         let (opt_report, opt_trace) = run(EngineMode::Optimized);
@@ -3769,9 +3723,7 @@ mod tests {
     #[test]
     fn event_resequencing_is_invisible_to_a_run() {
         let run = |seq_limit: u64| {
-            let mut gpu = Gpu::with_mode(quiet_config(), EngineMode::Optimized);
-            gpu.enable_trace();
-            gpu.session.st.fast_events.seq_limit = seq_limit;
+            let mut gpu = Gpu::new(quiet_config());
             let sem = gpu.alloc_sems("s", 4, 0);
             // The producer outranks the consumer, so spinners never
             // starve it of SM slots.
@@ -3787,8 +3739,11 @@ mod tests {
                 lo,
                 Arc::new(FixedKernel::new("c", Dim3::linear(12), 2, consumer)),
             );
-            let report = gpu.run().unwrap();
-            (report, gpu.trace().to_vec())
+            let mut session = Session::new();
+            session.enable_trace();
+            session.st.fast_events.seq_limit = seq_limit;
+            let report = run_on(&mut session, gpu).unwrap();
+            (report, session.trace().to_vec())
         };
         let (plain, plain_trace) = run(SEQ_LIMIT);
         let (reseq, reseq_trace) = run(24);

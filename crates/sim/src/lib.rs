@@ -36,15 +36,15 @@
 //! on a [`Gpu`], freeze it once into an immutable, shareable
 //! [`CompiledPipeline`] ([`Gpu::compile`]), then execute it any number of
 //! times through a reusable [`Session`] (allocation-free after warmup).
-//! [`Gpu::run`] remains the one-shot convenience over the same engine;
-//! repeated session runs are bit-identical to fresh one-shot runs (see
+//! A `Gpu` only builds and a `Session` only runs; repeated runs on one
+//! session are bit-identical to fresh sessions' runs (see
 //! `crates/sim/README.md`).
 //!
 //! ## Example: two dependent kernels synchronized by a semaphore
 //!
 //! ```
 //! use std::sync::Arc;
-//! use cusync_sim::{Dim3, FixedKernel, Gpu, GpuConfig, Op};
+//! use cusync_sim::{Dim3, FixedKernel, Gpu, GpuConfig, Op, Session};
 //!
 //! let mut gpu = Gpu::new(GpuConfig::tesla_v100());
 //! let sem = gpu.alloc_sems("ready", 1, 0);
@@ -58,7 +58,7 @@
 //!     "consumer", Dim3::linear(80), 1,
 //!     vec![Op::wait(sem, 0, 80), Op::compute(10_000)],
 //! )));
-//! let report = gpu.run()?;
+//! let report = Session::new().run(&gpu.compile()?)?;
 //! assert_eq!(report.races, 0);
 //! # Ok::<(), cusync_sim::SimError>(())
 //! ```
@@ -98,7 +98,7 @@ pub use sched::{
     SeededShuffle, SemStarver,
 };
 pub use sem::{SemArrayId, SemTable};
-pub use session::{run_compiled, CompiledPipeline, Session};
+pub use session::{CompiledPipeline, Session};
 pub use stats::{EngineCounters, KernelReport, MemoCount, RunReport};
 pub use time::SimTime;
 pub use trace::{KernelId, TraceEvent};

@@ -16,8 +16,7 @@
 //! (least-loaded first), occupancy accounting — is unchanged hardware
 //! behaviour. There is one knob:
 //! [`Session::set_sched`](crate::Session::set_sched). A session without
-//! an override issues in the hardware launch order, and so does every
-//! one-shot [`Gpu::run`](crate::Gpu::run).
+//! an override issues in the hardware launch order.
 //!
 //! The non-[`Fifo`] policies are schedule-space probes: each still
 //! produces a deterministic timeline, identical across both
@@ -38,7 +37,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::engine::{KernelRun, PipelineDesc};
-use crate::sem::SemTable;
 
 /// Read-only view of the scheduling state a policy may consult: static
 /// kernel metadata plus the per-kernel progress counters of the current
@@ -46,7 +44,6 @@ use crate::sem::SemTable;
 pub struct SchedContext<'a> {
     pub(crate) desc: &'a PipelineDesc,
     pub(crate) runs: &'a [KernelRun],
-    pub(crate) sems: &'a SemTable,
 }
 
 impl fmt::Debug for SchedContext<'_> {
@@ -58,12 +55,6 @@ impl fmt::Debug for SchedContext<'_> {
 }
 
 impl SchedContext<'_> {
-    /// Number of kernels in the pipeline (candidate indexes are below
-    /// this).
-    pub fn num_kernels(&self) -> usize {
-        self.runs.len()
-    }
-
     /// Name of kernel `k`.
     pub fn name(&self, k: usize) -> &str {
         &self.desc.kernels[k].name
@@ -85,22 +76,12 @@ impl SchedContext<'_> {
         self.desc.kernels[k].total
     }
 
-    /// Blocks of kernel `k` not yet issued onto an SM.
-    pub fn remaining_blocks(&self, k: usize) -> u64 {
-        self.desc.kernels[k].total - self.runs[k].issued()
-    }
-
     /// Blocks of kernel `k` currently parked busy-waiting on an unmet
     /// semaphore. This is the signal [`SemStarver`] keys on: a kernel
     /// whose resident blocks spin is likely to spin with its next blocks
     /// too.
     pub fn parked_blocks(&self, k: usize) -> u64 {
         self.runs[k].parked()
-    }
-
-    /// Current value of semaphore `index` in array `table`.
-    pub fn sem_value(&self, table: crate::sem::SemArrayId, index: u32) -> u32 {
-        self.sems.value(table, index)
     }
 }
 

@@ -8,18 +8,18 @@
 //! - [`CompiledPipeline`] — the immutable, `Arc`-shareable artifact frozen
 //!   by [`Gpu::compile`]: the pipeline description plus pristine copies of
 //!   initial memory and semaphores.
-//! - [`Session`] — a reusable execution engine. [`Session::run`] executes
-//!   any compiled pipeline against a pooled run state whose arenas
-//!   (event heaps, slabs, block programs, wait-lists) are *reset*, not
-//!   reallocated, between runs — so repeated runs of one pipeline are
-//!   allocation-free after warmup, and `AlreadyRan` disappears from the
-//!   happy path. [`run_compiled`] runs on a per-thread session.
+//! - [`Session`] — a reusable execution engine and the only way to run
+//!   anything. [`Session::run`] executes any compiled pipeline against a
+//!   pooled run state whose arenas (event heaps, slabs, block programs,
+//!   wait-lists) are *reset*, not reallocated, between runs — so repeated
+//!   runs of one pipeline are allocation-free after warmup.
 //!
-//! Determinism is preserved end to end: a `Session` re-run of a pipeline
-//! is bit-identical to a fresh [`Gpu`] run of the same workload, in both
+//! [`Gpu`] only builds and a `Session` only runs: `compile(self)`
+//! consumes the builder, so no workload is frozen twice. Determinism is
+//! preserved end to end: a reused `Session`'s run of a pipeline is
+//! bit-identical to a fresh compile run on a fresh session, in both
 //! [`EngineMode`]s (`tests/session_reuse.rs`).
 
-use std::cell::RefCell;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -39,7 +39,7 @@ use crate::GpuConfig;
 /// pipeline description plus pristine initial memory and semaphore state.
 ///
 /// Produced by [`Gpu::compile`]; executed by [`Session::run`] or
-/// [`run_compiled`]. A `CompiledPipeline` is `Send + Sync`, so one
+/// [`Session::run_until`]. A `CompiledPipeline` is `Send + Sync`, so one
 /// `Arc<CompiledPipeline>` can serve sessions on any number of threads.
 ///
 /// # Examples
@@ -97,25 +97,9 @@ impl CompiledPipeline {
         &self.desc.cluster
     }
 
-    /// Number of registered kernels (wait-kernels included).
-    pub fn num_kernels(&self) -> usize {
-        self.desc.kernels.len()
-    }
-
-    /// Number of streams.
-    pub fn num_streams(&self) -> usize {
-        self.desc.streams.len()
-    }
-
-    /// Names of the registered kernels, in launch order.
-    pub fn kernel_names(&self) -> impl Iterator<Item = &str> {
-        self.desc.kernels.iter().map(|k| k.name.as_str())
-    }
-
-    /// Grid of each registered kernel, in launch order (index-aligned with
-    /// [`CompiledPipeline::kernel_names`]). The exploration driver uses
-    /// this to check that a completed schedule issued each kernel's grid
-    /// exactly.
+    /// Grid of each registered kernel (wait-kernels included), in launch
+    /// order. The exploration driver uses this to check that a completed
+    /// schedule issued each kernel's grid exactly.
     pub fn kernel_grids(&self) -> impl Iterator<Item = crate::Dim3> + '_ {
         self.desc.kernels.iter().map(|k| k.grid)
     }
@@ -237,27 +221,21 @@ impl CompiledPipeline {
 }
 
 impl Gpu {
-    /// Freezes this built (but not yet run) GPU into an immutable
-    /// [`CompiledPipeline`]: kernel registrations, semaphore layout,
-    /// initial memory contents and resolved launch gates.
+    /// Consumes this builder into an immutable [`CompiledPipeline`]:
+    /// kernel registrations, semaphore layout, initial memory contents and
+    /// resolved launch gates. Run it with a [`Session`].
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::AlreadyRan`] if the GPU has already executed —
-    /// its memory and semaphores would no longer be the pipeline's initial
-    /// state — and [`SimError::Config`] if its hardware model is out of
-    /// range ([`ClusterConfig::validate`](crate::ClusterConfig::validate)).
+    /// Returns [`SimError::Config`] if the hardware model is out of range
+    /// ([`ClusterConfig::validate`](crate::ClusterConfig::validate)).
     pub fn compile(mut self) -> Result<CompiledPipeline, SimError> {
-        if self.ran {
-            return Err(SimError::AlreadyRan);
-        }
         self.desc.cluster.validate()?;
         self.desc.finalize_gates();
-        let RunState { mem, sems, .. } = self.session.st;
         Ok(CompiledPipeline {
             desc: self.desc,
-            mem,
-            sems,
+            mem: self.mem,
+            sems: self.sems,
             programs: OnceLock::new(),
         })
     }
@@ -273,8 +251,8 @@ impl Gpu {
 /// running a *different* pipeline just re-primes the storage.
 ///
 /// A session owns every run setting: the engine mode, the trace flag, the
-/// block-issue order and the link scale. Every run goes through it,
-/// [`Gpu::run`] included.
+/// block-issue order and the link scale. Every run goes through it: a
+/// [`Gpu`] only builds.
 pub struct Session {
     mode: EngineMode,
     pub(crate) st: RunState,
@@ -368,14 +346,17 @@ impl Session {
     /// first. May be called any number of times, with the same or
     /// different pipelines; every run starts from the pipeline's pristine
     /// initial conditions and produces a timeline bit-identical to a fresh
-    /// [`Gpu`] run of the same workload.
+    /// session's run of the same workload.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Deadlock`] if execution stalls with incomplete
     /// kernels (the session remains usable afterwards).
     pub fn run(&mut self, pipeline: &CompiledPipeline) -> Result<RunReport, SimError> {
-        completed(self.run_with(pipeline, None))
+        match self.run_with(pipeline, None)? {
+            RunOutcome::Complete(report) => Ok(report),
+            RunOutcome::Aborted(_) => unreachable!("unbounded run cannot abort"),
+        }
     }
 
     /// Executes `pipeline` with an **abort horizon**: the engine runs
@@ -417,37 +398,14 @@ impl Session {
             EngineMode::Optimized => pipeline.programs(),
             EngineMode::Reference => EMPTY_PROGRAMS.get_or_init(Programs::empty),
         };
-        self.run_desc(&pipeline.desc, programs, abort_at)
-    }
-
-    /// [`Gpu::run`]'s entry: runs the finalized `desc` on this session's
-    /// current memory and semaphores (the GPU's build storage), which
-    /// keep the run's final state.
-    pub(crate) fn run_built(&mut self, desc: &PipelineDesc) -> Result<RunReport, SimError> {
-        let programs = match self.mode {
-            EngineMode::Optimized => desc.collect_programs(&self.st.mem),
-            EngineMode::Reference => Programs::empty(),
-        };
-        completed(self.run_desc(desc, &programs, None))
-    }
-
-    /// The tail every run shares: rewinds the scheduling state for `desc`
-    /// and runs it on the current memory and semaphores with this
-    /// session's settings.
-    fn run_desc(
-        &mut self,
-        desc: &PipelineDesc,
-        programs: &Programs,
-        abort_at: Option<SimTime>,
-    ) -> Result<RunOutcome, SimError> {
-        self.st.reset(desc);
+        self.st.reset(&pipeline.desc);
         self.st.trace_enabled = self.trace_enabled;
         let opts = RunOptions {
             abort_at,
             link_scale: self.link_scale,
         };
         execute_with(
-            desc,
+            &pipeline.desc,
             programs,
             self.mode,
             self.sched.as_deref(),
@@ -455,27 +413,6 @@ impl Session {
             opts,
         )
     }
-}
-
-/// The report of a run without an abort horizon.
-fn completed(outcome: Result<RunOutcome, SimError>) -> Result<RunReport, SimError> {
-    match outcome? {
-        RunOutcome::Complete(report) => Ok(report),
-        RunOutcome::Aborted(_) => unreachable!("unbounded run cannot abort"),
-    }
-}
-
-thread_local! {
-    static THREAD_SESSION: RefCell<Session> = RefCell::new(Session::new());
-}
-
-/// Runs `pipeline` on this thread's pooled [`EngineMode::Optimized`]
-/// [`Session`], creating it on first use.
-///
-/// This is the convenience the one-shot model/bench helpers run on: every
-/// call after the first on a given thread reuses the warmed engine arenas.
-pub fn run_compiled(pipeline: &CompiledPipeline) -> Result<RunReport, SimError> {
-    THREAD_SESSION.with(|cell| cell.borrow_mut().run(pipeline))
 }
 
 #[cfg(test)]
@@ -642,56 +579,16 @@ mod tests {
     }
 
     #[test]
-    fn compile_after_run_is_rejected() {
-        let mut gpu = Gpu::new(quiet_config());
-        let s = gpu.create_stream(0);
-        gpu.launch(
-            s,
-            Arc::new(FixedKernel::new("k", Dim3::linear(1), 1, vec![])),
-        );
-        gpu.run().unwrap();
-        assert_eq!(gpu.compile().unwrap_err(), SimError::AlreadyRan);
-    }
-
-    #[test]
-    fn run_compiled_matches_dedicated_session() {
-        let pipeline = two_kernel_pipeline();
-        let pooled = run_compiled(&pipeline).unwrap();
-        let dedicated = Session::new().run(&pipeline).unwrap();
-        assert_eq!(pooled, dedicated);
-        let reference = Session::with_mode(EngineMode::Reference)
-            .run(&pipeline)
-            .unwrap();
-        assert_eq!(reference.kernels, pooled.kernels);
-    }
-
-    #[test]
     fn new_constructors_build_the_optimized_engine() {
         // Only the Optimized engine prices through its memos, so every
-        // constructor without a mode must report lookups.
+        // session constructor without a mode must report lookups.
         let lookups = |report: RunReport| {
             let c = report.counters;
             c.cycles_memo.hits + c.cycles_memo.misses + c.mem_memo.hits + c.mem_memo.misses
         };
-        let one_kernel = |mut gpu: Gpu| {
-            let s = gpu.create_stream(0);
-            gpu.launch(
-                s,
-                Arc::new(FixedKernel::new(
-                    "k",
-                    Dim3::linear(2),
-                    1,
-                    vec![Op::compute(1000)],
-                )),
-            );
-            gpu.run().unwrap()
-        };
-        assert!(lookups(one_kernel(Gpu::new(quiet_config()))) > 0);
-        let cluster = crate::ClusterConfig::dgx_v100(2);
-        assert!(lookups(one_kernel(Gpu::new_cluster(cluster))) > 0);
         let pipeline = two_kernel_pipeline();
         assert!(lookups(Session::new().run(&pipeline).unwrap()) > 0);
-        assert!(lookups(run_compiled(&pipeline).unwrap()) > 0);
+        assert!(lookups(Session::default().run(&pipeline).unwrap()) > 0);
         let reference = Session::with_mode(EngineMode::Reference).run(&pipeline);
         assert_eq!(lookups(reference.unwrap()), 0);
     }

@@ -98,7 +98,7 @@ impl fmt::Display for KernelReport {
     }
 }
 
-/// Outcome of one [`Gpu::run`](crate::Gpu::run).
+/// Outcome of one [`Session::run`](crate::Session::run).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Completion time of the last kernel (total simulated time).
@@ -200,12 +200,6 @@ impl RunReport {
             .iter()
             .find(|k| k.name == name)
             .unwrap_or_else(|| panic!("no kernel named {name:?} in report"))
-    }
-
-    /// Sum of per-kernel durations (what a serialized execution would
-    /// roughly cost); useful to quantify overlap.
-    pub fn serial_duration(&self) -> SimTime {
-        self.kernels.iter().map(|k| k.duration).sum()
     }
 }
 

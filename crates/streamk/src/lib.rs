@@ -634,7 +634,7 @@ impl BlockBody for PartialBody {
 mod tests {
     use super::*;
     use cusync_kernels::reference::{assert_close, matmul};
-    use cusync_sim::SimTime;
+    use cusync_sim::{Session, SimTime};
 
     fn quiet_gpu(sms: u32) -> Gpu {
         Gpu::new(GpuConfig {
@@ -666,10 +666,11 @@ mod tests {
             .expect("operands set");
         let stream = gpu.create_stream(0);
         sk.launch(&mut gpu, stream);
-        let report = gpu.run().unwrap();
+        let mut session = Session::new();
+        let report = gpu.compile().and_then(|p| session.run(&p)).unwrap();
         let expected = matmul(&a_data, &b_data, m as usize, n as usize, k as usize);
         (
-            gpu.mem().snapshot(c).unwrap().to_vec(),
+            session.mem().snapshot(c).unwrap().to_vec(),
             expected,
             report.races,
         )
@@ -689,7 +690,7 @@ mod tests {
             .expect("operands set");
         let stream = gpu.create_stream(0);
         assert_eq!(sk.launch(&mut gpu, stream), 1);
-        gpu.run().unwrap();
+        gpu.compile().and_then(|p| Session::new().run(&p)).unwrap();
     }
 
     #[test]
@@ -708,7 +709,7 @@ mod tests {
         assert_eq!(sk.full_wave_tiles(gpu.config()), 4);
         let stream = gpu.create_stream(0);
         assert_eq!(sk.launch(&mut gpu, stream), 2);
-        gpu.run().unwrap();
+        gpu.compile().and_then(|p| Session::new().run(&p)).unwrap();
     }
 
     #[test]
@@ -753,7 +754,10 @@ mod tests {
                 .expect("operands set");
             let stream = gpu.create_stream(0);
             gpu.launch(stream, Arc::new(g));
-            gpu.run().unwrap().total
+            gpu.compile()
+                .and_then(|p| Session::new().run(&p))
+                .unwrap()
+                .total
         };
         let streamk_time = {
             let mut gpu = quiet_gpu(4);
@@ -767,7 +771,10 @@ mod tests {
                 .expect("operands set");
             let stream = gpu.create_stream(0);
             sk.launch(&mut gpu, stream);
-            gpu.run().unwrap().total
+            gpu.compile()
+                .and_then(|p| Session::new().run(&p))
+                .unwrap()
+                .total
         };
         assert!(
             streamk_time < classic_time,

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use cusync::{CuStage, NoSync, SyncGraph, SyncPolicy};
 use cusync_kernels::reference::{assert_close, matmul};
 use cusync_kernels::{GemmBuilder, GemmDims, InputDep, TileShape};
-use cusync_sim::{DType, Dim3, Gpu, GpuConfig, SimTime};
+use cusync_sim::{DType, Dim3, Gpu, GpuConfig, Session, SimTime};
 use cusyncgen::{check_spec, emit_spec, policies_for, AffineExpr, DepSpec, Pattern};
 
 /// A custom policy: tiles on the same anti-diagonal share one semaphore.
@@ -95,7 +95,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         .expect("operands set");
     bound.launch(&mut gpu, s1, Arc::new(g1))?;
     bound.launch(&mut gpu, s2, Arc::new(g2))?;
-    let report = gpu.run()?;
+    let mut session = Session::new();
+    let report = gpu.compile().and_then(|p| session.run(&p))?;
     let reference = matmul(
         &matmul(&x_data, &w1_data, m as usize, h as usize, k as usize),
         &w2_data,
@@ -103,7 +104,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         k as usize,
         h as usize,
     );
-    assert_close(gpu.mem().snapshot(out).unwrap(), &reference, 5e-3);
+    assert_close(session.mem().snapshot(out).unwrap(), &reference, 5e-3);
     println!(
         "DiagonalSync chain: {} | races {} -> results verified",
         report.total, report.races

@@ -11,7 +11,9 @@
 //! the ring kernel's op structure regressed.
 
 use cusync_models::{allreduce_time, launch_ring_allreduce, ring_allreduce_time};
-use cusync_sim::{ClusterConfig, EngineMode, Gpu, GpuConfig, RunReport, SimTime, StreamId};
+use cusync_sim::{
+    ClusterConfig, EngineMode, Gpu, GpuConfig, RunReport, Session, SimTime, StreamId,
+};
 
 const TOLERANCE: f64 = 0.10;
 
@@ -72,11 +74,13 @@ fn ring_time_is_engine_invariant() {
     let gpu = GpuConfig::tesla_v100();
     for (bytes, gpus) in [(1u64 << 20, 4u32), (8 << 20, 8), (64, 2)] {
         let run = |mode: EngineMode| -> RunReport {
-            let mut node =
-                Gpu::cluster_with_mode(ClusterConfig::nvlink_ring(gpus, gpu.clone()), mode);
+            let mut node = Gpu::new_cluster(ClusterConfig::nvlink_ring(gpus, gpu.clone()));
             let streams: Vec<StreamId> = (0..gpus).map(|d| node.create_stream_on(d, 0)).collect();
             launch_ring_allreduce(&mut node, "ar", bytes, &streams);
-            node.run().expect("ring allreduce cannot deadlock")
+            let pipeline = node.compile().expect("valid ring");
+            Session::with_mode(mode)
+                .run(&pipeline)
+                .expect("ring allreduce cannot deadlock")
         };
         let reference = run(EngineMode::Reference);
         let optimized = run(EngineMode::Optimized);

@@ -6,8 +6,8 @@ use cusync_kernels::{
     Conv2DBuilder, Conv2DShape, GemmBuilder, GemmDims, SoftmaxDropoutBuilder, TileShape,
 };
 use cusync_sim::{
-    BuildError, BuildErrorKind, ClusterConfig, Dim3, FixedKernel, Gpu, GpuConfig, Op, SimError,
-    SimTime,
+    BuildError, BuildErrorKind, ClusterConfig, Dim3, FixedKernel, Gpu, GpuConfig, Op, Session,
+    SimError, SimTime,
 };
 use cusync_streamk::StreamKBuilder;
 
@@ -212,7 +212,8 @@ fn sim_error_display_and_source_cover_every_variant() {
             vec![Op::wait(sem, 0, 2), Op::compute(10)],
         )),
     );
-    let deadlock = gpu.run().unwrap_err();
+    let pipeline = gpu.compile().expect("valid toy config");
+    let deadlock = Session::new().run(&pipeline).unwrap_err();
     let shown = deadlock.to_string();
     // The Display names the stall, each blocked wait, the starved
     // kernel's launch progress, per-SM occupancy and the cycle sentence.
@@ -252,11 +253,6 @@ fn sim_error_display_and_source_cover_every_variant() {
             .expect("BuildError source"),
         &build
     );
-
-    // The leaf variant has no source but still renders actionably.
-    let err = SimError::AlreadyRan;
-    assert!(err.to_string().contains("once per Gpu"), "{err}");
-    assert!(err.source().is_none());
 }
 
 /// A pipeline small enough to run on any valid hardware model: two
@@ -402,7 +398,7 @@ proptest::proptest! {
     #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
     /// Property: a hardware model with any validated field at 0, negative,
-    /// NaN, infinite or extreme is rejected by both compile and run as
+    /// NaN, infinite or extreme is rejected by compile as
     /// `SimError::Config` naming that field (never a run, never a panic),
     /// on a lone GPU and on device 1 of a cluster.
     #[test]
@@ -421,9 +417,7 @@ proptest::proptest! {
             (lone, format!("devices[0].{name}")),
             (node, format!("devices[1].{name}")),
         ] {
-            let err = tiny_pipeline(cluster.clone()).compile().map(|_| ()).unwrap_err();
-            assert_config_error(err, &want);
-            let err = tiny_pipeline(cluster).run().map(|_| ()).unwrap_err();
+            let err = tiny_pipeline(cluster).compile().map(|_| ()).unwrap_err();
             assert_config_error(err, &want);
         }
     }
@@ -441,7 +435,8 @@ fn presets_validate_and_cluster_fields_are_checked() {
         assert_eq!(gpu.validate(), Ok(()), "{}", gpu.name);
         let cluster = ClusterConfig::single(gpu);
         assert_eq!(cluster.validate(), Ok(()));
-        tiny_pipeline(cluster).run().expect("a preset runs");
+        let pipeline = tiny_pipeline(cluster).compile().expect("a preset compiles");
+        Session::new().run(&pipeline).expect("a preset runs");
     }
     for n in 1..=8 {
         assert_eq!(ClusterConfig::dgx_v100(n).validate(), Ok(()));

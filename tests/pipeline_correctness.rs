@@ -6,7 +6,7 @@ use std::sync::Arc;
 use cusync::{CuStage, NoSync, OptFlags, PolicyRef, RowSync, StridedSync, SyncGraph, TileSync};
 use cusync_kernels::reference::{assert_close, matmul, swish};
 use cusync_kernels::{DepPlan, GemmBuilder, GemmDims, InputDep, TileShape};
-use cusync_sim::{DType, Dim3, Gpu, GpuConfig, RunReport, SimTime};
+use cusync_sim::{DType, Dim3, Gpu, GpuConfig, RunReport, Session, SimTime};
 
 fn quiet_gpu(sms: u32) -> Gpu {
     Gpu::new(GpuConfig {
@@ -62,11 +62,15 @@ fn run_chain(policy: PolicyRef, opts: OptFlags, chunks: u32) -> RunReport {
         .expect("operands set");
     bound.launch(&mut gpu, s1, Arc::new(g1)).unwrap();
     bound.launch(&mut gpu, s2, Arc::new(g2)).unwrap();
-    let report = gpu.run().expect("pipeline deadlocked");
+    let mut session = Session::new();
+    let report = gpu
+        .compile()
+        .and_then(|p| session.run(&p))
+        .expect("pipeline deadlocked");
 
     let xw1_ref = matmul(&x_data, &w1_data, m as usize, h as usize, k as usize);
     let out_ref = matmul(&xw1_ref, &w2_data, m as usize, k as usize, h as usize);
-    assert_close(gpu.mem().snapshot(out).unwrap(), &out_ref, 5e-3);
+    assert_close(session.mem().snapshot(out).unwrap(), &out_ref, 5e-3);
     report
 }
 
@@ -145,7 +149,11 @@ fn llama_swiglu_chain_with_strided_policy_is_correct() {
         .expect("operands set");
     bound.launch(&mut gpu, s1, Arc::new(g1)).unwrap();
     bound.launch(&mut gpu, s2, Arc::new(g2)).unwrap();
-    let report = gpu.run().expect("swiglu chain deadlocked");
+    let mut session = Session::new();
+    let report = gpu
+        .compile()
+        .and_then(|p| session.run(&p))
+        .expect("swiglu chain deadlocked");
     assert_eq!(report.races, 0, "{report}");
 
     let comb_ref = matmul(
@@ -164,7 +172,7 @@ fn llama_swiglu_chain_with_strided_policy_is_correct() {
         }
     }
     let out_ref = matmul(&a_eff, &w2_data, m as usize, k as usize, inter as usize);
-    assert_close(gpu.mem().snapshot(out).unwrap(), &out_ref, 1e-2);
+    assert_close(session.mem().snapshot(out).unwrap(), &out_ref, 1e-2);
 }
 
 #[test]
@@ -218,12 +226,16 @@ fn three_stage_chain_propagates_through_intermediates() {
         let kernel = b.build(gpu.config()).expect("operands set");
         bound.launch(&mut gpu, stages[i], Arc::new(kernel)).unwrap();
     }
-    let report = gpu.run().expect("3-stage chain deadlocked");
+    let mut session = Session::new();
+    let report = gpu
+        .compile()
+        .and_then(|p| session.run(&p))
+        .expect("3-stage chain deadlocked");
     assert_eq!(report.races, 0, "{report}");
 
     let mut cur = x_data;
     for w in &w_data {
         cur = matmul(&cur, w, m as usize, m as usize, m as usize);
     }
-    assert_close(gpu.mem().snapshot(mids[2]).unwrap(), &cur, 5e-2);
+    assert_close(session.mem().snapshot(mids[2]).unwrap(), &cur, 5e-2);
 }

@@ -11,7 +11,7 @@ use cusync::{
     TileOrder, TileSchedule, TileSync,
 };
 use cusync_kernels::{GemmBuilder, GemmDims, InputDep, TileShape};
-use cusync_sim::{DType, Dim3, Gpu, GpuConfig, SimTime};
+use cusync_sim::{DType, Dim3, Gpu, GpuConfig, Session, SimTime};
 use cusyncgen::{check_spec, policies_for, producer_order, AffineExpr, DepSpec, Pattern};
 use proptest::prelude::*;
 
@@ -140,7 +140,7 @@ proptest! {
             .build(gpu.config()).expect("operands set");
         bound.launch(&mut gpu, s1, Arc::new(k1)).unwrap();
         bound.launch(&mut gpu, s2, Arc::new(k2)).unwrap();
-        let report = gpu.run().expect("deadlock");
+        let report = gpu.compile().and_then(|p| Session::new().run(&p)).expect("deadlock");
         prop_assert_eq!(report.races, 0);
     }
 
@@ -171,7 +171,7 @@ fn simulation_is_deterministic() {
         .expect("operands set");
         let stream = gpu.create_stream(0);
         gpu.launch(stream, Arc::new(gemm));
-        gpu.run().unwrap()
+        gpu.compile().and_then(|p| Session::new().run(&p)).unwrap()
     };
     let r1 = run();
     let r2 = run();

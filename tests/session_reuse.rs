@@ -1,8 +1,9 @@
-//! Compile-once/run-many ↔ one-shot equivalence.
+//! Compile-once/run-many ↔ fresh-run equivalence.
 //!
 //! The compile/execute split promises that N repeated [`Session::run`]s of
-//! one [`CompiledPipeline`] are **bit-identical** to N fresh one-shot
-//! [`Gpu`] runs of the same workload — every `RunReport` field (kernel
+//! one [`CompiledPipeline`] are **bit-identical** to N fresh compiles of
+//! the same workload, each run on a fresh [`Session`] of the same
+//! [`EngineMode`] — every `RunReport` field (kernel
 //! start/end timestamps, totals, race counts, semaphore post counts, the
 //! utilization float to the last bit), in both [`EngineMode`]s, across the
 //! paper's MLP / Attention / Conv / Stream-K scenarios, functional
@@ -45,20 +46,26 @@ fn assert_identical(fresh: &RunReport, reused: &RunReport, what: &str) {
     assert_eq!(fresh.counters, reused.counters, "{what}: engine counters");
 }
 
+/// Compiles `gpu` and runs it on a fresh session in `mode`.
+fn fresh_run(gpu: Gpu, mode: EngineMode) -> RunReport {
+    let pipeline = gpu.compile().expect("fresh compile");
+    Session::with_mode(mode).run(&pipeline).expect("fresh run")
+}
+
 /// Core harness: N `Session::run`s of one compiled pipeline vs N fresh
-/// one-shot `Gpu` runs, under both engine modes.
+/// builds, each compiled and run on a fresh session, under both engine
+/// modes.
 fn check_reuse<C, F>(what: &str, compile: C, fresh_gpu: F)
 where
     C: Fn() -> CompiledPipeline,
-    F: Fn(EngineMode) -> Gpu,
+    F: Fn() -> Gpu,
 {
     for mode in [EngineMode::Reference, EngineMode::Optimized] {
         let pipeline = compile();
         let mut session = Session::with_mode(mode);
         for rep in 0..REPEATS {
             let reused = session.run(&pipeline).expect("session run");
-            let mut gpu = fresh_gpu(mode);
-            let fresh = gpu.run().expect("one-shot run");
+            let fresh = fresh_run(fresh_gpu(), mode);
             assert_identical(&fresh, &reused, &format!("{what} [{mode}] rep {rep}"));
         }
     }
@@ -78,8 +85,8 @@ fn mlp_session_reuse_is_bit_identical() {
         check_reuse(
             &format!("gpt3 mlp bs={bs} {mode}"),
             || compile_mlp(&gpu, MlpModel::Gpt3, bs, mode),
-            |engine| {
-                let mut g = Gpu::with_mode(gpu.clone(), engine);
+            || {
+                let mut g = Gpu::new(gpu.clone());
                 build_mlp(&mut g, MlpModel::Gpt3, bs, mode);
                 g
             },
@@ -90,8 +97,8 @@ fn mlp_session_reuse_is_bit_identical() {
     check_reuse(
         "llama mlp bs=512 strided",
         || compile_mlp(&gpu, MlpModel::Llama, 512, mode),
-        |engine| {
-            let mut g = Gpu::with_mode(gpu.clone(), engine);
+        || {
+            let mut g = Gpu::new(gpu.clone());
             build_mlp(&mut g, MlpModel::Llama, 512, mode);
             g
         },
@@ -104,8 +111,8 @@ fn streamk_session_reuse_is_bit_identical() {
     check_reuse(
         "gpt3 mlp bs=128 stream-k",
         || compile_mlp(&gpu, MlpModel::Gpt3, 128, SyncMode::StreamK),
-        |engine| {
-            let mut g = Gpu::with_mode(gpu.clone(), engine);
+        || {
+            let mut g = Gpu::new(gpu.clone());
             build_mlp(&mut g, MlpModel::Gpt3, 128, SyncMode::StreamK);
             g
         },
@@ -128,8 +135,8 @@ fn attention_session_reuse_is_bit_identical() {
         check_reuse(
             &format!("attention {cfg:?} {mode}"),
             || compile_attention(&gpu, cfg, mode),
-            |engine| {
-                let mut g = Gpu::with_mode(gpu.clone(), engine);
+            || {
+                let mut g = Gpu::new(gpu.clone());
                 build_attention(&mut g, cfg, mode);
                 g
             },
@@ -144,8 +151,8 @@ fn conv_session_reuse_is_bit_identical() {
     check_reuse(
         "conv c=128 b=4",
         || compile_conv_layer(&gpu, 4, 28, 128, 2, mode),
-        |engine| {
-            let mut g = Gpu::with_mode(gpu.clone(), engine);
+        || {
+            let mut g = Gpu::new(gpu.clone());
             build_conv_layer(&mut g, 4, 28, 128, 2, mode);
             g
         },
@@ -206,7 +213,7 @@ fn functional_memory_resets_between_session_runs() {
         out
     };
     for mode in [EngineMode::Reference, EngineMode::Optimized] {
-        let mut gpu = Gpu::with_mode(config.clone(), mode);
+        let mut gpu = Gpu::new(config.clone());
         let out = build(&mut gpu);
         let pipeline = gpu.compile().unwrap();
         // The compiled artifact stays poisoned-pristine.
@@ -234,13 +241,14 @@ fn functional_memory_resets_between_session_runs() {
                 }
             }
         }
-        // One-shot comparator.
-        let mut gpu = Gpu::with_mode(config.clone(), mode);
+        // Fresh comparator: a fresh build on a fresh session.
+        let mut gpu = Gpu::new(config.clone());
         let out2 = build(&mut gpu);
-        let fresh = gpu.run().unwrap();
-        assert_identical(&fresh, reports.as_ref().unwrap(), "functional vs one-shot");
+        let mut fresh_session = Session::with_mode(mode);
+        let fresh = fresh_session.run(&gpu.compile().unwrap()).unwrap();
+        assert_identical(&fresh, reports.as_ref().unwrap(), "functional vs fresh");
         assert_eq!(
-            gpu.mem().snapshot(out2).unwrap(),
+            fresh_session.mem().snapshot(out2).unwrap(),
             values.as_deref().unwrap()
         );
     }
@@ -249,7 +257,8 @@ fn functional_memory_resets_between_session_runs() {
 /// Multi-device pipelines go through the same device-count-agnostic
 /// session machinery: N `Session::run`s of a compiled tensor-parallel
 /// layer (cross-device semaphores, link sends, the ring collective) must
-/// be bit-identical to N fresh one-shot cluster runs, on both engines.
+/// be bit-identical to N fresh cluster builds run on fresh sessions, on
+/// both engines.
 #[test]
 fn tensor_parallel_session_reuse_is_bit_identical() {
     for (devices, cfg, schedule) in [
@@ -261,8 +270,8 @@ fn tensor_parallel_session_reuse_is_bit_identical() {
         check_reuse(
             &format!("tp {cfg:?} devices={devices} {schedule:?}"),
             || compile_tp_layer(&cluster, cfg, schedule),
-            |engine| {
-                let mut g = Gpu::cluster_with_mode(cluster.clone(), engine);
+            || {
+                let mut g = Gpu::new_cluster(cluster.clone());
                 build_tp_layer(&mut g, cfg, schedule);
                 g
             },
@@ -285,10 +294,10 @@ fn ring_allreduce_session_reuse_is_bit_identical() {
         || {
             let mut g = Gpu::new_cluster(cluster.clone());
             build(&mut g);
-            g.compile().expect("unrun cluster gpu")
+            g.compile().expect("valid cluster")
         },
-        |engine| {
-            let mut g = Gpu::cluster_with_mode(cluster.clone(), engine);
+        || {
+            let mut g = Gpu::new_cluster(cluster.clone());
             build(&mut g);
             g
         },
@@ -346,7 +355,7 @@ fn tp_mlp_pipelines() -> Vec<(String, CompiledPipeline)> {
 /// modes to one session resolve to the same simulation as serial runs on
 /// fresh sessions.
 #[test]
-fn runtime_pool_matches_serial_sessions() {
+fn shared_session_matches_serial_sessions() {
     check_interleaved(&gpt3_mlp_pipelines());
 }
 
@@ -354,7 +363,7 @@ fn runtime_pool_matches_serial_sessions() {
 /// submissions of 4-device TP schedules to one session resolve to the
 /// same simulation as serial runs on fresh sessions.
 #[test]
-fn multi_device_runtime_pool_matches_serial_sessions() {
+fn multi_device_shared_session_matches_serial_sessions() {
     check_interleaved(&tp_mlp_pipelines());
 }
 
@@ -415,8 +424,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Property: for arbitrary multi-stream FixedKernel workloads (with a
-    /// producer/consumer semaphore edge), N session reruns == N fresh-Gpu
-    /// runs, on both engines.
+    /// producer/consumer semaphore edge), N session reruns == N fresh
+    /// builds run on fresh sessions, on both engines.
     #[test]
     fn random_workload_session_reuse_matches_fresh_gpu(
         sms in 2u32..6,
@@ -424,15 +433,15 @@ proptest! {
     ) {
         let config = GpuConfig::toy(sms);
         for mode in [EngineMode::Reference, EngineMode::Optimized] {
-            let mut built = Gpu::with_mode(config.clone(), mode);
+            let mut built = Gpu::new(config.clone());
             random_workload(seed, &mut built);
-            let pipeline = built.compile().expect("unrun gpu");
+            let pipeline = built.compile().expect("valid toy config");
             let mut session = Session::with_mode(mode);
             for _ in 0..2 {
                 let reused = session.run(&pipeline).expect("session");
-                let mut gpu = Gpu::with_mode(config.clone(), mode);
+                let mut gpu = Gpu::new(config.clone());
                 random_workload(seed, &mut gpu);
-                let fresh = gpu.run().expect("fresh");
+                let fresh = fresh_run(gpu, mode);
                 prop_assert_eq!(&fresh, &reused);
             }
         }
