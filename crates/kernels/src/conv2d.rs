@@ -273,8 +273,14 @@ impl KernelSource for Conv2DKernel {
         let p = &self.p;
         cusync_sim::fnv1a(
             format!(
-                "conv2d:{:?}:{:?}:{:?}:{:?}:{}",
-                p.shape, p.tile, p.dtype, p.epilogue, p.halo_safe,
+                "conv2d:{:?}:{:?}:{:?}:{:?}:{}:{:?}:{:?}",
+                p.shape,
+                p.tile,
+                p.dtype,
+                p.epilogue,
+                p.halo_safe,
+                p.stage.as_deref().map(StageRuntime::wiring_signature),
+                p.input_dep,
             )
             .as_bytes(),
         )

@@ -68,7 +68,15 @@ impl KernelSource for CopyKernel {
 
     fn cost_signature(&self) -> u64 {
         cusync_sim::fnv1a(
-            format!("copy:{}:{}:{:?}", self.len, self.block_elems, self.dtype).as_bytes(),
+            format!(
+                "copy:{}:{}:{:?}:{:?}:{}",
+                self.len,
+                self.block_elems,
+                self.dtype,
+                self.stage.as_deref().map(StageRuntime::wiring_signature),
+                self.depends_on_src,
+            )
+            .as_bytes(),
         )
     }
 

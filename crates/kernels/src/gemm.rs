@@ -460,12 +460,13 @@ impl KernelSource for GemmKernel {
     fn cost_signature(&self) -> u64 {
         // Everything the cost model reads beyond the launch geometry: the
         // contraction depth (dims.k is invisible in the grid), tile
-        // shape, split-K, element width, epilogue, SwiGLU-ness and the
-        // synchronization chunking.
+        // shape, split-K, element width, epilogue, SwiGLU-ness, the
+        // synchronization chunking, and the semaphore wiring (which
+        // producer tiles each input waits on, and how).
         let p = &self.p;
         cusync_sim::fnv1a(
             format!(
-                "gemm:{:?}:{:?}:{}:{:?}:{:?}:{}:{}",
+                "gemm:{:?}:{:?}:{}:{:?}:{:?}:{}:{}:{:?}:{:?}:{:?}",
                 p.dims,
                 p.tile,
                 p.split_k,
@@ -473,6 +474,9 @@ impl KernelSource for GemmKernel {
                 p.epilogue,
                 matches!(p.a, ASource::SwiGlu { .. }),
                 p.sync_chunks,
+                p.stage.as_deref().map(StageRuntime::wiring_signature),
+                p.a_dep,
+                p.b_dep,
             )
             .as_bytes(),
         )

@@ -169,13 +169,15 @@ impl KernelSource for SoftmaxDropoutKernel {
         let p = &self.p;
         cusync_sim::fnv1a(
             format!(
-                "softmax_dropout:{}:{}:{:?}:{:?}:{}:{}",
+                "softmax_dropout:{}:{}:{:?}:{:?}:{}:{}:{:?}:{:?}",
                 p.rows,
                 p.cols,
                 p.tile,
                 p.dtype,
                 p.keep_prob.to_bits(),
                 p.seed,
+                p.stage.as_deref().map(StageRuntime::wiring_signature),
+                p.input_dep,
             )
             .as_bytes(),
         )

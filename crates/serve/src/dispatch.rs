@@ -84,7 +84,8 @@ use cusync_sim::{KvPool, KvStats, LinkScale, SimTime};
 
 use crate::fault::FaultPlan;
 use crate::metrics::{
-    CompletionRecord, DeviceMetrics, FaultOutcome, MetricSample, ServeReport, TenantMetrics,
+    CompletionRecord, DeviceMetrics, FaultOutcome, LatencySummary, MetricSample, ServeReport,
+    TenantMetrics,
 };
 use crate::pool::ServicePool;
 use crate::sched::{BatchPolicy, DecodePolicy, PreemptPolicy, RequestSched};
@@ -537,6 +538,9 @@ struct Sim<'a> {
     /// avoided by cross-multiplying at compare time).
     served: Vec<u128>,
     tenants: Vec<TenantMetrics>,
+    /// Per-tenant completion latencies in completion order, kept only
+    /// while the run lasts: the report gets their [`LatencySummary`].
+    latencies: Vec<Vec<SimTime>>,
     devices: Vec<DeviceMetrics>,
     completions: CompletionRecord,
     devices_lost: u64,
@@ -624,6 +628,7 @@ impl<'a> Sim<'a> {
                 .iter()
                 .map(|t| TenantMetrics::new(&t.name))
                 .collect(),
+            latencies: vec![Vec::new(); n],
             devices: (0..devices)
                 .map(|_| DeviceMetrics {
                     busy: SimTime::ZERO,
@@ -846,7 +851,7 @@ impl<'a> Sim<'a> {
                 tr.complete(req.id, now);
             }
             self.tenants[batch.tenant].completed += 1;
-            self.tenants[batch.tenant].latencies.push(now - req.arrival);
+            self.latencies[batch.tenant].push(now - req.arrival);
             let late = now > req.deadline;
             if late {
                 self.tenants[batch.tenant].violations += 1;
@@ -1315,9 +1320,7 @@ impl<'a> Sim<'a> {
                 tr.complete(finished.req.id, now);
             }
             self.tenants[tenant].completed += 1;
-            self.tenants[tenant]
-                .latencies
-                .push(now - finished.req.arrival);
+            self.latencies[tenant].push(now - finished.req.arrival);
             let delivered = finished.done as u64;
             self.tenants[tenant].tokens_out += delivered;
             if now > finished.req.deadline {
@@ -1508,11 +1511,8 @@ impl<'a> Sim<'a> {
         let horizon = self.server.spec.horizon;
         let makespan = self.completions.last.unwrap_or(horizon).max(horizon);
         let mut tenants = self.tenants;
-        for tenant in &mut tenants {
-            // The report may be kept long after the run: sorted, and with
-            // no spare capacity from the pushes.
-            tenant.latencies.sort_unstable();
-            tenant.latencies.shrink_to_fit();
+        for (tenant, latencies) in tenants.iter_mut().zip(&mut self.latencies) {
+            tenant.latency = LatencySummary::from_latencies(latencies);
         }
         for (device, pool) in self.kv.iter().enumerate() {
             self.devices[device].kv = pool.stats();
@@ -1869,10 +1869,10 @@ mod tests {
         degraded.check().expect("degraded report");
         assert!(degraded.faults.link_degraded);
         assert!(
-            degraded.tenants[0].latency_mean() > healthy.tenants[0].latency_mean(),
+            degraded.tenants[0].latency.mean > healthy.tenants[0].latency.mean,
             "8x wire time must show up in mean latency: {} vs {}",
-            degraded.tenants[0].latency_mean(),
-            healthy.tenants[0].latency_mean()
+            degraded.tenants[0].latency.mean,
+            healthy.tenants[0].latency.mean
         );
         assert_eq!(degraded, server.run_with_faults(&config, &plan));
     }
@@ -1989,7 +1989,7 @@ mod tests {
             ..ServeConfig::baseline()
         });
         with.check().expect("preempting report");
-        let p99 = |r: &ServeReport| r.tenants[0].latency_quantile(0.99);
+        let p99 = |r: &ServeReport| r.tenants[0].latency.p99;
         assert!(
             p99(&with) < p99(&without),
             "preemption must cut the interactive p99: {} vs {}",

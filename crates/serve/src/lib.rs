@@ -106,7 +106,8 @@ pub use cusync_sim::{KvPool, KvStats};
 pub use dispatch::{ServeConfig, Server};
 pub use fault::{DeviceDrop, FaultPlan, LinkDegrade, PanicInjection};
 pub use metrics::{
-    CompletionRecord, DeviceMetrics, FaultOutcome, MetricSample, ServeReport, TenantMetrics,
+    CompletionRecord, DeviceMetrics, FaultOutcome, LatencySummary, MetricSample, ServeReport,
+    TenantMetrics,
 };
 pub use pool::ServicePool;
 pub use sched::{BatchPolicy, DecodePolicy, PreemptPolicy, RequestSched};

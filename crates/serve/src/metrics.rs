@@ -40,8 +40,8 @@ pub struct TenantMetrics {
     pub completed: u64,
     /// Completed requests that finished after their deadline.
     pub violations: u64,
-    /// Completion latencies (arrival → completion), sorted ascending.
-    pub latencies: Vec<SimTime>,
+    /// Completion latencies (arrival → completion), summarized.
+    pub latency: LatencySummary,
     /// Largest queue depth observed.
     pub max_queue_depth: usize,
     /// Re-offered attempts after a rejection (each is also counted in
@@ -81,7 +81,7 @@ impl TenantMetrics {
             shed: 0,
             completed: 0,
             violations: 0,
-            latencies: Vec::new(),
+            latency: LatencySummary::default(),
             max_queue_depth: 0,
             retries: 0,
             preemptions: 0,
@@ -98,29 +98,6 @@ impl TenantMetrics {
     /// Completions that met the SLO.
     pub fn goodput_count(&self) -> u64 {
         self.completed - self.violations
-    }
-
-    /// The `q`-quantile latency (nearest-rank; `q` clamped into
-    /// `[0, 1]`), or zero with no completions or a non-finite `q`. The
-    /// clamp keeps the `f64 → usize` rank cast in range — an unclamped
-    /// `q` would otherwise ride the cast's silent saturation.
-    pub fn latency_quantile(&self, q: f64) -> SimTime {
-        if self.latencies.is_empty() || !q.is_finite() {
-            return SimTime::ZERO;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((self.latencies.len() as f64) * q).ceil() as usize;
-        self.latencies[rank.clamp(1, self.latencies.len()) - 1]
-    }
-
-    /// Mean completion latency, or zero with no completions.
-    pub fn latency_mean(&self) -> SimTime {
-        if self.latencies.is_empty() {
-            return SimTime::ZERO;
-        }
-        SimTime::from_picos(
-            self.latencies.iter().map(|l| l.as_picos()).sum::<u64>() / self.latencies.len() as u64,
-        )
     }
 
     /// Fraction of completions that violated the SLO (0 with none).
@@ -228,6 +205,12 @@ pub struct CompletionRecord {
 /// digest.
 const DIGEST_PRIME: u64 = 0x0100_0000_01b3;
 
+/// One digest step of [`CompletionRecord`] and [`LatencySummary`]:
+/// `(digest ^ picoseconds) * DIGEST_PRIME`, wrapping.
+fn fold_digest(digest: u64, at: SimTime) -> u64 {
+    (digest ^ at.as_picos()).wrapping_mul(DIGEST_PRIME)
+}
+
 impl CompletionRecord {
     /// Records one completion at `at`.
     pub fn push(&mut self, at: SimTime) {
@@ -238,15 +221,73 @@ impl CompletionRecord {
         }
         self.count += 1;
         self.last = Some(at);
-        self.digest = (self.digest ^ at.as_picos()).wrapping_mul(DIGEST_PRIME);
+        self.digest = fold_digest(self.digest, at);
+    }
+}
+
+/// One tenant's completion latencies (arrival → completion) as a
+/// fixed-size, exact summary: a report keeps no sample per request.
+///
+/// The quantiles are exact nearest-rank values: the `q`-quantile of `n`
+/// samples is the `r`-th smallest, with `r = ceil(n·q)` clamped to
+/// `[1, n]`. `mean` is the sum of the samples' picoseconds divided by
+/// `n`, truncated. `digest` folds every sample in completion order with
+/// [`CompletionRecord`]'s digest step, so equal summaries mean equal
+/// latency sequences up to a 64-bit hash collision. Every field is zero
+/// when `count` is zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LatencySummary {
+    /// Latencies summarized (one per completion).
+    pub count: u64,
+    /// Median latency.
+    pub p50: SimTime,
+    /// 95th-percentile latency.
+    pub p95: SimTime,
+    /// 99th-percentile latency.
+    pub p99: SimTime,
+    /// Mean latency.
+    pub mean: SimTime,
+    /// Largest latency.
+    pub max: SimTime,
+    /// Running digest of the latencies in completion order, from 0.
+    pub digest: u64,
+}
+
+impl LatencySummary {
+    /// Summarizes `latencies`, given in completion order. The quantiles
+    /// are selected in place, so the slice is left permuted.
+    pub fn from_latencies(latencies: &mut [SimTime]) -> Self {
+        let n = latencies.len();
+        if n == 0 {
+            return LatencySummary::default();
+        }
+        let (mut digest, mut sum, mut max) = (0, 0u64, SimTime::ZERO);
+        for &latency in latencies.iter() {
+            digest = fold_digest(digest, latency);
+            sum += latency.as_picos();
+            max = max.max(latency);
+        }
+        let mut nearest_rank = |q: f64| {
+            let rank = ((n as f64) * q).ceil() as usize;
+            *latencies.select_nth_unstable(rank.clamp(1, n) - 1).1
+        };
+        LatencySummary {
+            count: n as u64,
+            p50: nearest_rank(0.50),
+            p95: nearest_rank(0.95),
+            p99: nearest_rank(0.99),
+            mean: SimTime::from_picos(sum / n as u64),
+            max,
+            digest,
+        }
     }
 }
 
 /// Complete outcome of one serve run. `PartialEq` is exact — two reports
-/// compare equal iff every counter, latency sample and timestamp is
-/// bit-identical (the completion sequence through its
-/// [`CompletionRecord`] digest), which is how per-seed determinism is
-/// asserted.
+/// compare equal iff every counter and timestamp is bit-identical (the
+/// completion sequence through its [`CompletionRecord`] digest, each
+/// tenant's latency sequence through its [`LatencySummary`] digest),
+/// which is how per-seed determinism is asserted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Per-tenant metrics, in spec order.
@@ -312,9 +353,10 @@ impl ServeReport {
     /// 2. completion instants are non-decreasing in event order (the
     ///    virtual clock never runs backwards): the [`CompletionRecord`]
     ///    holds no regressing pair;
-    /// 3. latency sample counts equal completion counts, per-tenant
-    ///    `violations ≤ completed`, and the tenants' `completed` counts sum
-    ///    to the record's count;
+    /// 3. per tenant, the [`LatencySummary`] counts one latency per
+    ///    completion, is ordered (`p50 ≤ p95 ≤ p99 ≤ max`, `mean ≤ max`)
+    ///    and is all zeros without completions; `violations ≤ completed`;
+    ///    and the tenants' `completed` counts sum to the record's count;
     /// 4. the makespan is the later of the last completion and the horizon
     ///    (the horizon if nothing completed);
     /// 5. fault accounting is coherent: `retries ≤ offered` per tenant,
@@ -343,12 +385,29 @@ impl ServeReport {
                     t.name, t.admitted, t.completed, t.shed
                 ));
             }
-            if t.latencies.len() as u64 != t.completed {
+            let l = &t.latency;
+            if l.count != t.completed {
                 return Err(format!(
                     "{}: {} latency samples for {} completions",
-                    t.name,
-                    t.latencies.len(),
-                    t.completed
+                    t.name, l.count, t.completed
+                ));
+            }
+            if !(l.p50 <= l.p95 && l.p95 <= l.p99 && l.p99 <= l.max) {
+                return Err(format!(
+                    "{}: latency quantiles out of order: p50 {} p95 {} p99 {} max {}",
+                    t.name, l.p50, l.p95, l.p99, l.max
+                ));
+            }
+            if l.mean > l.max {
+                return Err(format!(
+                    "{}: latency mean {} > max {}",
+                    t.name, l.mean, l.max
+                ));
+            }
+            if l.count == 0 && *l != LatencySummary::default() {
+                return Err(format!(
+                    "{}: nonzero latency summary without completions: {l:?}",
+                    t.name
                 ));
             }
             if t.violations > t.completed {
@@ -456,10 +515,10 @@ impl ServeReport {
                 t.completed,
                 t.violations,
                 t.violation_rate(),
-                t.latency_quantile(0.50).as_micros(),
-                t.latency_quantile(0.95).as_micros(),
-                t.latency_quantile(0.99).as_micros(),
-                t.latency_mean().as_micros(),
+                t.latency.p50.as_micros(),
+                t.latency.p95.as_micros(),
+                t.latency.p99.as_micros(),
+                t.latency.mean.as_micros(),
                 t.max_queue_depth,
                 t.retries,
                 t.preemptions,
@@ -546,12 +605,12 @@ mod tests {
 
     fn tenant_with(latencies_us: &[f64]) -> TenantMetrics {
         let mut t = TenantMetrics::new("t");
-        t.latencies = latencies_us
+        let mut latencies: Vec<SimTime> = latencies_us
             .iter()
             .map(|&us| SimTime::from_micros(us))
             .collect();
-        t.latencies.sort();
-        t.completed = t.latencies.len() as u64;
+        t.latency = LatencySummary::from_latencies(&mut latencies);
+        t.completed = t.latency.count;
         t.admitted = t.completed;
         t.offered = t.completed;
         t
@@ -559,26 +618,54 @@ mod tests {
 
     #[test]
     fn quantiles_use_nearest_rank() {
-        let t = tenant_with(&[10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0]);
-        assert_eq!(t.latency_quantile(0.50), SimTime::from_micros(50.0));
-        assert_eq!(t.latency_quantile(0.95), SimTime::from_micros(100.0));
-        assert_eq!(t.latency_quantile(0.0), SimTime::from_micros(10.0));
-        assert_eq!(t.latency_quantile(1.0), SimTime::from_micros(100.0));
-        assert_eq!(t.latency_mean(), SimTime::from_micros(55.0));
-        assert_eq!(tenant_with(&[]).latency_quantile(0.99), SimTime::ZERO);
+        let t = tenant_with(&[100.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 10.0]);
+        assert_eq!(t.latency.count, 10);
+        assert_eq!(t.latency.p50, SimTime::from_micros(50.0));
+        assert_eq!(t.latency.p95, SimTime::from_micros(100.0));
+        assert_eq!(t.latency.p99, SimTime::from_micros(100.0));
+        assert_eq!(t.latency.max, SimTime::from_micros(100.0));
+        assert_eq!(t.latency.mean, SimTime::from_micros(55.0));
+        assert_eq!(tenant_with(&[]).latency, LatencySummary::default());
+    }
+
+    /// A one-tenant report with latencies 10, 20, .., 100 µs: every
+    /// summary field distinct, so each law below breaks on one field.
+    fn summarized() -> ServeReport {
+        completed_at(&[10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0])
     }
 
     #[test]
-    fn hostile_quantile_arguments_stay_in_range() {
-        let t = tenant_with(&[10.0, 20.0, 30.0]);
-        // Out-of-range q clamps to the distribution's ends rather than
-        // riding the f64 → usize cast saturation.
-        assert_eq!(t.latency_quantile(-3.0), SimTime::from_micros(10.0));
-        assert_eq!(t.latency_quantile(7.5), SimTime::from_micros(30.0));
-        // Non-finite q is meaningless: report zero, don't pick p0.
-        assert_eq!(t.latency_quantile(f64::NAN), SimTime::ZERO);
-        assert_eq!(t.latency_quantile(f64::INFINITY), SimTime::ZERO);
-        assert_eq!(t.latency_quantile(f64::NEG_INFINITY), SimTime::ZERO);
+    fn check_catches_a_latency_count_mismatch() {
+        let mut report = summarized();
+        assert_eq!(report.check(), Ok(()));
+        report.tenants[0].latency.count -= 1;
+        let err = report.check().unwrap_err();
+        assert!(err.contains("latency samples"), "{err}");
+    }
+
+    #[test]
+    fn check_catches_unordered_latency_quantiles() {
+        let mut report = summarized();
+        report.tenants[0].latency.p95 = SimTime::from_micros(40.0);
+        let err = report.check().unwrap_err();
+        assert!(err.contains("out of order"), "{err}");
+    }
+
+    #[test]
+    fn check_catches_a_latency_mean_above_the_max() {
+        let mut report = summarized();
+        report.tenants[0].latency.mean = SimTime::from_micros(101.0);
+        let err = report.check().unwrap_err();
+        assert!(err.contains("mean"), "{err}");
+    }
+
+    #[test]
+    fn check_catches_a_nonzero_summary_without_completions() {
+        let mut report = completed_at(&[]);
+        assert_eq!(report.check(), Ok(()));
+        report.tenants[0].latency.digest = 1;
+        let err = report.check().unwrap_err();
+        assert!(err.contains("without completions"), "{err}");
     }
 
     #[test]
@@ -602,10 +689,8 @@ mod tests {
 
     /// A one-tenant report whose completions happened at `us`.
     fn completed_at(us: &[f64]) -> ServeReport {
-        let mut sorted = us.to_vec();
-        sorted.sort_by(f64::total_cmp);
         ServeReport {
-            tenants: vec![tenant_with(&sorted)],
+            tenants: vec![tenant_with(us)],
             devices: vec![],
             horizon: SimTime::from_micros(15.0),
             makespan: SimTime::from_micros(us.iter().copied().fold(15.0, f64::max)),

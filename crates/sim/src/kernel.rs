@@ -125,7 +125,8 @@ pub trait KernelSource: Send + Sync {
 
     /// A digest of every parameter that changes this kernel's simulated
     /// **cost** without changing its launch geometry — op cycle counts,
-    /// a GeMM's contraction depth, a dropout keep-probability, and so on.
+    /// a GeMM's contraction depth, a dropout keep-probability, which
+    /// semaphores its blocks wait on and post, and so on.
     /// Folded into
     /// [`CompiledPipeline::fingerprint`](crate::CompiledPipeline), so two
     /// pipelines launching identical grids of differently-priced work do

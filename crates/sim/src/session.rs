@@ -120,7 +120,8 @@ impl CompiledPipeline {
     /// stream layout, kernel
     /// registrations (name, grid, occupancy, device, stream, and each
     /// source's [`cost_signature`](crate::KernelSource::cost_signature) —
-    /// so identical grids of differently-priced work do not collide),
+    /// so identical grids of differently-priced or differently-wired
+    /// work do not collide),
     /// semaphore layout, and the initial-memory fingerprint. Two
     /// pipelines built the same way fingerprint equal; any change to the
     /// graph, tiling, kernel cost model, sync policy layout or hardware

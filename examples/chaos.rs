@@ -106,8 +106,8 @@ fn main() -> Result<(), Box<dyn Error>> {
             tenant.name,
             tenant.completed,
             healthy.tenants[t].completed,
-            tenant.latency_quantile(0.99),
-            healthy.tenants[t].latency_quantile(0.99),
+            tenant.latency.p99,
+            healthy.tenants[t].latency.p99,
             tenant.preemptions,
         );
     }

@@ -5,7 +5,7 @@
 //! compile/execute split — dynamic batching never rebuilds), submits a
 //! mixed open-loop + closed-loop workload against earliest-deadline-first
 //! scheduling with dynamic batching, and prints the per-tenant latency
-//! histogram and SLO accounting. Run with:
+//! summary (p50/p95/p99, mean, max) and SLO accounting. Run with:
 //!
 //! ```text
 //! cargo run --release --example serving
@@ -92,33 +92,14 @@ fn main() -> Result<(), Box<dyn Error>> {
             tenant.violation_rate() * 100.0,
         );
         println!(
-            "          p50 {} | p95 {} | p99 {} | mean {} | peak queue {}",
-            tenant.latency_quantile(0.50),
-            tenant.latency_quantile(0.95),
-            tenant.latency_quantile(0.99),
-            tenant.latency_mean(),
+            "          p50 {} | p95 {} | p99 {} | mean {} | max {} | peak queue {}",
+            tenant.latency.p50,
+            tenant.latency.p95,
+            tenant.latency.p99,
+            tenant.latency.mean,
+            tenant.latency.max,
             tenant.max_queue_depth,
         );
-        // A coarse latency histogram: eight buckets to the p99.
-        let p99 = tenant.latency_quantile(0.99).as_micros().max(1.0);
-        let bucket_us = p99 / 8.0;
-        let mut buckets = [0usize; 9];
-        for &lat in &tenant.latencies {
-            let b = (lat.as_micros() / bucket_us) as usize;
-            buckets[b.min(8)] += 1;
-        }
-        let peak = buckets.iter().copied().max().unwrap_or(1).max(1);
-        for (i, &count) in buckets.iter().enumerate() {
-            let label = if i < 8 {
-                format!("<{:>6.0}us", (i + 1) as f64 * bucket_us)
-            } else {
-                ">p99     ".into()
-            };
-            println!(
-                "          {label} | {:<40} {count}",
-                "#".repeat(count * 40 / peak)
-            );
-        }
     }
     Ok(())
 }

@@ -3,9 +3,12 @@
 //! emit the CUDA source, and auto-tune over the generated candidates on
 //! the simulator.
 
-use cusync::OptFlags;
-use cusync_models::{compile_mlp, mlp_time, MlpModel, PolicyKind, SyncMode};
-use cusync_sim::{Dim3, GpuConfig};
+use cusync::{OptFlags, SyncMechanism};
+use cusync_models::{
+    build_attention_mechanisms, compile_mlp, mlp_time, AttentionConfig, MlpModel, PolicyKind,
+    SyncMode,
+};
+use cusync_sim::{CompiledPipeline, Dim3, Gpu, GpuConfig, Session};
 use cusyncgen::{
     autotune, autotune_cached, check_spec, emit_spec, policies_for, producer_order, AffineExpr,
     DepSpec, Pattern, TuneCache, TuneCandidate,
@@ -193,4 +196,38 @@ fn out_of_bounds_specs_are_rejected_before_codegen() {
     let g2 = spec.grid("g2", Dim3::new(4, 3, 1)); // 3 consumer rows, 1 producer row
     spec.depend(g2, g1, Pattern::ForAllX(AffineExpr::y()));
     assert!(check_spec(&spec).is_err());
+}
+
+/// Two attention pipelines that differ only in which of the two edges
+/// leaving producer 0 is fine-grained: same kernels, grids, semaphore
+/// layout and launch gates, but a different consumer waits per tile. They
+/// run to different timelines, so they must not share a fingerprint
+/// (the key of the serve pool's memos and of the tuning cache).
+#[test]
+fn moving_a_fine_edge_between_siblings_changes_the_fingerprint() {
+    use SyncMechanism::{Pdl, RowSync, TileSync};
+    let compile = |mechanisms: [SyncMechanism; 6]| -> CompiledPipeline {
+        let mut gpu = Gpu::new(GpuConfig::tesla_v100());
+        let cfg = AttentionConfig {
+            hidden: 12288,
+            tokens: 1,
+            cached: 512,
+        };
+        build_attention_mechanisms(&mut gpu, cfg, OptFlags::WRT, &mechanisms)
+            .expect("valid assignment");
+        gpu.compile().unwrap()
+    };
+    for fine in [TileSync, RowSync] {
+        let first = compile([fine, Pdl, Pdl, Pdl, Pdl, Pdl]);
+        let second = compile([Pdl, fine, Pdl, Pdl, Pdl, Pdl]);
+        let mut session = Session::new();
+        let (a, b) = (session.run(&first).unwrap(), session.run(&second).unwrap());
+        assert_ne!(a, b, "{fine}: the two pipelines run differently");
+        assert_ne!(first.fingerprint(), second.fingerprint(), "{fine}");
+        assert_eq!(
+            first.fingerprint(),
+            compile([fine, Pdl, Pdl, Pdl, Pdl, Pdl]).fingerprint(),
+            "{fine}: same build, same fingerprint"
+        );
+    }
 }

@@ -1009,8 +1009,8 @@ fn serving_chaos_document_is_reproduced() {
     for sched in RequestSched::ALL {
         let base = report("baseline", sched);
         let pre = report("preempt-on", sched);
-        let p99_base = base.tenants[0].latency_quantile(0.99);
-        let p99_pre = pre.tenants[0].latency_quantile(0.99);
+        let p99_base = base.tenants[0].latency.p99;
+        let p99_pre = pre.tenants[0].latency.p99;
         assert!(
             p99_pre < p99_base,
             "PR6 preempt-on {sched}: interactive p99 {p99_pre} not below baseline {p99_base}"

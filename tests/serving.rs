@@ -8,12 +8,14 @@
 //!    generator is genuinely seed-sensitive;
 //!
 //! plus directed edge cases the random sweep is unlikely to hit (zero
-//! completions under an impossible SLO, queue-cap backpressure).
+//! completions under an impossible SLO, queue-cap backpressure), and a
+//! differential test of the report's `LatencySummary` against a
+//! sort-then-index reference.
 
 use cusync_serve::{
-    ArrivalModel, BatchPolicy, DecodePolicy, DeviceDrop, FaultPlan, LinkDegrade, ModelKind,
-    PanicInjection, PreemptPolicy, RequestSched, RetryPolicy, ServeConfig, Server, TenantClass,
-    TenantSpec, WorkloadSpec,
+    ArrivalModel, BatchPolicy, CompletionRecord, DecodePolicy, DeviceDrop, FaultPlan,
+    LatencySummary, LinkDegrade, ModelKind, PanicInjection, PreemptPolicy, RequestSched,
+    RetryPolicy, ServeConfig, Server, TenantClass, TenantSpec, WorkloadSpec,
 };
 use cusync_sim::LinkScale;
 use cusync_sim::{ClusterConfig, GpuConfig, SimTime};
@@ -155,6 +157,66 @@ proptest! {
         let a = Server::new(random_spec(seed), &cluster, 4).run(&config);
         let b = Server::new(random_spec(seed + 1), &cluster, 4).run(&config);
         prop_assert!(a != b, "seeds {} and {} coincided", seed, seed + 1);
+    }
+}
+
+/// The nearest-rank `q`-quantile by sort-then-index: the `ceil(n·q)`-th
+/// smallest of `sorted` (ascending), the rank clamped to `[1, n]`.
+fn sorted_quantile(sorted: &[SimTime], q: f64) -> SimTime {
+    let n = sorted.len();
+    let rank = ((n as f64) * q).ceil() as usize;
+    sorted[rank.clamp(1, n) - 1]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Property: a `LatencySummary` of any latency sequence — empty, one
+    /// or two samples, or up to 2,000 drawn from as few as one distinct
+    /// value — equals the sort-then-index nearest-rank reference, its
+    /// digest is `CompletionRecord`'s fold of the sequence, and changing
+    /// any one sample changes the digest.
+    #[test]
+    fn latency_summary_matches_a_sorted_reference(
+        size in (0usize..6, 0usize..2_000),
+        spread in 0usize..4,
+        seed in 0u64..u64::MAX,
+        pick in 0usize..2_000,
+    ) {
+        let n = if size.0 < 3 { size.0 } else { size.1 };
+        let distinct = [1, 3, 50, 1_000_000_000][spread];
+        let latencies: Vec<SimTime> = (0..n as u64)
+            .map(|i| SimTime::from_picos(1 + cusync_sim::splitmix64(seed ^ i) % distinct))
+            .collect();
+        let summary = LatencySummary::from_latencies(&mut latencies.clone());
+        let mut sorted = latencies.clone();
+        sorted.sort_unstable();
+        let mut record = CompletionRecord::default();
+        for &latency in &latencies {
+            record.push(latency);
+        }
+        let expected = if n == 0 {
+            LatencySummary::default()
+        } else {
+            let sum: u64 = latencies.iter().map(|l| l.as_picos()).sum();
+            LatencySummary {
+                count: n as u64,
+                p50: sorted_quantile(&sorted, 0.50),
+                p95: sorted_quantile(&sorted, 0.95),
+                p99: sorted_quantile(&sorted, 0.99),
+                mean: SimTime::from_picos(sum / n as u64),
+                max: sorted[n - 1],
+                digest: record.digest,
+            }
+        };
+        prop_assert_eq!(summary, expected);
+        if n > 0 {
+            let mut changed = latencies.clone();
+            let i = pick % n;
+            changed[i] = SimTime::from_picos(changed[i].as_picos() + 1);
+            let moved = LatencySummary::from_latencies(&mut changed);
+            prop_assert!(moved.digest != summary.digest, "sample {} of {} changed", i, n);
+        }
     }
 }
 
