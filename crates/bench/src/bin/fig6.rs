@@ -23,8 +23,8 @@ fn mlp_figure(gpu: &GpuConfig, threads: usize, model: MlpModel, label: &str) {
         "{}",
         header(&cols.iter().map(String::as_str).collect::<Vec<_>>())
     );
-    let rows = parallel_map(threads, FIG6_MLP_BATCHES.to_vec(), |bs| {
-        fig6_mlp_row(gpu, model, bs)
+    let rows = parallel_map(threads, FIG6_MLP_BATCHES.to_vec(), |session, bs| {
+        fig6_mlp_row(session, gpu, model, bs)
     });
     for r in rows {
         let mut cells = vec![r.label];
@@ -43,9 +43,11 @@ fn attention_figure(gpu: &GpuConfig, threads: usize, hidden: u32, label: &str) {
         "{}",
         header(&cols.iter().map(String::as_str).collect::<Vec<_>>())
     );
-    let rows = parallel_map(threads, fig6_attention_configs(hidden), |(name, cfg)| {
-        fig6_attention_row(gpu, &name, cfg)
-    });
+    let rows = parallel_map(
+        threads,
+        fig6_attention_configs(hidden),
+        |session, (name, cfg)| fig6_attention_row(session, gpu, &name, cfg),
+    );
     for r in rows {
         let mut cells = vec![r.label];
         cells.extend(r.values.iter().map(|&v| pct(v)));

@@ -18,9 +18,11 @@ fn panel(gpu: &GpuConfig, threads: usize, title: &str, channels: &[u32], convs: 
         "{}",
         header(&cols.iter().map(String::as_str).collect::<Vec<_>>())
     );
-    let rows = parallel_map(threads, fig7_jobs(channels, convs), |(c, pq, b, convs)| {
-        (c, b, fig7_row(gpu, c, pq, b, convs))
-    });
+    let rows = parallel_map(
+        threads,
+        fig7_jobs(channels, convs),
+        |session, (c, pq, b, convs)| (c, b, fig7_row(session, gpu, c, pq, b, convs)),
+    );
     for (c, b, r) in rows {
         let mut cells = vec![c.to_string(), b.to_string()];
         cells.extend(r.values.iter().map(|&v| pct(v)));

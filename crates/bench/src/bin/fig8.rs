@@ -21,9 +21,11 @@ fn main() {
     if what == "llm" || what == "all" {
         println!("## Fig. 8a: language models (best policy per configuration)\n");
         println!("{}", header(&["BxS, S'", "GPT-3", "LLaMA"]));
-        let rows = parallel_map(threads, fig8_llm_configs(), |(name, tokens, cached)| {
-            fig8_llm_row(&gpu, &name, tokens, cached)
-        });
+        let rows = parallel_map(
+            threads,
+            fig8_llm_configs(),
+            |session, (name, tokens, cached)| fig8_llm_row(session, &gpu, &name, tokens, cached),
+        );
         for r in rows {
             println!(
                 "{}",
@@ -36,8 +38,8 @@ fn main() {
     if what == "vision" || what == "all" {
         println!("## Fig. 8b: vision models (best policy per batch)\n");
         println!("{}", header(&["Batch", "ResNet-38", "VGG-19"]));
-        let rows = parallel_map(threads, FIG7_BATCHES.to_vec(), |batch| {
-            fig8_vision_row(&gpu, batch)
+        let rows = parallel_map(threads, FIG7_BATCHES.to_vec(), |session, batch| {
+            fig8_vision_row(session, &gpu, batch)
         });
         for r in rows {
             println!(

@@ -6,17 +6,18 @@
 //! row, the StreamSync baseline is simulated once and shared by every
 //! mode.
 //!
-//! Every cell the model helpers run (`run_mlp`/`run_attention`/
-//! `run_conv_layer`) is compiled and run on a fresh `cusync_sim::Session`.
+//! Each worker owns one [`Session`] and runs every cell it takes on it, so
+//! cells reuse the session's warmed arenas. The rows compile their cells
+//! with the model crate's `compile_*` helpers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use cusync_models::{
-    llm_step_time, resnet38, run_attention, run_conv_layer, run_mlp, vgg19, vision_step_time,
-    AttentionConfig, MlpModel, PolicyKind, SyncMode, GPT3, LLAMA,
+    compile_attention, compile_conv_layer, compile_mlp, llm_step_time, resnet38, vgg19,
+    vision_step_time, AttentionConfig, MlpModel, PolicyKind, SyncMode, GPT3, LLAMA,
 };
-use cusync_sim::GpuConfig;
+use cusync_sim::{CompiledPipeline, GpuConfig, Session, SimTime};
 
 use cusync::OptFlags;
 
@@ -34,15 +35,17 @@ pub fn default_threads() -> usize {
 }
 
 /// Order-preserving parallel map: runs `f` over `items` on `threads`
-/// workers (1 = fully serial).
+/// workers (1 = fully serial). Each worker creates one [`Session`] and
+/// hands it to every call it makes.
 pub fn parallel_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
-    F: Fn(T) -> R + Sync,
+    F: Fn(&mut Session, T) -> R + Sync,
 {
     if threads <= 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
+        let mut session = Session::new();
+        return items.into_iter().map(|i| f(&mut session, i)).collect();
     }
     let queue: Vec<Mutex<Option<T>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
     let next = AtomicUsize::new(0);
@@ -50,14 +53,17 @@ where
     let workers = threads.min(queue.len());
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= queue.len() {
-                    break;
+            scope.spawn(|| {
+                let mut session = Session::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= queue.len() {
+                        break;
+                    }
+                    let item = queue[i].lock().unwrap().take().expect("item taken twice");
+                    let r = f(&mut session, item);
+                    results.lock().unwrap().push((i, r));
                 }
-                let item = queue[i].lock().unwrap().take().expect("item taken twice");
-                let r = f(item);
-                results.lock().unwrap().push((i, r));
             });
         }
     });
@@ -76,16 +82,23 @@ pub struct Row {
 }
 
 /// Percentage improvement of `t` over the StreamSync baseline `base`.
-fn improvement_pct(base: cusync_sim::SimTime, t: cusync_sim::SimTime) -> f64 {
+fn improvement_pct(base: SimTime, t: SimTime) -> f64 {
     100.0 * (1.0 - t.as_picos() as f64 / base.as_picos() as f64)
 }
 
 /// Shared row builder: improvement of each `mode` over StreamSync, with
-/// the baseline simulated once per row.
-fn improvement_row<F>(label: String, modes: &[SyncMode], run: F) -> Row
+/// the baseline simulated once per row. `compile` builds a mode's cell,
+/// which runs on `session`.
+fn improvement_row<F>(session: &mut Session, label: String, modes: &[SyncMode], compile: F) -> Row
 where
-    F: Fn(SyncMode) -> cusync_sim::SimTime,
+    F: Fn(SyncMode) -> CompiledPipeline,
 {
+    let mut run = |mode| {
+        session
+            .run(&compile(mode))
+            .expect("figure cells cannot deadlock")
+            .total
+    };
     let base = run(SyncMode::StreamSync);
     let values = modes
         .iter()
@@ -149,17 +162,23 @@ pub fn fig6_attention_configs(hidden: u32) -> Vec<(String, AttentionConfig)> {
         .collect()
 }
 
-/// Runs one Fig. 6 MLP row (all modes at one batch size).
-pub fn fig6_mlp_row(gpu: &GpuConfig, model: MlpModel, bs: u32) -> Row {
-    improvement_row(bs.to_string(), &fig6_mlp_modes(), |mode| {
-        run_mlp(gpu, model, bs, mode).total
+/// Runs one Fig. 6 MLP row (all modes at one batch size) on `session`.
+pub fn fig6_mlp_row(session: &mut Session, gpu: &GpuConfig, model: MlpModel, bs: u32) -> Row {
+    improvement_row(session, bs.to_string(), &fig6_mlp_modes(), |mode| {
+        compile_mlp(gpu, model, bs, mode)
     })
 }
 
-/// Runs one Fig. 6 Attention row (all modes at one configuration).
-pub fn fig6_attention_row(gpu: &GpuConfig, label: &str, cfg: AttentionConfig) -> Row {
-    improvement_row(label.to_owned(), &fig6_attention_modes(), |mode| {
-        run_attention(gpu, cfg, mode).total
+/// Runs one Fig. 6 Attention row (all modes at one configuration) on
+/// `session`.
+pub fn fig6_attention_row(
+    session: &mut Session,
+    gpu: &GpuConfig,
+    label: &str,
+    cfg: AttentionConfig,
+) -> Row {
+    improvement_row(session, label.to_owned(), &fig6_attention_modes(), |mode| {
+        compile_attention(gpu, cfg, mode)
     })
 }
 
@@ -170,12 +189,21 @@ pub fn fig6_attention_row(gpu: &GpuConfig, label: &str, cfg: AttentionConfig) ->
 /// Batch sizes of the Fig. 7 panels.
 pub const FIG7_BATCHES: [u32; 9] = [1, 4, 8, 12, 16, 20, 24, 28, 32];
 
-/// Runs one Fig. 7 row (all conv policies at one `(channels, batch)`).
-pub fn fig7_row(gpu: &GpuConfig, channels: u32, pq: u32, batch: u32, convs: u32) -> Row {
+/// Runs one Fig. 7 row (all conv policies at one `(channels, batch)`) on
+/// `session`.
+pub fn fig7_row(
+    session: &mut Session,
+    gpu: &GpuConfig,
+    channels: u32,
+    pq: u32,
+    batch: u32,
+    convs: u32,
+) -> Row {
     improvement_row(
+        session,
         format!("{channels}, {batch}"),
         &SyncMode::conv_policies(),
-        |mode| run_conv_layer(gpu, batch, pq, channels, convs, mode).total,
+        |mode| compile_conv_layer(gpu, batch, pq, channels, convs, mode),
     )
 }
 
@@ -202,9 +230,9 @@ pub fn fig8_llm_configs() -> Vec<(String, u32, u32)> {
 }
 
 /// Best improvement over StreamSync across `candidates`.
-fn best_improvement<F>(candidates: &[SyncMode], run: F) -> f64
+fn best_improvement<F>(candidates: &[SyncMode], mut run: F) -> f64
 where
-    F: Fn(SyncMode) -> cusync_sim::SimTime,
+    F: FnMut(SyncMode) -> SimTime,
 {
     let base = run(SyncMode::StreamSync);
     candidates
@@ -213,14 +241,20 @@ where
         .fold(f64::MIN, f64::max)
 }
 
-/// Runs one Fig. 8a row: best attention policy per model.
-pub fn fig8_llm_row(gpu: &GpuConfig, label: &str, tokens: u32, cached: u32) -> Row {
+/// Runs one Fig. 8a row on `session`: best attention policy per model.
+pub fn fig8_llm_row(
+    session: &mut Session,
+    gpu: &GpuConfig,
+    label: &str,
+    tokens: u32,
+    cached: u32,
+) -> Row {
     let candidates = SyncMode::attention_policies();
     let values = [GPT3, LLAMA]
         .into_iter()
         .map(|model| {
             best_improvement(&candidates, |mode| {
-                llm_step_time(gpu, model, tokens, cached, mode)
+                llm_step_time(session, gpu, model, tokens, cached, mode)
             })
         })
         .collect();
@@ -230,8 +264,8 @@ pub fn fig8_llm_row(gpu: &GpuConfig, label: &str, tokens: u32, cached: u32) -> R
     }
 }
 
-/// Runs one Fig. 8b row: best conv policy per vision model.
-pub fn fig8_vision_row(gpu: &GpuConfig, batch: u32) -> Row {
+/// Runs one Fig. 8b row on `session`: best conv policy per vision model.
+pub fn fig8_vision_row(session: &mut Session, gpu: &GpuConfig, batch: u32) -> Row {
     let candidates = [
         SyncMode::CuSync(PolicyKind::Row, OptFlags::WRT),
         SyncMode::CuSync(PolicyKind::Conv2DTile, OptFlags::WRT),
@@ -240,7 +274,7 @@ pub fn fig8_vision_row(gpu: &GpuConfig, batch: u32) -> Row {
         .into_iter()
         .map(|stages| {
             best_improvement(&candidates, |mode| {
-                vision_step_time(gpu, &stages, batch, mode)
+                vision_step_time(session, gpu, &stages, batch, mode)
             })
         })
         .collect();
@@ -256,12 +290,12 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_order_and_engine() {
-        // Workers run on their own threads' pooled sessions, which are
-        // always the Optimized engine: only it consults the price memos.
+        // Each worker runs on its own session, which is always the
+        // Optimized engine: only it consults the price memos.
         let gpu = GpuConfig::tesla_v100();
-        let out = parallel_map(4, (0..8).collect::<Vec<_>>(), |i| {
-            let report = run_mlp(&gpu, MlpModel::Gpt3, 1, SyncMode::StreamSync);
-            let memo = report.counters.mem_memo;
+        let out = parallel_map(4, (0..8).collect::<Vec<_>>(), |session, i| {
+            let pipeline = compile_mlp(&gpu, MlpModel::Gpt3, 1, SyncMode::StreamSync);
+            let memo = session.run(&pipeline).unwrap().counters.mem_memo;
             assert!(memo.hits + memo.misses > 0, "worker ran unmemoized");
             i * 2
         });

@@ -3,7 +3,7 @@
 //! through the multi-device engine (the closed-form `allreduce_time`
 //! remains as their checked oracle; see `tests/allreduce_model.rs`).
 
-use cusync_sim::{GpuConfig, SimTime};
+use cusync_sim::{CompiledPipeline, GpuConfig, Session, SimTime};
 
 use crate::allreduce::ring_allreduce_time;
 use crate::attention::AttentionConfig;
@@ -46,25 +46,28 @@ impl LlmModel {
 /// `layers x (attention + MLP + 2 allreduces)`.
 ///
 /// `tokens` is `B x S` during prompt processing or `B` during token
-/// generation; `cached` is `S'`.
+/// generation; `cached` is `S'`. The attention and MLP blocks run on
+/// `session`; the allreduce runs on its own cluster session.
+///
+/// # Panics
+///
+/// Panics if a simulated run deadlocks (it cannot, for these launch
+/// orders).
 pub fn llm_step_time(
+    session: &mut Session,
     gpu: &GpuConfig,
     model: LlmModel,
     tokens: u32,
     cached: u32,
     mode: SyncMode,
 ) -> SimTime {
-    let attn = crate::run_attention(
-        gpu,
-        AttentionConfig {
-            hidden: model.hidden(),
-            tokens,
-            cached,
-        },
-        mode,
-    )
-    .total;
-    let mlp = crate::run_mlp(gpu, model.mlp, tokens, mode).total;
+    let cfg = AttentionConfig {
+        hidden: model.hidden(),
+        tokens,
+        cached,
+    };
+    let attn = total(session, &crate::compile_attention(gpu, cfg, mode));
+    let mlp = total(session, &crate::compile_mlp(gpu, model.mlp, tokens, mode));
     // The two per-layer allreduces run as simulated ring collectives on
     // an MP_DEGREE-device cluster of this GPU; their cost is identical
     // across sync modes, which is exactly the Fig. 6 → Fig. 8 dilution.
@@ -86,34 +89,59 @@ pub fn llm_e2e_improvement(
     cached: u32,
     mode: SyncMode,
 ) -> f64 {
-    let base = llm_step_time(gpu, model, tokens, cached, SyncMode::StreamSync);
-    let t = llm_step_time(gpu, model, tokens, cached, mode);
+    let mut session = Session::new();
+    let base = llm_step_time(
+        &mut session,
+        gpu,
+        model,
+        tokens,
+        cached,
+        SyncMode::StreamSync,
+    );
+    let t = llm_step_time(&mut session, gpu, model, tokens, cached, mode);
     100.0 * (1.0 - t.as_picos() as f64 / base.as_picos() as f64)
 }
 
 /// End-to-end time of one vision-model inference: the sum over Table II
-/// stages of `layers x conv-chain time`.
+/// stages of `layers x conv-chain time`, each chain run on `session`.
+///
+/// # Panics
+///
+/// Panics if a simulated run deadlocks or `mode` is
+/// [`SyncMode::StreamK`] (Stream-K supports only GeMM).
 pub fn vision_step_time(
+    session: &mut Session,
     gpu: &GpuConfig,
     stages: &[ConvStage],
     batch: u32,
     mode: SyncMode,
 ) -> SimTime {
-    let mut total = SimTime::ZERO;
+    let mut sum = SimTime::ZERO;
     for stage in stages {
-        let report = crate::run_conv_layer(
-            gpu,
-            batch,
-            stage.pq,
-            stage.channels,
-            stage.convs_per_layer,
-            mode,
+        let layer = total(
+            session,
+            &crate::compile_conv_layer(
+                gpu,
+                batch,
+                stage.pq,
+                stage.channels,
+                stage.convs_per_layer,
+                mode,
+            ),
         );
         for _ in 0..stage.layers {
-            total += report.total;
+            sum += layer;
         }
     }
-    total
+    sum
+}
+
+/// Simulated total of one run of `pipeline` on `session`.
+fn total(session: &mut Session, pipeline: &CompiledPipeline) -> SimTime {
+    session
+        .run(pipeline)
+        .expect("model pipelines cannot deadlock")
+        .total
 }
 
 #[cfg(test)]
@@ -126,7 +154,9 @@ mod tests {
     #[test]
     fn e2e_time_scales_with_layers() {
         let gpu = GpuConfig::tesla_v100();
+        let mut session = Session::new();
         let one = llm_step_time(
+            &mut session,
             &gpu,
             LlmModel {
                 mlp: MlpModel::Gpt3,
@@ -137,6 +167,7 @@ mod tests {
             SyncMode::StreamSync,
         );
         let two = llm_step_time(
+            &mut session,
             &gpu,
             LlmModel {
                 mlp: MlpModel::Gpt3,
@@ -167,7 +198,13 @@ mod tests {
     #[test]
     fn vision_e2e_covers_all_stages() {
         let gpu = GpuConfig::tesla_v100();
-        let t = vision_step_time(&gpu, &resnet38(), 1, SyncMode::StreamSync);
+        let t = vision_step_time(
+            &mut Session::new(),
+            &gpu,
+            &resnet38(),
+            1,
+            SyncMode::StreamSync,
+        );
         assert!(t > SimTime::ZERO);
     }
 }

@@ -17,7 +17,8 @@
 //!
 //! Every `run_*` helper compiles its pipeline (the matching `compile_*`)
 //! and runs it on a fresh [`cusync_sim::Session`]. To reuse one session's
-//! warmed arenas across runs, call `compile_*` and keep the session.
+//! warmed arenas across runs, call `compile_*` and keep the session; the
+//! end-to-end helpers take the session they run on.
 //!
 //! ## Example
 //!

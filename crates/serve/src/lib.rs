@@ -16,9 +16,9 @@
 //!   sessions across a simulated multi-GPU
 //!   [`ClusterConfig`](cusync_sim::ClusterConfig);
 //! - **dynamic batching** ([`BatchPolicy`]): compatible queued requests
-//!   of one tenant coalesce, up to a batch window/size, onto pipelines
-//!   pre-compiled at every batch width ([`ServicePool`]) — the
-//!   compile/execute split means batching never rebuilds a graph;
+//!   of one tenant coalesce, up to a batch window/size, onto service
+//!   times measured at startup for every batch width ([`ServicePool`]) —
+//!   the compile/execute split means batching never rebuilds a graph;
 //! - a **metrics core** ([`ServeReport`]): p50/p95/p99 latency, goodput,
 //!   SLO-violation rate, queue depth and per-device utilization, with
 //!   conservation invariants ([`ServeReport::check`]) and JSON emission.

@@ -1,7 +1,7 @@
-//! The warmed execution pool: every (tenant, batch width) pipeline is
-//! compiled once at server startup, executed once per device model on a
-//! warmed [`Session`] to establish its deterministic service time, and
-//! never rebuilt again.
+//! The warmed service-time pool: every (tenant, batch width) pipeline is
+//! compiled once at server startup and executed once per device model on
+//! a warmed [`Session`] to establish its deterministic service time. The
+//! pool keeps that time and the pipeline's fingerprint, not the pipeline.
 //!
 //! This is where the serving layer cashes in the compile/execute split:
 //! the simulator is exactly deterministic, so one measured
@@ -12,10 +12,15 @@
 //! pipeline's [`fingerprint`](CompiledPipeline::fingerprint), so two
 //! tenants serving the same model at the same width share one compile and
 //! one measurement.
+//!
+//! A fault-free run needs only the numbers. The fault-mode probes
+//! (degraded links, preemption checkpoints) re-run a shape's pipeline, so
+//! they compile it again on first use and keep it, keyed by fingerprint:
+//! each shape is compiled at most once more, and only if a fault reaches
+//! it.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
 
 use cusync_sim::{ClusterConfig, CompiledPipeline, LinkScale, RunOutcome, Session, SimTime};
 
@@ -31,8 +36,8 @@ type CheckpointKey = (u64, usize, u64, Option<LinkScale>);
 /// powers of two).
 const CTX_CLASSES: usize = u32::BITS as usize;
 
-/// One warmed batch shape: the pipeline it runs and its measured service
-/// time.
+/// One warmed batch shape: the fingerprint of the pipeline it runs and its
+/// measured service time.
 #[derive(Debug, Clone, Copy)]
 struct Shape {
     fingerprint: u64,
@@ -47,6 +52,9 @@ struct Shape {
 #[derive(Debug)]
 struct LazyMeasure {
     session: Session,
+    /// Fingerprint → the shape's pipeline, compiled on the first probe
+    /// that re-runs it. Fault-free traffic fills none.
+    pipelines: HashMap<u64, CompiledPipeline>,
     /// `(fingerprint, device-model slot, scale)` → degraded total.
     degraded: HashMap<(u64, usize, LinkScale), SimTime>,
     /// `(fingerprint, slot, elapsed ps, scale)` → checkpoint outcome.
@@ -61,19 +69,18 @@ struct LazyMeasure {
     static_decode: HashMap<(usize, u32, u32, usize), SimTime>,
 }
 
-/// Compiled pipelines and measured service times for every (tenant,
-/// width, device) the dispatcher can place.
+/// Measured service times for every (tenant, width, device) the
+/// dispatcher can place.
 ///
-/// The per-dispatch lookups ([`ServicePool::service_time`] and
+/// [`ServicePool::build`] drops each pipeline once it is measured; the
+/// fault-mode probes recompile the ones they need. The per-dispatch
+/// lookups ([`ServicePool::service_time`] and
 /// [`ServicePool::decode_step_time`]) are bounds-checked reads of dense
 /// tables indexed by `(tenant, width − 1, device-model slot)`; only the
 /// fault-mode, checkpoint and static-decode memos hash.
 #[derive(Debug)]
 pub struct ServicePool {
     cluster: ClusterConfig,
-    /// Distinct compiled pipelines, keyed by fingerprint (shared across
-    /// tenants that serve the same model).
-    pipelines: HashMap<u64, Arc<CompiledPipeline>>,
     /// Every warmed shape, at [`ServicePool::shape_index`].
     shapes: Vec<Shape>,
     /// Decode-step service times, measured lazily — the reachable
@@ -98,7 +105,8 @@ impl ServicePool {
     /// over the cluster's device models. One warmed [`Session`] per
     /// distinct device model executes each distinct pipeline exactly once;
     /// homogeneous clusters (all the built-in constructors) therefore
-    /// measure each pipeline once in total.
+    /// measure each pipeline once in total. The pool keeps each measured
+    /// time and drops the pipeline.
     ///
     /// # Panics
     ///
@@ -107,8 +115,7 @@ impl ServicePool {
     pub fn build(cluster: &ClusterConfig, tenants: &[TenantSpec], max_width: u32) -> Self {
         assert!(max_width > 0, "max_width must be positive");
         // One warmed session per *distinct* device model; device indexes
-        // sharing a model share the compile, the measurement, and the
-        // pipeline Arc.
+        // sharing a model share the compile and the measurement.
         let mut model_of_device: Vec<usize> = Vec::new();
         let mut distinct: Vec<(&cusync_sim::GpuConfig, Session)> = Vec::new();
         for device in &cluster.devices {
@@ -120,11 +127,10 @@ impl ServicePool {
             model_of_device.push(slot);
         }
         let slots = distinct.len();
-        let mut pipelines = HashMap::new();
         let mut shapes = Vec::with_capacity(tenants.len() * max_width as usize * slots);
-        // Tenants sharing a ModelKind share the compile itself, not just
-        // the resulting Arc: memo by (model, width, slot) up front; equal
-        // fingerprints share the measurement.
+        // Tenants sharing a ModelKind share the compile: memo by (model,
+        // width, slot) up front; equal fingerprints share the measurement.
+        // Each pipeline is dropped as soon as its shape is recorded.
         let mut compiled: HashMap<(crate::zoo::ModelKind, u32, usize), Shape> = HashMap::new();
         let mut measured: HashMap<(u64, usize), SimTime> = HashMap::new();
         // Tenant-major, then width, then slot: the shape_index order.
@@ -138,12 +144,9 @@ impl ServicePool {
                         .or_insert_with(|| {
                             let pipeline = tenant.model.compile(config, width);
                             let fingerprint = pipeline.fingerprint();
-                            let pipeline = pipelines
-                                .entry(fingerprint)
-                                .or_insert_with(|| Arc::new(pipeline));
                             let time = *measured.entry((fingerprint, slot)).or_insert_with(|| {
                                 session
-                                    .run(pipeline)
+                                    .run(&pipeline)
                                     .expect("zoo pipeline deadlocked during warmup")
                                     .total
                             });
@@ -155,7 +158,6 @@ impl ServicePool {
         }
         ServicePool {
             cluster: cluster.clone(),
-            pipelines,
             steps: RefCell::new(vec![None; shapes.len() * CTX_CLASSES]),
             shapes,
             model_of_device,
@@ -164,6 +166,7 @@ impl ServicePool {
             max_width,
             lazy: RefCell::new(LazyMeasure {
                 session: Session::new(),
+                pipelines: HashMap::new(),
                 degraded: HashMap::new(),
                 checkpoints: HashMap::new(),
                 step_times: HashMap::new(),
@@ -217,21 +220,22 @@ impl ServicePool {
         &self.models
     }
 
-    /// Number of distinct compiled pipelines (after fingerprint sharing).
+    /// Number of distinct pipelines the pool measured (after fingerprint
+    /// sharing).
     pub fn num_pipelines(&self) -> usize {
-        self.pipelines.len()
+        let distinct: HashSet<u64> = self.shapes.iter().map(|s| s.fingerprint).collect();
+        distinct.len()
     }
 
-    /// The compiled pipeline a batch of `width` requests of `tenant` runs
-    /// on `device`.
+    /// Fingerprint of the pipeline a batch of `width` requests of
+    /// `tenant` runs on `device`.
     ///
     /// # Panics
     ///
     /// Panics if the shape was not warmed by [`ServicePool::build`] or
     /// `device` is out of range.
-    pub fn pipeline(&self, tenant: usize, width: u32, device: u32) -> &Arc<CompiledPipeline> {
-        let (at, _) = self.shape_index(tenant, width, device);
-        &self.pipelines[&self.shapes[at].fingerprint]
+    pub fn fingerprint(&self, tenant: usize, width: u32, device: u32) -> u64 {
+        self.shapes[self.shape_index(tenant, width, device).0].fingerprint
     }
 
     /// Deterministic service time of a `width`-request batch of `tenant`
@@ -262,25 +266,51 @@ impl ServicePool {
         scale: LinkScale,
     ) -> SimTime {
         let (at, slot) = self.shape_index(tenant, width, device);
-        self.degraded_total(self.shapes[at].fingerprint, slot, scale)
-    }
-
-    fn degraded_total(&self, fingerprint: u64, slot: usize, scale: LinkScale) -> SimTime {
-        let key = (fingerprint, slot, scale);
+        let key = (self.shapes[at].fingerprint, slot, scale);
         if let Some(&total) = self.lazy.borrow().degraded.get(&key) {
             return total;
         }
-        let pipeline = Arc::clone(&self.pipelines[&fingerprint]);
-        let mut lazy = self.lazy.borrow_mut();
-        lazy.session.set_link_scale(Some(scale));
-        let total = lazy
-            .session
-            .run(&pipeline)
-            .expect("warmed pipeline deadlocked under link degradation")
-            .total;
-        lazy.session.set_link_scale(None);
-        lazy.degraded.insert(key, total);
+        let total = self.probe(tenant, width, device, Some(scale), |session, pipeline| {
+            session
+                .run(pipeline)
+                .expect("warmed pipeline deadlocked under link degradation")
+                .total
+        });
+        self.lazy.borrow_mut().degraded.insert(key, total);
         total
+    }
+
+    /// Runs `run` on the lazy session under link pricing `scale`, with the
+    /// pipeline of the `(tenant, width, device)` shape. The pipeline is
+    /// compiled on the first probe of its fingerprint and kept for later
+    /// ones.
+    fn probe<R>(
+        &self,
+        tenant: usize,
+        width: u32,
+        device: u32,
+        scale: Option<LinkScale>,
+        run: impl FnOnce(&mut Session, &CompiledPipeline) -> R,
+    ) -> R {
+        let fingerprint = self.fingerprint(tenant, width, device);
+        let mut lazy = self.lazy.borrow_mut();
+        let LazyMeasure {
+            session, pipelines, ..
+        } = &mut *lazy;
+        let pipeline = pipelines.entry(fingerprint).or_insert_with(|| {
+            let config = &self.cluster.devices[device as usize];
+            let pipeline = self.models[tenant].compile(config, width);
+            debug_assert_eq!(
+                pipeline.fingerprint(),
+                fingerprint,
+                "recompiling (tenant {tenant}, width {width}, device {device}) changed its pipeline"
+            );
+            pipeline
+        });
+        session.set_link_scale(scale);
+        let result = run(session, pipeline);
+        session.set_link_scale(None);
+        result
     }
 
     /// Where a preempted batch of `tenant` at `width` on `device` can
@@ -313,22 +343,19 @@ impl ServicePool {
             return hit;
         }
         let total = match scale {
-            Some(s) => self.degraded_total(fingerprint, slot, s),
+            Some(s) => self.degraded_service_time(tenant, width, device, s),
             None => time,
         };
-        let pipeline = Arc::clone(&self.pipelines[&fingerprint]);
-        let mut lazy = self.lazy.borrow_mut();
-        lazy.session.set_link_scale(scale);
-        let outcome = lazy
-            .session
-            .run_until(&pipeline, elapsed)
-            .expect("warmed pipeline deadlocked during checkpoint probe");
-        lazy.session.set_link_scale(None);
+        let outcome = self.probe(tenant, width, device, scale, |session, pipeline| {
+            session
+                .run_until(pipeline, elapsed)
+                .expect("warmed pipeline deadlocked during checkpoint probe")
+        });
         let result = match outcome {
             RunOutcome::Complete(_) => None,
             RunOutcome::Aborted(residue) => Some((residue.aborted_at, residue.remaining(total))),
         };
-        lazy.checkpoints.insert(key, result);
+        self.lazy.borrow_mut().checkpoints.insert(key, result);
         result
     }
 
@@ -480,10 +507,7 @@ mod tests {
                 pool.service_time(1, width, 2),
                 "shared model, homogeneous devices"
             );
-            assert!(Arc::ptr_eq(
-                pool.pipeline(0, width, 0),
-                pool.pipeline(1, width, 1)
-            ));
+            assert_eq!(pool.fingerprint(0, width, 0), pool.fingerprint(1, width, 1));
         }
         // Wider batches take longer; a bigger model takes longer.
         assert!(pool.service_time(0, 3, 0) > pool.service_time(0, 1, 0));
@@ -555,6 +579,76 @@ mod tests {
             pool.degraded_service_time(1, 1, 0, scale),
             pool.degraded_service_time(1, 1, 0, scale)
         );
+    }
+
+    /// The fault-mode probes recompile a shape's pipeline on first use.
+    /// On every warmed shape of a two-model cluster, a memo miss and a
+    /// memo hit must both price exactly like a fresh compile run on a
+    /// fresh session.
+    #[test]
+    fn lazy_probes_match_a_fresh_compile_on_a_fresh_session() {
+        let cluster = ClusterConfig {
+            devices: vec![GpuConfig::toy(4), GpuConfig::toy(2)],
+            ..ClusterConfig::single(GpuConfig::toy(4))
+        };
+        let mut remote = toy_tenant("remote", 3);
+        remote.model = ModelKind::ToyRemote {
+            blocks: 3,
+            compute_cycles: 200_000,
+            payload: 1 << 20,
+        };
+        let tenants = [toy_tenant("local", 3), remote];
+        let max_width = 2;
+        let pool = ServicePool::build(&cluster, &tenants, max_width);
+        assert!(pool.lazy.borrow().pipelines.is_empty(), "build keeps none");
+        let degraded = LinkScale::times(4);
+        let fresh_total = |pipeline: &CompiledPipeline, scale| {
+            let mut session = Session::new();
+            session.set_link_scale(scale);
+            session.run(pipeline).unwrap().total
+        };
+        for (t, tenant) in tenants.iter().enumerate() {
+            for width in 1..=max_width {
+                for (d, gpu) in cluster.devices.iter().enumerate() {
+                    let d32 = d as u32;
+                    let pipeline = tenant.model.compile(gpu, width);
+                    let want = fresh_total(&pipeline, Some(degraded));
+                    for call in ["miss", "hit"] {
+                        assert_eq!(
+                            pool.degraded_service_time(t, width, d32, degraded),
+                            want,
+                            "degraded ({t}, {width}, {d}) on the {call}"
+                        );
+                    }
+                    for scale in [None, Some(degraded)] {
+                        let total = fresh_total(&pipeline, scale);
+                        let half = SimTime::from_picos(total.as_picos() / 2);
+                        for elapsed in [SimTime::from_picos(1), half, total] {
+                            let mut session = Session::new();
+                            session.set_link_scale(scale);
+                            let want = match session.run_until(&pipeline, elapsed).unwrap() {
+                                RunOutcome::Complete(_) => None,
+                                RunOutcome::Aborted(residue) => {
+                                    Some((residue.aborted_at, residue.remaining(total)))
+                                }
+                            };
+                            for call in ["miss", "hit"] {
+                                assert_eq!(
+                                    pool.checkpoint(t, width, d32, elapsed, scale),
+                                    want,
+                                    "checkpoint ({t}, {width}, {d}) at {elapsed:?} \
+                                     under {scale:?} on the {call}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Remote shapes really are repriced, and each fingerprint was
+        // compiled once for all its probes.
+        assert!(pool.degraded_service_time(1, 2, 1, degraded) > pool.service_time(1, 2, 1));
+        assert_eq!(pool.lazy.borrow().pipelines.len(), pool.num_pipelines());
     }
 
     #[test]
@@ -639,7 +733,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "shape (tenant 2, width 1, device 0) was not warmed")]
     fn tenant_out_of_range_is_rejected() {
-        two_tenant_pool().pipeline(2, 1, 0);
+        two_tenant_pool().fingerprint(2, 1, 0);
     }
 
     #[test]
@@ -720,8 +814,7 @@ mod tests {
                         want,
                         "({t}, {width}, {d})"
                     );
-                    let warmed = pool.pipeline(t, width, d32).fingerprint();
-                    assert_eq!(warmed, pipeline.fingerprint());
+                    assert_eq!(pool.fingerprint(t, width, d32), pipeline.fingerprint());
                     distinct.insert(want);
                     if t != 1 {
                         continue;

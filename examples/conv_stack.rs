@@ -8,7 +8,7 @@ use cusync::OptFlags;
 use cusync_models::{
     conv_layer_time, pq_for_channels, resnet38, vgg19, vision_step_time, PolicyKind, SyncMode,
 };
-use cusync_sim::GpuConfig;
+use cusync_sim::{GpuConfig, Session};
 
 fn main() {
     let gpu = GpuConfig::tesla_v100();
@@ -39,10 +39,11 @@ fn main() {
     }
 
     println!("\n=== End-to-end inference (all Table II layers) ===");
+    let mut session = Session::new();
     for (stages, name) in [(resnet38(), "ResNet-38"), (vgg19(), "VGG-19")] {
         for batch in [1u32, 8, 32] {
-            let base = vision_step_time(&gpu, &stages, batch, SyncMode::StreamSync);
-            let sync = vision_step_time(&gpu, &stages, batch, conv_tile);
+            let base = vision_step_time(&mut session, &gpu, &stages, batch, SyncMode::StreamSync);
+            let sync = vision_step_time(&mut session, &gpu, &stages, batch, conv_tile);
             println!(
                 "  {name:>10} B={batch:>2}: {:>8.0}us -> {:>8.0}us ({:+.1}%)",
                 base.as_micros(),
