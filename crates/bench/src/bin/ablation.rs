@@ -8,18 +8,25 @@
 
 use cusync::OptFlags;
 use cusync_bench::{header, pct, row};
-use cusync_models::{mlp_improvement, MlpModel, PolicyKind, SyncMode};
-use cusync_sim::GpuConfig;
-
-fn improvements(gpu: &GpuConfig) -> (f64, f64) {
-    let tile = SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT);
-    (
-        mlp_improvement(gpu, MlpModel::Gpt3, 256, tile),
-        mlp_improvement(gpu, MlpModel::Gpt3, 512, tile),
-    )
-}
+use cusync_models::{compile_mlp, improvement_pct, MlpModel, PolicyKind, SyncMode};
+use cusync_sim::{GpuConfig, Session};
 
 fn main() {
+    let mut session = Session::new();
+    // TileSync+WRT's improvement over StreamSync at batch 256 and 512.
+    let mut improvements = |gpu: &GpuConfig| {
+        let tile = SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT);
+        let mut time = |bs, mode| {
+            let pipeline = compile_mlp(gpu, MlpModel::Gpt3, bs, mode);
+            session
+                .run(&pipeline)
+                .expect("MLP cells cannot deadlock")
+                .total
+        };
+        let at_256 = improvement_pct(time(256, SyncMode::StreamSync), time(256, tile));
+        let at_512 = improvement_pct(time(512, SyncMode::StreamSync), time(512, tile));
+        (at_256, at_512)
+    };
     println!("# Ablation: GPT-3 MLP improvement (TileSync+WRT) vs model constants\n");
 
     println!("## Per-block jitter (default 0.10)\n");

@@ -6,10 +6,11 @@
 //! encounter. The paper bounds cuSync's overhead at 2-3% over StreamSync.
 
 use cusync_bench::{header, overhead_experiment, row, us};
-use cusync_sim::GpuConfig;
+use cusync_sim::{GpuConfig, Session};
 
 fn main() {
     let gpu = GpuConfig::tesla_v100();
+    let mut session = Session::new();
     println!("# Section V-D: maximum synchronization overhead (copy kernels, 1280 TBs)\n");
     println!(
         "{}",
@@ -22,7 +23,7 @@ fn main() {
         ])
     );
     for elems in [4u32 * 1024, 16 * 1024, 64 * 1024] {
-        let r = overhead_experiment(&gpu, elems);
+        let r = overhead_experiment(&mut session, &gpu, elems);
         println!(
             "{}",
             row(&[

@@ -3,12 +3,15 @@
 
 use cusync::OptFlags;
 use cusync_bench::{header, pct, row, us};
-use cusync_models::{gpt3_mlp_tiling, mlp_time, MlpModel, PolicyKind, SyncMode};
+use cusync_models::{
+    compile_mlp, gpt3_mlp_tiling, improvement_pct, MlpModel, PolicyKind, SyncMode,
+};
 use cusync_sim::stats::waves;
-use cusync_sim::GpuConfig;
+use cusync_sim::{GpuConfig, Session};
 
 fn main() {
     let gpu = GpuConfig::tesla_v100();
+    let mut session = Session::new();
     println!("# Table IV: StreamSync vs cuSync for GPT-3 MLP GeMMs\n");
     println!(
         "{}",
@@ -39,18 +42,23 @@ fn main() {
         let w1 = waves((g1.0 * g1.1 * g1.2) as u64, t.gemm1.occupancy, gpu.num_sms);
         let w2 = waves((g2.0 * g2.1 * g2.2) as u64, t.gemm2.occupancy, gpu.num_sms);
 
-        let base = mlp_time(&gpu, MlpModel::Gpt3, bs, SyncMode::StreamSync);
+        let mut time = |mode| {
+            let pipeline = compile_mlp(&gpu, MlpModel::Gpt3, bs, mode);
+            session
+                .run(&pipeline)
+                .expect("MLP cells cannot deadlock")
+                .total
+        };
+        let base = time(SyncMode::StreamSync);
         let candidates = [
             ("Tile", SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT)),
             ("Row", SyncMode::CuSync(PolicyKind::Row, OptFlags::WRT)),
         ];
         let (best_name, best_time) = candidates
             .iter()
-            .map(|(name, mode)| (*name, mlp_time(&gpu, MlpModel::Gpt3, bs, *mode)))
+            .map(|(name, mode)| (*name, time(*mode)))
             .min_by_key(|(_, time)| *time)
             .expect("candidates non-empty");
-        let decrease =
-            100.0 * (base.as_picos() as f64 - best_time.as_picos() as f64) / base.as_picos() as f64;
         println!(
             "{}",
             row(&[
@@ -62,7 +70,7 @@ fn main() {
                 us(base),
                 us(best_time),
                 best_name.to_string(),
-                pct(decrease),
+                pct(improvement_pct(base, best_time)),
             ])
         );
     }

@@ -4,8 +4,8 @@
 
 use cusync::OptFlags;
 use cusync_bench::{header, row, us};
-use cusync_models::{conv_layer_time, mlp_time, MlpModel, PolicyKind, SyncMode};
-use cusync_sim::GpuConfig;
+use cusync_models::{compile_conv_layer, compile_mlp, MlpModel, PolicyKind, SyncMode};
+use cusync_sim::{CompiledPipeline, GpuConfig, Session};
 
 const LADDER: [(&str, OptFlags); 4] = [
     ("Vanilla", OptFlags::NONE),
@@ -16,6 +16,13 @@ const LADDER: [(&str, OptFlags); 4] = [
 
 fn main() {
     let gpu = GpuConfig::tesla_v100();
+    let mut session = Session::new();
+    let mut cell_us = |pipeline: CompiledPipeline| {
+        us(session
+            .run(&pipeline)
+            .expect("table cells cannot deadlock")
+            .total)
+    };
 
     println!("# Table V(a): TileSync optimization ablation, GPT-3 MLP\n");
     println!(
@@ -28,13 +35,8 @@ fn main() {
             .replace("1-128", "128")
             .replace("1-256", "256")];
         for (_, opts) in LADDER {
-            let t = mlp_time(
-                &gpu,
-                MlpModel::Gpt3,
-                bs,
-                SyncMode::CuSync(PolicyKind::Tile, opts),
-            );
-            cells.push(us(t));
+            let mode = SyncMode::CuSync(PolicyKind::Tile, opts);
+            cells.push(cell_us(compile_mlp(&gpu, MlpModel::Gpt3, bs, mode)));
         }
         println!("{}", row(&cells));
     }
@@ -50,15 +52,10 @@ fn main() {
         let pq = cusync_models::pq_for_channels(channels);
         let mut cells = vec![channels.to_string(), batch.to_string()];
         for (_, opts) in LADDER {
-            let t = conv_layer_time(
-                &gpu,
-                batch,
-                pq,
-                channels,
-                2,
-                SyncMode::CuSync(PolicyKind::Conv2DTile, opts),
-            );
-            cells.push(us(t));
+            let mode = SyncMode::CuSync(PolicyKind::Conv2DTile, opts);
+            cells.push(cell_us(compile_conv_layer(
+                &gpu, batch, pq, channels, 2, mode,
+            )));
         }
         println!("{}", row(&cells));
     }

@@ -68,8 +68,13 @@ pub struct OverheadResult {
 /// Runs the Section V-D experiment: producer and consumer copy kernels of
 /// exactly one full wave at maximum occupancy (80 x 16 = 1280 thread
 /// blocks on the V100), each block copying `elems_per_block` f16 elements,
-/// with the consumer's block `i` waiting on producer block `i`.
-pub fn overhead_experiment(gpu_cfg: &GpuConfig, elems_per_block: u32) -> OverheadResult {
+/// with the consumer's block `i` waiting on producer block `i`. Both
+/// chains run on `session`.
+pub fn overhead_experiment(
+    session: &mut Session,
+    gpu_cfg: &GpuConfig,
+    elems_per_block: u32,
+) -> OverheadResult {
     let blocks = gpu_cfg.blocks_per_wave(MAX_OCCUPANCY) as u32;
     let len = blocks * elems_per_block;
 
@@ -92,7 +97,7 @@ pub fn overhead_experiment(gpu_cfg: &GpuConfig, elems_per_block: u32) -> Overhea
             ],
         );
         gpu.compile()
-            .and_then(|p| Session::new().run(&p))
+            .and_then(|p| session.run(&p))
             .expect("stream-sync copy chain")
             .total
     };
@@ -125,7 +130,7 @@ pub fn overhead_experiment(gpu_cfg: &GpuConfig, elems_per_block: u32) -> Overhea
             .launch(&mut gpu, s2, Arc::new(consumer))
             .expect("launch consumer");
         gpu.compile()
-            .and_then(|p| Session::new().run(&p))
+            .and_then(|p| session.run(&p))
             .expect("cusync copy chain")
             .total
     };
@@ -172,7 +177,7 @@ mod tests {
         // consumer wave start without the kernel-dispatch gap, so the
         // measured delta can differ slightly; the per-block sync cost must
         // stay in the low single digits.
-        let result = overhead_experiment(&GpuConfig::tesla_v100(), 16 * 1024);
+        let result = overhead_experiment(&mut Session::new(), &GpuConfig::tesla_v100(), 16 * 1024);
         assert!(
             result.per_block_sync_pct > 0.5 && result.per_block_sync_pct < 6.0,
             "per-block sync {:.2}%",

@@ -14,8 +14,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use cusync_models::{
-    compile_attention, compile_conv_layer, compile_mlp, llm_step_time, resnet38, vgg19,
-    vision_step_time, AttentionConfig, MlpModel, PolicyKind, SyncMode, GPT3, LLAMA,
+    compile_attention, compile_conv_layer, compile_mlp, improvement_pct, llm_step_time, resnet38,
+    ring_allreduce_time, vgg19, vision_step_time, AttentionConfig, MlpModel, PolicyKind, SyncMode,
+    GPT3, LLAMA, MP_DEGREE,
 };
 use cusync_sim::{CompiledPipeline, GpuConfig, Session, SimTime};
 
@@ -81,9 +82,17 @@ pub struct Row {
     pub values: Vec<f64>,
 }
 
-/// Percentage improvement of `t` over the StreamSync baseline `base`.
-fn improvement_pct(base: SimTime, t: SimTime) -> f64 {
-    100.0 * (1.0 - t.as_picos() as f64 / base.as_picos() as f64)
+/// The one baseline comparison: the improvement of each of `modes` over
+/// StreamSync, with the baseline run once. `time` runs one mode's cell.
+fn improvements<F>(modes: &[SyncMode], mut time: F) -> Vec<f64>
+where
+    F: FnMut(SyncMode) -> SimTime,
+{
+    let base = time(SyncMode::StreamSync);
+    modes
+        .iter()
+        .map(|mode| improvement_pct(base, time(*mode)))
+        .collect()
 }
 
 /// Shared row builder: improvement of each `mode` over StreamSync, with
@@ -93,18 +102,16 @@ fn improvement_row<F>(session: &mut Session, label: String, modes: &[SyncMode], 
 where
     F: Fn(SyncMode) -> CompiledPipeline,
 {
-    let mut run = |mode| {
+    let time = |mode| {
         session
             .run(&compile(mode))
             .expect("figure cells cannot deadlock")
             .total
     };
-    let base = run(SyncMode::StreamSync);
-    let values = modes
-        .iter()
-        .map(|mode| improvement_pct(base, run(*mode)))
-        .collect();
-    Row { label, values }
+    Row {
+        label,
+        values: improvements(modes, time),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -230,18 +237,17 @@ pub fn fig8_llm_configs() -> Vec<(String, u32, u32)> {
 }
 
 /// Best improvement over StreamSync across `candidates`.
-fn best_improvement<F>(candidates: &[SyncMode], mut run: F) -> f64
+fn best_improvement<F>(candidates: &[SyncMode], time: F) -> f64
 where
     F: FnMut(SyncMode) -> SimTime,
 {
-    let base = run(SyncMode::StreamSync);
-    candidates
-        .iter()
-        .map(|mode| improvement_pct(base, run(*mode)))
+    improvements(candidates, time)
+        .into_iter()
         .fold(f64::MIN, f64::max)
 }
 
 /// Runs one Fig. 8a row on `session`: best attention policy per model.
+/// The mode-independent allreduce is simulated once per model.
 pub fn fig8_llm_row(
     session: &mut Session,
     gpu: &GpuConfig,
@@ -253,8 +259,9 @@ pub fn fig8_llm_row(
     let values = [GPT3, LLAMA]
         .into_iter()
         .map(|model| {
+            let ar = ring_allreduce_time(session, gpu, model.allreduce_bytes(tokens), MP_DEGREE);
             best_improvement(&candidates, |mode| {
-                llm_step_time(session, gpu, model, tokens, cached, mode)
+                llm_step_time(session, gpu, model, tokens, cached, mode, ar)
             })
         })
         .collect();

@@ -185,22 +185,27 @@ pub fn launch_ring_allreduce(
     ar
 }
 
-/// Simulated time and event count of one standalone ring allreduce of
-/// `bytes` over `gpus` copies of `gpu` on a calibrated NVLink ring
-/// ([`ClusterConfig::nvlink_ring`]). The time is the collective's *span*
-/// — first kernel start to last kernel end — excluding the one-off kernel
-/// dispatch latency, which end-to-end accounting attributes to launch
-/// overhead, not the collective.
-pub fn ring_allreduce_report(gpu: &GpuConfig, bytes: u64, gpus: u32) -> (SimTime, u64) {
+/// Simulated time of one standalone ring allreduce of `bytes` over
+/// `gpus` copies of `gpu` on a calibrated NVLink ring
+/// ([`ClusterConfig::nvlink_ring`]), run on `session`. The time is the
+/// collective's *span* — first kernel start to last kernel end —
+/// excluding the one-off kernel dispatch latency, which end-to-end
+/// accounting attributes to launch overhead, not the collective.
+pub fn ring_allreduce_time(
+    session: &mut Session,
+    gpu: &GpuConfig,
+    bytes: u64,
+    gpus: u32,
+) -> SimTime {
     if gpus <= 1 {
-        return (SimTime::ZERO, 0);
+        return SimTime::ZERO;
     }
     let mut node = Gpu::new_cluster(ClusterConfig::nvlink_ring(gpus, gpu.clone()));
     let streams: Vec<StreamId> = (0..gpus).map(|d| node.create_stream_on(d, 0)).collect();
     launch_ring_allreduce(&mut node, "ar", bytes, &streams);
     let report = node
         .compile()
-        .and_then(|p| Session::new().run(&p))
+        .and_then(|p| session.run(&p))
         .expect("ring allreduce cannot deadlock");
     let start = report
         .kernels
@@ -208,12 +213,7 @@ pub fn ring_allreduce_report(gpu: &GpuConfig, bytes: u64, gpus: u32) -> (SimTime
         .map(|k| k.start)
         .min()
         .unwrap_or(SimTime::ZERO);
-    (report.total.saturating_sub(start), report.sim_events)
-}
-
-/// Simulated time of one ring allreduce (see [`ring_allreduce_report`]).
-pub fn ring_allreduce_time(gpu: &GpuConfig, bytes: u64, gpus: u32) -> SimTime {
-    ring_allreduce_report(gpu, bytes, gpus).0
+    report.total.saturating_sub(start)
 }
 
 #[cfg(test)]
@@ -223,8 +223,9 @@ mod tests {
     #[test]
     fn single_gpu_needs_no_allreduce() {
         assert_eq!(allreduce_time(1 << 20, 1), SimTime::ZERO);
+        let gpu = GpuConfig::tesla_v100();
         assert_eq!(
-            ring_allreduce_time(&GpuConfig::tesla_v100(), 1 << 20, 1),
+            ring_allreduce_time(&mut Session::new(), &gpu, 1 << 20, 1),
             SimTime::ZERO
         );
     }
@@ -235,7 +236,9 @@ mod tests {
         let large = allreduce_time(1 << 24, 8);
         assert!(large > small);
         let gpu = GpuConfig::tesla_v100();
-        assert!(ring_allreduce_time(&gpu, 1 << 24, 8) > ring_allreduce_time(&gpu, 1 << 16, 8));
+        let mut session = Session::new();
+        let mut ring = |bytes| ring_allreduce_time(&mut session, &gpu, bytes, 8);
+        assert!(ring(1 << 24) > ring(1 << 16));
     }
 
     #[test]
@@ -261,7 +264,7 @@ mod tests {
     #[test]
     fn simulated_ring_tracks_the_analytic_oracle() {
         let gpu = GpuConfig::tesla_v100();
-        let sim = ring_allreduce_time(&gpu, 8 << 20, 8);
+        let sim = ring_allreduce_time(&mut Session::new(), &gpu, 8 << 20, 8);
         let oracle = allreduce_time(8 << 20, 8);
         let err =
             (sim.as_picos() as f64 - oracle.as_picos() as f64).abs() / oracle.as_picos() as f64;

@@ -27,7 +27,7 @@ use cusync::{
     SyncMechanism, TileSync,
 };
 use cusync_kernels::{DepPlan, GemmBuilder, GemmDims, InputDep, SoftmaxDropoutBuilder, TileShape};
-use cusync_sim::{CompiledPipeline, DType, Dim3, Gpu, GpuConfig, KernelSource, RunReport, Session};
+use cusync_sim::{CompiledPipeline, DType, Dim3, Gpu, GpuConfig, KernelSource};
 use cusync_streamk::StreamKBuilder;
 
 use crate::mech::{fine_labels, label_policy};
@@ -486,40 +486,11 @@ pub fn compile_attention_mechanisms(
     Some(gpu.compile().expect("freshly built attention pipeline"))
 }
 
-/// Runs the five-kernel attention chain under `mode`.
-///
-/// Compiles the pipeline ([`compile_attention`]) and runs it on a fresh
-/// [`Session`].
-///
-/// # Panics
-///
-/// Panics if the simulated run deadlocks.
-pub fn run_attention(gpu_cfg: &GpuConfig, cfg: AttentionConfig, mode: SyncMode) -> RunReport {
-    Session::new()
-        .run(&compile_attention(gpu_cfg, cfg, mode))
-        .expect("attention run deadlocked")
-}
-
-/// Total simulated time of one attention block.
-pub fn attention_time(
-    gpu_cfg: &GpuConfig,
-    cfg: AttentionConfig,
-    mode: SyncMode,
-) -> cusync_sim::SimTime {
-    run_attention(gpu_cfg, cfg, mode).total
-}
-
-/// Percentage improvement of `mode` over StreamSync (Fig. 6b/6d).
-pub fn attention_improvement(gpu_cfg: &GpuConfig, cfg: AttentionConfig, mode: SyncMode) -> f64 {
-    let base = attention_time(gpu_cfg, cfg, SyncMode::StreamSync);
-    let t = attention_time(gpu_cfg, cfg, mode);
-    100.0 * (1.0 - t.as_picos() as f64 / base.as_picos() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cusync::OptFlags;
+    use cusync_sim::Session;
 
     fn v100() -> GpuConfig {
         GpuConfig::tesla_v100()
@@ -528,6 +499,7 @@ mod tests {
     #[test]
     fn prompt_phase_runs_all_modes() {
         let cfg = AttentionConfig::prompt(12288, 512);
+        let mut session = Session::new();
         for mode in [
             SyncMode::StreamSync,
             SyncMode::StreamK,
@@ -535,7 +507,7 @@ mod tests {
             SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
             SyncMode::CuSync(PolicyKind::Row, OptFlags::WRT),
         ] {
-            let report = run_attention(&v100(), cfg, mode);
+            let report = session.run(&compile_attention(&v100(), cfg, mode)).unwrap();
             assert!(report.total > cusync_sim::SimTime::ZERO, "{mode}");
         }
     }
@@ -544,18 +516,19 @@ mod tests {
     fn generation_phase_runs_with_kv_cache() {
         let cfg = AttentionConfig::generation(12288, 4, 1024);
         assert_eq!(cfg.keys(), 1028);
-        let report = run_attention(
-            &v100(),
-            cfg,
-            SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
-        );
+        let tile = SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT);
+        let report = Session::new()
+            .run(&compile_attention(&v100(), cfg, tile))
+            .unwrap();
         assert!(report.total > cusync_sim::SimTime::ZERO);
     }
 
     #[test]
     fn stream_sync_serializes_the_chain() {
         let cfg = AttentionConfig::prompt(12288, 512);
-        let report = run_attention(&v100(), cfg, SyncMode::StreamSync);
+        let report = Session::new()
+            .run(&compile_attention(&v100(), cfg, SyncMode::StreamSync))
+            .unwrap();
         assert!(report.kernel("gP").start >= report.kernel("g1").end);
         assert!(report.kernel("gR").start >= report.kernel("gP").end);
         assert!(report.kernel("g2").start >= report.kernel("gT").end);
@@ -578,11 +551,12 @@ mod tests {
     #[test]
     fn uniform_mechanism_assignments_run() {
         let cfg = AttentionConfig::prompt(12288, 512);
+        let mut session = Session::new();
         for m in SyncMechanism::ALL {
             let ms = [m; ATTENTION_EDGES];
             let pipeline = compile_attention_mechanisms(&v100(), cfg, OptFlags::WRT, &ms)
                 .expect("uniform assignments are valid");
-            let report = Session::new()
+            let report = session
                 .run(&pipeline)
                 .expect("attention mechanism run deadlocked");
             assert!(report.total > cusync_sim::SimTime::ZERO, "{m}");
@@ -592,12 +566,13 @@ mod tests {
     #[test]
     fn cusync_overlaps_the_chain_and_wins() {
         let cfg = AttentionConfig::prompt(12288, 1024);
-        let base = attention_time(&v100(), cfg, SyncMode::StreamSync);
-        let strided = attention_time(
-            &v100(),
-            cfg,
-            SyncMode::CuSync(PolicyKind::Strided, OptFlags::WRT),
-        );
+        let mut session = Session::new();
+        let mut time = |mode| {
+            let pipeline = compile_attention(&v100(), cfg, mode);
+            session.run(&pipeline).unwrap().total
+        };
+        let base = time(SyncMode::StreamSync);
+        let strided = time(SyncMode::CuSync(PolicyKind::Strided, OptFlags::WRT));
         assert!(strided < base, "Strided {strided} vs StreamSync {base}");
     }
 }

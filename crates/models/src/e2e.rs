@@ -5,7 +5,6 @@
 
 use cusync_sim::{CompiledPipeline, GpuConfig, Session, SimTime};
 
-use crate::allreduce::ring_allreduce_time;
 use crate::attention::AttentionConfig;
 use crate::mlp::MlpModel;
 use crate::modes::SyncMode;
@@ -40,6 +39,12 @@ impl LlmModel {
     pub fn hidden(self) -> u32 {
         self.mlp.hidden()
     }
+
+    /// Bytes of one per-layer allreduce at `tokens` tokens: the f16
+    /// `tokens x H` activations.
+    pub fn allreduce_bytes(self, tokens: u32) -> u64 {
+        tokens as u64 * self.hidden() as u64 * 2
+    }
 }
 
 /// End-to-end time of one inference step (all layers) of `model`:
@@ -47,7 +52,11 @@ impl LlmModel {
 ///
 /// `tokens` is `B x S` during prompt processing or `B` during token
 /// generation; `cached` is `S'`. The attention and MLP blocks run on
-/// `session`; the allreduce runs on its own cluster session.
+/// `session`. `allreduce` is the time of one of the layer's two
+/// allreduces. Its cost is identical across sync modes, which is exactly
+/// the Fig. 6 → Fig. 8 dilution, so a caller comparing modes simulates it
+/// once: [`ring_allreduce_time`](crate::ring_allreduce_time) of
+/// [`LlmModel::allreduce_bytes`] over [`MP_DEGREE`] devices.
 ///
 /// # Panics
 ///
@@ -60,6 +69,7 @@ pub fn llm_step_time(
     tokens: u32,
     cached: u32,
     mode: SyncMode,
+    allreduce: SimTime,
 ) -> SimTime {
     let cfg = AttentionConfig {
         hidden: model.hidden(),
@@ -68,38 +78,12 @@ pub fn llm_step_time(
     };
     let attn = total(session, &crate::compile_attention(gpu, cfg, mode));
     let mlp = total(session, &crate::compile_mlp(gpu, model.mlp, tokens, mode));
-    // The two per-layer allreduces run as simulated ring collectives on
-    // an MP_DEGREE-device cluster of this GPU; their cost is identical
-    // across sync modes, which is exactly the Fig. 6 → Fig. 8 dilution.
-    let ar = ring_allreduce_time(gpu, tokens as u64 * model.hidden() as u64 * 2, MP_DEGREE);
-    let per_layer = attn + mlp + ar + ar;
+    let per_layer = attn + mlp + allreduce + allreduce;
     let mut total = SimTime::ZERO;
     for _ in 0..model.layers {
         total += per_layer;
     }
     total
-}
-
-/// Percentage reduction in end-to-end inference time over StreamSync
-/// (Fig. 8a).
-pub fn llm_e2e_improvement(
-    gpu: &GpuConfig,
-    model: LlmModel,
-    tokens: u32,
-    cached: u32,
-    mode: SyncMode,
-) -> f64 {
-    let mut session = Session::new();
-    let base = llm_step_time(
-        &mut session,
-        gpu,
-        model,
-        tokens,
-        cached,
-        SyncMode::StreamSync,
-    );
-    let t = llm_step_time(&mut session, gpu, model, tokens, cached, mode);
-    100.0 * (1.0 - t.as_picos() as f64 / base.as_picos() as f64)
 }
 
 /// End-to-end time of one vision-model inference: the sum over Table II
@@ -147,6 +131,7 @@ fn total(session: &mut Session, pipeline: &CompiledPipeline) -> SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allreduce::ring_allreduce_time;
     use crate::modes::PolicyKind;
     use crate::vision::resnet38;
     use cusync::OptFlags;
@@ -155,37 +140,32 @@ mod tests {
     fn e2e_time_scales_with_layers() {
         let gpu = GpuConfig::tesla_v100();
         let mut session = Session::new();
-        let one = llm_step_time(
-            &mut session,
-            &gpu,
-            LlmModel {
+        let ar = ring_allreduce_time(&mut session, &gpu, GPT3.allreduce_bytes(512), MP_DEGREE);
+        let mut step = |layers| {
+            let model = LlmModel {
                 mlp: MlpModel::Gpt3,
-                layers: 1,
-            },
-            512,
-            0,
-            SyncMode::StreamSync,
-        );
-        let two = llm_step_time(
-            &mut session,
-            &gpu,
-            LlmModel {
-                mlp: MlpModel::Gpt3,
-                layers: 2,
-            },
-            512,
-            0,
-            SyncMode::StreamSync,
-        );
-        assert_eq!(two.as_picos(), 2 * one.as_picos());
+                layers,
+            };
+            llm_step_time(&mut session, &gpu, model, 512, 0, SyncMode::StreamSync, ar)
+        };
+        assert_eq!(step(2).as_picos(), 2 * step(1).as_picos());
     }
 
     #[test]
     fn e2e_improvement_is_positive_but_diluted() {
         let gpu = GpuConfig::tesla_v100();
         let mode = SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT);
-        let module = crate::mlp::mlp_improvement(&gpu, MlpModel::Gpt3, 512, mode);
-        let e2e = llm_e2e_improvement(&gpu, GPT3, 512, 0, mode);
+        let mut session = Session::new();
+        let mut mlp = |mode| {
+            total(
+                &mut session,
+                &crate::compile_mlp(&gpu, MlpModel::Gpt3, 512, mode),
+            )
+        };
+        let module = crate::improvement_pct(mlp(SyncMode::StreamSync), mlp(mode));
+        let ar = ring_allreduce_time(&mut session, &gpu, GPT3.allreduce_bytes(512), MP_DEGREE);
+        let mut step = |mode| llm_step_time(&mut session, &gpu, GPT3, 512, 0, mode, ar);
+        let e2e = crate::improvement_pct(step(SyncMode::StreamSync), step(mode));
         assert!(
             e2e > 0.0,
             "end-to-end improvement should be positive, got {e2e}"

@@ -3,11 +3,12 @@
 //! Assembles the evaluation workloads of Section V from the instrumented
 //! kernels of [`cusync_kernels`]:
 //!
-//! - **GPT-3 145B / LLaMA 65B MLP blocks** ([`run_mlp`]) with the exact
-//!   Table IV tilings, GeLU/SwiGLU fusion, and model parallelism 8;
-//! - **Attention** ([`run_attention`]): the five-kernel chain of Fig. 5b
-//!   with fused QKV, KV caching, and prompt/token-generation phases;
-//! - **ResNet-38 / VGG-19 convolution stacks** ([`run_conv_layer`],
+//! - **GPT-3 145B / LLaMA 65B MLP blocks** ([`compile_mlp`]) with the
+//!   exact Table IV tilings, GeLU/SwiGLU fusion, and model parallelism 8;
+//! - **Attention** ([`compile_attention`]): the five-kernel chain of
+//!   Fig. 5b with fused QKV, KV caching, and prompt/token-generation
+//!   phases;
+//! - **ResNet-38 / VGG-19 convolution stacks** ([`compile_conv_layer`],
 //!   Table II);
 //! - **end-to-end inference** ([`llm_step_time`], [`vision_step_time`])
 //!   including the model-parallel allreduce;
@@ -15,24 +16,31 @@
 //! each runnable under [`SyncMode::StreamSync`], [`SyncMode::StreamK`] or
 //! [`SyncMode::CuSync`] with any of the paper's policies.
 //!
-//! Every `run_*` helper compiles its pipeline (the matching `compile_*`)
-//! and runs it on a fresh [`cusync_sim::Session`]. To reuse one session's
-//! warmed arenas across runs, call `compile_*` and keep the session; the
-//! end-to-end helpers take the session they run on.
+//! Models only build: each `build_*` launches a workload onto a
+//! caller-provided [`cusync_sim::Gpu`], and the matching `compile_*`
+//! freezes that into a [`cusync_sim::CompiledPipeline`]. Every run goes
+//! through a [`cusync_sim::Session`] the caller owns, so one session's
+//! warmed arenas serve every run; the end-to-end helpers and
+//! [`ring_allreduce_time`] take the session they run on.
+//! [`improvement_pct`] is the paper's one figure of merit: how much a
+//! time improves on the StreamSync baseline.
 //!
 //! ## Example
 //!
 //! ```
-//! use cusync_models::{mlp_improvement, MlpModel, PolicyKind, SyncMode};
+//! use cusync_models::{compile_mlp, improvement_pct, MlpModel, PolicyKind, SyncMode};
 //! use cusync::OptFlags;
-//! use cusync_sim::GpuConfig;
+//! use cusync_sim::{GpuConfig, Session};
 //!
 //! let gpu = GpuConfig::tesla_v100();
-//! let gain = mlp_improvement(
-//!     &gpu, MlpModel::Gpt3, 256,
-//!     SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
-//! );
-//! assert!(gain > 0.0, "cuSync should beat StreamSync at batch 256");
+//! let mut session = Session::new();
+//! let mut time = |mode| {
+//!     let pipeline = compile_mlp(&gpu, MlpModel::Gpt3, 256, mode);
+//!     session.run(&pipeline).expect("MLP pipelines cannot deadlock").total
+//! };
+//! let base = time(SyncMode::StreamSync);
+//! let tile = time(SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT));
+//! assert!(improvement_pct(base, tile) > 0.0, "cuSync should beat StreamSync at batch 256");
 //! ```
 
 #![warn(missing_docs)]
@@ -47,30 +55,21 @@ mod tiling;
 mod tp;
 mod vision;
 
-pub use allreduce::{
-    allreduce_time, launch_ring_allreduce, ring_allreduce_report, ring_allreduce_time,
-    RingAllreduce,
-};
+pub use allreduce::{allreduce_time, launch_ring_allreduce, ring_allreduce_time, RingAllreduce};
 pub use attention::{
-    attention_improvement, attention_time, build_attention, build_attention_mechanisms,
-    compile_attention, compile_attention_mechanisms, run_attention, AttentionConfig,
-    ATTENTION_EDGES,
+    build_attention, build_attention_mechanisms, compile_attention, compile_attention_mechanisms,
+    AttentionConfig, ATTENTION_EDGES,
 };
-pub use e2e::{
-    llm_e2e_improvement, llm_step_time, vision_step_time, LlmModel, GPT3, LLAMA, MP_DEGREE,
-};
+pub use e2e::{llm_step_time, vision_step_time, LlmModel, GPT3, LLAMA, MP_DEGREE};
 pub use mlp::{
-    build_mlp, build_mlp_mechanisms, compile_mlp, compile_mlp_mechanisms, mlp_improvement,
-    mlp_time, run_mlp, MlpModel, MLP_EDGES,
+    build_mlp, build_mlp_mechanisms, compile_mlp, compile_mlp_mechanisms, MlpModel, MLP_EDGES,
 };
-pub use modes::{PolicyKind, SyncMode};
+pub use modes::{improvement_pct, PolicyKind, SyncMode};
 pub use tiling::{auto_tiling, conv_tiling, gpt3_mlp_tiling, GemmTiling, MlpTiling};
 pub use tp::{
-    build_tp_layer, compile_tp_layer, run_tp_layer, tp_attention, tp_layer_time, tp_mlp,
-    tp_overlap_improvement, TpKind, TpLayerConfig, TpSchedule,
+    build_tp_layer, compile_tp_layer, tp_attention, tp_mlp, TpKind, TpLayerConfig, TpSchedule,
 };
 pub use vision::{
     build_conv_layer, build_conv_layer_mechanisms, compile_conv_layer,
-    compile_conv_layer_mechanisms, conv_chain_edges, conv_improvement, conv_layer_time,
-    pq_for_channels, resnet38, run_conv_layer, vgg19, ConvStage,
+    compile_conv_layer_mechanisms, conv_chain_edges, pq_for_channels, resnet38, vgg19, ConvStage,
 };

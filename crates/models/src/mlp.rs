@@ -8,7 +8,7 @@ use cusync::{
     SyncMechanism, TileSync,
 };
 use cusync_kernels::{DepPlan, Epilogue, GemmBuilder, GemmDims, InputDep};
-use cusync_sim::{CompiledPipeline, DType, Dim3, Gpu, GpuConfig, KernelSource, RunReport, Session};
+use cusync_sim::{CompiledPipeline, DType, Dim3, Gpu, GpuConfig, KernelSource};
 use cusync_streamk::StreamKBuilder;
 
 use crate::mech::{fine_labels, label_policy};
@@ -294,43 +294,11 @@ pub fn compile_mlp_mechanisms(
     Some(gpu.compile().expect("freshly built MLP pipeline"))
 }
 
-/// Builds and runs one MLP block, returning the full run report.
-///
-/// Compiles the pipeline ([`compile_mlp`]) and runs it on a fresh
-/// [`Session`].
-///
-/// # Panics
-///
-/// Panics if the simulated run deadlocks (it cannot, for these launch
-/// orders).
-pub fn run_mlp(gpu_cfg: &GpuConfig, model: MlpModel, bs: u32, mode: SyncMode) -> RunReport {
-    Session::new()
-        .run(&compile_mlp(gpu_cfg, model, bs, mode))
-        .expect("MLP run deadlocked")
-}
-
-/// Convenience: total simulated time of one MLP block.
-pub fn mlp_time(
-    gpu_cfg: &GpuConfig,
-    model: MlpModel,
-    bs: u32,
-    mode: SyncMode,
-) -> cusync_sim::SimTime {
-    run_mlp(gpu_cfg, model, bs, mode).total
-}
-
-/// Percentage improvement of `mode` over StreamSync, as plotted in
-/// Fig. 6(a,c).
-pub fn mlp_improvement(gpu_cfg: &GpuConfig, model: MlpModel, bs: u32, mode: SyncMode) -> f64 {
-    let base = mlp_time(gpu_cfg, model, bs, SyncMode::StreamSync);
-    let t = mlp_time(gpu_cfg, model, bs, mode);
-    100.0 * (1.0 - t.as_picos() as f64 / base.as_picos() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cusync::OptFlags;
+    use cusync_sim::{RunReport, Session};
 
     fn v100() -> GpuConfig {
         GpuConfig::tesla_v100()
@@ -338,93 +306,88 @@ mod tests {
 
     #[test]
     fn stream_sync_serializes_the_two_gemms() {
-        let report = run_mlp(&v100(), MlpModel::Gpt3, 256, SyncMode::StreamSync);
+        let pipeline = compile_mlp(&v100(), MlpModel::Gpt3, 256, SyncMode::StreamSync);
+        let report = Session::new().run(&pipeline).unwrap();
         assert!(report.kernel("gemm2").start >= report.kernel("gemm1").end);
     }
 
     #[test]
     fn cusync_overlaps_the_two_gemms() {
-        let report = run_mlp(
-            &v100(),
-            MlpModel::Gpt3,
-            256,
-            SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
-        );
+        let tile = SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT);
+        let pipeline = compile_mlp(&v100(), MlpModel::Gpt3, 256, tile);
+        let report = Session::new().run(&pipeline).unwrap();
         assert!(report.kernel("gemm2").start < report.kernel("gemm1").end);
     }
 
     #[test]
     fn cusync_beats_stream_sync_at_batch_256() {
         // Table IV row 256: cuSync reduces runtime by 16%.
-        let base = mlp_time(&v100(), MlpModel::Gpt3, 256, SyncMode::StreamSync);
-        let tile = mlp_time(
-            &v100(),
-            MlpModel::Gpt3,
-            256,
-            SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
-        );
+        let mut session = Session::new();
+        let mut time = |mode| {
+            let pipeline = compile_mlp(&v100(), MlpModel::Gpt3, 256, mode);
+            session.run(&pipeline).unwrap().total
+        };
+        let base = time(SyncMode::StreamSync);
+        let tile = time(SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT));
         assert!(tile < base, "TileSync+WRT {tile} vs StreamSync {base}");
     }
 
     #[test]
     fn llama_mlp_runs_all_modes() {
+        let mut session = Session::new();
         for mode in [
             SyncMode::StreamSync,
             SyncMode::StreamK,
             SyncMode::CuSync(PolicyKind::Strided, OptFlags::WRT),
             SyncMode::CuSync(PolicyKind::Row, OptFlags::WRT),
         ] {
-            let report = run_mlp(&v100(), MlpModel::Llama, 512, mode);
+            let pipeline = compile_mlp(&v100(), MlpModel::Llama, 512, mode);
+            let report = session.run(&pipeline).unwrap();
             assert!(report.total > cusync_sim::SimTime::ZERO, "{mode}");
         }
     }
 
     #[test]
     fn pdl_edge_overlaps_and_stream_serial_serializes() {
-        let run = |ms: &[SyncMechanism]| {
-            let pipeline = compile_mlp_mechanisms(&v100(), MlpModel::Gpt3, 256, OptFlags::WRT, ms)
-                .expect("single-edge assignments are always valid");
-            Session::new()
-                .run(&pipeline)
-                .expect("mechanism run deadlocked")
+        let mut session = Session::new();
+        let mut run = |pipeline: CompiledPipeline| -> RunReport {
+            session.run(&pipeline).expect("mechanism run deadlocked")
+        };
+        let mechanisms = |ms: &[SyncMechanism]| {
+            compile_mlp_mechanisms(&v100(), MlpModel::Gpt3, 256, OptFlags::WRT, ms)
+                .expect("single-edge assignments are always valid")
         };
         // PDL: gemm2's launch waits only for gemm1's last block to become
         // resident, then its body blocks on the grid semaphore — it may
         // start before gemm1 ends but must finish after.
-        let pdl = run(&[SyncMechanism::Pdl]);
+        let pdl = run(mechanisms(&[SyncMechanism::Pdl]));
         assert!(pdl.kernel("gemm2").end > pdl.kernel("gemm1").end);
         // Stream-serial: the consumer cannot even start until the
         // producer fully completes.
-        let serial = run(&[SyncMechanism::StreamSerial]);
+        let serial = run(mechanisms(&[SyncMechanism::StreamSerial]));
         assert!(serial.kernel("gemm2").start >= serial.kernel("gemm1").end);
         // Fine tile sync through the mechanism API matches the classic
         // launch path bit-for-bit.
-        let fine = run(&[SyncMechanism::TileSync]);
-        let classic = run_mlp(
+        let fine = run(mechanisms(&[SyncMechanism::TileSync]));
+        let classic = run(compile_mlp(
             &v100(),
             MlpModel::Gpt3,
             256,
             SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
-        );
+        ));
         assert_eq!(fine.total, classic.total);
     }
 
     #[test]
     fn wait_kernel_present_without_w_flag() {
-        let with_wait = run_mlp(
-            &v100(),
-            MlpModel::Gpt3,
-            256,
-            SyncMode::CuSync(PolicyKind::Tile, OptFlags::NONE),
-        );
+        let mut session = Session::new();
+        let mut kernels = |opts| {
+            let mode = SyncMode::CuSync(PolicyKind::Tile, opts);
+            let pipeline = compile_mlp(&v100(), MlpModel::Gpt3, 256, mode);
+            session.run(&pipeline).unwrap().kernels.len()
+        };
         // gemm1, gemm2.wait, gemm2.
-        assert_eq!(with_wait.kernels.len(), 3);
-        let without = run_mlp(
-            &v100(),
-            MlpModel::Gpt3,
-            256,
-            SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
-        );
-        assert_eq!(without.kernels.len(), 2);
+        assert_eq!(kernels(OptFlags::NONE), 3);
+        assert_eq!(kernels(OptFlags::WRT), 2);
     }
 }

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use cusync::OptFlags;
+use cusync_sim::SimTime;
 
 /// Which synchronization policy a cuSync run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,6 +81,23 @@ impl fmt::Display for SyncMode {
             SyncMode::CuSync(policy, opts) => write!(f, "{policy}{opts}"),
         }
     }
+}
+
+/// Percentage by which `t` improves on the baseline time `base` (the
+/// StreamSync run, in the paper's figures and tables): positive when `t`
+/// is faster.
+///
+/// # Examples
+///
+/// ```
+/// use cusync_models::improvement_pct;
+/// use cusync_sim::SimTime;
+///
+/// let gain = improvement_pct(SimTime::from_micros(400.0), SimTime::from_micros(300.0));
+/// assert_eq!(gain, 25.0);
+/// ```
+pub fn improvement_pct(base: SimTime, t: SimTime) -> f64 {
+    100.0 * (1.0 - t.as_picos() as f64 / base.as_picos() as f64)
 }
 
 #[cfg(test)]

@@ -30,8 +30,8 @@ use std::sync::Arc;
 use cusync_kernels::timing::{gemm_flops, mma_cycles};
 use cusync_kernels::{GemmBuilder, GemmDims};
 use cusync_sim::{
-    ClusterConfig, CompiledPipeline, DType, Dim3, FixedKernel, Gpu, IndexedKernel, Op, RunReport,
-    Session, SimTime, StreamId, MAX_OCCUPANCY,
+    ClusterConfig, CompiledPipeline, DType, Dim3, FixedKernel, Gpu, IndexedKernel, Op, StreamId,
+    MAX_OCCUPANCY,
 };
 
 use crate::allreduce::launch_ring_allreduce;
@@ -288,38 +288,10 @@ pub fn compile_tp_layer(
     gpu.compile().expect("freshly built TP pipeline")
 }
 
-/// Builds and runs one tensor-parallel layer on a fresh [`Session`].
-///
-/// # Panics
-///
-/// Panics if the simulated run deadlocks (it cannot, for these launch
-/// orders: the collective is always resident before the gated consumer).
-pub fn run_tp_layer(
-    cluster: &ClusterConfig,
-    cfg: TpLayerConfig,
-    schedule: TpSchedule,
-) -> RunReport {
-    Session::new()
-        .run(&compile_tp_layer(cluster, cfg, schedule))
-        .expect("TP layer deadlocked")
-}
-
-/// Total simulated time of one tensor-parallel layer boundary.
-pub fn tp_layer_time(cluster: &ClusterConfig, cfg: TpLayerConfig, schedule: TpSchedule) -> SimTime {
-    run_tp_layer(cluster, cfg, schedule).total
-}
-
-/// Percentage reduction of the layer-boundary time from fine-grained
-/// allreduce overlap over the serialized baseline.
-pub fn tp_overlap_improvement(cluster: &ClusterConfig, cfg: TpLayerConfig) -> f64 {
-    let base = tp_layer_time(cluster, cfg, TpSchedule::Serialized);
-    let overlap = tp_layer_time(cluster, cfg, TpSchedule::Overlap);
-    100.0 * (1.0 - overlap.as_picos() as f64 / base.as_picos() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cusync_sim::Session;
 
     fn dgx(n: u32) -> ClusterConfig {
         ClusterConfig::dgx_v100(n)
@@ -327,7 +299,8 @@ mod tests {
 
     #[test]
     fn serialized_layer_orders_collective_between_gemms() {
-        let report = run_tp_layer(&dgx(4), tp_mlp(8192, 512), TpSchedule::Serialized);
+        let pipeline = compile_tp_layer(&dgx(4), tp_mlp(8192, 512), TpSchedule::Serialized);
+        let report = Session::new().run(&pipeline).unwrap();
         for d in 0..4 {
             let ar = report.kernel(&format!("allreduce[{d}]"));
             assert!(ar.start >= report.kernel(&format!("shard2[{d}]")).end);
@@ -337,7 +310,8 @@ mod tests {
 
     #[test]
     fn overlap_starts_next_gemm_under_the_collective_tail() {
-        let report = run_tp_layer(&dgx(4), tp_mlp(8192, 512), TpSchedule::Overlap);
+        let pipeline = compile_tp_layer(&dgx(4), tp_mlp(8192, 512), TpSchedule::Overlap);
+        let report = Session::new().run(&pipeline).unwrap();
         let mut overlapped = 0;
         for d in 0..4 {
             let ar = report.kernel(&format!("allreduce[{d}]"));
@@ -354,8 +328,14 @@ mod tests {
 
     #[test]
     fn overlap_beats_serialized_for_mlp_and_attention() {
+        let mut session = Session::new();
         for cfg in [tp_mlp(8192, 512), tp_attention(8192, 512)] {
-            let gain = tp_overlap_improvement(&dgx(4), cfg);
+            let mut time = |schedule| {
+                let pipeline = compile_tp_layer(&dgx(4), cfg, schedule);
+                session.run(&pipeline).unwrap().total
+            };
+            let base = time(TpSchedule::Serialized);
+            let gain = crate::improvement_pct(base, time(TpSchedule::Overlap));
             assert!(gain > 0.0, "{cfg:?}: overlap should win, got {gain:.2}%");
         }
     }
@@ -369,12 +349,12 @@ mod tests {
         // more than launch noise.
         let cluster = ClusterConfig::dgx_v100(3);
         let cfg = tp_mlp(4096, 320);
+        let mut optimized = Session::new();
+        let mut reference = Session::with_mode(cusync_sim::EngineMode::Reference);
         for schedule in [TpSchedule::Serialized, TpSchedule::Overlap] {
             let pipeline = compile_tp_layer(&cluster, cfg, schedule);
-            let opt = run_tp_layer(&cluster, cfg, schedule);
-            let reference = cusync_sim::Session::with_mode(cusync_sim::EngineMode::Reference)
-                .run(&pipeline)
-                .expect("TP layer deadlocked");
+            let opt = optimized.run(&pipeline).expect("TP layer deadlocked");
+            let reference = reference.run(&pipeline).expect("TP layer deadlocked");
             assert_eq!(opt.kernels, reference.kernels, "{schedule:?}");
         }
     }
@@ -382,14 +362,18 @@ mod tests {
     #[test]
     fn single_device_schedules_coincide() {
         let cfg = tp_mlp(4096, 256);
-        let a = tp_layer_time(&dgx(1), cfg, TpSchedule::Serialized);
-        let b = tp_layer_time(&dgx(1), cfg, TpSchedule::Overlap);
-        assert_eq!(a, b);
+        let mut session = Session::new();
+        let mut time = |schedule| {
+            let pipeline = compile_tp_layer(&dgx(1), cfg, schedule);
+            session.run(&pipeline).unwrap().total
+        };
+        assert_eq!(time(TpSchedule::Serialized), time(TpSchedule::Overlap));
     }
 
     #[test]
     fn attention_layer_has_a_core_kernel_per_device() {
-        let report = run_tp_layer(&dgx(2), tp_attention(4096, 256), TpSchedule::Serialized);
+        let pipeline = compile_tp_layer(&dgx(2), tp_attention(4096, 256), TpSchedule::Serialized);
+        let report = Session::new().run(&pipeline).unwrap();
         for d in 0..2 {
             let core = report.kernel(&format!("attn_core[{d}]"));
             assert_eq!(core.device, d);

@@ -7,7 +7,7 @@ use cusync::{
     SyncMechanism, TileSync,
 };
 use cusync_kernels::{Conv2DBuilder, Conv2DShape, DepPlan, Epilogue, InputDep};
-use cusync_sim::{CompiledPipeline, DType, Dim3, Gpu, GpuConfig, KernelSource, RunReport, Session};
+use cusync_sim::{CompiledPipeline, DType, Dim3, Gpu, GpuConfig, KernelSource};
 
 use crate::mech::{fine_labels, label_policy};
 use crate::modes::{PolicyKind, SyncMode};
@@ -332,58 +332,6 @@ pub fn compile_conv_layer_mechanisms(
     Some(gpu.compile().expect("freshly built conv pipeline"))
 }
 
-/// Runs one layer: `convs` chained 3x3 convolutions of `channels`
-/// channels on `batch` images of `pq x pq` pixels.
-///
-/// Compiles the pipeline ([`compile_conv_layer`]) and runs it on a fresh
-/// [`Session`].
-///
-/// # Panics
-///
-/// Panics if the simulated run deadlocks or `mode` is [`SyncMode::StreamK`]
-/// (Stream-K supports only GeMM; Fig. 7 has no Stream-K series).
-pub fn run_conv_layer(
-    gpu_cfg: &GpuConfig,
-    batch: u32,
-    pq: u32,
-    channels: u32,
-    convs: u32,
-    mode: SyncMode,
-) -> RunReport {
-    Session::new()
-        .run(&compile_conv_layer(
-            gpu_cfg, batch, pq, channels, convs, mode,
-        ))
-        .expect("conv layer run deadlocked")
-}
-
-/// Total simulated time of one conv layer.
-pub fn conv_layer_time(
-    gpu_cfg: &GpuConfig,
-    batch: u32,
-    pq: u32,
-    channels: u32,
-    convs: u32,
-    mode: SyncMode,
-) -> cusync_sim::SimTime {
-    run_conv_layer(gpu_cfg, batch, pq, channels, convs, mode).total
-}
-
-/// Percentage improvement of `mode` over StreamSync for one layer
-/// (Fig. 7).
-pub fn conv_improvement(
-    gpu_cfg: &GpuConfig,
-    batch: u32,
-    pq: u32,
-    channels: u32,
-    convs: u32,
-    mode: SyncMode,
-) -> f64 {
-    let base = conv_layer_time(gpu_cfg, batch, pq, channels, convs, SyncMode::StreamSync);
-    let t = conv_layer_time(gpu_cfg, batch, pq, channels, convs, mode);
-    100.0 * (1.0 - t.as_picos() as f64 / base.as_picos() as f64)
-}
-
 /// Spatial size used in Fig. 7 for a channel count (Table II pairs them).
 pub fn pq_for_channels(channels: u32) -> u32 {
     match channels {
@@ -398,6 +346,7 @@ pub fn pq_for_channels(channels: u32) -> u32 {
 mod tests {
     use super::*;
     use cusync::OptFlags;
+    use cusync_sim::Session;
 
     fn v100() -> GpuConfig {
         GpuConfig::tesla_v100()
@@ -417,38 +366,36 @@ mod tests {
 
     #[test]
     fn conv_layer_runs_all_modes() {
+        let mut session = Session::new();
         for mode in [
             SyncMode::StreamSync,
             SyncMode::CuSync(PolicyKind::Conv2DTile, OptFlags::WRT),
             SyncMode::CuSync(PolicyKind::Row, OptFlags::WRT),
         ] {
-            let report = run_conv_layer(&v100(), 4, 28, 128, 2, mode);
+            let pipeline = compile_conv_layer(&v100(), 4, 28, 128, 2, mode);
+            let report = session.run(&pipeline).unwrap();
             assert!(report.kernels.len() >= 2, "{mode}");
         }
     }
 
     #[test]
     fn cusync_overlaps_chained_convs() {
-        let report = run_conv_layer(
-            &v100(),
-            4,
-            28,
-            128,
-            2,
-            SyncMode::CuSync(PolicyKind::Conv2DTile, OptFlags::WRT),
-        );
+        let mode = SyncMode::CuSync(PolicyKind::Conv2DTile, OptFlags::WRT);
+        let pipeline = compile_conv_layer(&v100(), 4, 28, 128, 2, mode);
+        let report = Session::new().run(&pipeline).unwrap();
         assert!(report.kernel("conv1").start < report.kernel("conv0").end);
     }
 
     #[test]
     #[should_panic(expected = "Stream-K does not support Conv2D")]
     fn streamk_conv_is_rejected() {
-        run_conv_layer(&v100(), 1, 56, 64, 2, SyncMode::StreamK);
+        compile_conv_layer(&v100(), 1, 56, 64, 2, SyncMode::StreamK);
     }
 
     #[test]
     fn vgg_quad_layers_chain_four_convs() {
-        let report = run_conv_layer(&v100(), 1, 14, 256, 4, SyncMode::StreamSync);
+        let pipeline = compile_conv_layer(&v100(), 1, 14, 256, 4, SyncMode::StreamSync);
+        let report = Session::new().run(&pipeline).unwrap();
         assert_eq!(report.kernels.len(), 4);
     }
 }

@@ -342,8 +342,8 @@ impl Server {
     /// # Panics
     ///
     /// Panics if `config.batch.max_batch` exceeds the warmed
-    /// [`ServicePool::max_width`], or the plan names a device index
-    /// outside the cluster.
+    /// [`ServicePool::max_width`], the plan names a device index outside
+    /// the cluster, or its link degradation has a zero denominator.
     pub fn run_with_faults(&self, config: &ServeConfig, faults: &FaultPlan) -> ServeReport {
         self.checked_sim(config, faults).run().0
     }
@@ -390,6 +390,12 @@ impl Server {
         }
         for panic in &faults.panics {
             assert!(panic.device < devices, "fault plan panics unknown device");
+        }
+        if let Some(link) = &faults.link {
+            assert!(
+                link.scale.den != 0,
+                "fault plan scales links by a zero denominator"
+            );
         }
         Sim::new(self, config, faults)
     }
@@ -1875,6 +1881,21 @@ mod tests {
             healthy.tenants[0].latency.mean
         );
         assert_eq!(degraded, server.run_with_faults(&config, &plan));
+    }
+
+    #[test]
+    #[should_panic(expected = "fault plan scales links by a zero denominator")]
+    fn zero_denominator_link_scale_is_rejected() {
+        // `LinkScale`'s fields are public, so a plan can skip
+        // `LinkScale::ratio`'s check.
+        let plan = FaultPlan {
+            link: Some(LinkDegrade {
+                at: SimTime::ZERO,
+                scale: LinkScale { num: 1, den: 0 },
+            }),
+            ..FaultPlan::none()
+        };
+        toy_server(1, 1_000.0).run_with_faults(&ServeConfig::baseline(), &plan);
     }
 
     #[test]

@@ -18,6 +18,15 @@ use cusync_sim::{splitmix64, SimTime};
 
 use crate::zoo::ModelKind;
 
+/// The longest decode context, `prompt + max_new` tokens, a
+/// [`WorkloadSpec`] accepts: context classes round up to a power of two,
+/// and above 2³¹ that no longer fits a `u32`.
+const MAX_DECODE_CONTEXT: u64 = 1 << 31;
+
+/// The [`WorkloadError::InvalidDecode`] field named when a decode
+/// context exceeds [`MAX_DECODE_CONTEXT`].
+const DECODE_CONTEXT: &str = "prompt + max_new";
+
 /// Why a [`WorkloadSpec`] is invalid — raised by
 /// [`WorkloadSpec::validate`] (and the `Server` constructors) instead of
 /// letting a non-finite or non-positive rate wrap silently through the
@@ -52,11 +61,13 @@ pub enum WorkloadError {
         tenant: String,
     },
     /// A decode model's shape is degenerate (zero prompt, zero `max_new`,
-    /// or zero KV bytes per token).
+    /// or zero KV bytes per token) or its context overflows (`prompt +
+    /// max_new` above 2³¹ tokens, where context classes leave `u32`).
     InvalidDecode {
         /// Offending tenant name.
         tenant: String,
-        /// Which decode parameter is zero.
+        /// Which decode parameter is zero, or `"prompt + max_new"` when
+        /// the context overflows.
         field: &'static str,
     },
 }
@@ -75,6 +86,9 @@ impl fmt::Display for WorkloadError {
             }
             WorkloadError::NoClients { tenant } => {
                 write!(f, "{tenant}: a closed loop needs at least one client")
+            }
+            WorkloadError::InvalidDecode { tenant, field } if *field == DECODE_CONTEXT => {
+                write!(f, "{tenant}: decode model {field} must be <= 2^31")
             }
             WorkloadError::InvalidDecode { tenant, field } => {
                 write!(f, "{tenant}: decode model {field} must be > 0")
@@ -505,7 +519,8 @@ impl WorkloadSpec {
     /// Checks the spec's structural invariants: at least one tenant, a
     /// positive horizon, and per tenant a positive queue capacity and
     /// weight, a finite positive open-loop rate, at least one closed-loop
-    /// client, and a non-degenerate decode shape. The `Server`
+    /// client, and a non-degenerate decode shape whose context, `prompt +
+    /// max_new`, is at most 2³¹ tokens. The `Server`
     /// constructors call this, so a bad rate fails construction with a
     /// typed error instead of saturating to a zero-length arrival gap deep
     /// in the generator.
@@ -557,6 +572,8 @@ impl WorkloadSpec {
                     Some("max_new")
                 } else if kv_bytes_per_token == 0 {
                     Some("kv_bytes_per_token")
+                } else if prompt as u64 + max_new as u64 > MAX_DECODE_CONTEXT {
+                    Some(DECODE_CONTEXT)
                 } else {
                     None
                 };
@@ -954,5 +971,41 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn decode_contexts_past_2_pow_31_are_rejected() {
+        let spec = |prompt: u32, max_new: u32| WorkloadSpec {
+            tenants: vec![TenantSpec {
+                model: ModelKind::DecodeLlm {
+                    prompt,
+                    max_new,
+                    step_cycles: 1_000,
+                    ctx_cycles: 10,
+                    kv_bytes_per_token: 1 << 10,
+                },
+                ..valid_tenant()
+            }],
+            horizon: SimTime::from_millis(1),
+            seed: 0,
+        };
+        // The longest accepted context still has a u32 context class.
+        assert_eq!(spec((1 << 31) - 1, 1).validate(), Ok(()));
+        assert_eq!(ModelKind::ctx_class(1 << 31), 1 << 31);
+        for (prompt, max_new) in [(1 << 31, 1), (u32::MAX, 1), (1, u32::MAX)] {
+            let err = spec(prompt, max_new).validate().unwrap_err();
+            assert_eq!(
+                err,
+                WorkloadError::InvalidDecode {
+                    tenant: "t".into(),
+                    field: DECODE_CONTEXT,
+                },
+                "prompt {prompt} + max_new {max_new}"
+            );
+            assert_eq!(
+                err.to_string(),
+                "t: decode model prompt + max_new must be <= 2^31"
+            );
+        }
     }
 }

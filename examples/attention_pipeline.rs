@@ -6,23 +6,31 @@
 //! ```
 
 use cusync::OptFlags;
-use cusync_models::{attention_time, run_attention, AttentionConfig, PolicyKind, SyncMode};
-use cusync_sim::GpuConfig;
+use cusync_models::{compile_attention, improvement_pct, AttentionConfig, PolicyKind, SyncMode};
+use cusync_sim::{GpuConfig, Session};
 
 fn main() {
     let gpu = GpuConfig::tesla_v100();
     let strided = SyncMode::CuSync(PolicyKind::Strided, OptFlags::WRT);
+    let mut session = Session::new();
+    let mut time = |cfg, mode| {
+        let pipeline = compile_attention(&gpu, cfg, mode);
+        session
+            .run(&pipeline)
+            .expect("attention run deadlocked")
+            .total
+    };
 
     println!("=== GPT-3 Attention: prompt processing (S' = 0) ===");
     for tokens in [512u32, 1024, 2048] {
         let cfg = AttentionConfig::prompt(12288, tokens);
-        let base = attention_time(&gpu, cfg, SyncMode::StreamSync);
-        let sync = attention_time(&gpu, cfg, strided);
+        let base = time(cfg, SyncMode::StreamSync);
+        let sync = time(cfg, strided);
         println!(
             "  BxS {tokens:>5}: StreamSync {:>8.0}us | StridedTileSync+WRT {:>8.0}us | {:+.1}%",
             base.as_micros(),
             sync.as_micros(),
-            100.0 * (1.0 - sync.as_picos() as f64 / base.as_picos() as f64),
+            improvement_pct(base, sync),
         );
     }
 
@@ -30,19 +38,20 @@ fn main() {
     for cached in [512u32, 1024, 2048] {
         for batch in [1u32, 4] {
             let cfg = AttentionConfig::generation(12288, batch, cached);
-            let base = attention_time(&gpu, cfg, SyncMode::StreamSync);
-            let sync = attention_time(&gpu, cfg, strided);
+            let base = time(cfg, SyncMode::StreamSync);
+            let sync = time(cfg, strided);
             println!(
                 "  B {batch}, S' {cached:>5}: StreamSync {:>8.0}us | StridedTileSync+WRT {:>8.0}us | {:+.1}%",
                 base.as_micros(),
                 sync.as_micros(),
-                100.0 * (1.0 - sync.as_picos() as f64 / base.as_picos() as f64),
+                improvement_pct(base, sync),
             );
         }
     }
 
     // The kernel-level timeline shows the QKV GeMM overlapping with the
     // attention score computation.
-    let report = run_attention(&gpu, AttentionConfig::prompt(12288, 1024), strided);
+    let pipeline = compile_attention(&gpu, AttentionConfig::prompt(12288, 1024), strided);
+    let report = session.run(&pipeline).expect("attention run deadlocked");
     println!("\nTimeline at BxS=1024 prompt under StridedTileSync+WRT:\n{report}");
 }

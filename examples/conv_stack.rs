@@ -6,7 +6,8 @@
 
 use cusync::OptFlags;
 use cusync_models::{
-    conv_layer_time, pq_for_channels, resnet38, vgg19, vision_step_time, PolicyKind, SyncMode,
+    compile_conv_layer, improvement_pct, pq_for_channels, resnet38, vgg19, vision_step_time,
+    PolicyKind, SyncMode,
 };
 use cusync_sim::{GpuConfig, Session};
 
@@ -14,6 +15,7 @@ fn main() {
     let gpu = GpuConfig::tesla_v100();
     let conv_tile = SyncMode::CuSync(PolicyKind::Conv2DTile, OptFlags::WRT);
     let row = SyncMode::CuSync(PolicyKind::Row, OptFlags::WRT);
+    let mut session = Session::new();
 
     println!("=== One layer (2 chained 3x3 convolutions) per channel count ===");
     println!(
@@ -23,23 +25,26 @@ fn main() {
     for channels in [64u32, 128, 256, 512] {
         let pq = pq_for_channels(channels);
         for batch in [1u32, 8, 32] {
-            let base = conv_layer_time(&gpu, batch, pq, channels, 2, SyncMode::StreamSync);
-            let tile = conv_layer_time(&gpu, batch, pq, channels, 2, conv_tile);
-            let rows = conv_layer_time(&gpu, batch, pq, channels, 2, row);
+            let mut time = |mode| {
+                let pipeline = compile_conv_layer(&gpu, batch, pq, channels, 2, mode);
+                session.run(&pipeline).expect("conv layer deadlocked").total
+            };
+            let base = time(SyncMode::StreamSync);
+            let tile = time(conv_tile);
+            let rows = time(row);
             println!(
                 "{:>9} {:>4} {:>11.0}us {:>13.0}us ({:+.0}%) {:>9.0}us",
                 channels,
                 batch,
                 base.as_micros(),
                 tile.as_micros(),
-                100.0 * (1.0 - tile.as_picos() as f64 / base.as_picos() as f64),
+                improvement_pct(base, tile),
                 rows.as_micros(),
             );
         }
     }
 
     println!("\n=== End-to-end inference (all Table II layers) ===");
-    let mut session = Session::new();
     for (stages, name) in [(resnet38(), "ResNet-38"), (vgg19(), "VGG-19")] {
         for batch in [1u32, 8, 32] {
             let base = vision_step_time(&mut session, &gpu, &stages, batch, SyncMode::StreamSync);
@@ -48,7 +53,7 @@ fn main() {
                 "  {name:>10} B={batch:>2}: {:>8.0}us -> {:>8.0}us ({:+.1}%)",
                 base.as_micros(),
                 sync.as_micros(),
-                100.0 * (1.0 - sync.as_picos() as f64 / base.as_picos() as f64),
+                improvement_pct(base, sync),
             );
         }
     }

@@ -6,11 +6,12 @@
 //! ```
 
 use cusync::OptFlags;
-use cusync_models::{mlp_time, run_mlp, MlpModel, PolicyKind, SyncMode};
-use cusync_sim::GpuConfig;
+use cusync_models::{compile_mlp, improvement_pct, MlpModel, PolicyKind, SyncMode};
+use cusync_sim::{GpuConfig, Session};
 
 fn main() {
     let gpu = GpuConfig::tesla_v100();
+    let mut session = Session::new();
     for (model, name) in [
         (MlpModel::Gpt3, "GPT-3 145B"),
         (MlpModel::Llama, "LLaMA 65B"),
@@ -21,21 +22,14 @@ fn main() {
             "BxS", "StreamSync", "TileSync+WRT", "RowSync+WRT", "best gain"
         );
         for bs in [1u32, 16, 256, 512, 2048] {
-            let base = mlp_time(&gpu, model, bs, SyncMode::StreamSync);
-            let tile = mlp_time(
-                &gpu,
-                model,
-                bs,
-                SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
-            );
-            let row = mlp_time(
-                &gpu,
-                model,
-                bs,
-                SyncMode::CuSync(PolicyKind::Row, OptFlags::WRT),
-            );
-            let best = tile.min(row);
-            let gain = 100.0 * (1.0 - best.as_picos() as f64 / base.as_picos() as f64);
+            let mut time = |mode| {
+                let pipeline = compile_mlp(&gpu, model, bs, mode);
+                session.run(&pipeline).expect("MLP run deadlocked").total
+            };
+            let base = time(SyncMode::StreamSync);
+            let tile = time(SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT));
+            let row = time(SyncMode::CuSync(PolicyKind::Row, OptFlags::WRT));
+            let gain = improvement_pct(base, tile.min(row));
             println!(
                 "{:>6} {:>12.0}us {:>12.0}us {:>12.0}us {:>9.1}%",
                 bs,
@@ -49,11 +43,9 @@ fn main() {
     }
 
     // Show the overlap structure at one interesting size.
-    let report = run_mlp(
-        &gpu,
-        MlpModel::Gpt3,
-        512,
-        SyncMode::CuSync(PolicyKind::Row, OptFlags::WRT),
-    );
+    let row = SyncMode::CuSync(PolicyKind::Row, OptFlags::WRT);
+    let report = session
+        .run(&compile_mlp(&gpu, MlpModel::Gpt3, 512, row))
+        .expect("MLP run deadlocked");
     println!("GPT-3 MLP at BxS=512 under RowSync+WRT:\n{report}");
 }

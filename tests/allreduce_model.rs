@@ -29,9 +29,10 @@ fn simulated_ring_matches_analytic_model_within_10_percent() {
     let byte_grid: [u64; 5] = [256 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20];
     let gpu_grid: [u32; 3] = [2, 4, 8];
     let mut worst = (0.0f64, 0u64, 0u32);
+    let mut session = Session::new();
     for &gpus in &gpu_grid {
         for &bytes in &byte_grid {
-            let sim = ring_allreduce_time(&gpu, bytes, gpus);
+            let sim = ring_allreduce_time(&mut session, &gpu, bytes, gpus);
             let oracle = allreduce_time(bytes, gpus);
             let err = relative_error(sim, oracle);
             assert!(
@@ -60,18 +61,21 @@ fn oracle_structure_survives_in_the_simulation() {
     // grows with participants at fixed bytes (more hops) and with bytes at
     // fixed participants (more wire) — must hold in the simulation too.
     let gpu = GpuConfig::tesla_v100();
-    let t2 = ring_allreduce_time(&gpu, 4 << 20, 2);
-    let t4 = ring_allreduce_time(&gpu, 4 << 20, 4);
-    let t8 = ring_allreduce_time(&gpu, 4 << 20, 8);
+    let mut session = Session::new();
+    let mut ring = |bytes, gpus| ring_allreduce_time(&mut session, &gpu, bytes, gpus);
+    let t2 = ring(4 << 20, 2);
+    let t4 = ring(4 << 20, 4);
+    let t8 = ring(4 << 20, 8);
     assert!(t2 < t4 && t4 < t8, "{t2} {t4} {t8}");
-    let small = ring_allreduce_time(&gpu, 1 << 20, 8);
-    let large = ring_allreduce_time(&gpu, 32 << 20, 8);
+    let small = ring(1 << 20, 8);
+    let large = ring(32 << 20, 8);
     assert!(small < large, "{small} {large}");
 }
 
 #[test]
 fn ring_time_is_engine_invariant() {
     let gpu = GpuConfig::tesla_v100();
+    let mut session = Session::new();
     for (bytes, gpus) in [(1u64 << 20, 4u32), (8 << 20, 8), (64, 2)] {
         let run = |mode: EngineMode| -> RunReport {
             let mut node = Gpu::new_cluster(ClusterConfig::nvlink_ring(gpus, gpu.clone()));
@@ -92,7 +96,7 @@ fn ring_time_is_engine_invariant() {
         let start = optimized.kernels.iter().map(|k| k.start).min().unwrap();
         assert_eq!(
             optimized.total.saturating_sub(start),
-            ring_allreduce_time(&gpu, bytes, gpus),
+            ring_allreduce_time(&mut session, &gpu, bytes, gpus),
             "{bytes} bytes / {gpus} GPUs: the helper measures this span"
         );
         assert!(
@@ -107,7 +111,8 @@ fn ring_time_is_engine_invariant() {
 #[test]
 fn degenerate_rings_cost_nothing() {
     let gpu = GpuConfig::tesla_v100();
-    assert_eq!(ring_allreduce_time(&gpu, 1 << 20, 1), SimTime::ZERO);
+    let ring = ring_allreduce_time(&mut Session::new(), &gpu, 1 << 20, 1);
+    assert_eq!(ring, SimTime::ZERO);
     assert_eq!(allreduce_time(1 << 20, 1), SimTime::ZERO);
 }
 
@@ -116,9 +121,10 @@ fn a100_ring_stays_within_tolerance_too() {
     // The calibration derives the raw link latency from the *device's*
     // signaling costs, so the oracle contract is architecture-portable.
     let gpu = GpuConfig::ampere_a100();
+    let mut session = Session::new();
     for (bytes, gpus) in [(1u64 << 20, 8u32), (16 << 20, 4)] {
         let err = relative_error(
-            ring_allreduce_time(&gpu, bytes, gpus),
+            ring_allreduce_time(&mut session, &gpu, bytes, gpus),
             allreduce_time(bytes, gpus),
         );
         assert!(err <= TOLERANCE, "{bytes}/{gpus}: {:.1}% off", err * 100.0);

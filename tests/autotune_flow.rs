@@ -5,8 +5,7 @@
 
 use cusync::{OptFlags, SyncMechanism};
 use cusync_models::{
-    build_attention_mechanisms, compile_mlp, mlp_time, AttentionConfig, MlpModel, PolicyKind,
-    SyncMode,
+    build_attention_mechanisms, compile_mlp, AttentionConfig, MlpModel, PolicyKind, SyncMode,
 };
 use cusync_sim::{CompiledPipeline, Dim3, Gpu, GpuConfig, Session};
 use cusyncgen::{
@@ -58,21 +57,13 @@ fn autotuner_picks_a_policy_that_beats_stream_sync() {
             candidates.push(TuneCandidate::new(vec![named.name.clone()], opts));
         }
     }
+    let mut session = Session::new();
     let report = autotune(candidates, |candidate| {
-        let kind = if candidate.policy_names[0] == "RowSync" {
-            PolicyKind::Row
-        } else {
-            PolicyKind::Tile
-        };
-        mlp_time(
-            &gpu,
-            MlpModel::Gpt3,
-            bs,
-            SyncMode::CuSync(kind, candidate.opts),
-        )
+        candidate_time(&mut session, &gpu, bs, candidate)
     });
     let best = report.best();
-    let base = mlp_time(&gpu, MlpModel::Gpt3, bs, SyncMode::StreamSync);
+    let pipeline = compile_mlp(&gpu, MlpModel::Gpt3, bs, SyncMode::StreamSync);
+    let base = session.run(&pipeline).unwrap().total;
     assert!(
         best.time < base,
         "best generated policy {} ({}) must beat StreamSync ({})",
@@ -97,18 +88,21 @@ fn mlp_candidates() -> Vec<TuneCandidate> {
     candidates
 }
 
-fn candidate_time(gpu: &GpuConfig, bs: u32, candidate: &TuneCandidate) -> cusync_sim::SimTime {
+/// Simulated time of one MLP candidate at batch `bs`, run on `session`.
+fn candidate_time(
+    session: &mut Session,
+    gpu: &GpuConfig,
+    bs: u32,
+    candidate: &TuneCandidate,
+) -> cusync_sim::SimTime {
     let kind = if candidate.policy_names[0] == "RowSync" {
         PolicyKind::Row
     } else {
         PolicyKind::Tile
     };
-    mlp_time(
-        gpu,
-        MlpModel::Gpt3,
-        bs,
-        SyncMode::CuSync(kind, candidate.opts),
-    )
+    let mode = SyncMode::CuSync(kind, candidate.opts);
+    let pipeline = compile_mlp(gpu, MlpModel::Gpt3, bs, mode);
+    session.run(&pipeline).unwrap().total
 }
 
 /// The tuning cache: the first tune of a pipeline simulates every
@@ -148,10 +142,11 @@ fn repeated_tunes_of_the_same_graph_skip_resimulation() {
 
     let mut cache = TuneCache::new();
     let mut simulations = 0usize;
-    let tune = |cache: &mut TuneCache, fp: u64, bs: u32, sims: &mut usize| {
+    let mut session = Session::new();
+    let mut tune = |cache: &mut TuneCache, fp: u64, bs: u32, sims: &mut usize| {
         autotune_cached(cache, fp, mlp_candidates(), |c| {
             *sims += 1;
-            candidate_time(&gpu, bs, c)
+            candidate_time(&mut session, &gpu, bs, c)
         })
     };
 

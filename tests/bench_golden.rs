@@ -47,7 +47,7 @@ use cusync::{OptFlags, SyncMechanism};
 use cusync_bench::sweep::{fig8_llm_configs, FIG6_MLP_BATCHES, FIG7_BATCHES};
 use cusync_models::{
     allreduce_time, compile_attention_mechanisms, compile_conv_layer_mechanisms,
-    compile_mlp_mechanisms, compile_tp_layer, conv_chain_edges, pq_for_channels,
+    compile_mlp_mechanisms, compile_tp_layer, conv_chain_edges, improvement_pct, pq_for_channels,
     ring_allreduce_time, tp_attention, tp_mlp, AttentionConfig, MlpModel, TpLayerConfig,
     TpSchedule, ATTENTION_EDGES, MLP_EDGES,
 };
@@ -93,7 +93,7 @@ struct TpCell {
 
 impl TpCell {
     fn improvement_pct(&self) -> f64 {
-        100.0 * (1.0 - self.overlap.as_picos() as f64 / self.serialized.as_picos() as f64)
+        improvement_pct(self.serialized, self.overlap)
     }
 
     fn ar_err_pct(&self) -> f64 {
@@ -127,7 +127,12 @@ fn tp_cell(workload: &'static str, cfg: TpLayerConfig, devices: u32) -> TpCell {
         devices,
         serialized: both(TpSchedule::Serialized),
         overlap: both(TpSchedule::Overlap),
-        ar_sim: ring_allreduce_time(&GpuConfig::tesla_v100(), bytes, devices),
+        ar_sim: ring_allreduce_time(
+            &mut Session::new(),
+            &GpuConfig::tesla_v100(),
+            bytes,
+            devices,
+        ),
         ar_analytic: allreduce_time(bytes, devices),
     }
 }

@@ -5,9 +5,10 @@
 
 use cusync::OptFlags;
 use cusync_models::{
-    conv_improvement, mlp_improvement, mlp_time, pq_for_channels, MlpModel, PolicyKind, SyncMode,
+    compile_conv_layer, compile_mlp, improvement_pct, pq_for_channels, MlpModel, PolicyKind,
+    SyncMode,
 };
-use cusync_sim::GpuConfig;
+use cusync_sim::{GpuConfig, Session};
 
 #[test]
 fn partial_wave_gains_persist_on_a100() {
@@ -16,18 +17,14 @@ fn partial_wave_gains_persist_on_a100() {
     // is no partial wave to reclaim there. At 1024 the grid spans 1.8
     // waves and the gain reappears.
     let gpu = GpuConfig::ampere_a100();
-    let at_512 = mlp_improvement(
-        &gpu,
-        MlpModel::Gpt3,
-        512,
-        SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
-    );
-    let at_1024 = mlp_improvement(
-        &gpu,
-        MlpModel::Gpt3,
-        1024,
-        SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
-    );
+    let mut session = Session::new();
+    let mut time = |bs, mode| {
+        let pipeline = compile_mlp(&gpu, MlpModel::Gpt3, bs, mode);
+        session.run(&pipeline).unwrap().total
+    };
+    let tile = SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT);
+    let at_512 = improvement_pct(time(512, SyncMode::StreamSync), time(512, tile));
+    let at_1024 = improvement_pct(time(1024, SyncMode::StreamSync), time(1024, tile));
     assert!(
         at_512.abs() < 10.0,
         "512 should be near-neutral: {at_512:.1}%"
@@ -38,13 +35,15 @@ fn partial_wave_gains_persist_on_a100() {
 #[test]
 fn conv_chains_improve_on_a100() {
     let gpu = GpuConfig::ampere_a100();
-    let gain = conv_improvement(
-        &gpu,
-        32,
-        pq_for_channels(128),
-        128,
-        2,
-        SyncMode::CuSync(PolicyKind::Conv2DTile, OptFlags::WRT),
+    let mut session = Session::new();
+    let mut time = |mode| {
+        let pipeline = compile_conv_layer(&gpu, 32, pq_for_channels(128), 128, 2, mode);
+        session.run(&pipeline).unwrap().total
+    };
+    let base = time(SyncMode::StreamSync);
+    let gain = improvement_pct(
+        base,
+        time(SyncMode::CuSync(PolicyKind::Conv2DTile, OptFlags::WRT)),
     );
     assert!(gain > 0.0, "A100 conv gain: {gain:.1}%");
 }
@@ -53,18 +52,13 @@ fn conv_chains_improve_on_a100() {
 fn absolute_times_scale_with_peak_throughput() {
     // The A100 has ~2.5x the tensor throughput and ~2.2x the bandwidth of
     // the V100; a compute-bound MLP must run substantially faster.
-    let v100 = mlp_time(
-        &GpuConfig::tesla_v100(),
-        MlpModel::Gpt3,
-        2048,
-        SyncMode::StreamSync,
-    );
-    let a100 = mlp_time(
-        &GpuConfig::ampere_a100(),
-        MlpModel::Gpt3,
-        2048,
-        SyncMode::StreamSync,
-    );
+    let mut session = Session::new();
+    let mut time = |gpu: GpuConfig| {
+        let pipeline = compile_mlp(&gpu, MlpModel::Gpt3, 2048, SyncMode::StreamSync);
+        session.run(&pipeline).unwrap().total
+    };
+    let v100 = time(GpuConfig::tesla_v100());
+    let a100 = time(GpuConfig::ampere_a100());
     let ratio = v100.as_picos() as f64 / a100.as_picos() as f64;
     assert!(
         ratio > 1.5 && ratio < 3.5,
@@ -77,17 +71,14 @@ fn policy_rankings_are_architecture_dependent_but_sound() {
     // On both architectures every cuSync policy must be within a few
     // percent of the best one at a multi-wave size — no pathological
     // blowup from the semaphore model.
+    let mut session = Session::new();
     for gpu in [GpuConfig::tesla_v100(), GpuConfig::ampere_a100()] {
         let times: Vec<_> = [PolicyKind::Tile, PolicyKind::Row]
             .into_iter()
             .map(|kind| {
-                mlp_time(
-                    &gpu,
-                    MlpModel::Gpt3,
-                    1024,
-                    SyncMode::CuSync(kind, OptFlags::WRT),
-                )
-                .as_picos() as f64
+                let mode = SyncMode::CuSync(kind, OptFlags::WRT);
+                let pipeline = compile_mlp(&gpu, MlpModel::Gpt3, 1024, mode);
+                session.run(&pipeline).unwrap().total.as_picos() as f64
             })
             .collect();
         let spread = (times[0] - times[1]).abs() / times[0].min(times[1]);

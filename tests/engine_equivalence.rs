@@ -19,8 +19,7 @@ use cusync_models::{
     ATTENTION_EDGES,
 };
 use cusync_models::{
-    run_conv_layer, run_mlp, tp_attention, tp_mlp, AttentionConfig, MlpModel, PolicyKind, SyncMode,
-    TpSchedule,
+    tp_attention, tp_mlp, AttentionConfig, MlpModel, PolicyKind, SyncMode, TpSchedule,
 };
 use cusync_sim::{
     ClusterConfig, CompiledPipeline, DType, Dim3, EngineMode, FixedKernel, Gpu, GpuConfig,
@@ -712,15 +711,19 @@ fn price_memos_hit_on_paper_cells() {
     let mlp = SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT);
     let conv = SyncMode::CuSync(PolicyKind::Conv2DTile, OptFlags::WRT);
     let pq = cusync_models::pq_for_channels(128);
-    let cells: [(&str, &dyn Fn() -> RunReport); 2] = [
-        ("fig6 gpt3 mlp bs=256", &|| {
-            run_mlp(&gpu, MlpModel::Gpt3, 256, mlp)
-        }),
-        ("fig7 conv c=128 b=4", &|| {
-            run_conv_layer(&gpu, 4, pq, 128, 2, conv)
-        }),
+    let cells = [
+        (
+            "fig6 gpt3 mlp bs=256",
+            compile_mlp(&gpu, MlpModel::Gpt3, 256, mlp),
+        ),
+        (
+            "fig7 conv c=128 b=4",
+            compile_conv_layer(&gpu, 4, pq, 128, 2, conv),
+        ),
     ];
-    for (what, run) in cells {
+    let mut session = Session::new();
+    for (what, pipeline) in cells {
+        let mut run = || session.run(&pipeline).expect("paper cells cannot deadlock");
         let report = run();
         let c = report.counters;
         assert!(

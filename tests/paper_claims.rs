@@ -4,11 +4,11 @@
 use cusync::OptFlags;
 use cusync_bench::overhead_experiment;
 use cusync_models::{
-    attention_improvement, conv_improvement, gpt3_mlp_tiling, mlp_improvement, mlp_time,
+    compile_attention, compile_conv_layer, compile_mlp, gpt3_mlp_tiling, improvement_pct,
     pq_for_channels, AttentionConfig, MlpModel, PolicyKind, SyncMode,
 };
 use cusync_sim::stats::{utilization, waves};
-use cusync_sim::GpuConfig;
+use cusync_sim::{GpuConfig, Session};
 
 fn v100() -> GpuConfig {
     GpuConfig::tesla_v100()
@@ -34,14 +34,13 @@ fn table1_waves_and_utilization_reproduce_exactly() {
 #[test]
 fn gains_track_partial_wave_fraction() {
     let gpu = v100();
-    let gain = |bs| {
-        mlp_improvement(
-            &gpu,
-            MlpModel::Gpt3,
-            bs,
-            SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
-        )
+    let mut session = Session::new();
+    let mut time = |bs, mode| {
+        let pipeline = compile_mlp(&gpu, MlpModel::Gpt3, bs, mode);
+        session.run(&pipeline).unwrap().total
     };
+    let tile = SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT);
+    let mut gain = |bs| improvement_pct(time(bs, SyncMode::StreamSync), time(bs, tile));
     let g256 = gain(256);
     let g512 = gain(512);
     let g2048 = gain(2048);
@@ -59,13 +58,13 @@ fn gains_track_partial_wave_fraction() {
 #[test]
 fn policy_ranking_depends_on_grid_size() {
     let gpu = v100();
-    let t = |bs, kind| {
-        mlp_time(
-            &gpu,
-            MlpModel::Gpt3,
-            bs,
-            SyncMode::CuSync(kind, OptFlags::WRT),
-        )
+    let mut session = Session::new();
+    let mut t = |bs, kind| {
+        let mode = SyncMode::CuSync(kind, OptFlags::WRT);
+        session
+            .run(&compile_mlp(&gpu, MlpModel::Gpt3, bs, mode))
+            .unwrap()
+            .total
     };
     // Small: TileSync at least as good as RowSync.
     assert!(t(64, PolicyKind::Tile) <= t(64, PolicyKind::Row));
@@ -82,12 +81,17 @@ fn policy_ranking_depends_on_grid_size() {
 fn strided_sync_wins_attention_prompt() {
     let gpu = v100();
     let cfg = AttentionConfig::prompt(12288, 1024);
-    let strided = attention_improvement(
-        &gpu,
-        cfg,
-        SyncMode::CuSync(PolicyKind::Strided, OptFlags::WRT),
-    );
-    let row = attention_improvement(&gpu, cfg, SyncMode::CuSync(PolicyKind::Row, OptFlags::WRT));
+    let mut session = Session::new();
+    let mut time = |mode| {
+        session
+            .run(&compile_attention(&gpu, cfg, mode))
+            .unwrap()
+            .total
+    };
+    let base = time(SyncMode::StreamSync);
+    let mut gain = |kind| improvement_pct(base, time(SyncMode::CuSync(kind, OptFlags::WRT)));
+    let strided = gain(PolicyKind::Strided);
+    let row = gain(PolicyKind::Row);
     assert!(
         strided > 0.0,
         "StridedSync should improve, got {strided:.1}%"
@@ -103,14 +107,11 @@ fn strided_sync_wins_attention_prompt() {
 #[test]
 fn optimization_ladder_is_monotone_for_small_grids() {
     let gpu = v100();
-    let t = |opts| {
-        mlp_time(
-            &gpu,
-            MlpModel::Gpt3,
-            64,
-            SyncMode::CuSync(PolicyKind::Tile, opts),
-        )
-        .as_picos()
+    let mut session = Session::new();
+    let mut t = |opts| {
+        let mode = SyncMode::CuSync(PolicyKind::Tile, opts);
+        let pipeline = compile_mlp(&gpu, MlpModel::Gpt3, 64, mode);
+        session.run(&pipeline).unwrap().total.as_picos()
     };
     let vanilla = t(OptFlags::NONE);
     let r = t(OptFlags::R);
@@ -128,14 +129,18 @@ fn optimization_ladder_is_monotone_for_small_grids() {
 #[test]
 fn cusync_beats_streamk_on_multi_wave_gemms() {
     let gpu = v100();
+    let mut session = Session::new();
     for bs in [1024u32, 2048] {
-        let cusync = mlp_improvement(
-            &gpu,
-            MlpModel::Gpt3,
-            bs,
-            SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
+        let mut time = |mode| {
+            let pipeline = compile_mlp(&gpu, MlpModel::Gpt3, bs, mode);
+            session.run(&pipeline).unwrap().total
+        };
+        let base = time(SyncMode::StreamSync);
+        let cusync = improvement_pct(
+            base,
+            time(SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT)),
         );
-        let streamk = mlp_improvement(&gpu, MlpModel::Gpt3, bs, SyncMode::StreamK);
+        let streamk = improvement_pct(base, time(SyncMode::StreamK));
         assert!(
             cusync > streamk,
             "at {bs}: cuSync {cusync:.1}% vs Stream-K {streamk:.1}%"
@@ -147,7 +152,7 @@ fn cusync_beats_streamk_on_multi_wave_gemms() {
 /// stays in the low single digits (Section V-D: 2-3%).
 #[test]
 fn overhead_bound_holds() {
-    let result = overhead_experiment(&v100(), 16 * 1024);
+    let result = overhead_experiment(&mut Session::new(), &v100(), 16 * 1024);
     assert!(
         result.per_block_sync_pct < 5.0,
         "per-block sync cost {:.2}%",
@@ -161,10 +166,14 @@ fn overhead_bound_holds() {
 fn conv_layers_improve_with_conv2d_tile_sync() {
     let gpu = v100();
     let mode = SyncMode::CuSync(PolicyKind::Conv2DTile, OptFlags::WRT);
+    let mut session = Session::new();
     let mut gains = Vec::new();
     for batch in [1u32, 4, 16] {
-        let g = conv_improvement(&gpu, batch, pq_for_channels(128), 128, 2, mode);
-        gains.push(g);
+        let mut time = |mode| {
+            let pipeline = compile_conv_layer(&gpu, batch, pq_for_channels(128), 128, 2, mode);
+            session.run(&pipeline).unwrap().total
+        };
+        gains.push(improvement_pct(time(SyncMode::StreamSync), time(mode)));
     }
     assert!(
         gains.iter().any(|&g| g > 2.0),
@@ -178,8 +187,7 @@ fn conv_layers_improve_with_conv2d_tile_sync() {
 /// GeMM; both engines reuse finished blocks' slots the same way.
 #[test]
 fn block_slots_track_resident_blocks_not_the_grid() {
-    use cusync_models::compile_mlp;
-    use cusync_sim::{EngineMode, Session};
+    use cusync_sim::EngineMode;
     for mode in [
         SyncMode::StreamSync,
         SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
