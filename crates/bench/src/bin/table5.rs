@@ -30,10 +30,12 @@ fn main() {
         header(&["Batch", "Vanilla (us)", "+R", "+WR", "+WRT"])
     );
     for bs in [64u32, 128, 256] {
-        let mut cells = vec![format!("1-{bs}")
-            .replace("1-64", "1-64")
-            .replace("1-128", "128")
-            .replace("1-256", "256")];
+        // The paper's first row covers every batch size up to 64.
+        let label = match bs {
+            64 => "1-64".to_owned(),
+            bs => bs.to_string(),
+        };
+        let mut cells = vec![label];
         for (_, opts) in LADDER {
             let mode = SyncMode::CuSync(PolicyKind::Tile, opts);
             cells.push(cell_us(compile_mlp(&gpu, MlpModel::Gpt3, bs, mode)));

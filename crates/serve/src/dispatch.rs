@@ -34,6 +34,13 @@
 //! batch it referred to) is stale and ignored. That tombstoning is what
 //! keeps the heap consistent when batches leave devices early.
 //!
+//! Handlers change a request's state only through one `Sim` method per
+//! transition — `reject`, `admit`, `board`, `complete`, `requeue`,
+//! `shed`, and `charge`/`refund` of device time — which owns its
+//! counters, tracer hook and client wake-up. **Call order is part of the
+//! result**: ties break by push sequence, RNG streams advance per call,
+//! and the report digests fold completions in order.
+//!
 //! ## Continuous batching and the KV block pool
 //!
 //! A [`DecodeLlm`](crate::ModelKind::DecodeLlm) tenant's requests carry a
@@ -199,20 +206,44 @@ impl PartialOrd for Ev {
     }
 }
 
-/// A dispatched batch occupying a device until `DeviceFree` fires (or a
-/// fault/preemption removes it early).
+/// What a busy device is running, for one service interval: a batch
+/// until its `DeviceFree`, or the current step of a decode run until its
+/// `DecodeStep`. A checkpoint or a fault can end the interval early
+/// ([`Sim::refund`]).
 #[derive(Debug)]
-struct InFlight {
+struct Running {
     tenant: usize,
-    requests: Vec<Request>,
     start: SimTime,
     service: SimTime,
-    /// Link pricing the batch was dispatched under — the checkpoint probe
-    /// must replay the same pricing.
-    scale: Option<LinkScale>,
-    /// Resumed residues are immune to further preemption (progress
-    /// guarantee: every checkpointed batch finishes on its next device).
-    resumed: bool,
+    work: Work,
+}
+
+impl Running {
+    /// Service still owed at `now`: zero once the interval has ended. A
+    /// decode run owes only its current step; earlier steps really ran.
+    fn remaining(&self, now: SimTime) -> SimTime {
+        (self.start + self.service).saturating_sub(now)
+    }
+}
+
+/// The requests a [`Running`] interval serves.
+#[derive(Debug)]
+enum Work {
+    /// A fixed-width batch (including padded static-width decode).
+    Batch {
+        requests: Vec<Request>,
+        /// Link pricing the batch was dispatched under — the checkpoint
+        /// probe must replay the same pricing.
+        scale: Option<LinkScale>,
+        /// Resumed residues are immune to further preemption (progress
+        /// guarantee: every checkpointed batch finishes on its next
+        /// device).
+        resumed: bool,
+    },
+    /// A continuous-batching decode run; the batch re-forms at every step
+    /// boundary. Resident sequences, oldest residency first (joiners
+    /// append).
+    Decode(Vec<DecodeSeq>),
 }
 
 /// The checkpointed remainder of a preempted batch, waiting to resume.
@@ -235,27 +266,6 @@ struct DecodeSeq {
     /// prefill and starts producing tokens (its prompt is processed on
     /// capacity overlapped with the residents' decode steps).
     prefill_left: u32,
-}
-
-/// A continuous-batching decode run occupying a device across many
-/// single-token steps; the batch re-forms at every step boundary.
-#[derive(Debug)]
-struct DecodeRun {
-    tenant: usize,
-    /// Resident sequences, oldest residency first (joiners append).
-    seqs: Vec<DecodeSeq>,
-    step_start: SimTime,
-    step_service: SimTime,
-}
-
-/// What a busy device is running.
-#[derive(Debug)]
-enum Running {
-    /// A fixed-width batch (including padded static-width decode),
-    /// completing at its `DeviceFree`.
-    Batch(InFlight),
-    /// A continuous-batching decode run, advancing at each `DecodeStep`.
-    Decode(DecodeRun),
 }
 
 /// A warmed multi-tenant server: a [`WorkloadSpec`] plus the
@@ -342,8 +352,8 @@ impl Server {
     /// # Panics
     ///
     /// Panics if `config.batch.max_batch` exceeds the warmed
-    /// [`ServicePool::max_width`], the plan names a device index outside
-    /// the cluster, or its link degradation has a zero denominator.
+    /// [`ServicePool::max_width`] or the plan names a device index
+    /// outside the cluster.
     pub fn run_with_faults(&self, config: &ServeConfig, faults: &FaultPlan) -> ServeReport {
         self.checked_sim(config, faults).run().0
     }
@@ -391,12 +401,6 @@ impl Server {
         for panic in &faults.panics {
             assert!(panic.device < devices, "fault plan panics unknown device");
         }
-        if let Some(link) = &faults.link {
-            assert!(
-                link.scale.den != 0,
-                "fault plan scales links by a zero denominator"
-            );
-        }
         Sim::new(self, config, faults)
     }
 }
@@ -409,10 +413,9 @@ impl Server {
 struct Tracer {
     tenants: Vec<String>,
     spans: Vec<Span>,
-    /// Open queue residency per request id: `(tenant, entered)`.
-    queued: HashMap<u64, (usize, SimTime)>,
-    /// Open service interval per request id: `(tenant, dispatched)`.
-    running: HashMap<u64, (usize, SimTime)>,
+    /// Each request's open phase (queue residency or service):
+    /// `(tenant, since)`.
+    open: HashMap<u64, (usize, SimTime)>,
 }
 
 impl Tracer {
@@ -420,8 +423,7 @@ impl Tracer {
         Tracer {
             tenants: spec.tenants.iter().map(|t| t.name.clone()).collect(),
             spans: Vec::new(),
-            queued: HashMap::new(),
-            running: HashMap::new(),
+            open: HashMap::new(),
         }
     }
 
@@ -442,63 +444,26 @@ impl Tracer {
         self.span(tenant, "reject".to_owned(), now, now);
     }
 
-    /// A request entered its tenant queue.
-    fn admit(&mut self, tenant: usize, id: u64, now: SimTime) {
-        self.queued.insert(id, (tenant, now));
+    /// Request `id` of `tenant` enters a queue or starts service.
+    fn begin(&mut self, tenant: usize, id: u64, now: SimTime) {
+        self.open.insert(id, (tenant, now));
     }
 
-    /// A request left the queue for a device (batch, decode seat, or
-    /// residue resume).
-    fn dispatch(&mut self, tenant: usize, id: u64, now: SimTime) {
-        if let Some((t, start)) = self.queued.remove(&id) {
-            self.span(t, format!("req{id} queued"), start, now);
-        }
-        self.running.insert(id, (tenant, now));
-    }
-
-    /// A dispatched request completed.
-    fn complete(&mut self, id: u64, now: SimTime) {
-        if let Some((t, start)) = self.running.remove(&id) {
-            self.span(t, format!("req{id} run"), start, now);
+    /// Request `id`'s open phase ends as a `req{id} {what}` span: `queued`
+    /// (dispatched), `run` (completed), `preempted` (requeued) or `shed`.
+    fn end(&mut self, id: u64, what: &str, now: SimTime) {
+        if let Some((tenant, start)) = self.open.remove(&id) {
+            self.span(tenant, format!("req{id} {what}"), start, now);
         }
     }
 
-    /// A dispatched request went back to its queue (checkpoint, fault
-    /// evacuation, or decode KV preemption).
-    fn requeue(&mut self, tenant: usize, id: u64, now: SimTime) {
-        if let Some((t, start)) = self.running.remove(&id) {
-            self.span(t, format!("req{id} preempted"), start, now);
-        }
-        self.queued.insert(id, (tenant, now));
-    }
-
-    /// A request was dropped — from the queue (deadline expiry, strand)
-    /// or mid-decode (a lone sequence over its KV budget).
-    fn shed(&mut self, id: u64, now: SimTime) {
-        if let Some((t, start)) = self.running.remove(&id) {
-            self.span(t, format!("req{id} shed"), start, now);
-        } else if let Some((t, start)) = self.queued.remove(&id) {
-            self.span(t, format!("req{id} shed"), start, now);
-        }
-    }
-
-    /// Closes anything still open at the end of the run and returns the
-    /// spans in recording order.
-    fn finish(mut self, at: SimTime) -> Vec<Span> {
-        let mut open: Vec<(u64, usize, SimTime, &'static str)> = self
-            .queued
-            .drain()
-            .map(|(id, (t, start))| (id, t, start, "queued (open)"))
-            .chain(
-                self.running
-                    .drain()
-                    .map(|(id, (t, start))| (id, t, start, "run (open)")),
-            )
-            .collect();
-        open.sort();
-        for (id, tenant, start, what) in open {
-            self.span(tenant, format!("req{id} {what}"), start, at);
-        }
+    /// The spans in recording order. The run drains every admitted
+    /// request (`admitted = completed + shed`), so none is still open.
+    fn finish(self) -> Vec<Span> {
+        debug_assert!(
+            self.open.is_empty(),
+            "request spans left open at the end of the run"
+        );
         self.spans
     }
 }
@@ -780,39 +745,51 @@ impl<'a> Sim<'a> {
         let hopeless =
             self.config.slo_admission && self.estimated_completion(now, tenant) > deadline;
         if full || hopeless {
-            self.tenants[tenant].rejected += 1;
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.reject(tenant, now);
-            }
-            if let Some(policy) = spec.retry {
-                if attempt < policy.max_retries {
-                    // Exponential backoff: the mean doubles per attempt,
-                    // drawn from the tenant's dedicated retry stream. The
-                    // retry carries the client, so a closed-loop client
-                    // is NOT woken here — its request is still pending.
-                    let mean = SimTime::from_picos(
-                        policy
-                            .base
-                            .as_picos()
-                            .saturating_mul(1u64 << attempt.min(20)),
-                    );
-                    let backoff = self.retry_rng[tenant].exp(mean);
-                    // Deliberately not horizon-gated: the offer that
-                    // spawned this retry happened inside the horizon.
-                    self.push(
-                        now.saturating_add(backoff),
-                        EvKind::Arrival {
-                            tenant,
-                            client,
-                            attempt: attempt + 1,
-                        },
-                    );
-                    return;
-                }
-            }
-            self.wake_client(now, tenant, client);
-            return;
+            self.reject(now, tenant, client, attempt);
+        } else {
+            self.admit(now, tenant, client, deadline);
+            self.try_dispatch(now);
         }
+    }
+
+    /// An arrival is refused at the door. The tenant's retry policy
+    /// re-offers it after a backoff; once retries run out, a closed-loop
+    /// client gives up on it and thinks again.
+    fn reject(&mut self, now: SimTime, tenant: usize, client: Option<u32>, attempt: u32) {
+        self.tenants[tenant].rejected += 1;
+        if let Some(tr) = self.tracer.as_mut() {
+            tr.reject(tenant, now);
+        }
+        match self.server.spec.tenants[tenant].retry {
+            Some(policy) if attempt < policy.max_retries => {
+                // Exponential backoff: the mean doubles per attempt, drawn
+                // from the tenant's dedicated retry stream. The retry
+                // carries the client, so a closed-loop client is NOT woken
+                // here — its request is still pending.
+                let mean = SimTime::from_picos(
+                    policy
+                        .base
+                        .as_picos()
+                        .saturating_mul(1u64 << attempt.min(20)),
+                );
+                let backoff = self.retry_rng[tenant].exp(mean);
+                // Deliberately not horizon-gated: the offer that spawned
+                // this retry happened inside the horizon.
+                self.push(
+                    now.saturating_add(backoff),
+                    EvKind::Arrival {
+                        tenant,
+                        client,
+                        attempt: attempt + 1,
+                    },
+                );
+            }
+            _ => self.wake_client(now, tenant, client),
+        }
+    }
+
+    /// An arrival joins the back of its tenant queue.
+    fn admit(&mut self, now: SimTime, tenant: usize, client: Option<u32>, deadline: SimTime) {
         self.tenants[tenant].admitted += 1;
         // Decode tenants draw their token budget once, at admission, from
         // a dedicated stream — the request keeps it across preemptions
@@ -826,7 +803,7 @@ impl<'a> Sim<'a> {
         self.req_seq += 1;
         let id = self.req_seq;
         if let Some(tr) = self.tracer.as_mut() {
-            tr.admit(tenant, id, now);
+            tr.begin(tenant, id, now);
         }
         self.queues[tenant].push_back(Request {
             id,
@@ -839,7 +816,125 @@ impl<'a> Sim<'a> {
         if depth > self.tenants[tenant].max_queue_depth {
             self.tenants[tenant].max_queue_depth = depth;
         }
-        self.try_dispatch(now);
+    }
+
+    /// A request leaves its queue (or residue) for a device: a batch or a
+    /// decode-run seat.
+    fn board(&mut self, now: SimTime, tenant: usize, req: &Request) {
+        if let Some(tr) = self.tracer.as_mut() {
+            tr.end(req.id, "queued", now);
+            tr.begin(tenant, req.id, now);
+        }
+    }
+
+    /// A dispatched request completes, delivering `tokens` decode tokens
+    /// (counted as good output only if it met its deadline).
+    fn complete(&mut self, now: SimTime, tenant: usize, req: &Request, tokens: u64) {
+        if let Some(tr) = self.tracer.as_mut() {
+            tr.end(req.id, "run", now);
+        }
+        let metrics = &mut self.tenants[tenant];
+        metrics.completed += 1;
+        metrics.tokens_out += tokens;
+        if now > req.deadline {
+            metrics.violations += 1;
+        } else {
+            metrics.tokens_good += tokens;
+        }
+        self.latencies[tenant].push(now - req.arrival);
+        self.completions.push(now);
+        self.wake_client(now, tenant, req.client);
+    }
+
+    /// Dispatched requests go back to wait: at the front of their tenant
+    /// queue (they are its oldest admitted requests, so per-queue
+    /// deadlines stay non-decreasing — the `shed_expired` invariant), or,
+    /// with the `remaining` service of a checkpointed batch, together as
+    /// its residue.
+    fn requeue(
+        &mut self,
+        now: SimTime,
+        tenant: usize,
+        mut requests: Vec<Request>,
+        remaining: Option<SimTime>,
+    ) {
+        if remaining.is_none() {
+            // Youngest first, so the oldest ends up at the queue head.
+            requests.reverse();
+        }
+        if let Some(tr) = self.tracer.as_mut() {
+            for req in &requests {
+                tr.end(req.id, "preempted", now);
+                tr.begin(tenant, req.id, now);
+            }
+        }
+        match remaining {
+            Some(remaining) => self.residues[tenant].push_back(Residue {
+                requests,
+                remaining,
+            }),
+            None => requests
+                .into_iter()
+                .for_each(|req| self.queues[tenant].push_front(req)),
+        }
+    }
+
+    /// An admitted request is dropped without completing — from its queue
+    /// (deadline expiry, strand) or mid-decode (a lone sequence over its
+    /// KV budget).
+    fn shed(&mut self, now: SimTime, tenant: usize, req: &Request) {
+        self.tenants[tenant].shed += 1;
+        if let Some(tr) = self.tracer.as_mut() {
+            tr.end(req.id, "shed", now);
+        }
+        self.wake_client(now, tenant, req.client);
+    }
+
+    /// A resident decode sequence leaves its run unfinished: its KV pages
+    /// are discarded and its generated tokens counted as recomputed.
+    fn unseat(&mut self, device: usize, tenant: usize, seq: DecodeSeq) -> Request {
+        self.kv[device].discard(seq.owner);
+        self.tenants[tenant].recomputed_tokens += seq.done as u64;
+        seq.req
+    }
+
+    /// Puts `work` on `device` for `service` from `now`: charges it to
+    /// the device and to the tenant's fair-share clock, and schedules the
+    /// `DeviceFree` or `DecodeStep` that ends it under the device's
+    /// current generation.
+    fn charge(&mut self, now: SimTime, device: usize, tenant: usize, service: SimTime, work: Work) {
+        let gen = self.gens[device];
+        let (width, end) = match &work {
+            Work::Batch { requests, .. } => (requests.len(), EvKind::DeviceFree { device, gen }),
+            Work::Decode(seqs) => (seqs.len(), EvKind::DecodeStep { device, gen }),
+        };
+        self.served[tenant] += service.as_picos() as u128;
+        let metrics = &mut self.devices[device];
+        metrics.busy += service;
+        metrics.batches += 1;
+        metrics.requests += width as u64;
+        self.busy[device] = Some(Running {
+            tenant,
+            start: now,
+            service,
+            work,
+        });
+        self.push(now.saturating_add(service), end);
+    }
+
+    /// Takes the running work off `device` before its interval ends (a
+    /// checkpoint or a fault): bumps the generation so its pending events
+    /// go stale, and refunds the un-run service to the device and to the
+    /// tenant's fair-share clock. `None` if the device was idle.
+    fn refund(&mut self, now: SimTime, device: usize) -> Option<Running> {
+        let running = self.busy[device].take()?;
+        self.gens[device] += 1;
+        self.preempt_pending[device] = false;
+        let remaining = running.remaining(now);
+        self.devices[device].busy = self.devices[device].busy.saturating_sub(remaining);
+        self.served[running.tenant] =
+            self.served[running.tenant].saturating_sub(remaining.as_picos() as u128);
+        Some(running)
     }
 
     fn handle_device_free(&mut self, now: SimTime, device: usize, gen: u64) {
@@ -849,30 +944,15 @@ impl<'a> Sim<'a> {
             return;
         }
         let running = self.busy[device].take().expect("DeviceFree on idle device");
-        let Running::Batch(batch) = running else {
+        let Work::Batch { requests, .. } = running.work else {
             unreachable!("decode runs complete via DecodeStep, never DeviceFree");
         };
-        for req in &batch.requests {
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.complete(req.id, now);
-            }
-            self.tenants[batch.tenant].completed += 1;
-            self.latencies[batch.tenant].push(now - req.arrival);
-            let late = now > req.deadline;
-            if late {
-                self.tenants[batch.tenant].violations += 1;
-            }
+        for req in &requests {
             // A static-width decode batch delivers every member's tokens
             // here (the device was held for the padded worst case).
-            if req.decode > 0 {
-                self.tenants[batch.tenant].tokens_generated += req.decode as u64;
-                self.tenants[batch.tenant].tokens_out += req.decode as u64;
-                if !late {
-                    self.tenants[batch.tenant].tokens_good += req.decode as u64;
-                }
-            }
-            self.completions.push(now);
-            self.wake_client(now, batch.tenant, req.client);
+            let tokens = req.decode as u64;
+            self.tenants[running.tenant].tokens_generated += tokens;
+            self.complete(now, running.tenant, req, tokens);
         }
         self.try_dispatch(now);
     }
@@ -884,74 +964,35 @@ impl<'a> Sim<'a> {
         if self.gens[device] != gen {
             return; // the victim left the device some other way first
         }
-        let Some(Running::Batch(batch)) = self.busy[device].take() else {
+        let running = self.refund(now, device).expect("Preempt on idle device");
+        // The boundary is strictly inside the batch's service interval.
+        let remaining = running.remaining(now);
+        let Work::Batch { requests, .. } = running.work else {
             unreachable!("Preempt events only target checkpointable batches");
         };
-        self.gens[device] += 1;
-        self.preempt_pending[device] = false;
-        // The boundary is strictly inside the batch's service interval.
-        let remaining = batch.start + batch.service - now;
-        self.devices[device].busy = self.devices[device].busy.saturating_sub(remaining);
-        self.served[batch.tenant] =
-            self.served[batch.tenant].saturating_sub(remaining.as_picos() as u128);
-        self.tenants[batch.tenant].preemptions += 1;
-        if let Some(tr) = self.tracer.as_mut() {
-            for req in &batch.requests {
-                tr.requeue(batch.tenant, req.id, now);
-            }
-        }
-        self.residues[batch.tenant].push_back(Residue {
-            requests: batch.requests,
-            remaining,
-        });
+        self.tenants[running.tenant].preemptions += 1;
+        self.requeue(now, running.tenant, requests, Some(remaining));
         self.try_dispatch(now);
     }
 
-    /// Takes a batch off a device that can no longer finish it, refunds
-    /// the un-run service, and requeues the requests at the **front** of
-    /// their tenant queue — they are the oldest admitted requests, so
-    /// per-queue deadlines stay non-decreasing (the `shed_expired`
-    /// invariant).
+    /// Takes the work off a device that can no longer finish it, refunds
+    /// the un-run service, and requeues its requests at the **front** of
+    /// their tenant queue. A decode run's resident sequences lose their
+    /// pages and generated tokens: the requests start over elsewhere.
     fn evacuate(&mut self, now: SimTime, device: usize) {
-        let Some(running) = self.busy[device].take() else {
+        let Some(running) = self.refund(now, device) else {
             return;
         };
-        self.gens[device] += 1;
-        self.preempt_pending[device] = false;
-        match running {
-            Running::Batch(batch) => {
-                let remaining = (batch.start + batch.service).saturating_sub(now);
-                self.devices[device].busy = self.devices[device].busy.saturating_sub(remaining);
-                self.served[batch.tenant] =
-                    self.served[batch.tenant].saturating_sub(remaining.as_picos() as u128);
-                self.tenants[batch.tenant].rerouted += batch.requests.len() as u64;
-                for req in batch.requests.into_iter().rev() {
-                    if let Some(tr) = self.tracer.as_mut() {
-                        tr.requeue(batch.tenant, req.id, now);
-                    }
-                    self.queues[batch.tenant].push_front(req);
-                }
-            }
-            Running::Decode(run) => {
-                // Refund only the interrupted step; earlier steps really
-                // ran. Every resident sequence loses its pages and its
-                // generated tokens — the requests start over elsewhere.
-                let tenant = run.tenant;
-                let remaining = (run.step_start + run.step_service).saturating_sub(now);
-                self.devices[device].busy = self.devices[device].busy.saturating_sub(remaining);
-                self.served[tenant] =
-                    self.served[tenant].saturating_sub(remaining.as_picos() as u128);
-                self.tenants[tenant].rerouted += run.seqs.len() as u64;
-                for seq in run.seqs.into_iter().rev() {
-                    self.kv[device].discard(seq.owner);
-                    self.tenants[tenant].recomputed_tokens += seq.done as u64;
-                    if let Some(tr) = self.tracer.as_mut() {
-                        tr.requeue(tenant, seq.req.id, now);
-                    }
-                    self.queues[tenant].push_front(seq.req);
-                }
-            }
-        }
+        let tenant = running.tenant;
+        let requests: Vec<Request> = match running.work {
+            Work::Batch { requests, .. } => requests,
+            Work::Decode(seqs) => seqs
+                .into_iter()
+                .map(|seq| self.unseat(device, tenant, seq))
+                .collect(),
+        };
+        self.tenants[tenant].rerouted += requests.len() as u64;
+        self.requeue(now, tenant, requests, None);
     }
 
     fn handle_device_drop(&mut self, now: SimTime, device: usize) {
@@ -983,16 +1024,12 @@ impl<'a> Sim<'a> {
     /// heads sheds exactly the expired set.
     fn shed_expired(&mut self, now: SimTime) {
         for tenant in 0..self.queues.len() {
-            while let Some(head) = self.queues[tenant].front() {
-                if head.deadline >= now {
-                    break;
-                }
+            while self.queues[tenant]
+                .front()
+                .is_some_and(|head| head.deadline < now)
+            {
                 let head = self.queues[tenant].pop_front().expect("front exists");
-                self.tenants[tenant].shed += 1;
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.shed(head.id, now);
-                }
-                self.wake_client(now, tenant, head.client);
+                self.shed(now, tenant, &head);
             }
         }
     }
@@ -1072,79 +1109,59 @@ impl<'a> Sim<'a> {
             // Residues resume before fresh queue work: theirs are the
             // oldest admitted requests, and the checkpoint (plus the
             // policy's resume overhead) is all the service they still owe.
-            if let Some(residue) = self.residues[tenant].pop_front() {
-                let overhead = self
-                    .config
-                    .preempt
-                    .expect("residues only exist under a preemption policy")
-                    .overhead;
-                let width = residue.requests.len();
-                let service = residue.remaining + overhead;
-                self.tenants[tenant].preempt_overhead += overhead;
-                self.dispatch(now, device, tenant, residue.requests, service, true);
-                debug_assert!(width > 0);
-                continue;
-            }
-            let width = (self.queues[tenant].len()).min(self.config.batch.max_batch as usize);
-            if let ModelKind::DecodeLlm { .. } = self.server.spec.tenants[tenant].model {
-                if self.config.decode.continuous {
-                    self.start_decode_run(now, device, tenant, width);
-                } else {
-                    // Static width: the padded batch holds the device for
-                    // the longest member's full prefill + decode; the KV
-                    // pool is bypassed (worst case preallocated).
-                    let requests: Vec<Request> = self.queues[tenant].drain(..width).collect();
-                    let max_decode = requests.iter().map(|r| r.decode).max().unwrap_or(0);
-                    let service = self.server.pool.static_decode_service(
-                        tenant,
-                        width as u32,
-                        max_decode,
-                        device as u32,
-                    );
-                    self.dispatch(now, device, tenant, requests, service, false);
+            let (requests, service, resumed) = match self.residues[tenant].pop_front() {
+                Some(residue) => {
+                    let overhead = self
+                        .config
+                        .preempt
+                        .expect("residues only exist under a preemption policy")
+                        .overhead;
+                    debug_assert!(!residue.requests.is_empty());
+                    self.tenants[tenant].preempt_overhead += overhead;
+                    (residue.requests, residue.remaining + overhead, true)
                 }
-                continue;
-            }
-            let requests: Vec<Request> = self.queues[tenant].drain(..width).collect();
-            let service = self.price(tenant, width as u32, device);
-            self.dispatch(now, device, tenant, requests, service, false);
-        }
-    }
-
-    fn dispatch(
-        &mut self,
-        now: SimTime,
-        device: usize,
-        tenant: usize,
-        requests: Vec<Request>,
-        service: SimTime,
-        resumed: bool,
-    ) {
-        if let Some(tr) = self.tracer.as_mut() {
+                None => {
+                    let width = self.queues[tenant]
+                        .len()
+                        .min(self.config.batch.max_batch as usize);
+                    let decode = matches!(
+                        self.server.spec.tenants[tenant].model,
+                        ModelKind::DecodeLlm { .. }
+                    );
+                    if decode && self.config.decode.continuous {
+                        // A fresh decode run seats the queue head up to the
+                        // batch width and prices its first step.
+                        self.gens[device] += 1;
+                        let mut seqs = Vec::new();
+                        self.seat(now, device, tenant, &mut seqs);
+                        self.begin_decode_step(now, device, tenant, seqs);
+                        continue;
+                    }
+                    let requests: Vec<Request> = self.queues[tenant].drain(..width).collect();
+                    let service = if decode {
+                        // Static width: the padded batch holds the device
+                        // for the longest member's full prefill + decode;
+                        // the KV pool is bypassed (worst case preallocated).
+                        let max_decode = requests.iter().map(|r| r.decode).max().unwrap_or(0);
+                        let pool = &self.server.pool;
+                        pool.static_decode_service(tenant, width as u32, max_decode, device as u32)
+                    } else {
+                        self.price(tenant, width as u32, device)
+                    };
+                    (requests, service, false)
+                }
+            };
             for req in &requests {
-                tr.dispatch(tenant, req.id, now);
+                self.board(now, tenant, req);
             }
+            self.gens[device] += 1;
+            let work = Work::Batch {
+                requests,
+                scale: self.link_scale,
+                resumed,
+            };
+            self.charge(now, device, tenant, service, work);
         }
-        self.served[tenant] += service.as_picos() as u128;
-        self.devices[device].busy += service;
-        self.devices[device].batches += 1;
-        self.devices[device].requests += requests.len() as u64;
-        self.gens[device] += 1;
-        self.busy[device] = Some(Running::Batch(InFlight {
-            tenant,
-            requests,
-            start: now,
-            service,
-            scale: self.link_scale,
-            resumed,
-        }));
-        self.push(
-            now.saturating_add(service),
-            EvKind::DeviceFree {
-                device,
-                gen: self.gens[device],
-            },
-        );
     }
 
     /// How many step boundaries a joining sequence's chunked prefill
@@ -1171,40 +1188,31 @@ impl<'a> Sim<'a> {
             .max(1)
     }
 
-    /// Seats up to `width` queued requests of `tenant` as a fresh
-    /// continuous-batching decode run and prices its first step.
-    fn start_decode_run(&mut self, now: SimTime, device: usize, tenant: usize, width: usize) {
+    /// Queued requests of `tenant` take the decode run's free seats,
+    /// oldest first, up to the batch width. There is no window gating —
+    /// a running decode batch is never partial in the static sense — and
+    /// each joiner starts in its chunked-prefill phase, overlapped with
+    /// the residents' decoding.
+    fn seat(&mut self, now: SimTime, device: usize, tenant: usize, seqs: &mut Vec<DecodeSeq>) {
         let prefill_left = self.decode_prefill_steps(tenant, device);
-        let requests: Vec<Request> = self.queues[tenant].drain(..width).collect();
-        if let Some(tr) = self.tracer.as_mut() {
-            for req in &requests {
-                tr.dispatch(tenant, req.id, now);
-            }
+        while seqs.len() < self.config.batch.max_batch as usize {
+            let Some(req) = self.queues[tenant].pop_front() else {
+                break;
+            };
+            self.board(now, tenant, &req);
+            self.owner_seq += 1;
+            seqs.push(DecodeSeq {
+                req,
+                done: 0,
+                owner: self.owner_seq,
+                prefill_left,
+            });
         }
-        let seqs: Vec<DecodeSeq> = requests
-            .into_iter()
-            .map(|req| {
-                self.owner_seq += 1;
-                DecodeSeq {
-                    req,
-                    done: 0,
-                    owner: self.owner_seq,
-                    prefill_left,
-                }
-            })
-            .collect();
-        self.gens[device] += 1;
-        self.busy[device] = Some(Running::Decode(DecodeRun {
-            tenant,
-            seqs,
-            step_start: now,
-            step_service: SimTime::ZERO,
-        }));
-        self.begin_decode_step(now, device);
     }
 
     /// Admits the resident sequences' next-token KV growth against the
-    /// device's block pool, then prices and schedules the step.
+    /// device's block pool, then prices and schedules the step; a run
+    /// left with no residents frees the device.
     ///
     /// KV admission walks the residents oldest-first. A sequence whose
     /// growth fails (even after the pool evicts retained pages) preempts
@@ -1214,54 +1222,47 @@ impl<'a> Sim<'a> {
     /// and is shed. Each iteration either admits a sequence or removes
     /// one, and between preempt cycles the step advances virtual time, so
     /// the loop — and the run — always terminates.
-    fn begin_decode_step(&mut self, now: SimTime, device: usize) {
-        let Some(Running::Decode(mut run)) = self.busy[device].take() else {
-            unreachable!("begin_decode_step on a device not running decode");
-        };
-        let tenant = run.tenant;
+    fn begin_decode_step(
+        &mut self,
+        now: SimTime,
+        device: usize,
+        tenant: usize,
+        mut seqs: Vec<DecodeSeq>,
+    ) {
         let block_tokens = self.config.decode.block_tokens as u64;
         let prompt = match self.server.spec.tenants[tenant].model {
             ModelKind::DecodeLlm { prompt, .. } => prompt,
             _ => unreachable!("decode run on a non-decode tenant"),
         };
         let mut i = 0;
-        while i < run.seqs.len() {
-            let context = prompt as u64 + run.seqs[i].done as u64 + 1;
+        while i < seqs.len() {
+            let context = prompt as u64 + seqs[i].done as u64 + 1;
             let need = context
                 .div_ceil(block_tokens)
-                .saturating_sub(self.kv[device].held_by(run.seqs[i].owner));
-            if self.kv[device].try_grow(run.seqs[i].owner, need) {
+                .saturating_sub(self.kv[device].held_by(seqs[i].owner));
+            if self.kv[device].try_grow(seqs[i].owner, need) {
                 i += 1;
                 continue;
             }
-            if run.seqs.len() > 1 {
+            if seqs.len() > 1 {
                 // Memory pressure: preempt the youngest resident (the
                 // cheapest recompute). A sequence never displaces one
                 // older than itself — when the one being admitted *is*
                 // the youngest, it is its own victim and goes back to
                 // the queue, so the established run keeps progressing.
-                let victim = run.seqs.remove(run.seqs.len() - 1);
-                self.kv[device].discard(victim.owner);
+                let victim = seqs.pop().expect("several residents");
                 self.tenants[tenant].decode_preemptions += 1;
-                self.tenants[tenant].recomputed_tokens += victim.done as u64;
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.requeue(tenant, victim.req.id, now);
-                }
-                self.queues[tenant].push_front(victim.req);
+                let req = self.unseat(device, tenant, victim);
+                self.requeue(now, tenant, vec![req], None);
                 continue;
             }
             // Alone and still over budget: this request can never decode
             // on this pool — shed it (its generated tokens are wasted).
-            let victim = run.seqs.remove(i);
-            self.kv[device].discard(victim.owner);
-            self.tenants[tenant].shed += 1;
-            self.tenants[tenant].recomputed_tokens += victim.done as u64;
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.shed(victim.req.id, now);
-            }
-            self.wake_client(now, tenant, victim.req.client);
+            let victim = seqs.remove(i);
+            let req = self.unseat(device, tenant, victim);
+            self.shed(now, tenant, &req);
         }
-        if run.seqs.is_empty() {
+        if seqs.is_empty() {
             self.gens[device] += 1;
             self.try_dispatch(now);
             return;
@@ -1270,27 +1271,14 @@ impl<'a> Sim<'a> {
         // working through their chunked prefill are priced like any other
         // resident: their prefill chunk rides the step's wave quantum
         // instead of stalling the run (see the module docs).
-        let width = run.seqs.len() as u32;
-        let max_context = prompt + run.seqs.iter().map(|s| s.done).max().unwrap_or(0) + 1;
-        let class = ModelKind::ctx_class(max_context);
-        let service = self
-            .server
-            .pool
-            .decode_step_time(tenant, width, class, device as u32);
-        run.step_start = now;
-        run.step_service = service;
-        self.served[tenant] += service.as_picos() as u128;
-        self.devices[device].busy += service;
-        self.devices[device].batches += 1;
-        self.devices[device].requests += width as u64;
-        self.busy[device] = Some(Running::Decode(run));
-        self.push(
-            now.saturating_add(service),
-            EvKind::DecodeStep {
-                device,
-                gen: self.gens[device],
-            },
+        let max_context = prompt + seqs.iter().map(|s| s.done).max().unwrap_or(0) + 1;
+        let service = self.server.pool.decode_step_time(
+            tenant,
+            seqs.len() as u32,
+            ModelKind::ctx_class(max_context),
+            device as u32,
         );
+        self.charge(now, device, tenant, service, Work::Decode(seqs));
     }
 
     /// A decode step finished: every resident sequence gained a token,
@@ -1300,71 +1288,35 @@ impl<'a> Sim<'a> {
         if self.gens[device] != gen {
             return; // the run was evacuated by a fault mid-step
         }
-        let Some(Running::Decode(mut run)) = self.busy[device].take() else {
+        let running = self.busy[device].take().expect("DecodeStep on idle device");
+        let tenant = running.tenant;
+        let Work::Decode(mut seqs) = running.work else {
             unreachable!("DecodeStep generation matched a non-decode batch");
         };
-        let tenant = run.tenant;
         let mut i = 0;
-        while i < run.seqs.len() {
-            if run.seqs[i].prefill_left > 0 {
+        while i < seqs.len() {
+            let seq = &mut seqs[i];
+            if seq.prefill_left > 0 {
                 // Still chunking through its prompt on overlapped
                 // capacity: the step processed a prefill chunk, not a
                 // new token.
-                run.seqs[i].prefill_left -= 1;
+                seq.prefill_left -= 1;
                 i += 1;
                 continue;
             }
-            run.seqs[i].done += 1;
+            seq.done += 1;
             self.tenants[tenant].tokens_generated += 1;
-            if run.seqs[i].done < run.seqs[i].req.decode {
+            if seq.done < seq.req.decode {
                 i += 1;
                 continue;
             }
-            let finished = run.seqs.remove(i);
+            let finished = seqs.remove(i);
             self.kv[device].release(finished.owner);
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.complete(finished.req.id, now);
-            }
-            self.tenants[tenant].completed += 1;
-            self.latencies[tenant].push(now - finished.req.arrival);
-            let delivered = finished.done as u64;
-            self.tenants[tenant].tokens_out += delivered;
-            if now > finished.req.deadline {
-                self.tenants[tenant].violations += 1;
-            } else {
-                self.tenants[tenant].tokens_good += delivered;
-            }
-            self.completions.push(now);
-            self.wake_client(now, tenant, finished.req.client);
+            self.complete(now, tenant, &finished.req, finished.done as u64);
         }
         self.shed_expired(now);
-        // Re-form the batch: queued requests join at the step boundary
-        // (no window gating — a running decode batch is never partial in
-        // the static sense). Joiners start in their chunked-prefill
-        // phase, overlapped with the residents' decoding.
-        let prefill_left = self.decode_prefill_steps(tenant, device);
-        while run.seqs.len() < self.config.batch.max_batch as usize {
-            let Some(req) = self.queues[tenant].pop_front() else {
-                break;
-            };
-            if let Some(tr) = self.tracer.as_mut() {
-                tr.dispatch(tenant, req.id, now);
-            }
-            self.owner_seq += 1;
-            run.seqs.push(DecodeSeq {
-                req,
-                done: 0,
-                owner: self.owner_seq,
-                prefill_left,
-            });
-        }
-        if run.seqs.is_empty() {
-            self.gens[device] += 1;
-            self.try_dispatch(now);
-            return;
-        }
-        self.busy[device] = Some(Running::Decode(run));
-        self.begin_decode_step(now, device);
+        self.seat(now, device, tenant, &mut seqs);
+        self.begin_decode_step(now, device, tenant, seqs);
     }
 
     /// No device is free but a latency-class tenant is ready: schedule a
@@ -1389,38 +1341,41 @@ impl<'a> Sim<'a> {
             // Decode work is never a checkpoint victim: a decode run (or
             // padded static decode batch) is a multi-step composite with
             // no single warmed pipeline to probe for a boundary.
-            let Some(Running::Batch(batch)) = &self.busy[d] else {
+            let Some(running) = &self.busy[d] else {
                 continue;
             };
-            if batch.resumed || spec.tenants[batch.tenant].class != TenantClass::Throughput {
+            let Work::Batch { resumed: false, .. } = running.work else {
+                continue;
+            };
+            let tenant = &spec.tenants[running.tenant];
+            if tenant.class != TenantClass::Throughput
+                || matches!(tenant.model, ModelKind::DecodeLlm { .. })
+            {
                 continue;
             }
-            if matches!(
-                spec.tenants[batch.tenant].model,
-                ModelKind::DecodeLlm { .. }
-            ) {
-                continue;
-            }
-            let remaining = (batch.start + batch.service).saturating_sub(now);
+            let remaining = running.remaining(now);
             if victim.is_none_or(|(_, best)| remaining > best) {
                 victim = Some((d, remaining));
             }
         }
         let Some((device, _)) = victim else { return };
-        let Some(Running::Batch(batch)) = &self.busy[device] else {
+        let running = self.busy[device].as_ref().expect("victim is running");
+        let Work::Batch {
+            requests, scale, ..
+        } = &running.work
+        else {
             unreachable!("victim selection only considers running batches");
         };
-        let elapsed = now - batch.start;
         let Some((boundary, _)) = self.server.pool.checkpoint(
-            batch.tenant,
-            batch.requests.len() as u32,
+            running.tenant,
+            requests.len() as u32,
             device as u32,
-            elapsed,
-            batch.scale,
+            now - running.start,
+            *scale,
         ) else {
             return; // past the last interior boundary: let it finish
         };
-        let at = batch.start + boundary;
+        let at = running.start + boundary;
         self.preempt_pending[device] = true;
         self.push(
             at,
@@ -1492,26 +1447,17 @@ impl<'a> Sim<'a> {
         }
         // The heap drained with work still queued ⟺ every device died:
         // strand-shed the leftovers with typed outcomes (never hang,
-        // never silently drop).
+        // never silently drop). Waking their clients schedules nothing
+        // that runs: the event loop is over.
         for tenant in 0..self.queues.len() {
-            while let Some(req) = self.queues[tenant].pop_front() {
-                self.tenants[tenant].shed += 1;
+            let queued = std::mem::take(&mut self.queues[tenant]);
+            let residues = std::mem::take(&mut self.residues[tenant]);
+            for req in queued
+                .into_iter()
+                .chain(residues.into_iter().flat_map(|r| r.requests))
+            {
                 self.stranded += 1;
-                // No wake: the run is over; the client's pending request
-                // resolves as shed.
-                if let Some(tr) = self.tracer.as_mut() {
-                    tr.shed(req.id, last);
-                }
-            }
-            while let Some(residue) = self.residues[tenant].pop_front() {
-                let n = residue.requests.len() as u64;
-                self.tenants[tenant].shed += n;
-                self.stranded += n;
-                if let Some(tr) = self.tracer.as_mut() {
-                    for req in &residue.requests {
-                        tr.shed(req.id, last);
-                    }
-                }
+                self.shed(last, tenant, &req);
             }
         }
         let horizon = self.server.spec.horizon;
@@ -1524,7 +1470,7 @@ impl<'a> Sim<'a> {
             self.devices[device].kv = pool.stats();
         }
         let spans = match self.tracer {
-            Some(tracer) => tracer.finish(makespan),
+            Some(tracer) => tracer.finish(),
             None => Vec::new(),
         };
         let report = ServeReport {
@@ -1881,21 +1827,6 @@ mod tests {
             healthy.tenants[0].latency.mean
         );
         assert_eq!(degraded, server.run_with_faults(&config, &plan));
-    }
-
-    #[test]
-    #[should_panic(expected = "fault plan scales links by a zero denominator")]
-    fn zero_denominator_link_scale_is_rejected() {
-        // `LinkScale`'s fields are public, so a plan can skip
-        // `LinkScale::ratio`'s check.
-        let plan = FaultPlan {
-            link: Some(LinkDegrade {
-                at: SimTime::ZERO,
-                scale: LinkScale { num: 1, den: 0 },
-            }),
-            ..FaultPlan::none()
-        };
-        toy_server(1, 1_000.0).run_with_faults(&ServeConfig::baseline(), &plan);
     }
 
     #[test]

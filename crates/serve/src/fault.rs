@@ -150,7 +150,8 @@ mod tests {
             }
             if let Some(l) = a.link {
                 assert!(l.at <= horizon);
-                assert!(l.scale.num >= 2 * l.scale.den);
+                let wire = SimTime::from_picos(1_000);
+                assert!(l.scale.apply(wire) >= SimTime::from_picos(2_000));
             }
         }
     }

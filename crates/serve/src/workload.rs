@@ -27,6 +27,11 @@ const MAX_DECODE_CONTEXT: u64 = 1 << 31;
 /// context exceeds [`MAX_DECODE_CONTEXT`].
 const DECODE_CONTEXT: &str = "prompt + max_new";
 
+/// The [`WorkloadError::InvalidDecode`] fields named when a decode
+/// model's per-sequence prefill or step cycles overflow `u64`.
+const DECODE_PREFILL_CYCLES: &str = "prompt × step_cycles";
+const DECODE_STEP_CYCLES: &str = "step_cycles + ctx_class × ctx_cycles";
+
 /// Why a [`WorkloadSpec`] is invalid — raised by
 /// [`WorkloadSpec::validate`] (and the `Server` constructors) instead of
 /// letting a non-finite or non-positive rate wrap silently through the
@@ -61,13 +66,16 @@ pub enum WorkloadError {
         tenant: String,
     },
     /// A decode model's shape is degenerate (zero prompt, zero `max_new`,
-    /// or zero KV bytes per token) or its context overflows (`prompt +
-    /// max_new` above 2³¹ tokens, where context classes leave `u32`).
+    /// or zero KV bytes per token), its context overflows (`prompt +
+    /// max_new` above 2³¹ tokens, where context classes leave `u32`), or
+    /// its cycles overflow `u64` (`prompt × step_cycles`, or `step_cycles
+    /// + ctx_class × ctx_cycles` at the longest context's class).
     InvalidDecode {
         /// Offending tenant name.
         tenant: String,
-        /// Which decode parameter is zero, or `"prompt + max_new"` when
-        /// the context overflows.
+        /// Which decode parameter is zero, or the overflowing sum or
+        /// product (`"prompt + max_new"`, `"prompt × step_cycles"`,
+        /// `"step_cycles + ctx_class × ctx_cycles"`).
         field: &'static str,
     },
 }
@@ -87,11 +95,13 @@ impl fmt::Display for WorkloadError {
             WorkloadError::NoClients { tenant } => {
                 write!(f, "{tenant}: a closed loop needs at least one client")
             }
-            WorkloadError::InvalidDecode { tenant, field } if *field == DECODE_CONTEXT => {
-                write!(f, "{tenant}: decode model {field} must be <= 2^31")
-            }
             WorkloadError::InvalidDecode { tenant, field } => {
-                write!(f, "{tenant}: decode model {field} must be > 0")
+                let bound = match *field {
+                    DECODE_CONTEXT => "must be <= 2^31",
+                    DECODE_PREFILL_CYCLES | DECODE_STEP_CYCLES => "overflows u64",
+                    _ => "must be > 0",
+                };
+                write!(f, "{tenant}: decode model {field} {bound}")
             }
         }
     }
@@ -562,8 +572,9 @@ impl WorkloadSpec {
             if let ModelKind::DecodeLlm {
                 prompt,
                 max_new,
+                step_cycles,
+                ctx_cycles,
                 kv_bytes_per_token,
-                ..
             } = tenant.model
             {
                 let field = if prompt == 0 {
@@ -574,6 +585,18 @@ impl WorkloadSpec {
                     Some("kv_bytes_per_token")
                 } else if prompt as u64 + max_new as u64 > MAX_DECODE_CONTEXT {
                     Some(DECODE_CONTEXT)
+                } else if ModelKind::decode_prefill_cycles(prompt, step_cycles).is_none() {
+                    Some(DECODE_PREFILL_CYCLES)
+                } else if ModelKind::decode_step_cycles(
+                    step_cycles,
+                    ctx_cycles,
+                    ModelKind::ctx_class(prompt + max_new),
+                )
+                .is_none()
+                {
+                    // The longest context's class is the costliest step
+                    // any dispatch prices (classes grow with context).
+                    Some(DECODE_STEP_CYCLES)
                 } else {
                     None
                 };
@@ -1007,5 +1030,54 @@ mod tests {
                 "t: decode model prompt + max_new must be <= 2^31"
             );
         }
+    }
+
+    #[test]
+    fn decode_cycles_past_u64_are_rejected() {
+        let spec = |prompt: u32, step_cycles: u64, ctx_cycles: u64| WorkloadSpec {
+            tenants: vec![TenantSpec {
+                model: ModelKind::DecodeLlm {
+                    prompt,
+                    max_new: 16,
+                    step_cycles,
+                    ctx_cycles,
+                    kv_bytes_per_token: 1 << 10,
+                },
+                ..valid_tenant()
+            }],
+            horizon: SimTime::from_millis(1),
+            seed: 0,
+        };
+        // 16 prompt + 16 new tokens: context class 32, so 2⁶⁰ cycles per
+        // context token are 2⁶⁵ per step.
+        let err = spec(16, 1_000, 1 << 60).validate().unwrap_err();
+        assert_eq!(
+            err,
+            WorkloadError::InvalidDecode {
+                tenant: "t".into(),
+                field: DECODE_STEP_CYCLES,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "t: decode model step_cycles + ctx_class × ctx_cycles overflows u64"
+        );
+        // Class 32 × 2⁵⁸ cycles is exactly 2⁶³: small step cycles still
+        // fit on top, another 2⁶³ does not.
+        assert_eq!(spec(16, 1_000, 1 << 58).validate(), Ok(()));
+        assert_eq!(
+            spec(1, 1 << 63, 1 << 58).validate().unwrap_err(),
+            WorkloadError::InvalidDecode {
+                tenant: "t".into(),
+                field: DECODE_STEP_CYCLES,
+            }
+        );
+        assert_eq!(
+            spec(16, 1 << 60, 1).validate().unwrap_err(),
+            WorkloadError::InvalidDecode {
+                tenant: "t".into(),
+                field: DECODE_PREFILL_CYCLES,
+            }
+        );
     }
 }

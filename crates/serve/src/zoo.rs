@@ -111,8 +111,9 @@ impl ModelKind {
     ///
     /// # Panics
     ///
-    /// Panics if `width` is zero or a builder rejects the resulting shape
-    /// (the zoo's base shapes are all valid at any positive width).
+    /// Panics if `width` is zero, a builder rejects the resulting shape
+    /// (the zoo's base shapes are all valid at any positive width), or a
+    /// decode model's prefill cycles overflow `u64`.
     pub fn compile(&self, gpu: &GpuConfig, width: u32) -> CompiledPipeline {
         assert!(width > 0, "batch width must be positive");
         match *self {
@@ -165,8 +166,25 @@ impl ModelKind {
                 prompt,
                 step_cycles,
                 ..
-            } => Self::build_toy(gpu, width, prompt as u64 * step_cycles, None),
+            } => {
+                let cycles = Self::decode_prefill_cycles(prompt, step_cycles)
+                    .unwrap_or_else(|| panic!("{self}: prompt × step_cycles overflows u64"));
+                Self::build_toy(gpu, width, cycles, None)
+            }
         }
+    }
+
+    /// Per-sequence SM cycles of a [`ModelKind::DecodeLlm`] prefill,
+    /// `prompt × step_cycles`, or `None` if that overflows `u64`.
+    pub(crate) fn decode_prefill_cycles(prompt: u32, step_cycles: u64) -> Option<u64> {
+        (prompt as u64).checked_mul(step_cycles)
+    }
+
+    /// Per-sequence SM cycles of one decode step at context class
+    /// `class`, `step_cycles + class × ctx_cycles`, or `None` if that
+    /// overflows `u64`.
+    pub(crate) fn decode_step_cycles(step: u64, ctx: u64, class: u32) -> Option<u64> {
+        (class as u64).checked_mul(ctx)?.checked_add(step)
     }
 
     /// The context-length class a decode step at `context_tokens` is
@@ -187,7 +205,8 @@ impl ModelKind {
     ///
     /// # Panics
     ///
-    /// Panics if `self` is not a decode model or `width` is zero.
+    /// Panics if `self` is not a decode model, `width` is zero, or the
+    /// step's cycles overflow `u64`.
     pub fn compile_decode_step(
         &self,
         gpu: &GpuConfig,
@@ -203,12 +222,11 @@ impl ModelKind {
         else {
             panic!("{self} is not a decode model");
         };
-        Self::build_toy(
-            gpu,
-            width,
-            step_cycles + ctx_class as u64 * ctx_cycles,
-            None,
-        )
+        let cycles =
+            Self::decode_step_cycles(step_cycles, ctx_cycles, ctx_class).unwrap_or_else(|| {
+                panic!("{self}: step_cycles + ctx_class × ctx_cycles overflows u64")
+            });
+        Self::build_toy(gpu, width, cycles, None)
     }
 
     fn build_toy(
@@ -382,6 +400,34 @@ mod tests {
     #[should_panic(expected = "not a decode model")]
     fn non_decode_models_reject_step_compiles() {
         ModelKind::MlpGpt3.compile_decode_step(&GpuConfig::toy(4), 1, 16);
+    }
+
+    /// A pool builds without `WorkloadSpec::validate`, so an overflowing
+    /// step must fail loudly rather than wrap to a tiny service time.
+    #[test]
+    #[should_panic(expected = "step_cycles + ctx_class × ctx_cycles overflows u64")]
+    fn overflowing_decode_steps_refuse_to_compile() {
+        let kind = ModelKind::DecodeLlm {
+            prompt: 16,
+            max_new: 16,
+            step_cycles: 1_000,
+            ctx_cycles: 1 << 60,
+            kv_bytes_per_token: 1 << 10,
+        };
+        kind.compile_decode_step(&GpuConfig::toy(4), 1, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "prompt × step_cycles overflows u64")]
+    fn overflowing_decode_prefills_refuse_to_compile() {
+        let kind = ModelKind::DecodeLlm {
+            prompt: 16,
+            max_new: 16,
+            step_cycles: 1 << 60,
+            ctx_cycles: 1,
+            kv_bytes_per_token: 1 << 10,
+        };
+        kind.compile(&GpuConfig::toy(4), 1);
     }
 
     #[test]

@@ -611,13 +611,12 @@ impl std::error::Error for SimError {
 /// only: link latency (the post→observe edge) and every SM-side cost are
 /// untouched, so a degraded link slows collectives without perturbing the
 /// compute timeline. Exact integer arithmetic keeps scaled runs
-/// bit-identical across engine modes.
+/// bit-identical across engine modes. Built only by [`LinkScale::times`]
+/// and [`LinkScale::ratio`], so the denominator is never zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkScale {
-    /// Scale numerator.
-    pub num: u32,
-    /// Scale denominator (must be non-zero).
-    pub den: u32,
+    num: u32,
+    den: u32,
 }
 
 impl LinkScale {
@@ -3579,6 +3578,12 @@ mod tests {
             cluster.link_wire_time(100_000_000)
         );
         assert_eq!(report.kernel("send").duration, SimTime::from_micros(1000.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "LinkScale denominator must be non-zero")]
+    fn zero_denominator_link_scale_is_refused() {
+        LinkScale::ratio(1, 0);
     }
 
     #[test]

@@ -51,14 +51,17 @@ use cusync_models::{
     ring_allreduce_time, tp_attention, tp_mlp, AttentionConfig, MlpModel, TpLayerConfig,
     TpSchedule, ATTENTION_EDGES, MLP_EDGES,
 };
-use cusync_obs::{chrome_trace_json, collect_spans, validate_chrome_trace, Attribution, Span};
+use cusync_obs::{
+    chrome_trace_json, collect_spans, validate_chrome_trace, Attribution, Lane, Span,
+};
 use cusync_serve::{
     ArrivalModel, ArrivalTrace, BatchPolicy, DecodePolicy, DeviceDrop, FaultPlan, LinkDegrade,
     ModelKind, PreemptPolicy, RequestSched, RetryPolicy, ServeConfig, ServeReport, Server,
     ServicePool, TenantClass, TenantSpec, TraceShape, WorkloadSpec,
 };
 use cusync_sim::{
-    splitmix64, ClusterConfig, CompiledPipeline, EngineMode, GpuConfig, LinkScale, Session, SimTime,
+    fnv1a, splitmix64, ClusterConfig, CompiledPipeline, EngineMode, GpuConfig, LinkScale, Session,
+    SimTime,
 };
 use cusyncgen::{autotune_sync_mechanisms, MechanismPlan, TuneCache};
 
@@ -658,12 +661,116 @@ fn render_cells(json: &mut String, cells: &[(String, &ServeReport)]) {
     json.push_str("  ],\n");
 }
 
-/// Asserts a traced serving run is passive and exports a valid Chrome
+/// FNV-1a digests of each traced serving cell's span sequence (name,
+/// lane, start, end in recording order), keyed by the cell's `what`.
+/// They pin where every lifecycle transition is recorded, which the span
+/// laws alone (see [`assert_span_laws`]) would let move.
+const SPAN_DIGESTS: [(&str, u64); 7] = [
+    (
+        "PR5 load 3 fifo batched=true adm=false",
+        0xa94f_2a78_35e2_14d3,
+    ),
+    ("PR6 baseline fifo", 0x249e_fb32_4307_5b85),
+    ("PR6 burst-trace fifo", 0xcaa0_0c27_0d8b_635e),
+    ("PR6 device-loss fifo", 0xc269_2df8_22b2_39be),
+    ("PR6 link-degraded fifo", 0x65d9_fa36_13b1_0939),
+    ("PR6 preempt-on fifo", 0x1b51_4fb1_0553_1a26),
+    ("PR8 pressure", 0xd7c1_7197_cad2_1acf),
+];
+
+/// FNV-1a over every span's name, lane, start and end, in order.
+fn span_digest(spans: &[Span]) -> u64 {
+    let mut bytes = Vec::new();
+    for span in spans {
+        let Lane::Tenant { tenant } = &span.lane else {
+            panic!("serve span {} off a tenant lane", span.name);
+        };
+        for text in [&span.name, tenant] {
+            bytes.extend_from_slice(&(text.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(text.as_bytes());
+        }
+        bytes.extend_from_slice(&span.start.as_picos().to_le_bytes());
+        bytes.extend_from_slice(&span.end.as_picos().to_le_bytes());
+    }
+    fnv1a(&bytes)
+}
+
+/// The request-lifecycle laws of a traced serving run: each admitted
+/// request's spans follow one another without a gap (admit → queued →
+/// run/preempted → queued → …), its chain ends in exactly one terminal
+/// `run` or `shed` span, terminal `run`s and `shed`s match the report's
+/// completed and shed counts, `reject` markers match its rejections, and
+/// nothing is left open at the end of the run.
+fn assert_span_laws(what: &str, report: &ServeReport, spans: &[Span]) {
+    let mut chains: std::collections::BTreeMap<u64, Vec<(&str, &Span)>> = Default::default();
+    let mut rejects = 0u64;
+    for span in spans {
+        if span.name == "reject" {
+            assert_eq!(span.start, span.end, "{what}: reject marker has width");
+            rejects += 1;
+            continue;
+        }
+        let (id, phase) = span
+            .name
+            .strip_prefix("req")
+            .and_then(|rest| rest.split_once(' '))
+            .unwrap_or_else(|| panic!("{what}: unexpected span {}", span.name));
+        let id: u64 = id
+            .parse()
+            .unwrap_or_else(|_| panic!("{what}: {}", span.name));
+        chains.entry(id).or_default().push((phase, span));
+    }
+    let (mut runs, mut sheds) = (0u64, 0u64);
+    for (id, chain) in &chains {
+        for pair in chain.windows(2) {
+            assert_eq!(
+                pair[0].1.end, pair[1].1.start,
+                "{what}: req{id} chain gap between {} and {}",
+                pair[0].0, pair[1].0
+            );
+            assert!(
+                !matches!(pair[0].0, "run" | "shed"),
+                "{what}: req{id} continues after terminal {}",
+                pair[0].0
+            );
+        }
+        match chain.last().expect("nonempty chain").0 {
+            "run" => runs += 1,
+            "shed" => sheds += 1,
+            other => panic!("{what}: req{id} chain ends in {other}"),
+        }
+    }
+    let sum =
+        |f: fn(&cusync_serve::TenantMetrics) -> u64| -> u64 { report.tenants.iter().map(f).sum() };
+    assert_eq!(runs, sum(|t| t.completed), "{what}: terminal run spans");
+    assert_eq!(sheds, sum(|t| t.shed), "{what}: terminal shed spans");
+    assert_eq!(rejects, sum(|t| t.rejected), "{what}: reject markers");
+    assert_eq!(
+        chains.len() as u64,
+        sum(|t| t.admitted),
+        "{what}: request chains"
+    );
+}
+
+/// Asserts a traced serving run is passive, obeys the lifecycle span
+/// laws, reproduces its pinned span digest and exports a valid Chrome
 /// trace.
 fn assert_traced(what: &str, untraced: &ServeReport, (traced, spans): (ServeReport, Vec<Span>)) {
     assert!(
         traced == *untraced,
         "{what}: traced report differs from the untraced one"
+    );
+    assert_span_laws(what, &traced, &spans);
+    let pinned = SPAN_DIGESTS
+        .iter()
+        .find(|(cell, _)| *cell == what)
+        .unwrap_or_else(|| panic!("{what}: no pinned span digest"))
+        .1;
+    assert_eq!(
+        span_digest(&spans),
+        pinned,
+        "{what}: span digest ({} spans)",
+        spans.len()
     );
     validate_chrome_trace(&chrome_trace_json(&spans))
         .unwrap_or_else(|e| panic!("{what}: invalid chrome trace: {e}"));
@@ -987,13 +1094,13 @@ fn serving_chaos_document_is_reproduced() {
                     rerouted > 0,
                     "{what}: nothing re-routed off the dead device"
                 );
-                if sched == RequestSched::Fifo {
-                    assert_traced(
-                        &what,
-                        &report,
-                        server.run_traced_with_faults(&config, &plan),
-                    );
-                }
+            }
+            if sched == RequestSched::Fifo {
+                assert_traced(
+                    &what,
+                    &report,
+                    server.run_traced_with_faults(&config, &plan),
+                );
             }
             cells.push((scenario, sched, report));
         }
