@@ -41,6 +41,16 @@ pub trait SyncPolicy: Send + Sync + fmt::Debug {
 
     /// Semaphore value that signals "ready" for `requested`.
     fn expected(&self, requested: Dim3, grid: Dim3) -> u32;
+
+    /// [`wait_sem`](SyncPolicy::wait_sem) and
+    /// [`expected`](SyncPolicy::expected) of `requested` in one call, so
+    /// a consumer pays one dynamic dispatch per wait.
+    fn wait_on(&self, requested: Dim3, grid: Dim3) -> (u32, u32) {
+        (
+            self.wait_sem(requested, grid),
+            self.expected(requested, grid),
+        )
+    }
 }
 
 /// Shared handle to a policy.

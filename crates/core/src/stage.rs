@@ -401,11 +401,13 @@ pub struct WaitTarget<'a> {
 impl WaitTarget<'_> {
     /// The semaphore wait required before reading the producer tile
     /// `requested`.
+    #[inline]
     pub fn op(&self, requested: Dim3) -> Op {
+        let (index, value) = self.policy.wait_on(requested, self.grid);
         Op::SemWait {
             table: self.table,
-            index: self.policy.wait_sem(requested, self.grid),
-            value: self.policy.expected(requested, self.grid),
+            index,
+            value,
         }
     }
 }

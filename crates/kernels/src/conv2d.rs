@@ -16,6 +16,7 @@
 //! under-synchronizes at tile boundaries; with halo-aware waits the
 //! functional checker proves the chain race-free.
 
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use cusync::{StageRuntime, WaitTarget};
@@ -301,7 +302,7 @@ impl KernelSource for Conv2DKernel {
         })
     }
 
-    fn static_programs(&self, mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op])) -> bool {
+    fn static_programs(&self, mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op], usize)) -> bool {
         let p = &*self.p;
         let stage = p.stage.as_deref();
         if mem.is_functional(p.output) || stage.and_then(StageRuntime::tile_counter).is_some() {
@@ -329,7 +330,10 @@ impl KernelSource for Conv2DKernel {
                 middle.extend_from_slice(&grid_waits);
                 // Even a (degenerate) zero-step loop waits before step 0.
                 let steps = p.steps().max(1) as usize;
-                let waits = |step, out: &mut Vec<Op>| p.push_step_waits(target, tile, step, out);
+                let ys = p.wait_rows(tile);
+                let waits = |step, out: &mut Vec<Op>| {
+                    p.push_step_waits(target, ys.clone(), tile, step, out)
+                };
                 class.push_loop(steps, waits, middle);
             };
             programs.emit(stage, tile, share_rows.then_some(extents), build, sink);
@@ -398,30 +402,41 @@ impl ConvParams {
         self.stage.as_deref()?.wait_target(self.input)
     }
 
-    /// Appends tile `t`'s waits before `step` to `out`, dropping
-    /// consecutive duplicates (policies that fold several requested tiles
-    /// onto one semaphore produce them).
-    fn push_step_waits(
-        &self,
-        target: Option<WaitTarget<'_>>,
-        t: Dim3,
-        step: u32,
-        out: &mut Vec<Op>,
-    ) {
-        let (Some(target), Some(dep)) = (target, &self.input_dep) else {
-            return;
-        };
+    /// The producer row tiles tile `t` requests at every step: those of
+    /// its rows, widened by the halo when halo-safe (`None` without an
+    /// input dependency).
+    fn wait_rows(&self, t: Dim3) -> Option<RangeInclusive<u32>> {
+        let dep = self.input_dep.as_ref()?;
         let (mut lo, mut hi) = self.rows(t);
         if self.halo_safe {
             let halo = self.shape.halo_rows();
             lo = lo.saturating_sub(halo);
             hi = (hi + halo).min(self.shape.gemm_m());
         }
+        Some(dep.row_tiles((lo, hi), self.shape.gemm_m()))
+    }
+
+    /// Appends tile `t`'s waits before `step` to `out`, given its
+    /// [`ConvParams::wait_rows`] `ys`, dropping consecutive duplicates
+    /// (policies that fold several requested tiles onto one semaphore
+    /// produce them).
+    fn push_step_waits(
+        &self,
+        target: Option<WaitTarget<'_>>,
+        ys: Option<RangeInclusive<u32>>,
+        t: Dim3,
+        step: u32,
+        out: &mut Vec<Op>,
+    ) {
+        let (Some(target), Some(dep), Some(ys)) = (target, &self.input_dep, ys) else {
+            return;
+        };
         // Requested x = cb * rs + rs_idx = step (channel blocks outer).
-        let start = out.len();
-        dep.for_each_requested((lo, hi), self.shape.gemm_m(), step, t, |req| {
+        let mut last = None;
+        dep.for_each_requested(ys, step, t, |req| {
             let op = target.op(req);
-            if out.len() == start || out[out.len() - 1] != op {
+            if last != Some(op) {
+                last = Some(op);
                 out.push(op);
             }
         });
@@ -516,8 +531,9 @@ impl Conv2DBody {
 
     fn step_waits(&self, step: u32) -> Vec<Op> {
         let mut ops = Vec::new();
+        let t = self.tile_coord();
         self.k
-            .push_step_waits(self.k.wait_target(), self.tile_coord(), step, &mut ops);
+            .push_step_waits(self.k.wait_target(), self.k.wait_rows(t), t, step, &mut ops);
         ops
     }
 

@@ -102,7 +102,7 @@ impl KernelSource for CopyKernel {
             phase: CopyPhase::Start,
         })
     }
-    fn static_programs(&self, mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op])) -> bool {
+    fn static_programs(&self, mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op], usize)) -> bool {
         let stage = self.stage.as_deref();
         if mem.is_functional(self.dst) || stage.and_then(StageRuntime::tile_counter).is_some() {
             return false;

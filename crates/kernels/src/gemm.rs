@@ -13,6 +13,7 @@
 //! keeping the event count low.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use cusync::{StageRuntime, WaitTarget};
@@ -182,16 +183,17 @@ impl InputDep {
     /// row range and tile.
     pub fn requested(&self, rows: (u32, u32), m: u32, chunk: u32, tile: Dim3) -> Vec<Dim3> {
         let mut out = Vec::new();
-        self.for_each_requested(rows, m, chunk, tile, |req| out.push(req));
+        self.for_each_requested(self.row_tiles(rows, m), chunk, tile, |req| out.push(req));
         out
     }
 
-    /// [`InputDep::requested`] without the `Vec`: calls `f` on each
+    /// [`InputDep::requested`] without the `Vec`, given the consumer
+    /// rows' producer row tiles `ys` ([`InputDep::row_tiles`]; only the
+    /// chunk varies along a tile's main loop): calls `f` on each
     /// requested coordinate, in the same order.
     pub(crate) fn for_each_requested(
         &self,
-        rows: (u32, u32),
-        m: u32,
+        ys: RangeInclusive<u32>,
         chunk: u32,
         tile: Dim3,
         mut f: impl FnMut(Dim3),
@@ -199,13 +201,13 @@ impl InputDep {
         match &self.plan {
             DepPlan::Custom(plan) => plan(tile, chunk).into_iter().for_each(f),
             DepPlan::RowAligned { x_offset_tiles } => {
-                for y in self.row_tiles(rows, m) {
+                for y in ys {
                     f(Dim3::new(x_offset_tiles + chunk, y, 0));
                 }
             }
             DepPlan::Strided { x_offsets } => {
                 for &off in x_offsets {
-                    for y in self.row_tiles(rows, m) {
+                    for y in ys.clone() {
                         f(Dim3::new(off + chunk, y, 0));
                     }
                 }
@@ -213,8 +215,9 @@ impl InputDep {
         }
     }
 
-    /// Producer row tiles covering consumer rows `[rows.0, rows.1)`.
-    fn row_tiles(&self, rows: (u32, u32), m: u32) -> impl Iterator<Item = u32> {
+    /// Producer row tiles covering consumer rows `[rows.0, rows.1)` (a
+    /// custom plan ignores them).
+    pub(crate) fn row_tiles(&self, rows: (u32, u32), m: u32) -> RangeInclusive<u32> {
         let per_tile = m.div_ceil(self.prod_grid.y).max(1);
         let lo = rows.0 / per_tile;
         let hi = ((rows.1 - 1) / per_tile).min(self.prod_grid.y - 1);
@@ -497,7 +500,7 @@ impl KernelSource for GemmKernel {
         })
     }
 
-    fn static_programs(&self, mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op])) -> bool {
+    fn static_programs(&self, mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op], usize)) -> bool {
         // Context-dependent only when computing functional results or
         // mapping tiles through the atomic order counter.
         let p = &*self.p;
@@ -525,7 +528,9 @@ impl KernelSource for GemmKernel {
                     ShapeClass::new(extents, tile.z, mains, epilogue, write)
                 });
                 middle.extend_from_slice(&grid_waits);
-                let waits = |i, out: &mut Vec<Op>| p.push_chunk_waits(&deps, tile, lo + i, out);
+                let ys = p.wait_rows(&deps, tile);
+                let waits =
+                    |i, out: &mut Vec<Op>| p.push_chunk_waits(&deps, &ys, tile, lo + i, out);
                 class.push_loop(class.mains.len(), waits, middle);
             };
             programs.emit(stage, tile, share_rows.then_some(extents), build, sink);
@@ -616,18 +621,28 @@ impl GemmParams {
             .collect()
     }
 
-    /// Appends tile `t`'s waits before `chunk` to `out`.
+    /// Appends tile `t`'s waits before `chunk` to `out`, given each dep's
+    /// producer row tiles `ys` ([`GemmParams::wait_rows`]).
     fn push_chunk_waits(
         &self,
         deps: &[(&InputDep, WaitTarget<'_>)],
+        ys: &[RangeInclusive<u32>],
         t: Dim3,
         chunk: u32,
         out: &mut Vec<Op>,
     ) {
-        let rows = self.rows(t);
-        for (dep, target) in deps {
-            dep.for_each_requested(rows, self.dims.m, chunk, t, |req| out.push(target.op(req)));
+        for ((dep, target), ys) in deps.iter().zip(ys) {
+            dep.for_each_requested(ys.clone(), chunk, t, |req| out.push(target.op(req)));
         }
+    }
+
+    /// The producer row tiles each of `deps` requests for tile `t`, at
+    /// every chunk.
+    fn wait_rows(&self, deps: &[(&InputDep, WaitTarget<'_>)], t: Dim3) -> Vec<RangeInclusive<u32>> {
+        let rows = self.rows(t);
+        deps.iter()
+            .map(|(dep, _)| dep.row_tiles(rows, self.dims.m))
+            .collect()
     }
 
     fn a_bytes(&self, rows: u32, kspan: u32) -> u64 {
@@ -762,8 +777,9 @@ impl GemmBody {
     fn chunk_waits(&self, chunk: u32) -> Vec<Op> {
         let mut ops = Vec::new();
         let deps = self.k.wait_deps();
+        let ys = self.k.wait_rows(&deps, self.tile_coord());
         self.k
-            .push_chunk_waits(&deps, self.tile_coord(), chunk, &mut ops);
+            .push_chunk_waits(&deps, &ys, self.tile_coord(), chunk, &mut ops);
         ops
     }
 

@@ -81,7 +81,7 @@ impl ShapeClass {
 /// the block's own `stage.post()` ops — can be shared by consecutive
 /// blocks of one grid row with equal extents: it is built once, and each
 /// further block only swaps in its own posts before the program is
-/// handed over.
+/// handed over, with the middle's length as the count of ops it repeats.
 #[derive(Default)]
 pub(crate) struct RowPrograms {
     /// `(y, z, extents)` of the block the middle was built for.
@@ -104,23 +104,26 @@ impl RowPrograms {
         tile: Dim3,
         share: Option<(u32, u32)>,
         build: impl FnOnce(&mut Vec<Op>),
-        sink: &mut dyn FnMut(&[Op]),
+        sink: &mut dyn FnMut(&[Op], usize),
     ) {
         let start = stage.and_then(|s| s.start_op(tile));
         // A start post is block-specific: never share its program.
         let key = share
             .filter(|_| start.is_none())
             .map(|extents| (tile.y, tile.z, extents));
-        if key.is_none() || key != self.key {
+        let same = if key.is_some() && key == self.key {
+            self.shared
+        } else {
             self.prog.clear();
             self.prog.extend(start);
             build(&mut self.prog);
             self.shared = self.prog.len();
-        }
+            0
+        };
         self.key = key;
         self.prog.truncate(self.shared);
         self.prog
             .extend(stage.and_then(|s| s.post_ops(tile)).into_iter().flatten());
-        sink(&self.prog);
+        sink(&self.prog, same);
     }
 }

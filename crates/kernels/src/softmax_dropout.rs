@@ -201,7 +201,7 @@ impl KernelSource for SoftmaxDropoutKernel {
         })
     }
 
-    fn static_programs(&self, mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op])) -> bool {
+    fn static_programs(&self, mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op], usize)) -> bool {
         let p = &*self.p;
         let stage = p.stage.as_deref();
         if mem.is_functional(p.output) || stage.and_then(StageRuntime::tile_counter).is_some() {
@@ -274,10 +274,10 @@ impl SoftmaxParams {
         let (Some(dep), Some(target)) = (&self.input_dep, stage.wait_target(self.input)) else {
             return ops;
         };
-        let rows = self.row_range(t);
+        let ys = dep.row_tiles(self.row_range(t), self.rows);
         // The whole row is needed: wait on every producer column tile.
         for chunk in 0..dep.prod_grid.x {
-            dep.for_each_requested(rows, self.rows, chunk, t, |req| ops.push(target.op(req)));
+            dep.for_each_requested(ys.clone(), chunk, t, |req| ops.push(target.op(req)));
         }
         ops.dedup();
         ops

@@ -85,6 +85,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::fmt;
 
 use cusync_obs::{Lane, Span, SpanKind};
 use cusync_sim::{KvPool, KvStats, LinkScale, SimTime};
@@ -135,7 +136,57 @@ impl ServeConfig {
             sample_every: None,
         }
     }
+
+    /// Checks the fields a struct literal can set out of range (the
+    /// [`BatchPolicy::new`] and [`DecodePolicy::new`] constructors assert
+    /// the same bounds).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first out-of-range field as a [`ServeConfigError`].
+    pub fn validate(&self) -> Result<(), ServeConfigError> {
+        if self.batch.max_batch == 0 {
+            return Err(ServeConfigError::ZeroMaxBatch);
+        }
+        if self.decode.block_tokens == 0 {
+            return Err(ServeConfigError::ZeroBlockTokens);
+        }
+        if self.decode.kv_permille > 1000 {
+            return Err(ServeConfigError::KvShareOver1000 {
+                kv_permille: self.decode.kv_permille,
+            });
+        }
+        Ok(())
+    }
 }
+
+/// An out-of-range [`ServeConfig`] field, from [`ServeConfig::validate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServeConfigError {
+    /// `batch.max_batch` is zero: no dispatch could seat anyone.
+    ZeroMaxBatch,
+    /// `decode.block_tokens` is zero: no KV block could hold a token.
+    ZeroBlockTokens,
+    /// `decode.kv_permille` gives the KV pool more than the whole DRAM.
+    KvShareOver1000 {
+        /// The rejected share, in permille.
+        kv_permille: u32,
+    },
+}
+
+impl fmt::Display for ServeConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServeConfigError::ZeroMaxBatch => f.write_str("batch.max_batch must be > 0"),
+            ServeConfigError::ZeroBlockTokens => f.write_str("decode.block_tokens must be > 0"),
+            ServeConfigError::KvShareOver1000 { kv_permille } => {
+                write!(f, "decode.kv_permille {kv_permille} exceeds 1000")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ServeConfigError {}
 
 /// An admitted request waiting in (or leaving) a tenant queue.
 #[derive(Debug, Clone, Copy)]
@@ -339,7 +390,8 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if `config.batch.max_batch` exceeds the warmed
+    /// Panics if `config` fails [`ServeConfig::validate`] or
+    /// `config.batch.max_batch` exceeds the warmed
     /// [`ServicePool::max_width`].
     pub fn run(&self, config: &ServeConfig) -> ServeReport {
         self.run_with_faults(config, &FaultPlan::none())
@@ -351,8 +403,9 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if `config.batch.max_batch` exceeds the warmed
-    /// [`ServicePool::max_width`] or the plan names a device index
+    /// Panics if `config` fails [`ServeConfig::validate`],
+    /// `config.batch.max_batch` exceeds the warmed
+    /// [`ServicePool::max_width`], or the plan names a device index
     /// outside the cluster.
     pub fn run_with_faults(&self, config: &ServeConfig, faults: &FaultPlan) -> ServeReport {
         self.checked_sim(config, faults).run().0
@@ -388,6 +441,9 @@ impl Server {
     }
 
     fn checked_sim<'a>(&'a self, config: &'a ServeConfig, faults: &'a FaultPlan) -> Sim<'a> {
+        if let Err(e) = config.validate() {
+            panic!("invalid serve config: {e}");
+        }
         assert!(
             config.batch.max_batch <= self.pool.max_width(),
             "batch width {} exceeds warmed max width {}",

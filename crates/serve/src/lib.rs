@@ -103,7 +103,7 @@ mod workload;
 mod zoo;
 
 pub use cusync_sim::{KvPool, KvStats};
-pub use dispatch::{ServeConfig, Server};
+pub use dispatch::{ServeConfig, ServeConfigError, Server};
 pub use fault::{DeviceDrop, FaultPlan, LinkDegrade, PanicInjection};
 pub use metrics::{
     CompletionRecord, DeviceMetrics, FaultOutcome, LatencySummary, MetricSample, ServeReport,

@@ -8,10 +8,13 @@
 //!   occupancies, launch order, launch gates). This is what
 //!   [`CompiledPipeline`](crate::CompiledPipeline) freezes.
 //! - [`RunState`] — *all* per-run state: event heaps and slabs, block
-//!   slots, pre-driven op programs, semaphore values, functional memory,
-//!   SM capacity indexes, stats and traces. [`RunState::reset`] rewinds it
-//!   to the pipeline's initial conditions while keeping every arena
-//!   allocation, so repeated runs are allocation-free after warmup.
+//!   slots, semaphore values, functional memory, SM capacity indexes,
+//!   stats and traces. [`RunState::reset`] rewinds it to the pipeline's
+//!   initial conditions while keeping every arena allocation, so repeated
+//!   runs are allocation-free after warmup. The pre-driven op
+//!   [`Programs`] are not run state: they are built once per compiled
+//!   pipeline, held in a `OnceLock` on the
+//!   [`CompiledPipeline`](crate::CompiledPipeline), and only read here.
 //! - [`execute_with`] — the event loop itself, generic over both pieces.
 //!   Both [`EngineMode`]s run through it and produce bit-identical
 //!   timelines (`tests/engine_equivalence.rs`, `tests/session_reuse.rs`).
@@ -51,6 +54,7 @@ use crate::dim::Dim3;
 use crate::kernel::{BlockCtx, KernelSource, Step};
 use crate::mem::{BufferId, DType, GlobalMemory};
 use crate::ops::Op;
+use crate::programs::Programs;
 use crate::sched::{SchedContext, SchedPolicy};
 use crate::sem::{SemArrayId, SemTable, WaitLists};
 use crate::stats::{waves, EngineCounters, KernelReport, MemoCount, RunReport};
@@ -837,48 +841,6 @@ pub(crate) struct PipelineDesc {
     finalized: bool,
 }
 
-/// The pre-driven block programs of a pipeline's statically emitting
-/// kernels ([`KernelSource::static_programs`]), stored **once** as
-/// contiguous op slices, so optimized-engine runs replay them through a
-/// cursor without constructing or interpreting any coroutine body. The
-/// reference engine never reads this: it is built lazily, only for runs
-/// that will execute optimized (by `CompiledPipeline::programs`), so
-/// reference-engine baselines don't pay for it.
-pub(crate) struct Programs {
-    /// Arena of program ops; each block's program is contiguous.
-    block_ops: Vec<Op>,
-    /// Flat `(start, len)` spans into `block_ops`, one per pre-driven
-    /// block, grouped per kernel in linear block order.
-    prog_spans: Vec<(u32, u32)>,
-    /// Per kernel: index of its first span in `prog_spans`, or
-    /// `u32::MAX` for kernels that are not pre-driven. A kernel is
-    /// pre-driven exactly when its entry is set.
-    prog_base: Vec<u32>,
-}
-
-impl Programs {
-    /// The empty program table the reference engine runs with.
-    pub(crate) fn empty() -> Self {
-        Programs {
-            block_ops: Vec::new(),
-            prog_spans: Vec::new(),
-            prog_base: Vec::new(),
-        }
-    }
-
-    /// The `(start, len)` span of block `linear` of kernel `k` in the op
-    /// arena, or `None` when the kernel is not pre-driven (always, on the
-    /// empty table).
-    fn span(&self, k: usize, linear: u64) -> Option<(u32, u32)> {
-        match self.prog_base.get(k) {
-            Some(&base) if base != u32::MAX => {
-                Some(self.prog_spans[base as usize + linear as usize])
-            }
-            _ => None,
-        }
-    }
-}
-
 impl PipelineDesc {
     pub(crate) fn new(cluster: ClusterConfig) -> Self {
         let costs = cluster.devices.iter().map(FixedCosts::of).collect();
@@ -943,48 +905,9 @@ impl PipelineDesc {
     }
 
     /// Collects the op program of every block of every kernel that emits
-    /// them statically under `mem` (see [`Programs`] and
-    /// [`KernelSource::static_programs`]). Each block's slice is appended
-    /// to the arena as it is emitted, so the arena grows block by block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a kernel breaks the emitter contract: a block count other
-    /// than its grid's, or `sink` calls followed by `false`.
+    /// them statically under `mem` (see [`Programs::collect`]).
     pub(crate) fn collect_programs(&self, mem: &GlobalMemory) -> Programs {
-        let mut programs = Programs {
-            block_ops: Vec::new(),
-            prog_spans: Vec::new(),
-            prog_base: vec![u32::MAX; self.kernels.len()],
-        };
-        for (k, kd) in self.kernels.iter().enumerate() {
-            let base = programs.prog_spans.len();
-            let Programs {
-                block_ops,
-                prog_spans,
-                ..
-            } = &mut programs;
-            let emitted = kd.source.static_programs(mem, &mut |ops: &[Op]| {
-                prog_spans.push((block_ops.len() as u32, ops.len() as u32));
-                block_ops.extend_from_slice(ops);
-            });
-            let blocks = (programs.prog_spans.len() - base) as u64;
-            if emitted {
-                assert_eq!(
-                    blocks, kd.total,
-                    "kernel `{}` emitted {blocks} static programs for {} blocks",
-                    kd.name, kd.total
-                );
-                programs.prog_base[k] = base as u32;
-            } else {
-                assert_eq!(
-                    blocks, 0,
-                    "kernel `{}` emitted static programs but declined",
-                    kd.name
-                );
-            }
-        }
-        programs
+        Programs::collect(self.kernels.iter().map(|kd| &*kd.source), mem)
     }
 }
 
@@ -1085,8 +1008,8 @@ struct BlockSlot {
     /// at issue. The reference engine ignores this and recomputes the
     /// hash per op, as the original engine did.
     jitter: f64,
-    /// Pre-driven op program: `[prog_start, prog_start + prog_len)` into
-    /// the *pipeline's* compile-time `block_ops` arena, or
+    /// Pre-driven op program: `[prog_start, prog_start + prog_len)` of
+    /// the *pipeline's* compile-time [`Programs`], or
     /// `prog_start == u32::MAX` for coroutine-driven blocks. Program
     /// blocks have no side effects, so the cursor path may re-read an op
     /// after deferral.
@@ -1365,7 +1288,7 @@ impl RunState {
 /// [`RunState::reset`] and initial memory/semaphores), in `mode`, with the
 /// per-run [`RunOptions`]. `progs` must hold the pipeline's pre-driven
 /// programs for an [`EngineMode::Optimized`] run; the reference engine
-/// ignores it (pass [`Programs::empty`]). `sched` overrides the
+/// ignores it (pass an empty [`Programs`]). `sched` overrides the
 /// block-issue order; `None` issues in the hardware launch order. The
 /// [`Session`](crate::Session) is the only caller.
 pub(crate) fn execute_with(
@@ -2038,7 +1961,7 @@ impl Exec<'_> {
                 }
                 return;
             }
-            let op = self.progs.block_ops[(slot.prog_start + slot.prog_pc) as usize];
+            let op = self.progs.op(slot.prog_start + slot.prog_pc);
             match op {
                 Op::SemWait {
                     table,

@@ -101,24 +101,28 @@ pub trait KernelSource: Send + Sync {
     /// - If any block is context-dependent (typically a functional output
     ///   buffer, or an atomic tile-order counter), return `false` without
     ///   calling `sink`.
-    /// - Otherwise call `sink` exactly `grid().count()` times, in linear
-    ///   block order ([`Dim3::delinear`]), each time with that block's
-    ///   full op stream — exactly what driving [`KernelSource::block`] to
-    ///   [`Step::Done`] yields — and return `true`.
+    /// - Otherwise call `sink(ops, same)` exactly `grid().count()` times,
+    ///   in linear block order ([`Dim3::delinear`]), each time with that
+    ///   block's full op stream `ops` — exactly what driving
+    ///   [`KernelSource::block`] to [`Step::Done`] yields — and return
+    ///   `true`. `same` is a count of leading ops of `ops` known equal to
+    ///   those of the previous call's stream (at most its length); `0`
+    ///   always holds, and the first call must pass it.
     ///
     /// The optimized engine stores the emitted streams once per compiled
-    /// pipeline and replays each block through a cursor as its events fire,
-    /// constructing no [`BlockBody`] at all; the reference engine never
-    /// calls this. Timing is identical: each op is
-    /// still priced at its own start time. Emitters see the whole grid, so
-    /// they can hoist work every block shares (pricing, wait lists) out of
-    /// the per-block loop. They hand over one block at a time, so the
-    /// engine's op arena grows block by block.
+    /// pipeline ([`Programs`](crate::Programs)) and replays each block
+    /// through a cursor as its events fire, constructing no [`BlockBody`]
+    /// at all; the reference engine never calls this. Timing is
+    /// identical: each op is still priced at its own start time. Emitters
+    /// see the whole grid, so they can hoist work every block shares
+    /// (pricing, wait lists) out of the per-block loop; `same` passes that
+    /// sharing on, so the engine copies those ops' ids instead of looking
+    /// each op up again.
     ///
     /// The default returns `false`: blocks are resumed lazily, the
     /// reference behaviour. Returning `true` for a context-dependent
     /// kernel changes simulated results.
-    fn static_programs(&self, mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op])) -> bool {
+    fn static_programs(&self, mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op], usize)) -> bool {
         let _ = (mem, sink);
         false
     }
@@ -193,10 +197,11 @@ impl KernelSource for FixedKernel {
         })
     }
 
-    fn static_programs(&self, _mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op])) -> bool {
-        // `FixedBody` never touches its context.
-        for _ in 0..self.grid.count() {
-            sink(&self.ops);
+    fn static_programs(&self, _mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op], usize)) -> bool {
+        // `FixedBody` never touches its context, and every block repeats
+        // the first one's ops.
+        for linear in 0..self.grid.count() {
+            sink(&self.ops, if linear == 0 { 0 } else { self.ops.len() });
         }
         true
     }
@@ -297,10 +302,10 @@ impl KernelSource for IndexedKernel {
         })
     }
 
-    fn static_programs(&self, _mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op])) -> bool {
+    fn static_programs(&self, _mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op], usize)) -> bool {
         // Op lists are fixed data; bodies never read their context.
         for ops in &self.ops {
-            sink(ops);
+            sink(ops, 0);
         }
         true
     }

@@ -75,6 +75,7 @@ mod kernel;
 mod kv;
 mod mem;
 mod ops;
+mod programs;
 mod sched;
 mod sem;
 mod session;
@@ -93,6 +94,7 @@ pub use kernel::{BlockBody, BlockCtx, FixedKernel, FnKernel, IndexedKernel, Kern
 pub use kv::{KvPool, KvStats};
 pub use mem::{BufferId, DType, GlobalMemory, RaceEvent};
 pub use ops::Op;
+pub use programs::Programs;
 pub use sched::{
     fnv1a, splitmix64, Fifo, Lifo, SchedContext, SchedPolicy, SchedPolicyKind, SchedPolicyRef,
     SeededShuffle, SemStarver,

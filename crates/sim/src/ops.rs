@@ -10,7 +10,7 @@ use crate::sem::SemArrayId;
 /// side-effects (actual reads and writes of buffer values) are performed by
 /// the body itself between operations; see the contract on
 /// [`BlockBody::resume`](crate::BlockBody::resume).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// Pure computation taking `cycles` SM cycles.
     Compute {

@@ -7,10 +7,11 @@
 //!
 //! - [`CompiledPipeline`] — the immutable, `Arc`-shareable artifact frozen
 //!   by [`Gpu::compile`]: the pipeline description plus pristine copies of
-//!   initial memory and semaphores.
+//!   initial memory and semaphores, and its pre-driven op
+//!   [`Programs`], built once on the first optimized run.
 //! - [`Session`] — a reusable execution engine and the only way to run
 //!   anything. [`Session::run`] executes any compiled pipeline against a
-//!   pooled run state whose arenas (event heaps, slabs, block programs,
+//!   pooled run state whose arenas (event heaps, slabs, block slots,
 //!   wait-lists) are *reset*, not reallocated, between runs — so repeated
 //!   runs of one pipeline are allocation-free after warmup.
 //!
@@ -24,10 +25,11 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use crate::engine::{
-    execute_with, EngineMode, Gpu, LinkScale, PipelineDesc, Programs, RunOptions, RunOutcome,
-    RunState, SimError,
+    execute_with, EngineMode, Gpu, LinkScale, PipelineDesc, RunOptions, RunOutcome, RunState,
+    SimError,
 };
 use crate::mem::GlobalMemory;
+use crate::programs::Programs;
 use crate::sched::SchedPolicyRef;
 use crate::sem::SemTable;
 use crate::stats::RunReport;
@@ -212,10 +214,11 @@ impl CompiledPipeline {
         hash
     }
 
-    /// The pre-driven op programs, collected on first use against the
+    /// The pre-driven op programs, collected on first call against the
     /// pristine initial memory (emitters only read it) — once per
-    /// pipeline, then shared by every session.
-    fn programs(&self) -> &Programs {
+    /// pipeline, then shared by every session. An optimized-engine run
+    /// calls this; a reference-engine run never does.
+    pub fn programs(&self) -> &Programs {
         self.programs
             .get_or_init(|| self.desc.collect_programs(&self.mem))
     }
@@ -246,10 +249,12 @@ impl Gpu {
 /// [`CompiledPipeline`] can run on, any number of times.
 ///
 /// Between runs every per-run arena (event heap and slab, block slots,
-/// pre-driven op programs, wait-lists, traces) is rewound in place and
-/// memory/semaphores are restored from the pipeline's pristine copies —
-/// re-running the *same* pipeline allocates nothing after warmup, and
-/// running a *different* pipeline just re-primes the storage.
+/// wait-lists, traces) is rewound in place and memory/semaphores are
+/// restored from the pipeline's pristine copies — re-running the *same*
+/// pipeline allocates nothing after warmup, and running a *different*
+/// pipeline just re-primes the storage. The pre-driven op programs are
+/// not per-run state: each pipeline builds its own once
+/// ([`CompiledPipeline::programs`]).
 ///
 /// A session owns every run setting: the engine mode, the trace flag, the
 /// block-issue order and the link scale. Every run goes through it: a
@@ -397,7 +402,7 @@ impl Session {
         static EMPTY_PROGRAMS: OnceLock<Programs> = OnceLock::new();
         let programs = match self.mode {
             EngineMode::Optimized => pipeline.programs(),
-            EngineMode::Reference => EMPTY_PROGRAMS.get_or_init(Programs::empty),
+            EngineMode::Reference => EMPTY_PROGRAMS.get_or_init(Programs::default),
         };
         self.st.reset(&pipeline.desc);
         self.st.trace_enabled = self.trace_enabled;

@@ -15,7 +15,7 @@
 use cusync_serve::{
     ArrivalModel, BatchPolicy, CompletionRecord, DecodePolicy, DeviceDrop, FaultPlan,
     LatencySummary, LinkDegrade, ModelKind, PanicInjection, PreemptPolicy, RequestSched,
-    RetryPolicy, ServeConfig, Server, TenantClass, TenantSpec, WorkloadSpec,
+    RetryPolicy, ServeConfig, ServeConfigError, Server, TenantClass, TenantSpec, WorkloadSpec,
 };
 use cusync_sim::LinkScale;
 use cusync_sim::{ClusterConfig, GpuConfig, SimTime};
@@ -357,4 +357,75 @@ fn tiny_queue_backpressures() {
     assert!(t.rejected > t.admitted, "cap-1 queue must reject most load");
     assert!(t.max_queue_depth <= 1);
     assert!(t.completed > 0);
+}
+
+/// A continuous-batching config with `max_batch` set by struct literal.
+fn continuous_with_width(max_batch: u32) -> ServeConfig {
+    ServeConfig {
+        batch: BatchPolicy {
+            max_batch,
+            window: SimTime::ZERO,
+        },
+        decode: DecodePolicy::continuous_batching(),
+        ..ServeConfig::baseline()
+    }
+}
+
+#[test]
+fn a_zero_batch_width_is_a_typed_error() {
+    assert_eq!(
+        continuous_with_width(0).validate(),
+        Err(ServeConfigError::ZeroMaxBatch)
+    );
+    assert_eq!(continuous_with_width(1).validate(), Ok(()));
+}
+
+#[test]
+fn a_zero_kv_block_is_a_typed_error() {
+    let mut config = ServeConfig::baseline();
+    config.decode.block_tokens = 0;
+    assert_eq!(config.validate(), Err(ServeConfigError::ZeroBlockTokens));
+}
+
+#[test]
+fn a_kv_share_over_the_whole_dram_is_a_typed_error() {
+    let mut config = ServeConfig::baseline();
+    config.decode.kv_permille = 1001;
+    assert_eq!(
+        config.validate(),
+        Err(ServeConfigError::KvShareOver1000 { kv_permille: 1001 })
+    );
+    config.decode.kv_permille = 1000;
+    assert_eq!(config.validate(), Ok(()));
+}
+
+/// A zero batch width under continuous batching would recurse until the
+/// stack overflows (every dispatch seats nobody and begins an empty
+/// decode step, which dispatches again): the run must stop at the config
+/// check instead.
+#[test]
+#[should_panic(expected = "invalid serve config: batch.max_batch must be > 0")]
+fn a_zero_batch_width_stops_a_decode_run() {
+    let spec = WorkloadSpec {
+        tenants: vec![TenantSpec {
+            name: "decode".into(),
+            model: ModelKind::DecodeLlm {
+                prompt: 8,
+                max_new: 4,
+                step_cycles: 20_000,
+                ctx_cycles: 100,
+                kv_bytes_per_token: 1 << 10,
+            },
+            arrival: ArrivalModel::OpenPoisson { rate_rps: 5_000.0 },
+            slo: SimTime::from_millis(1),
+            queue_cap: 8,
+            weight: 1,
+            class: TenantClass::Throughput,
+            retry: None,
+        }],
+        horizon: SimTime::from_millis(2),
+        seed: 5,
+    };
+    let server = Server::new(spec, &toy_cluster(1), 2);
+    server.run(&continuous_with_width(0));
 }

@@ -9,6 +9,7 @@
 //! plans and tile shapes the emitters special-case — the emitted program
 //! must equal the ops from driving `block(idx)` to `Step::Done`.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use cusync::{
@@ -21,7 +22,7 @@ use cusync_kernels::{
 };
 use cusync_sim::{
     BlockCtx, BufferId, DType, Dim3, FixedKernel, GlobalMemory, Gpu, GpuConfig, IndexedKernel,
-    KernelSource, Op, SemTable, SimTime, Step,
+    KernelSource, Op, Programs, SemTable, SimTime, Step,
 };
 
 /// `+WT`: no custom tile order (so no atomic counter), R off.
@@ -52,10 +53,11 @@ fn driven(kernel: &dyn KernelSource, idx: Dim3, mem: &mut GlobalMemory) -> Vec<O
 }
 
 /// Asserts `kernel` emits one program per block, each equal to the
-/// block's driven ops, and returns the programs in linear block order.
+/// block's driven ops, and that the interned [`Programs`] decode back to
+/// exactly the emitted programs; returns them in linear block order.
 fn assert_emits_driven(kernel: &dyn KernelSource, mem: &GlobalMemory, what: &str) -> Vec<Vec<Op>> {
     let mut programs: Vec<Vec<Op>> = Vec::new();
-    let emitted = kernel.static_programs(mem, &mut |ops| programs.push(ops.to_vec()));
+    let emitted = kernel.static_programs(mem, &mut |ops, _| programs.push(ops.to_vec()));
     assert!(emitted, "{what}: declined to emit");
     let grid = kernel.grid();
     assert_eq!(programs.len() as u64, grid.count(), "{what}: program count");
@@ -68,17 +70,47 @@ fn assert_emits_driven(kernel: &dyn KernelSource, mem: &GlobalMemory, what: &str
             "{what}: block {idx:?}"
         );
     }
+    assert_interned(kernel, mem, &programs, what);
     programs
+}
+
+/// Asserts the interned programs of `kernel` decode to `programs` and
+/// that their op table holds each op once.
+fn assert_interned(
+    kernel: &dyn KernelSource,
+    mem: &GlobalMemory,
+    programs: &[Vec<Op>],
+    what: &str,
+) {
+    let interned = Programs::collect([kernel], mem);
+    for (linear, program) in programs.iter().enumerate() {
+        let decoded: Vec<Op> = interned
+            .block(0, linear as u64)
+            .expect("an emitting kernel is pre-driven")
+            .collect();
+        assert_eq!(&decoded, program, "{what}: interned block {linear}");
+    }
+    let total: usize = programs.iter().map(Vec::len).sum();
+    assert_eq!(interned.len(), total, "{what}: interned op count");
+    let distinct: HashSet<Op> = interned.ops().iter().copied().collect();
+    assert_eq!(
+        distinct.len(),
+        interned.ops().len(),
+        "{what}: duplicate ops"
+    );
 }
 
 /// Asserts `kernel` declines under `mem` without calling the sink.
 fn assert_declines(kernel: &dyn KernelSource, mem: &GlobalMemory, what: &str) {
     let mut calls = 0;
     assert!(
-        !kernel.static_programs(mem, &mut |_| calls += 1),
+        !kernel.static_programs(mem, &mut |_, _| calls += 1),
         "{what}: emitted"
     );
     assert_eq!(calls, 0, "{what}: sink called");
+    let interned = Programs::collect([kernel], mem);
+    assert!(interned.block(0, 0).is_none(), "{what}: pre-driven");
+    assert!(interned.is_empty(), "{what}: interned ops");
 }
 
 fn gpu() -> Gpu {
@@ -487,4 +519,36 @@ fn context_dependent_kernels_decline_without_emitting() {
         let copy = CopyKernel::new("copy", 16, 8, a, copy_out).with_stage(stage, true);
         assert_declines(&copy, gpu.mem(), "copy");
     }
+}
+
+/// An emitter that claims its first program repeats a previous one.
+struct RepeatsNothing;
+
+impl KernelSource for RepeatsNothing {
+    fn name(&self) -> &str {
+        "repeats-nothing"
+    }
+
+    fn grid(&self) -> Dim3 {
+        Dim3::linear(1)
+    }
+
+    fn occupancy(&self) -> u32 {
+        1
+    }
+
+    fn block(&self, _block: Dim3) -> Box<dyn cusync_sim::BlockBody> {
+        unreachable!("only the static programs are collected")
+    }
+
+    fn static_programs(&self, _mem: &GlobalMemory, sink: &mut dyn FnMut(&[Op], usize)) -> bool {
+        sink(&[Op::compute(1)], 1);
+        true
+    }
+}
+
+#[test]
+#[should_panic(expected = "repeats more ops than the previous block has")]
+fn a_first_program_cannot_repeat_ops() {
+    Programs::collect([&RepeatsNothing as &dyn KernelSource], &GlobalMemory::new());
 }
