@@ -350,44 +350,6 @@ impl StageRuntime {
     pub fn sem_array(&self) -> Option<SemArrayId> {
         self.sems
     }
-
-    /// A digest of this stage's semaphore wiring: every synchronization
-    /// op it hands its kernel — the start post, the tile counter and
-    /// custom order, each tile's post, each producer edge's mechanism and
-    /// per-tile waits, and the PDL grid waits. Instrumented kernels fold
-    /// it into their
-    /// [`cost_signature`](cusync_sim::KernelSource::cost_signature), so
-    /// pipelines of identical geometry whose edges wait on different
-    /// producers or mechanisms do not share a
-    /// [`fingerprint`](cusync_sim::CompiledPipeline::fingerprint).
-    pub fn wiring_signature(&self) -> u64 {
-        use fmt::Write as _;
-        let mut s = format!(
-            "{}:{:?}:{:?}:{:?}:",
-            self.policy.name(),
-            self.opts,
-            self.start_sem,
-            self.counter
-        );
-        if self.counter.is_some() {
-            for position in 0..self.grid.count() {
-                let _ = write!(s, "{:?}", self.tile_at(position as u32));
-            }
-        }
-        for tile in self.grid.iter() {
-            let _ = write!(s, "{:?}", self.post_ops(tile));
-        }
-        for (buffer, producer, mechanism) in &self.producers {
-            let _ = write!(s, "|{buffer:?}:{mechanism:?}:");
-            if let Some(target) = self.wait_target(*buffer) {
-                for tile in producer.grid.iter() {
-                    let _ = write!(s, "{:?}", target.op(tile));
-                }
-            }
-        }
-        let _ = write!(s, "|{:?}", self.grid_wait_ops());
-        cusync_sim::fnv1a(s.as_bytes())
-    }
 }
 
 /// A resolved per-buffer wait (see [`StageRuntime::wait_target`]).

@@ -60,10 +60,6 @@ impl KernelSource for WaitKernel {
         &self.name
     }
 
-    fn cost_signature(&self) -> u64 {
-        cusync_sim::fnv1a(format!("wait:{:?}", self.targets).as_bytes())
-    }
-
     fn grid(&self) -> Dim3 {
         Dim3::ONE
     }

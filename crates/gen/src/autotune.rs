@@ -117,19 +117,19 @@ where
     TuneReport { results }
 }
 
-/// A persistent memo of candidate evaluations, keyed by **pipeline
-/// fingerprint** (see
-/// [`CompiledPipeline::fingerprint`](cusync_sim::CompiledPipeline::fingerprint))
-/// × [`TuneCandidate::cache_key`] (the full per-stage policy list plus
+/// A persistent memo of candidate evaluations, keyed by a
+/// **caller-chosen shape key** (a `u64` naming the graph being tuned, e.g.
+/// a hash of its figure family and problem sizes) ×
+/// [`TuneCandidate::cache_key`] (the full per-stage policy list plus
 /// flags — injective, unlike the last-stage display name). The
 /// simulator is deterministic, so a candidate's
-/// simulated time for a given pipeline never changes — re-tuning the same
+/// simulated time for a given shape never changes — re-tuning the same
 /// graph can answer from the cache instead of re-simulating.
 ///
 /// The cache is a plain value: hold it across [`autotune_cached`] calls in
 /// one process, and/or [`TuneCache::save`]/[`TuneCache::load`] it between
 /// processes (a line-oriented text file; stable across versions of this
-/// crate as long as fingerprints are).
+/// crate as long as the caller derives its shape keys the same way).
 ///
 /// # Examples
 ///
@@ -141,11 +141,11 @@ where
 /// let mut cache = TuneCache::new();
 /// let candidates =
 ///     || vec![TuneCandidate::new(vec!["TileSync".into()], OptFlags::WRT)];
-/// let fingerprint = 0xC0FFEE; // CompiledPipeline::fingerprint() in practice
-/// let first = autotune_cached(&mut cache, fingerprint, candidates(), |_| {
+/// let shape_key = 0xC0FFEE; // caller-chosen, e.g. a hash of the problem sizes
+/// let first = autotune_cached(&mut cache, shape_key, candidates(), |_| {
 ///     SimTime::from_micros(20.0) // simulated
 /// });
-/// let again = autotune_cached(&mut cache, fingerprint, candidates(), |_| {
+/// let again = autotune_cached(&mut cache, shape_key, candidates(), |_| {
 ///     unreachable!("all candidates cached — never re-simulated")
 /// });
 /// assert_eq!(first.best().time, again.best().time);
@@ -164,7 +164,7 @@ impl TuneCache {
         TuneCache::default()
     }
 
-    /// Number of memoized (fingerprint, candidate) evaluations.
+    /// Number of memoized (shape key, candidate) evaluations.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -184,13 +184,13 @@ impl TuneCache {
         self.misses
     }
 
-    /// The memoized time of `candidate` for the pipeline with `fingerprint`,
-    /// if previously evaluated. Does not touch the hit/miss counters.
+    /// The memoized time of `candidate` for the shape `shape_key`, if
+    /// previously evaluated. Does not touch the hit/miss counters.
     /// Applies the same control-character normalization as
     /// [`TuneCache::insert`].
-    pub fn peek(&self, fingerprint: u64, candidate: &str) -> Option<SimTime> {
+    pub fn peek(&self, shape_key: u64, candidate: &str) -> Option<SimTime> {
         self.entries
-            .get(&(fingerprint, sanitize_name(candidate)))
+            .get(&(shape_key, sanitize_name(candidate)))
             .copied()
     }
 
@@ -200,13 +200,13 @@ impl TuneCache {
     /// tab-separated [`TuneCache::save`] format byte-for-byte;
     /// [`TuneCache::peek`] applies the same normalization, so callers
     /// never observe the substitution.
-    pub fn insert(&mut self, fingerprint: u64, candidate: &str, time: SimTime) {
+    pub fn insert(&mut self, shape_key: u64, candidate: &str, time: SimTime) {
         self.entries
-            .insert((fingerprint, sanitize_name(candidate)), time);
+            .insert((shape_key, sanitize_name(candidate)), time);
     }
 
     /// Writes the cache to `path` as a line-oriented text file
-    /// (`v1<TAB>fingerprint<TAB>picoseconds<TAB>candidate-name` per entry,
+    /// (`v1<TAB>shape-key<TAB>picoseconds<TAB>candidate-name` per entry,
     /// sorted for reproducible bytes).
     ///
     /// # Errors
@@ -278,7 +278,7 @@ fn sanitize_name(name: &str) -> String {
         .collect()
 }
 
-/// Parses one `v1<TAB>fingerprint<TAB>picoseconds<TAB>name` cache line.
+/// Parses one `v1<TAB>shape-key<TAB>picoseconds<TAB>name` cache line.
 fn parse_line(line: &str) -> Result<(u64, u64, &str), TuneCacheParseErrorKind> {
     let mut fields = line.splitn(4, '\t');
     let (Some(version), Some(fp), Some(ps), Some(name)) =
@@ -319,7 +319,7 @@ pub enum TuneCacheParseErrorKind {
     },
     /// Field 1 is not the `v1` version tag.
     BadVersion(String),
-    /// Field 2 is not a hexadecimal `u64` fingerprint.
+    /// Field 2 is not a hexadecimal `u64` shape key.
     BadFingerprint(String),
     /// Field 3 is not a `u64` picosecond time.
     BadTime(String),
@@ -380,13 +380,13 @@ impl std::error::Error for TuneCacheLoadError {
 }
 
 /// [`autotune`], memoized: candidates already evaluated for this
-/// `fingerprint` are answered from `cache` without calling `run`; misses
+/// caller-chosen `shape_key` are answered from `cache` without calling `run`; misses
 /// are simulated once and recorded. The returned ranking is identical to
 /// an uncached [`autotune`] of the same candidates (the simulator is
 /// deterministic), in candidate order.
 pub fn autotune_cached<F>(
     cache: &mut TuneCache,
-    fingerprint: u64,
+    shape_key: u64,
     candidates: Vec<TuneCandidate>,
     mut run: F,
 ) -> TuneReport
@@ -397,7 +397,7 @@ where
         .into_iter()
         .map(|candidate| {
             let key = candidate.cache_key();
-            let time = match cache.peek(fingerprint, &key) {
+            let time = match cache.peek(shape_key, &key) {
                 Some(time) => {
                     cache.hits += 1;
                     time
@@ -405,7 +405,7 @@ where
                 None => {
                     cache.misses += 1;
                     let time = run(&candidate);
-                    cache.insert(fingerprint, &key, time);
+                    cache.insert(shape_key, &key, time);
                     time
                 }
             };

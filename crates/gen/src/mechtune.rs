@@ -15,8 +15,8 @@
 //! by edge, pruning the rest of the cross-product. The result is
 //! guaranteed no worse than either baseline because the final answer is
 //! the minimum over every assignment actually evaluated. Evaluations are
-//! memoized in the shared [`TuneCache`], keyed by a caller-provided shape
-//! fingerprint × the mechanism assignment.
+//! memoized in the shared [`TuneCache`], keyed by a caller-chosen shape
+//! key × the mechanism assignment.
 
 use cusync::SyncMechanism;
 use cusync_sim::SimTime;
@@ -53,7 +53,7 @@ impl MechanismPlan {
 /// The [`TuneCache`] candidate key of one mechanism assignment. Prefixed
 /// so mechanism entries can never collide with policy-candidate keys
 /// ([`TuneCandidate::cache_key`](crate::TuneCandidate::cache_key)) under
-/// the same fingerprint.
+/// the same shape key.
 pub fn assignment_key(assignment: &[SyncMechanism]) -> String {
     let names: Vec<&str> = assignment.iter().map(|m| m.name()).collect();
     format!("mech:{}", names.join("/"))
@@ -71,9 +71,9 @@ pub fn assignment_key(assignment: &[SyncMechanism]) -> String {
 /// evaluated assignments, so it is never slower than a valid anchor.
 ///
 /// Valid evaluations are memoized in `cache` under
-/// `(fingerprint, `[`assignment_key`]`)`; pass a fingerprint describing
-/// the *shape class* (problem sizes, GPU config), since the pipeline
-/// itself differs per assignment.
+/// `(shape_key, `[`assignment_key`]`)`; pass a caller-chosen shape key
+/// describing the *shape class* (problem sizes, GPU config), since the
+/// pipeline itself differs per assignment.
 ///
 /// # Panics
 ///
@@ -82,7 +82,7 @@ pub fn assignment_key(assignment: &[SyncMechanism]) -> String {
 /// graph then has no tunable configuration at all.
 pub fn autotune_sync_mechanisms<F>(
     num_edges: usize,
-    fingerprint: u64,
+    shape_key: u64,
     cache: &mut TuneCache,
     mut run: F,
 ) -> MechanismPlan
@@ -106,11 +106,11 @@ where
                 .map(|&(_, t)| t);
         }
         tried.push(key.clone());
-        let time = match cache.peek(fingerprint, &key) {
+        let time = match cache.peek(shape_key, &key) {
             Some(time) => Some(time),
             None => {
                 let time = run(assignment)?;
-                cache.insert(fingerprint, &key, time);
+                cache.insert(shape_key, &key, time);
                 Some(time)
             }
         }?;

@@ -270,23 +270,6 @@ impl KernelSource for Conv2DKernel {
         self.p.occupancy
     }
 
-    fn cost_signature(&self) -> u64 {
-        let p = &self.p;
-        cusync_sim::fnv1a(
-            format!(
-                "conv2d:{:?}:{:?}:{:?}:{:?}:{}:{:?}:{:?}",
-                p.shape,
-                p.tile,
-                p.dtype,
-                p.epilogue,
-                p.halo_safe,
-                p.stage.as_deref().map(StageRuntime::wiring_signature),
-                p.input_dep,
-            )
-            .as_bytes(),
-        )
-    }
-
     fn block(&self, block: Dim3) -> Box<dyn BlockBody> {
         Box::new(Conv2DBody {
             k: Arc::clone(&self.p),

@@ -66,20 +66,6 @@ impl KernelSource for CopyKernel {
         &self.name
     }
 
-    fn cost_signature(&self) -> u64 {
-        cusync_sim::fnv1a(
-            format!(
-                "copy:{}:{}:{:?}:{:?}:{}",
-                self.len,
-                self.block_elems,
-                self.dtype,
-                self.stage.as_deref().map(StageRuntime::wiring_signature),
-                self.depends_on_src,
-            )
-            .as_bytes(),
-        )
-    }
-
     fn grid(&self) -> Dim3 {
         self.grid
     }

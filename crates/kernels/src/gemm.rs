@@ -460,31 +460,6 @@ impl KernelSource for GemmKernel {
         self.p.occupancy
     }
 
-    fn cost_signature(&self) -> u64 {
-        // Everything the cost model reads beyond the launch geometry: the
-        // contraction depth (dims.k is invisible in the grid), tile
-        // shape, split-K, element width, epilogue, SwiGLU-ness, the
-        // synchronization chunking, and the semaphore wiring (which
-        // producer tiles each input waits on, and how).
-        let p = &self.p;
-        cusync_sim::fnv1a(
-            format!(
-                "gemm:{:?}:{:?}:{}:{:?}:{:?}:{}:{}:{:?}:{:?}:{:?}",
-                p.dims,
-                p.tile,
-                p.split_k,
-                p.dtype,
-                p.epilogue,
-                matches!(p.a, ASource::SwiGlu { .. }),
-                p.sync_chunks,
-                p.stage.as_deref().map(StageRuntime::wiring_signature),
-                p.a_dep,
-                p.b_dep,
-            )
-            .as_bytes(),
-        )
-    }
-
     fn block(&self, block: Dim3) -> Box<dyn BlockBody> {
         Box::new(GemmBody {
             k: Arc::clone(&self.p),

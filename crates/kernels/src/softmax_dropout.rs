@@ -165,24 +165,6 @@ impl KernelSource for SoftmaxDropoutKernel {
         &self.name
     }
 
-    fn cost_signature(&self) -> u64 {
-        let p = &self.p;
-        cusync_sim::fnv1a(
-            format!(
-                "softmax_dropout:{}:{}:{:?}:{:?}:{}:{}:{:?}:{:?}",
-                p.rows,
-                p.cols,
-                p.tile,
-                p.dtype,
-                p.keep_prob.to_bits(),
-                p.seed,
-                p.stage.as_deref().map(StageRuntime::wiring_signature),
-                p.input_dep,
-            )
-            .as_bytes(),
-        )
-    }
-
     fn grid(&self) -> Dim3 {
         self.grid
     }

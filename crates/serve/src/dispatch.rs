@@ -50,7 +50,7 @@
 //! (worst-case KV preallocated — the block pool is bypassed). Under
 //! [`DecodePolicy::continuous_batching`] a dispatched decode run owns its
 //! device across many single-token steps, each priced through the
-//! fingerprint-keyed memo ([`ServicePool::decode_step_time`]); at every
+//! pool's step memo ([`ServicePool::decode_step_time`]); at every
 //! step boundary finished sequences complete and release their KV pages,
 //! and queued requests join. A joiner's prefill overlaps the residents'
 //! decoding (chunked across step boundaries, the way fine-grained kernel

@@ -1,21 +1,22 @@
 //! The warmed service-time pool: every (tenant, batch width) pipeline is
 //! compiled once at server startup and executed once per device model on
 //! a warmed [`Session`] to establish its deterministic service time. The
-//! pool keeps that time and the pipeline's fingerprint, not the pipeline.
+//! pool keeps that time, not the pipeline.
 //!
 //! This is where the serving layer cashes in the compile/execute split:
 //! the simulator is exactly deterministic, so one measured
 //! [`RunReport::total`](cusync_sim::RunReport) per (pipeline, device
 //! model) *is* the service time of every future dispatch of that batch
 //! shape — re-simulating a pipeline the session already ran would return
-//! bit-identical numbers at real wall-clock cost. The memo key is the
-//! pipeline's [`fingerprint`](CompiledPipeline::fingerprint), so two
-//! tenants serving the same model at the same width share one compile and
-//! one measurement.
+//! bit-identical numbers at real wall-clock cost. Every memo is keyed by
+//! what the pipeline is compiled from, `(model, width, device-model
+//! slot)`: two tenants serving the same [`ModelKind`] at the same width
+//! share one compile and one measurement, and device models that differ
+//! in any field get slots of their own, so each is priced by itself.
 //!
 //! A fault-free run needs only the numbers. The fault-mode probes
 //! (degraded links, preemption checkpoints) re-run a shape's pipeline, so
-//! they compile it again on first use and keep it, keyed by fingerprint:
+//! they compile it again on first use and keep it under the same key:
 //! each shape is compiled at most once more, and only if a fault reaches
 //! it.
 
@@ -25,10 +26,15 @@ use std::collections::{HashMap, HashSet};
 use cusync_sim::{ClusterConfig, CompiledPipeline, LinkScale, RunOutcome, Session, SimTime};
 
 use crate::workload::TenantSpec;
+use crate::zoo::ModelKind;
 
-/// `(fingerprint, device-model slot, elapsed ps, link scale)` — the full
-/// identity of one checkpoint probe.
-type CheckpointKey = (u64, usize, u64, Option<LinkScale>);
+/// `(model, width, device-model slot)` — what one warmed pipeline is
+/// compiled from, and so the identity of its measurements.
+type ShapeKey = (ModelKind, u32, usize);
+
+/// `(shape, elapsed ps, link scale)` — the full identity of one
+/// checkpoint probe.
+type CheckpointKey = (ShapeKey, u64, Option<LinkScale>);
 
 /// Context classes per shape in the dense decode-step memo: one per
 /// power of two a `u32` class can be
@@ -36,37 +42,28 @@ type CheckpointKey = (u64, usize, u64, Option<LinkScale>);
 /// powers of two).
 const CTX_CLASSES: usize = u32::BITS as usize;
 
-/// One warmed batch shape: the fingerprint of the pipeline it runs and its
-/// measured service time.
-#[derive(Debug, Clone, Copy)]
-struct Shape {
-    fingerprint: u64,
-    time: SimTime,
-}
-
 /// Lazily measured fault-mode quantities: service times under a degraded
 /// link and checkpoint boundaries for preemption. Interior-mutable so the
 /// dispatcher can consult them mid-run through a shared pool; every value
-/// is a pure function of `(pipeline, scale, elapsed)`, so memoization
+/// is a pure function of `(shape, scale, elapsed)`, so memoization
 /// never perturbs determinism.
 #[derive(Debug)]
 struct LazyMeasure {
     session: Session,
-    /// Fingerprint → the shape's pipeline, compiled on the first probe
-    /// that re-runs it. Fault-free traffic fills none.
-    pipelines: HashMap<u64, CompiledPipeline>,
-    /// `(fingerprint, device-model slot, scale)` → degraded total.
-    degraded: HashMap<(u64, usize, LinkScale), SimTime>,
-    /// `(fingerprint, slot, elapsed ps, scale)` → checkpoint outcome.
+    /// Shape → its pipeline, compiled on the first probe that re-runs it.
+    /// Fault-free traffic fills none.
+    pipelines: HashMap<ShapeKey, CompiledPipeline>,
+    /// `(shape, scale)` → degraded total.
+    degraded: HashMap<(ShapeKey, LinkScale), SimTime>,
+    /// `(shape, elapsed ps, scale)` → checkpoint outcome.
     checkpoints: HashMap<CheckpointKey, Option<(SimTime, SimTime)>>,
-    /// `(step fingerprint, slot)` → measured step service time: the cold
+    /// `(shape, context class)` → measured step service time: the cold
     /// path behind the dense step memo, through which tenants serving the
     /// same decode model share one measurement.
-    step_times: HashMap<(u64, usize), SimTime>,
-    /// `(tenant, width, max decode length, slot)` → padded static-width
-    /// decode total (prefill + every step priced at the batch's final
-    /// width).
-    static_decode: HashMap<(usize, u32, u32, usize), SimTime>,
+    step_times: HashMap<(ShapeKey, u32), SimTime>,
+    /// `(shape, max decode length)` → padded static-width decode total
+    /// (prefill + every step priced at the batch's final width).
+    static_decode: HashMap<(ShapeKey, u32), SimTime>,
 }
 
 /// Measured service times for every (tenant, width, device) the
@@ -81,8 +78,8 @@ struct LazyMeasure {
 #[derive(Debug)]
 pub struct ServicePool {
     cluster: ClusterConfig,
-    /// Every warmed shape, at [`ServicePool::shape_index`].
-    shapes: Vec<Shape>,
+    /// Every warmed shape's service time, at [`ServicePool::shape_index`].
+    shapes: Vec<SimTime>,
     /// Decode-step service times, measured lazily — the reachable
     /// (width, class) set depends on runtime batch formation, not on the
     /// spec alone — at `shape_index × CTX_CLASSES + log2(class)`.
@@ -95,7 +92,7 @@ pub struct ServicePool {
     /// The tenant models this pool was warmed for, in tenant order —
     /// [`Server::with_pool`](crate::Server::with_pool) checks a reused
     /// pool still matches its spec.
-    models: Vec<crate::zoo::ModelKind>,
+    models: Vec<ModelKind>,
     max_width: u32,
     lazy: RefCell<LazyMeasure>,
 }
@@ -128,31 +125,24 @@ impl ServicePool {
         }
         let slots = distinct.len();
         let mut shapes = Vec::with_capacity(tenants.len() * max_width as usize * slots);
-        // Tenants sharing a ModelKind share the compile: memo by (model,
-        // width, slot) up front; equal fingerprints share the measurement.
-        // Each pipeline is dropped as soon as its shape is recorded.
-        let mut compiled: HashMap<(crate::zoo::ModelKind, u32, usize), Shape> = HashMap::new();
-        let mut measured: HashMap<(u64, usize), SimTime> = HashMap::new();
+        // Tenants sharing a ModelKind share the compile and the
+        // measurement. Each pipeline is dropped as soon as it is measured.
+        let mut measured: HashMap<ShapeKey, SimTime> = HashMap::new();
         // Tenant-major, then width, then slot: the shape_index order.
         for tenant in tenants {
             for width in 1..=max_width {
                 // Compile against each distinct device model (the zoo's
                 // auto-tilings depend on the hardware).
                 for (slot, (config, session)) in distinct.iter_mut().enumerate() {
-                    let shape = *compiled
+                    let time = *measured
                         .entry((tenant.model, width, slot))
                         .or_insert_with(|| {
-                            let pipeline = tenant.model.compile(config, width);
-                            let fingerprint = pipeline.fingerprint();
-                            let time = *measured.entry((fingerprint, slot)).or_insert_with(|| {
-                                session
-                                    .run(&pipeline)
-                                    .expect("zoo pipeline deadlocked during warmup")
-                                    .total
-                            });
-                            Shape { fingerprint, time }
+                            session
+                                .run(&tenant.model.compile(config, width))
+                                .expect("zoo pipeline deadlocked during warmup")
+                                .total
                         });
-                    shapes.push(shape);
+                    shapes.push(time);
                 }
             }
         }
@@ -176,7 +166,7 @@ impl ServicePool {
     }
 
     /// Position of the `(tenant, width, device)` shape in the dense
-    /// tables, with the device's model slot.
+    /// tables, with the key of its memos.
     ///
     /// # Panics
     ///
@@ -184,11 +174,11 @@ impl ServicePool {
     /// outside what [`ServicePool::build`] warmed. The check is what keeps
     /// a dense index from reading a neighbour's entry: without it
     /// `(t, max_width + 1)` would alias `(t + 1, 1)`.
-    fn shape_index(&self, tenant: usize, width: u32, device: u32) -> (usize, usize) {
+    fn shape_index(&self, tenant: usize, width: u32, device: u32) -> (usize, ShapeKey) {
         match self.model_of_device.get(device as usize) {
             Some(&slot) if tenant < self.models.len() && (1..=self.max_width).contains(&width) => {
                 let row = tenant * self.max_width as usize + (width - 1) as usize;
-                (row * self.slots + slot, slot)
+                (row * self.slots + slot, (self.models[tenant], width, slot))
             }
             _ => panic!(
                 "shape (tenant {tenant}, width {width}, device {device}) was not warmed: \
@@ -216,26 +206,15 @@ impl ServicePool {
     }
 
     /// The tenant models this pool was warmed for, in tenant order.
-    pub fn models(&self) -> &[crate::zoo::ModelKind] {
+    pub fn models(&self) -> &[ModelKind] {
         &self.models
     }
 
-    /// Number of distinct pipelines the pool measured (after fingerprint
-    /// sharing).
+    /// Number of distinct pipelines the pool measured: one per distinct
+    /// `(model, width, device-model slot)`.
     pub fn num_pipelines(&self) -> usize {
-        let distinct: HashSet<u64> = self.shapes.iter().map(|s| s.fingerprint).collect();
-        distinct.len()
-    }
-
-    /// Fingerprint of the pipeline a batch of `width` requests of
-    /// `tenant` runs on `device`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shape was not warmed by [`ServicePool::build`] or
-    /// `device` is out of range.
-    pub fn fingerprint(&self, tenant: usize, width: u32, device: u32) -> u64 {
-        self.shapes[self.shape_index(tenant, width, device).0].fingerprint
+        let models: HashSet<ModelKind> = self.models.iter().copied().collect();
+        models.len() * self.max_width as usize * self.slots
     }
 
     /// Deterministic service time of a `width`-request batch of `tenant`
@@ -245,7 +224,7 @@ impl ServicePool {
     ///
     /// Panics if the shape was not warmed or `device` is out of range.
     pub fn service_time(&self, tenant: usize, width: u32, device: u32) -> SimTime {
-        self.shapes[self.shape_index(tenant, width, device).0].time
+        self.shapes[self.shape_index(tenant, width, device).0]
     }
 
     /// Deterministic service time of the batch with `LinkSend` wire time
@@ -265,12 +244,12 @@ impl ServicePool {
         device: u32,
         scale: LinkScale,
     ) -> SimTime {
-        let (at, slot) = self.shape_index(tenant, width, device);
-        let key = (self.shapes[at].fingerprint, slot, scale);
+        let (_, shape) = self.shape_index(tenant, width, device);
+        let key = (shape, scale);
         if let Some(&total) = self.lazy.borrow().degraded.get(&key) {
             return total;
         }
-        let total = self.probe(tenant, width, device, Some(scale), |session, pipeline| {
+        let total = self.probe(shape, device, Some(scale), |session, pipeline| {
             session
                 .run(pipeline)
                 .expect("warmed pipeline deadlocked under link degradation")
@@ -281,31 +260,23 @@ impl ServicePool {
     }
 
     /// Runs `run` on the lazy session under link pricing `scale`, with the
-    /// pipeline of the `(tenant, width, device)` shape. The pipeline is
-    /// compiled on the first probe of its fingerprint and kept for later
-    /// ones.
+    /// pipeline of `shape` (`device` is a device of the shape's slot). The
+    /// pipeline is compiled on the first probe of its shape and kept for
+    /// later ones.
     fn probe<R>(
         &self,
-        tenant: usize,
-        width: u32,
+        shape: ShapeKey,
         device: u32,
         scale: Option<LinkScale>,
         run: impl FnOnce(&mut Session, &CompiledPipeline) -> R,
     ) -> R {
-        let fingerprint = self.fingerprint(tenant, width, device);
         let mut lazy = self.lazy.borrow_mut();
         let LazyMeasure {
             session, pipelines, ..
         } = &mut *lazy;
-        let pipeline = pipelines.entry(fingerprint).or_insert_with(|| {
-            let config = &self.cluster.devices[device as usize];
-            let pipeline = self.models[tenant].compile(config, width);
-            debug_assert_eq!(
-                pipeline.fingerprint(),
-                fingerprint,
-                "recompiling (tenant {tenant}, width {width}, device {device}) changed its pipeline"
-            );
-            pipeline
+        let pipeline = pipelines.entry(shape).or_insert_with(|| {
+            let (model, width, _) = shape;
+            model.compile(&self.cluster.devices[device as usize], width)
         });
         session.set_link_scale(scale);
         let result = run(session, pipeline);
@@ -336,17 +307,16 @@ impl ServicePool {
         elapsed: SimTime,
         scale: Option<LinkScale>,
     ) -> Option<(SimTime, SimTime)> {
-        let (at, slot) = self.shape_index(tenant, width, device);
-        let Shape { fingerprint, time } = self.shapes[at];
-        let key = (fingerprint, slot, elapsed.as_picos(), scale);
+        let (at, shape) = self.shape_index(tenant, width, device);
+        let key = (shape, elapsed.as_picos(), scale);
         if let Some(&hit) = self.lazy.borrow().checkpoints.get(&key) {
             return hit;
         }
         let total = match scale {
             Some(s) => self.degraded_service_time(tenant, width, device, s),
-            None => time,
+            None => self.shapes[at],
         };
-        let outcome = self.probe(tenant, width, device, scale, |session, pipeline| {
+        let outcome = self.probe(shape, device, scale, |session, pipeline| {
             session
                 .run_until(pipeline, elapsed)
                 .expect("warmed pipeline deadlocked during checkpoint probe")
@@ -365,10 +335,11 @@ impl ServicePool {
     ///
     /// The step pipeline is compiled lazily on first use — the reachable
     /// (width, class) set depends on how batches form at runtime — then
-    /// memoized by shape and, through the fingerprint, shared across
-    /// tenants serving the same decode model. A class that is not a power
-    /// of two (`ModelKind::ctx_class` never emits one) has no dense memo entry: it is
-    /// recompiled on every call and priced through the fingerprint memo.
+    /// memoized by `(model, width, class, device-model slot)`, so tenants
+    /// serving the same decode model share it. A class that is not a power
+    /// of two (`ModelKind::ctx_class` never emits one) has no dense memo
+    /// entry: every call looks it up in the hashed memo, and only the
+    /// first compiles.
     ///
     /// # Panics
     ///
@@ -381,41 +352,30 @@ impl ServicePool {
         ctx_class: u32,
         device: u32,
     ) -> SimTime {
-        let (at, slot) = self.shape_index(tenant, width, device);
+        let (at, shape) = self.shape_index(tenant, width, device);
         if !ctx_class.is_power_of_two() {
-            return self.measure_step(tenant, width, ctx_class, device, slot);
+            return self.measure_step(shape, ctx_class, device);
         }
         let at = at * CTX_CLASSES + ctx_class.trailing_zeros() as usize;
         if let Some(total) = self.steps.borrow()[at] {
             return total;
         }
-        let total = self.measure_step(tenant, width, ctx_class, device, slot);
+        let total = self.measure_step(shape, ctx_class, device);
         self.steps.borrow_mut()[at] = Some(total);
         total
     }
 
-    /// Compiles a decode-step pipeline and prices it through the
-    /// fingerprint-keyed memo.
-    fn measure_step(
-        &self,
-        tenant: usize,
-        width: u32,
-        ctx_class: u32,
-        device: u32,
-        slot: usize,
-    ) -> SimTime {
-        // Compile outside the borrow: compilation only needs the model and
-        // the device config.
-        let pipeline = self.models[tenant].compile_decode_step(
-            &self.cluster.devices[device as usize],
-            width,
-            ctx_class,
-        );
-        let key = (pipeline.fingerprint(), slot);
+    /// Prices one decode step of `shape` at `ctx_class` through the
+    /// hashed step memo, compiling the step pipeline only on a miss.
+    fn measure_step(&self, shape: ShapeKey, ctx_class: u32, device: u32) -> SimTime {
+        let key = (shape, ctx_class);
         let mut lazy = self.lazy.borrow_mut();
         if let Some(&total) = lazy.step_times.get(&key) {
             return total;
         }
+        let (model, width, _) = shape;
+        let pipeline =
+            model.compile_decode_step(&self.cluster.devices[device as usize], width, ctx_class);
         let total = lazy
             .session
             .run(&pipeline)
@@ -442,18 +402,18 @@ impl ServicePool {
         max_decode: u32,
         device: u32,
     ) -> SimTime {
-        let (_, slot) = self.shape_index(tenant, width, device);
-        let key = (tenant, width, max_decode, slot);
+        let (_, shape) = self.shape_index(tenant, width, device);
+        let key = (shape, max_decode);
         if let Some(&total) = self.lazy.borrow().static_decode.get(&key) {
             return total;
         }
         let prompt = match self.models[tenant] {
-            crate::zoo::ModelKind::DecodeLlm { prompt, .. } => prompt,
+            ModelKind::DecodeLlm { prompt, .. } => prompt,
             ref model => panic!("{model} is not a decode model"),
         };
         let mut total = self.service_time(tenant, width, device);
         for step in 1..=max_decode {
-            let class = crate::zoo::ModelKind::ctx_class(prompt + step);
+            let class = ModelKind::ctx_class(prompt + step);
             total = total.saturating_add(self.decode_step_time(tenant, width, class, device));
         }
         self.lazy.borrow_mut().static_decode.insert(key, total);
@@ -465,7 +425,6 @@ impl ServicePool {
 mod tests {
     use super::*;
     use crate::workload::{ArrivalModel, TenantClass};
-    use crate::zoo::ModelKind;
     use cusync_sim::GpuConfig;
 
     fn toy_tenant(name: &str, blocks: u32) -> TenantSpec {
@@ -485,14 +444,14 @@ mod tests {
     }
 
     #[test]
-    fn pool_memoizes_per_fingerprint_and_device() {
+    fn pool_memoizes_per_model_width_and_device() {
         let cluster = ClusterConfig::homogeneous(
             3,
             GpuConfig::toy(4),
             SimTime::from_nanos(500),
             ClusterConfig::NVLINK_BYTES_PER_SEC,
         );
-        // Two tenants share a model: their pipelines share fingerprints.
+        // Two tenants share a model, so they share its pipelines.
         let tenants = [toy_tenant("a", 2), toy_tenant("b", 2), toy_tenant("c", 5)];
         let pool = ServicePool::build(&cluster, &tenants, 3);
         assert_eq!(pool.num_devices(), 3);
@@ -507,16 +466,15 @@ mod tests {
                 pool.service_time(1, width, 2),
                 "shared model, homogeneous devices"
             );
-            assert_eq!(pool.fingerprint(0, width, 0), pool.fingerprint(1, width, 1));
         }
         // Wider batches take longer; a bigger model takes longer.
         assert!(pool.service_time(0, 3, 0) > pool.service_time(0, 1, 0));
         assert!(pool.service_time(2, 1, 0) > pool.service_time(0, 1, 0));
     }
 
-    /// Two device models that share a name but not a clock compile to
-    /// pipelines with different fingerprints, so each device is priced
-    /// by its own model, exactly as a pool of that model alone prices it.
+    /// Two device models that share a name but not a clock get a slot
+    /// each, so each device is priced by its own model, exactly as a pool
+    /// of that model alone prices it.
     #[test]
     fn heterogeneous_devices_are_priced_by_their_own_model() {
         let fast = GpuConfig::toy(4);
@@ -645,8 +603,8 @@ mod tests {
                 }
             }
         }
-        // Remote shapes really are repriced, and each fingerprint was
-        // compiled once for all its probes.
+        // Remote shapes really are repriced, and each shape was compiled
+        // once for all its probes.
         assert!(pool.degraded_service_time(1, 2, 1, degraded) > pool.service_time(1, 2, 1));
         assert_eq!(pool.lazy.borrow().pipelines.len(), pool.num_pipelines());
     }
@@ -733,7 +691,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "shape (tenant 2, width 1, device 0) was not warmed")]
     fn tenant_out_of_range_is_rejected() {
-        two_tenant_pool().fingerprint(2, 1, 0);
+        two_tenant_pool().service_time(2, 1, 0);
     }
 
     #[test]
@@ -790,6 +748,27 @@ mod tests {
         assert_eq!(pool.decode_step_time(1, 2, 24, 0), fresh(24), "repeatable");
     }
 
+    /// Two tenants of one decode model share one hashed step-memo entry
+    /// at a class the dense memo cannot hold: every call prices like a
+    /// fresh run, and one measurement serves them all.
+    #[test]
+    fn tenants_of_one_decode_model_share_a_non_power_of_two_step() {
+        let cluster = ClusterConfig::single(GpuConfig::toy(4));
+        let pool = ServicePool::build(&cluster, &[decode_tenant(), decode_tenant()], 2);
+        let fresh = Session::new()
+            .run(&pool.models()[0].compile_decode_step(&GpuConfig::toy(4), 2, 24))
+            .unwrap()
+            .total;
+        for tenant in [0, 1, 0, 1] {
+            assert_eq!(
+                pool.decode_step_time(tenant, 2, 24, 0),
+                fresh,
+                "tenant {tenant}"
+            );
+        }
+        assert_eq!(pool.lazy.borrow().step_times.len(), 1);
+    }
+
     #[test]
     fn heterogeneous_slots_price_every_shape_like_a_fresh_run() {
         // Devices 0 and 2 share a model; device 1 is a second model, so
@@ -814,7 +793,6 @@ mod tests {
                         want,
                         "({t}, {width}, {d})"
                     );
-                    assert_eq!(pool.fingerprint(t, width, d32), pipeline.fingerprint());
                     distinct.insert(want);
                     if t != 1 {
                         continue;

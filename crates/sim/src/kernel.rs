@@ -126,24 +126,6 @@ pub trait KernelSource: Send + Sync {
         let _ = (mem, sink);
         false
     }
-
-    /// A digest of every parameter that changes this kernel's simulated
-    /// **cost** without changing its launch geometry — op cycle counts,
-    /// a GeMM's contraction depth, a dropout keep-probability, which
-    /// semaphores its blocks wait on and post, and so on.
-    /// Folded into
-    /// [`CompiledPipeline::fingerprint`](crate::CompiledPipeline), so two
-    /// pipelines launching identical grids of differently-priced work do
-    /// not collide in fingerprint-keyed caches (the serving layer's
-    /// service-time memo, the autotuner's tuning cache).
-    ///
-    /// The default is `0` — geometry-only discrimination — appropriate
-    /// only for sources whose cost is fully determined by
-    /// name/grid/occupancy or that cannot introspect their bodies (e.g.
-    /// [`FnKernel`], which wraps an opaque closure).
-    fn cost_signature(&self) -> u64 {
-        0
-    }
 }
 
 /// A trivial kernel whose blocks each execute a fixed list of ops, useful
@@ -204,12 +186,6 @@ impl KernelSource for FixedKernel {
             sink(&self.ops, if linear == 0 { 0 } else { self.ops.len() });
         }
         true
-    }
-
-    fn cost_signature(&self) -> u64 {
-        // The op list *is* the cost model (`Op` renders every payload —
-        // cycle counts, byte counts, sem indexes — in its Debug form).
-        crate::fnv1a(format!("{:?}", self.ops).as_bytes())
     }
 }
 
@@ -308,10 +284,6 @@ impl KernelSource for IndexedKernel {
             sink(ops, 0);
         }
         true
-    }
-
-    fn cost_signature(&self) -> u64 {
-        crate::fnv1a(format!("{:?}", self.ops).as_bytes())
     }
 }
 

@@ -118,9 +118,8 @@ pub fn splitmix64(key: u64) -> u64 {
 }
 
 /// FNV-1a over a byte slice: the one stable structural digest the
-/// simulator and its consumers share (memory fingerprints, pipeline
-/// fingerprints, [`KernelSource::cost_signature`](crate::KernelSource)
-/// implementations in the kernels crates).
+/// simulator's consumers share (the benchmark harnesses' tuning-cache
+/// shape keys and report and span digests).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -116,104 +116,6 @@ impl CompiledPipeline {
         &self.sems
     }
 
-    /// A deterministic 64-bit digest of everything that identifies this
-    /// pipeline as a *workload*: the hardware model (every field
-    /// [`GpuConfig::validate`] range-checks, per device, plus the link),
-    /// stream layout, kernel
-    /// registrations (name, grid, occupancy, device, stream, and each
-    /// source's [`cost_signature`](crate::KernelSource::cost_signature) —
-    /// so identical grids of differently-priced or differently-wired
-    /// work do not collide),
-    /// semaphore layout, and the initial-memory fingerprint. Two
-    /// pipelines built the same way fingerprint equal; any change to the
-    /// graph, tiling, kernel cost model, sync policy layout or hardware
-    /// model changes the digest.
-    ///
-    /// This is the cache key of the serving layer's service-time memo
-    /// (`crates/serve`) and of the autotuner's persistent tuning cache
-    /// (`cusyncgen::TuneCache`).
-    pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        };
-        let cluster = &self.desc.cluster;
-        eat(&cluster.num_devices().to_le_bytes());
-        eat(&cluster.link_latency.as_picos().to_le_bytes());
-        eat(&cluster.link_bytes_per_sec.to_bits().to_le_bytes());
-        // Devices of one name can differ in any priced field (a
-        // heterogeneous pool compiles one pipeline per device model).
-        for device in &cluster.devices {
-            eat(device.name.as_bytes());
-            eat(&device.num_sms.to_le_bytes());
-            for v in [
-                device.clock_hz,
-                device.tensor_flop_per_cycle_sm,
-                device.fma_flop_per_cycle_sm,
-                device.dram_bytes_per_sec,
-                device.compute_efficiency,
-                device.residency_boost,
-                device.block_jitter,
-                device.dram_saturation_fraction,
-            ] {
-                eat(&v.to_bits().to_le_bytes());
-            }
-            for cycles in [
-                device.global_latency_cycles,
-                device.atomic_latency_cycles,
-                device.poll_latency_cycles,
-                device.fence_cycles,
-                device.syncthreads_cycles,
-            ] {
-                eat(&cycles.to_le_bytes());
-            }
-            eat(&device.host_launch_gap.as_picos().to_le_bytes());
-            eat(&device.kernel_dispatch_latency.as_picos().to_le_bytes());
-        }
-        eat(&(self.desc.streams.len() as u64).to_le_bytes());
-        for kernel in &self.desc.kernels {
-            eat(kernel.name.as_bytes());
-            eat(&kernel.grid.x.to_le_bytes());
-            eat(&kernel.grid.y.to_le_bytes());
-            eat(&kernel.grid.z.to_le_bytes());
-            eat(&kernel.occupancy.to_le_bytes());
-            eat(&kernel.device.to_le_bytes());
-            eat(&(kernel.stream as u64).to_le_bytes());
-            // Same geometry, differently-priced work must not collide
-            // (see `KernelSource::cost_signature`).
-            eat(&kernel.source.cost_signature().to_le_bytes());
-            // Launch gates and completion posts change the schedule
-            // without changing any block body — a StreamSerial edge would
-            // otherwise fingerprint identically to no edge at all.
-            for gate in &kernel.gates {
-                let (tag, target) = match *gate {
-                    crate::LaunchGate::AfterLaunchOf(t) => (1u8, t),
-                    crate::LaunchGate::AfterCompletionOf(t) => (2u8, t),
-                };
-                eat(&[tag]);
-                eat(&(target.0 as u64).to_le_bytes());
-            }
-            for &(table, index) in &kernel.completion_posts {
-                eat(&[3u8]);
-                eat(&(table.0 as u64).to_le_bytes());
-                eat(&index.to_le_bytes());
-            }
-        }
-        for id in self.sems.ids() {
-            eat(self.sems.name(id).as_bytes());
-            eat(&(self.sems.len(id) as u64).to_le_bytes());
-        }
-        // Initial functional contents (timing-only buffers contribute
-        // layout; see `GlobalMemory::fingerprint`).
-        eat(&self.mem.fingerprint().to_le_bytes());
-        hash
-    }
-
     /// The pre-driven op programs, collected on first call against the
     /// pristine initial memory (emitters only read it) — once per
     /// pipeline, then shared by every session. An optimized-engine run
@@ -502,86 +404,6 @@ mod tests {
         let ra2 = session.run(&a).unwrap();
         assert_eq!(ra1, ra2, "interleaving pipelines must not leak state");
         assert_eq!(rb.kernels.len(), 1);
-    }
-
-    #[test]
-    fn fingerprint_is_stable_and_discriminating() {
-        let a = two_kernel_pipeline();
-        let b = two_kernel_pipeline();
-        assert_eq!(
-            a.fingerprint(),
-            b.fingerprint(),
-            "identical builds must fingerprint equal"
-        );
-        // Running a pipeline never perturbs its (pristine) fingerprint.
-        let before = a.fingerprint();
-        Session::new().run(&a).unwrap();
-        assert_eq!(a.fingerprint(), before);
-        // A different grid is a different workload.
-        let mut gpu = Gpu::new(quiet_config());
-        let s = gpu.create_stream(0);
-        gpu.launch(
-            s,
-            Arc::new(FixedKernel::new(
-                "producer",
-                Dim3::linear(3),
-                1,
-                vec![Op::compute(10_000)],
-            )),
-        );
-        let c = gpu.compile().unwrap();
-        assert_ne!(a.fingerprint(), c.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_cost_at_identical_geometry() {
-        // Same kernel names, grids, occupancies, streams and semaphore
-        // layout — only the op cycle counts differ. The service-time
-        // memo and tuning cache key on the fingerprint, so these MUST
-        // not collide.
-        let build = |cycles: u64| {
-            let mut gpu = Gpu::new(quiet_config());
-            let s = gpu.create_stream(0);
-            gpu.launch(
-                s,
-                Arc::new(FixedKernel::new(
-                    "k",
-                    Dim3::linear(4),
-                    1,
-                    vec![Op::compute(cycles)],
-                )),
-            );
-            gpu.compile().unwrap()
-        };
-        assert_ne!(build(100_000).fingerprint(), build(900_000).fingerprint());
-        assert_eq!(build(100_000).fingerprint(), build(100_000).fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_clock_at_identical_names() {
-        // A device model differing only in a priced field (here the
-        // clock, under the same name) is a different workload: the serve
-        // pool keys its per-device measurements on the fingerprint.
-        let build = |clock_hz: f64| {
-            let mut gpu = Gpu::new(GpuConfig {
-                clock_hz,
-                ..quiet_config()
-            });
-            let s = gpu.create_stream(0);
-            gpu.launch(
-                s,
-                Arc::new(FixedKernel::new(
-                    "k",
-                    Dim3::linear(4),
-                    1,
-                    vec![Op::compute(100_000)],
-                )),
-            );
-            gpu.compile().unwrap()
-        };
-        let clock = quiet_config().clock_hz;
-        assert_ne!(build(clock).fingerprint(), build(clock / 4.0).fingerprint());
-        assert_eq!(build(clock).fingerprint(), build(clock).fingerprint());
     }
 
     #[test]

@@ -267,11 +267,6 @@ impl KernelSource for TilePrefixKernel {
         self.inner.name()
     }
 
-    fn cost_signature(&self) -> u64 {
-        // The prefix remaps geometry; the inner kernel carries the cost.
-        self.inner.cost_signature() ^ self.prefix.rotate_left(17)
-    }
-
     fn grid(&self) -> Dim3 {
         Dim3::linear(self.prefix as u32)
     }
@@ -326,21 +321,6 @@ impl PartialWaveKernel {
 impl KernelSource for PartialWaveKernel {
     fn name(&self) -> &str {
         &self.gemm.name
-    }
-
-    fn cost_signature(&self) -> u64 {
-        cusync_sim::fnv1a(
-            format!(
-                "streamk_partial:{:?}:{:?}:{:?}:{:?}:{}:{}",
-                self.gemm.dims,
-                self.gemm.tile,
-                self.gemm.dtype,
-                self.gemm.epilogue,
-                self.first_tile,
-                self.blocks,
-            )
-            .as_bytes(),
-        )
     }
 
     fn grid(&self) -> Dim3 {

@@ -7,7 +7,7 @@ use cusync::{OptFlags, SyncMechanism};
 use cusync_models::{
     build_attention_mechanisms, compile_mlp, AttentionConfig, MlpModel, PolicyKind, SyncMode,
 };
-use cusync_sim::{CompiledPipeline, Dim3, Gpu, GpuConfig, Session};
+use cusync_sim::{splitmix64, CompiledPipeline, Dim3, Gpu, GpuConfig, Session};
 use cusyncgen::{
     autotune, autotune_cached, check_spec, emit_spec, policies_for, producer_order, AffineExpr,
     DepSpec, Pattern, TuneCache, TuneCandidate,
@@ -105,40 +105,25 @@ fn candidate_time(
     session.run(&pipeline).unwrap().total
 }
 
-/// The tuning cache: the first tune of a pipeline simulates every
-/// candidate (all misses), a repeat tune of the *same* pipeline
-/// fingerprint answers entirely from cache with an identical ranking, and
-/// a different pipeline (different batch size ⇒ different fingerprint)
-/// re-simulates. The cache also survives a save/load round trip.
+/// The caller-chosen shape key of a GPT-3 MLP cell at batch `bs`,
+/// derived the way the benchmark harnesses derive theirs: family tag,
+/// model and batch size folded through `splitmix64`.
+fn mlp_shape_key(bs: u32) -> u64 {
+    [1, MlpModel::Gpt3 as u64, bs.into()]
+        .iter()
+        .fold(0xC60_2024u64, |key, &p| splitmix64(key ^ splitmix64(p)))
+}
+
+/// The tuning cache: the first tune of a shape simulates every candidate
+/// (all misses), a repeat tune of the *same* shape key answers entirely
+/// from cache with an identical ranking, and a different shape (different
+/// batch size ⇒ different key) re-simulates. The cache also survives a
+/// save/load round trip.
 #[test]
 fn repeated_tunes_of_the_same_graph_skip_resimulation() {
     let gpu = GpuConfig::tesla_v100();
-    let fp_256 = compile_mlp(
-        &gpu,
-        MlpModel::Gpt3,
-        256,
-        SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
-    )
-    .fingerprint();
-    let fp_512 = compile_mlp(
-        &gpu,
-        MlpModel::Gpt3,
-        512,
-        SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
-    )
-    .fingerprint();
-    assert_ne!(fp_256, fp_512, "batch size must change the fingerprint");
-    // Same build, same fingerprint: the key is stable.
-    assert_eq!(
-        fp_256,
-        compile_mlp(
-            &gpu,
-            MlpModel::Gpt3,
-            256,
-            SyncMode::CuSync(PolicyKind::Tile, OptFlags::WRT),
-        )
-        .fingerprint()
-    );
+    let (fp_256, fp_512) = (mlp_shape_key(256), mlp_shape_key(512));
+    assert_ne!(fp_256, fp_512, "batch size must change the key");
 
     let mut cache = TuneCache::new();
     let mut simulations = 0usize;
@@ -155,7 +140,7 @@ fn repeated_tunes_of_the_same_graph_skip_resimulation() {
     assert_eq!(simulations, 4);
     assert_eq!((cache.misses(), cache.hits()), (4, 0));
 
-    // Hit path: re-tuning the same fingerprint never simulates and ranks
+    // Hit path: re-tuning the same shape key never simulates and ranks
     // identically.
     let warm = tune(&mut cache, fp_256, 256, &mut simulations);
     assert_eq!(simulations, 4, "hits must not re-simulate");
@@ -165,7 +150,7 @@ fn repeated_tunes_of_the_same_graph_skip_resimulation() {
         assert_eq!(a, b, "cached ranking must be bit-identical");
     }
 
-    // A different pipeline is a different key: four fresh misses.
+    // A different shape is a different key: four fresh misses.
     tune(&mut cache, fp_512, 512, &mut simulations);
     assert_eq!(simulations, 8);
     assert_eq!(cache.len(), 8);
@@ -195,11 +180,10 @@ fn out_of_bounds_specs_are_rejected_before_codegen() {
 
 /// Two attention pipelines that differ only in which of the two edges
 /// leaving producer 0 is fine-grained: same kernels, grids, semaphore
-/// layout and launch gates, but a different consumer waits per tile. They
-/// run to different timelines, so they must not share a fingerprint
-/// (the key of the serve pool's memos and of the tuning cache).
+/// layout and launch gates, but a different consumer waits per tile, so
+/// they run to different timelines.
 #[test]
-fn moving_a_fine_edge_between_siblings_changes_the_fingerprint() {
+fn moving_a_fine_edge_between_siblings_changes_the_timeline() {
     use SyncMechanism::{Pdl, RowSync, TileSync};
     let compile = |mechanisms: [SyncMechanism; 6]| -> CompiledPipeline {
         let mut gpu = Gpu::new(GpuConfig::tesla_v100());
@@ -218,11 +202,5 @@ fn moving_a_fine_edge_between_siblings_changes_the_fingerprint() {
         let mut session = Session::new();
         let (a, b) = (session.run(&first).unwrap(), session.run(&second).unwrap());
         assert_ne!(a, b, "{fine}: the two pipelines run differently");
-        assert_ne!(first.fingerprint(), second.fingerprint(), "{fine}");
-        assert_eq!(
-            first.fingerprint(),
-            compile([fine, Pdl, Pdl, Pdl, Pdl, Pdl]).fingerprint(),
-            "{fine}: same build, same fingerprint"
-        );
     }
 }
