@@ -6,10 +6,10 @@
 //! one progress model — blocks issue in kernel launch order. Sorensen et
 //! al. show such arguments must be validated *across* schedules, so this
 //! driver searches the schedule space instead of sampling one point of
-//! it: a [`CompiledPipeline`] is executed once per [`SchedPolicyKind`]
-//! (typically [`Fifo`](crate::Fifo), [`Lifo`](crate::Lifo),
-//! [`SemStarver`](crate::SemStarver) and K
-//! [`SeededShuffle`](crate::SeededShuffle)s), and every run is checked
+//! it: a [`CompiledPipeline`] is executed once per [`SchedPolicy`]
+//! (typically [`Fifo`](SchedPolicy::Fifo), [`Lifo`](SchedPolicy::Lifo),
+//! [`SemStarver`](SchedPolicy::SemStarver) and K
+//! [`SeededShuffle`](SchedPolicy::SeededShuffle)s), and every run is checked
 //! against the invariants that must hold no matter which schedule the
 //! hardware picks:
 //!
@@ -41,7 +41,7 @@ use crate::engine::{DeadlockReport, EngineMode, SimError};
 use crate::session::{CompiledPipeline, Session};
 use crate::stats::RunReport;
 use crate::trace::TraceEvent;
-use crate::SchedPolicyKind;
+use crate::SchedPolicy;
 
 /// What a caller asserts about every schedule's outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,7 +62,7 @@ pub enum Expectation {
 pub struct ExploreConfig {
     /// Schedules to run, in order. The first entry is the baseline the
     /// functional-determinism check compares against.
-    pub schedules: Vec<SchedPolicyKind>,
+    pub schedules: Vec<SchedPolicy>,
     /// Outcome assertion (see [`Expectation`]).
     pub expectation: Expectation,
     /// Re-run every schedule on the Reference engine and require
@@ -71,19 +71,21 @@ pub struct ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// The standard sweep: [`Fifo`](SchedPolicyKind::Fifo) (the baseline),
-    /// [`Lifo`](SchedPolicyKind::Lifo),
-    /// [`SemStarver`](SchedPolicyKind::SemStarver), and `num_shuffles`
+    /// The standard sweep: [`Fifo`](SchedPolicy::Fifo) (the baseline),
+    /// [`Lifo`](SchedPolicy::Lifo),
+    /// [`SemStarver`](SchedPolicy::SemStarver), and `num_shuffles`
     /// seeded shuffles derived from `base_seed`.
     pub fn seeded(num_shuffles: usize, base_seed: u64) -> Self {
         let mut schedules = vec![
-            SchedPolicyKind::Fifo,
-            SchedPolicyKind::Lifo,
-            SchedPolicyKind::SemStarver,
+            SchedPolicy::Fifo,
+            SchedPolicy::Lifo,
+            SchedPolicy::SemStarver,
         ];
-        schedules.extend((0..num_shuffles as u64).map(|i| {
-            SchedPolicyKind::SeededShuffle(base_seed.wrapping_add(i.wrapping_mul(0x9E37)))
-        }));
+        schedules.extend(
+            (0..num_shuffles as u64).map(|i| {
+                SchedPolicy::SeededShuffle(base_seed.wrapping_add(i.wrapping_mul(0x9E37)))
+            }),
+        );
         ExploreConfig {
             schedules,
             expectation: Expectation::Either,
@@ -122,7 +124,7 @@ pub enum ScheduleOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleResult {
     /// The schedule that ran.
-    pub schedule: SchedPolicyKind,
+    pub schedule: SchedPolicy,
     /// What happened.
     pub outcome: ScheduleOutcome,
 }
@@ -215,7 +217,7 @@ impl fmt::Display for ExploreSummary {
 /// run issues each kernel's grid exactly (the issue order is a
 /// permutation of the blocks).
 fn check_trace(
-    schedule: SchedPolicyKind,
+    schedule: SchedPolicy,
     trace: &[TraceEvent],
     grids: &[crate::Dim3],
     completed: bool,
@@ -236,7 +238,7 @@ fn check_trace(
     type IssueMap = BTreeMap<(crate::KernelId, crate::Dim3), crate::SimTime>;
     fn check_after_issue(
         issued: &IssueMap,
-        schedule: SchedPolicyKind,
+        schedule: SchedPolicy,
         kernel: crate::KernelId,
         block: crate::Dim3,
         time: crate::SimTime,
@@ -336,9 +338,9 @@ pub fn explore(pipeline: &CompiledPipeline, cfg: &ExploreConfig) -> ExploreSumma
     // Baseline functional outcome of the first completed schedule: final
     // memory digest, race count and semaphore post total — everything a
     // correctly synchronized pipeline keeps schedule-independent.
-    let mut baseline: Option<(SchedPolicyKind, u64, u64, u64)> = None;
+    let mut baseline: Option<(SchedPolicy, u64, u64, u64)> = None;
     for &schedule in &cfg.schedules {
-        session.set_sched(Some(schedule.instantiate()));
+        session.set_sched(schedule);
         let run = session.run(pipeline);
         let completed = run.is_ok();
         check_trace(
@@ -435,12 +437,12 @@ pub fn explore(pipeline: &CompiledPipeline, cfg: &ExploreConfig) -> ExploreSumma
 /// outcome — the ref ↔ opt equivalence contract, enforced per schedule.
 fn cross_check(
     pipeline: &CompiledPipeline,
-    schedule: SchedPolicyKind,
+    schedule: SchedPolicy,
     outcome: &ScheduleOutcome,
     violations: &mut Vec<String>,
 ) {
     let mut session = Session::with_mode(EngineMode::Reference);
-    session.set_sched(Some(schedule.instantiate()));
+    session.set_sched(schedule);
     match (session.run(pipeline), outcome) {
         (
             Ok(report),

@@ -10,12 +10,14 @@
 //!   blocks executes in ⌈B/(o·SMs)⌉ waves (Section II-A of the paper).
 //! - **Streams** — kernels on one stream serialize; kernels on different
 //!   streams overlap, with priorities breaking issue-order ties.
-//! - **Pluggable block scheduling** — by default the block scheduler
-//!   issues thread blocks in kernel launch order (with backfill), matching
-//!   the behaviour the paper observed on Volta/Ampere; a [`SchedPolicy`]
-//!   ([`Fifo`], [`Lifo`], [`SeededShuffle`], [`SemStarver`]) swaps in
-//!   adversarial orders, and the [`explore`] module searches the schedule
-//!   space for deadlocks and schedule-dependent results.
+//! - **Block-issue orders** — by default the block scheduler issues
+//!   thread blocks in kernel launch order (with backfill), matching the
+//!   behaviour the paper observed on Volta/Ampere
+//!   ([`SchedPolicy::Fifo`]); the other [`SchedPolicy`] variants
+//!   ([`Lifo`](SchedPolicy::Lifo), [`SeededShuffle`](SchedPolicy::SeededShuffle),
+//!   [`SemStarver`](SchedPolicy::SemStarver)) swap in adversarial orders,
+//!   and the [`explore`] module searches the schedule space for deadlocks
+//!   and schedule-dependent results.
 //! - **Global-memory semaphores** — busy-wait `wait`/`post` primitives whose
 //!   waits *occupy the SM slot*, reproducing both the overhead model of
 //!   Section V-D and the deadlock hazard of Section III-B.
@@ -95,10 +97,7 @@ pub use kv::{KvPool, KvStats};
 pub use mem::{BufferId, DType, GlobalMemory, RaceEvent};
 pub use ops::Op;
 pub use programs::Programs;
-pub use sched::{
-    fnv1a, splitmix64, Fifo, Lifo, SchedContext, SchedPolicy, SchedPolicyKind, SchedPolicyRef,
-    SeededShuffle, SemStarver,
-};
+pub use sched::{fnv1a, splitmix64, SchedPolicy};
 pub use sem::{SemArrayId, SemTable};
 pub use session::{CompiledPipeline, Session};
 pub use stats::{EngineCounters, KernelReport, MemoCount, RunReport};

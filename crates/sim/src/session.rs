@@ -30,7 +30,7 @@ use crate::engine::{
 };
 use crate::mem::GlobalMemory;
 use crate::programs::Programs;
-use crate::sched::SchedPolicyRef;
+use crate::sched::SchedPolicy;
 use crate::sem::SemTable;
 use crate::stats::RunReport;
 use crate::time::SimTime;
@@ -165,10 +165,11 @@ pub struct Session {
     mode: EngineMode,
     pub(crate) st: RunState,
     trace_enabled: bool,
-    /// Block-issue ordering override; `None` issues in the hardware
-    /// launch order. This is what lets one compiled pipeline be explored
-    /// under many schedules without recompiling (see [`crate::explore`]).
-    sched: Option<SchedPolicyRef>,
+    /// Block-issue order, [`SchedPolicy::Fifo`] (the hardware launch
+    /// order) until set. This is what lets one compiled pipeline be
+    /// explored under many schedules without recompiling (see
+    /// [`crate::explore`]).
+    sched: SchedPolicy,
     /// Per-session link degradation: while set, every run scales its
     /// [`Op::LinkSend`](crate::Op) wire time by this factor — the fault
     /// injection hook for a degraded interconnect, applied without
@@ -181,7 +182,7 @@ impl fmt::Debug for Session {
         f.debug_struct("Session")
             .field("mode", &self.mode)
             .field("trace_enabled", &self.trace_enabled)
-            .field("sched_override", &self.sched.as_ref().map(|s| s.name()))
+            .field("sched", &self.sched)
             .finish_non_exhaustive()
     }
 }
@@ -204,18 +205,18 @@ impl Session {
             mode,
             st: RunState::new(),
             trace_enabled: false,
-            sched: None,
+            sched: SchedPolicy::Fifo,
             link_scale: None,
         }
     }
 
-    /// Sets (or with `None`, clears) this session's block-issue ordering.
-    /// While set, every [`Session::run`] offers SM capacity in the order
-    /// the policy gives; without it, runs issue in the hardware launch
-    /// order (stream priority, then launch order). This is the only way
-    /// to choose an issue order, and the hook schedule-space exploration
-    /// ([`crate::explore`]) runs through.
-    pub fn set_sched(&mut self, sched: Option<SchedPolicyRef>) {
+    /// Sets this session's block-issue order: every later
+    /// [`Session::run`] offers SM capacity in the order `sched` gives. A
+    /// new session issues in the hardware launch order
+    /// ([`SchedPolicy::Fifo`]: stream priority, then launch order). This
+    /// is the only way to choose an issue order, and the hook
+    /// schedule-space exploration ([`crate::explore`]) runs through.
+    pub fn set_sched(&mut self, sched: SchedPolicy) {
         self.sched = sched;
     }
 
@@ -312,14 +313,18 @@ impl Session {
             abort_at,
             link_scale: self.link_scale,
         };
-        execute_with(
+        let outcome = execute_with(
             &pipeline.desc,
             programs,
             self.mode,
-            self.sched.as_deref(),
+            self.sched,
             &mut self.st,
             opts,
-        )
+        );
+        if let Ok(RunOutcome::Complete(report)) = &outcome {
+            debug_assert_eq!(report.check(), Ok(()), "a completed run broke a report law");
+        }
+        outcome
     }
 }
 

@@ -167,6 +167,17 @@ pub struct EngineCounters {
     pub cycles_memo: MemoCount,
 }
 
+impl EngineCounters {
+    /// Events handled, summed over the four kinds: the engine counts
+    /// every event under exactly one, so this is [`RunReport::sim_events`].
+    pub(crate) fn events(&self) -> u64 {
+        self.kernel_ready_events
+            + self.block_resume_events
+            + self.post_apply_events
+            + self.atomic_apply_events
+    }
+}
+
 /// Hits and misses of one pricing memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoCount {
@@ -200,6 +211,56 @@ impl RunReport {
             .iter()
             .find(|k| k.name == name)
             .unwrap_or_else(|| panic!("no kernel named {name:?} in report"))
+    }
+
+    /// Verifies the laws every completed run's report obeys, in either
+    /// [`EngineMode`](crate::EngineMode):
+    ///
+    /// 1. every block was placed once: `placements` = Σ `blocks`;
+    /// 2. every parked block was woken: `parks` = `wakes`;
+    /// 3. a block step runs only on a resume:
+    ///    `program_steps + coroutine_steps ≤ block_resume_events`;
+    /// 4. the four event kinds sum to `sim_events`;
+    /// 5. every kernel has `ready ≤ start ≤ end ≤ total`;
+    /// 6. `sm_utilization` lies in [0, 1].
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated law.
+    pub fn check(&self) -> Result<(), String> {
+        let c = &self.counters;
+        let blocks: u64 = self.kernels.iter().map(|k| k.blocks).sum();
+        if c.placements != blocks {
+            return Err(format!("placements {} != blocks {blocks}", c.placements));
+        }
+        if c.parks != c.wakes {
+            return Err(format!("parks {} != wakes {}", c.parks, c.wakes));
+        }
+        let steps = c.program_steps + c.coroutine_steps;
+        if steps > c.block_resume_events {
+            let resumes = c.block_resume_events;
+            return Err(format!("{steps} block steps > {resumes} block resumes"));
+        }
+        let events = c.events();
+        if events != self.sim_events {
+            return Err(format!(
+                "event kinds sum to {events} != sim_events {}",
+                self.sim_events
+            ));
+        }
+        for k in &self.kernels {
+            if !(k.ready <= k.start && k.start <= k.end && k.end <= self.total) {
+                return Err(format!(
+                    "{}: ready {} start {} end {} total {} out of order",
+                    k.name, k.ready, k.start, k.end, self.total
+                ));
+            }
+        }
+        let util = self.sm_utilization;
+        if !(0.0..=1.0).contains(&util) {
+            return Err(format!("sm_utilization {util} outside [0, 1]"));
+        }
+        Ok(())
     }
 }
 
@@ -262,5 +323,97 @@ mod tests {
         let s = r.to_string();
         assert!(s.contains("0.60 waves"), "{s}");
         assert!(s.contains("24x1x4"), "{s}");
+    }
+
+    /// A real report that exercises every law: two kernels, a semaphore
+    /// the consumer parks on, a partial wave.
+    fn real_report() -> RunReport {
+        use crate::{FixedKernel, Gpu, GpuConfig, Op, Session};
+        use std::sync::Arc;
+        let mut gpu = Gpu::new(GpuConfig::toy(4));
+        let sem = gpu.alloc_sems("sem", 1, 0);
+        let s1 = gpu.create_stream(0);
+        let s2 = gpu.create_stream(0);
+        gpu.launch(
+            s1,
+            Arc::new(FixedKernel::new(
+                "producer",
+                Dim3::linear(3),
+                1,
+                vec![Op::compute(10_000), Op::post(sem, 0)],
+            )),
+        );
+        gpu.launch(
+            s2,
+            Arc::new(FixedKernel::new(
+                "consumer",
+                Dim3::linear(2),
+                1,
+                vec![Op::wait(sem, 0, 3), Op::compute(100)],
+            )),
+        );
+        let report = Session::new().run(&gpu.compile().unwrap()).unwrap();
+        assert!(report.counters.parks > 0, "the consumer parks");
+        assert_eq!(report.check(), Ok(()));
+        report
+    }
+
+    /// Asserts `broken` fails [`RunReport::check`] with an error naming
+    /// `what`.
+    fn assert_breaks(broken: RunReport, what: &str) {
+        let err = broken.check().expect_err("a broken law must be reported");
+        assert!(err.contains(what), "{err}");
+    }
+
+    #[test]
+    fn check_counts_one_placement_per_block() {
+        let mut r = real_report();
+        r.counters.placements += 1;
+        assert_breaks(r, "placements");
+    }
+
+    #[test]
+    fn check_pairs_parks_with_wakes() {
+        let mut r = real_report();
+        r.counters.parks += 1;
+        assert_breaks(r, "parks");
+    }
+
+    #[test]
+    fn check_bounds_block_steps_by_resumes() {
+        let mut r = real_report();
+        r.counters.coroutine_steps = r.counters.block_resume_events + 1;
+        assert_breaks(r, "block resumes");
+    }
+
+    #[test]
+    fn check_sums_event_kinds_to_sim_events() {
+        let mut r = real_report();
+        r.sim_events += 1;
+        assert_breaks(r, "sim_events");
+    }
+
+    #[test]
+    fn check_orders_kernel_times() {
+        let one = SimTime::from_picos(1);
+        let r = real_report();
+        let mut late_ready = r.clone();
+        late_ready.kernels[1].ready = r.kernels[1].start + one;
+        assert_breaks(late_ready, "consumer");
+        let mut late_start = r.clone();
+        late_start.kernels[0].start = r.kernels[0].end + one;
+        assert_breaks(late_start, "producer");
+        let mut short_total = r.clone();
+        short_total.total = r.kernels[1].end - one;
+        assert_breaks(short_total, "out of order");
+    }
+
+    #[test]
+    fn check_bounds_utilization() {
+        for bad in [-0.5, 1.5, f64::NAN] {
+            let mut r = real_report();
+            r.sm_utilization = bad;
+            assert_breaks(r, "sm_utilization");
+        }
     }
 }

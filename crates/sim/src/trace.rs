@@ -166,7 +166,7 @@ impl TraceEvent {
 mod tests {
     use super::*;
     use crate::stats::waves;
-    use crate::{Dim3, FixedKernel, Gpu, GpuConfig, Op, RunReport, SchedPolicyKind, Session};
+    use crate::{Dim3, FixedKernel, Gpu, GpuConfig, Op, RunReport, SchedPolicy, Session};
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
@@ -179,12 +179,12 @@ mod tests {
         assert_eq!(e.time(), SimTime::from_nanos(5));
     }
 
-    const ALL_POLICIES: [SchedPolicyKind; 5] = [
-        SchedPolicyKind::Fifo,
-        SchedPolicyKind::Lifo,
-        SchedPolicyKind::SeededShuffle(5),
-        SchedPolicyKind::SeededShuffle(99),
-        SchedPolicyKind::SemStarver,
+    const ALL_POLICIES: [SchedPolicy; 5] = [
+        SchedPolicy::Fifo,
+        SchedPolicy::Lifo,
+        SchedPolicy::SeededShuffle(5),
+        SchedPolicy::SeededShuffle(99),
+        SchedPolicy::SemStarver,
     ];
 
     fn quiet_config(sms: u32) -> GpuConfig {
@@ -199,7 +199,7 @@ mod tests {
     /// Compiles what `build` launches and runs it traced on a session
     /// issuing blocks under `policy`, returning the report and trace.
     fn run_under(
-        policy: SchedPolicyKind,
+        policy: SchedPolicy,
         sms: u32,
         build: impl FnOnce(&mut Gpu),
     ) -> (RunReport, Vec<TraceEvent>) {
@@ -207,7 +207,7 @@ mod tests {
         build(&mut gpu);
         let pipeline = gpu.compile().unwrap();
         let mut session = Session::new();
-        session.set_sched(Some(policy.instantiate()));
+        session.set_sched(policy);
         session.enable_trace();
         let report = session
             .run(&pipeline)
@@ -217,7 +217,7 @@ mod tests {
 
     /// A producer/consumer workload with partial waves and semaphores,
     /// traced under `policy`.
-    fn traced_run(policy: SchedPolicyKind) -> Vec<TraceEvent> {
+    fn traced_run(policy: SchedPolicy) -> Vec<TraceEvent> {
         run_under(policy, 4, |gpu| {
             let sem = gpu.alloc_sems("tiles", 4, 0);
             let s1 = gpu.create_stream(0);

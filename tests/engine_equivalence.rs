@@ -31,10 +31,16 @@ use proptest::prelude::*;
 mod common;
 use common::Gen;
 
-/// Asserts every timing-observable field of two reports is identical.
-/// (`sim_events` and `counters` are excluded by design: they measure
-/// simulation *work*, which the optimized engine reduces.)
+/// Asserts both reports obey the report laws ([`RunReport::check`]) and
+/// every timing-observable field of the two is identical. (`sim_events`
+/// and `counters` are excluded from the comparison by design: they
+/// measure simulation *work*, which the optimized engine reduces.)
 fn assert_reports_identical(reference: &RunReport, optimized: &RunReport, what: &str) {
+    for (engine, report) in [("reference", reference), ("optimized", optimized)] {
+        if let Err(law) = report.check() {
+            panic!("{what}: {engine} report breaks a law: {law}");
+        }
+    }
     assert_eq!(
         reference.kernels, optimized.kernels,
         "{what}: kernel reports"

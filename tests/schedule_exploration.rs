@@ -18,7 +18,7 @@
 //!   scenario.
 
 use cusync_sim::explore::{explore, Expectation, ExploreConfig};
-use cusync_sim::SchedPolicyKind;
+use cusync_sim::SchedPolicy;
 use cusync_suite::randgraph::{generate, RandomGraph};
 use proptest::prelude::*;
 
@@ -34,7 +34,7 @@ fn sixteen_seeded_schedules_terminate_and_agree_on_memory() {
     let shuffles: std::collections::BTreeSet<_> = cfg
         .schedules
         .iter()
-        .filter(|s| matches!(s, SchedPolicyKind::SeededShuffle(_)))
+        .filter(|s| matches!(s, SchedPolicy::SeededShuffle(_)))
         .collect();
     assert_eq!(shuffles.len(), 16, "16 distinct seeded schedules");
     let summary = explore(&pipeline, &cfg);

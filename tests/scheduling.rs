@@ -10,8 +10,8 @@ use cusync_kernels::{
     Conv2DBuilder, Conv2DShape, DepPlan, Epilogue, GemmBuilder, GemmDims, InputDep, TileShape,
 };
 use cusync_sim::{
-    ClusterConfig, DType, Dim3, Gpu, GpuConfig, IndexedKernel, KernelSource, Lifo, Op, Session,
-    SimError, SimTime,
+    ClusterConfig, DType, Dim3, Gpu, GpuConfig, IndexedKernel, KernelSource, Op, SchedPolicy,
+    Session, SimError, SimTime,
 };
 use proptest::prelude::*;
 
@@ -181,7 +181,7 @@ fn conv_halo_waits_are_required_for_correctness() {
         bound.launch(&mut gpu, s1, Arc::new(c1)).unwrap();
         bound.launch(&mut gpu, s2, Arc::new(c2)).unwrap();
         let mut session = Session::new();
-        session.set_sched(Some(Arc::new(Lifo)));
+        session.set_sched(SchedPolicy::Lifo);
         session
             .run(&gpu.compile().expect("valid toy config"))
             .expect("conv chain deadlocked")
