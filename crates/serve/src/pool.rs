@@ -15,15 +15,19 @@
 //! in any field get slots of their own, so each is priced by itself.
 //!
 //! A fault-free run needs only the numbers. The fault-mode probes
-//! (degraded links, preemption checkpoints) re-run a shape's pipeline, so
-//! they compile it again on first use and keep it under the same key:
-//! each shape is compiled at most once more, and only if a fault reaches
-//! it.
+//! (degraded links, preemption checkpoints) need one full run of a shape
+//! under the link pricing its batch was dispatched with. That run's
+//! total is the degraded service time, and its kernel ends are the
+//! batch's preemption checkpoints: the simulator is deterministic, so
+//! every run of the shape finishes each kernel at the same instant. A
+//! probe compiles the pipeline, runs it once, keeps the total and the
+//! sorted ends, and drops the pipeline. Each `(shape, link scale)` is
+//! probed at most once, and only if a fault reaches it.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::{HashMap, HashSet};
 
-use cusync_sim::{ClusterConfig, CompiledPipeline, LinkScale, RunOutcome, Session, SimTime};
+use cusync_sim::{ClusterConfig, LinkScale, Session, SimTime};
 
 use crate::workload::TenantSpec;
 use crate::zoo::ModelKind;
@@ -32,31 +36,33 @@ use crate::zoo::ModelKind;
 /// compiled from, and so the identity of its measurements.
 type ShapeKey = (ModelKind, u32, usize);
 
-/// `(shape, elapsed ps, link scale)` — the full identity of one
-/// checkpoint probe.
-type CheckpointKey = (ShapeKey, u64, Option<LinkScale>);
-
 /// Context classes per shape in the dense decode-step memo: one per
 /// power of two a `u32` class can be
 /// ([`ModelKind::ctx_class`](crate::ModelKind::ctx_class) only emits
 /// powers of two).
 const CTX_CLASSES: usize = u32::BITS as usize;
 
+/// One full run of a shape's pipeline under one link pricing.
+#[derive(Debug)]
+struct Probe {
+    /// The run's [`RunReport::total`](cusync_sim::RunReport): the latest
+    /// kernel end.
+    total: SimTime,
+    /// Every kernel's end, ascending: where the batch can checkpoint.
+    ends: Box<[SimTime]>,
+}
+
 /// Lazily measured fault-mode quantities: service times under a degraded
-/// link and checkpoint boundaries for preemption. Interior-mutable so the
-/// dispatcher can consult them mid-run through a shared pool; every value
-/// is a pure function of `(shape, scale, elapsed)`, so memoization
+/// link, checkpoint boundaries for preemption and decode-step times.
+/// Interior-mutable so the dispatcher can consult them mid-run through a
+/// shared pool; every value is a pure function of its key, so memoization
 /// never perturbs determinism.
 #[derive(Debug)]
 struct LazyMeasure {
     session: Session,
-    /// Shape → its pipeline, compiled on the first probe that re-runs it.
+    /// `(shape, link scale)` → one full run's total and kernel ends.
     /// Fault-free traffic fills none.
-    pipelines: HashMap<ShapeKey, CompiledPipeline>,
-    /// `(shape, scale)` → degraded total.
-    degraded: HashMap<(ShapeKey, LinkScale), SimTime>,
-    /// `(shape, elapsed ps, scale)` → checkpoint outcome.
-    checkpoints: HashMap<CheckpointKey, Option<(SimTime, SimTime)>>,
+    probes: HashMap<(ShapeKey, Option<LinkScale>), Probe>,
     /// `(shape, context class)` → measured step service time: the cold
     /// path behind the dense step memo, through which tenants serving the
     /// same decode model share one measurement.
@@ -70,11 +76,11 @@ struct LazyMeasure {
 /// dispatcher can place.
 ///
 /// [`ServicePool::build`] drops each pipeline once it is measured; the
-/// fault-mode probes recompile the ones they need. The per-dispatch
-/// lookups ([`ServicePool::service_time`] and
+/// fault-mode probes recompile and run the ones they need, then drop them
+/// too. The per-dispatch lookups ([`ServicePool::service_time`] and
 /// [`ServicePool::decode_step_time`]) are bounds-checked reads of dense
 /// tables indexed by `(tenant, width − 1, device-model slot)`; only the
-/// fault-mode, checkpoint and static-decode memos hash.
+/// fault-mode probe and static-decode memos hash.
 #[derive(Debug)]
 pub struct ServicePool {
     cluster: ClusterConfig,
@@ -156,9 +162,7 @@ impl ServicePool {
             max_width,
             lazy: RefCell::new(LazyMeasure {
                 session: Session::new(),
-                pipelines: HashMap::new(),
-                degraded: HashMap::new(),
-                checkpoints: HashMap::new(),
+                probes: HashMap::new(),
                 step_times: HashMap::new(),
                 static_decode: HashMap::new(),
             }),
@@ -245,56 +249,47 @@ impl ServicePool {
         scale: LinkScale,
     ) -> SimTime {
         let (_, shape) = self.shape_index(tenant, width, device);
-        let key = (shape, scale);
-        if let Some(&total) = self.lazy.borrow().degraded.get(&key) {
-            return total;
-        }
-        let total = self.probe(shape, device, Some(scale), |session, pipeline| {
-            session
-                .run(pipeline)
-                .expect("warmed pipeline deadlocked under link degradation")
-                .total
-        });
-        self.lazy.borrow_mut().degraded.insert(key, total);
-        total
+        self.probe(shape, device, Some(scale)).total
     }
 
-    /// Runs `run` on the lazy session under link pricing `scale`, with the
-    /// pipeline of `shape` (`device` is a device of the shape's slot). The
-    /// pipeline is compiled on the first probe of its shape and kept for
-    /// later ones.
-    fn probe<R>(
-        &self,
-        shape: ShapeKey,
-        device: u32,
-        scale: Option<LinkScale>,
-        run: impl FnOnce(&mut Session, &CompiledPipeline) -> R,
-    ) -> R {
-        let mut lazy = self.lazy.borrow_mut();
-        let LazyMeasure {
-            session, pipelines, ..
-        } = &mut *lazy;
-        let pipeline = pipelines.entry(shape).or_insert_with(|| {
-            let (model, width, _) = shape;
-            model.compile(&self.cluster.devices[device as usize], width)
-        });
-        session.set_link_scale(scale);
-        let result = run(session, pipeline);
-        session.set_link_scale(None);
-        result
+    /// The full run of `shape` under link pricing `scale` (`device` is a
+    /// device of the shape's slot). The first call compiles the pipeline,
+    /// runs it on the lazy session and drops it; later calls read the
+    /// memo.
+    fn probe(&self, shape: ShapeKey, device: u32, scale: Option<LinkScale>) -> RefMut<'_, Probe> {
+        RefMut::map(self.lazy.borrow_mut(), |lazy| {
+            let LazyMeasure {
+                session, probes, ..
+            } = lazy;
+            probes.entry((shape, scale)).or_insert_with(|| {
+                let (model, width, _) = shape;
+                let pipeline = model.compile(&self.cluster.devices[device as usize], width);
+                session.set_link_scale(scale);
+                let report = session
+                    .run(&pipeline)
+                    .expect("warmed pipeline deadlocked during a fault-mode probe");
+                session.set_link_scale(None);
+                let mut ends: Vec<SimTime> = report.kernels.iter().map(|k| k.end).collect();
+                ends.sort_unstable();
+                Probe {
+                    total: report.total,
+                    ends: ends.into(),
+                }
+            })
+        })
     }
 
     /// Where a preempted batch of `tenant` at `width` on `device` can
-    /// checkpoint, given it has already run for `elapsed`: the simulator
-    /// re-executes the pipeline with an abort horizon
-    /// ([`Session::run_until`]) and reports the first kernel-completion
-    /// boundary at or after `elapsed`.
+    /// checkpoint, given it has already run for `elapsed`: the first
+    /// kernel end at or after `elapsed` in a full run of the batch's
+    /// pipeline under link pricing `scale` (the one it was dispatched
+    /// under).
     ///
     /// Returns `Some((boundary, remaining))` — the batch can stop at
     /// `boundary` (≥ `elapsed`) with `remaining` service still owed — or
     /// `None` when no boundary is left before the batch finishes (not
-    /// worth preempting). `scale` must match the link pricing the batch
-    /// was dispatched under. Lazily memoized by `(shape, elapsed, scale)`.
+    /// worth preempting). The run is made once per `(shape, scale)` and
+    /// memoized; every `elapsed` reads its sorted kernel ends.
     ///
     /// # Panics
     ///
@@ -307,26 +302,11 @@ impl ServicePool {
         elapsed: SimTime,
         scale: Option<LinkScale>,
     ) -> Option<(SimTime, SimTime)> {
-        let (at, shape) = self.shape_index(tenant, width, device);
-        let key = (shape, elapsed.as_picos(), scale);
-        if let Some(&hit) = self.lazy.borrow().checkpoints.get(&key) {
-            return hit;
-        }
-        let total = match scale {
-            Some(s) => self.degraded_service_time(tenant, width, device, s),
-            None => self.shapes[at],
-        };
-        let outcome = self.probe(shape, device, scale, |session, pipeline| {
-            session
-                .run_until(pipeline, elapsed)
-                .expect("warmed pipeline deadlocked during checkpoint probe")
-        });
-        let result = match outcome {
-            RunOutcome::Complete(_) => None,
-            RunOutcome::Aborted(residue) => Some((residue.aborted_at, residue.remaining(total))),
-        };
-        self.lazy.borrow_mut().checkpoints.insert(key, result);
-        result
+        let (_, shape) = self.shape_index(tenant, width, device);
+        let probe = self.probe(shape, device, scale);
+        let next = probe.ends.partition_point(|&end| end < elapsed);
+        let boundary = *probe.ends.get(next).filter(|&&end| end < probe.total)?;
+        Some((boundary, probe.total - boundary))
     }
 
     /// Deterministic service time of **one decode step** of a `width`-wide
@@ -425,7 +405,7 @@ impl ServicePool {
 mod tests {
     use super::*;
     use crate::workload::{ArrivalModel, TenantClass};
-    use cusync_sim::GpuConfig;
+    use cusync_sim::{CompiledPipeline, GpuConfig};
 
     fn toy_tenant(name: &str, blocks: u32) -> TenantSpec {
         TenantSpec {
@@ -542,7 +522,9 @@ mod tests {
     /// The fault-mode probes recompile a shape's pipeline on first use.
     /// On every warmed shape of a two-model cluster, a memo miss and a
     /// memo hit must both price exactly like a fresh compile run on a
-    /// fresh session.
+    /// fresh session, and checkpoint at that run's first kernel end at or
+    /// after the elapsed time. Stream-K's GeMMs step as coroutines, the
+    /// others replay static programs.
     #[test]
     fn lazy_probes_match_a_fresh_compile_on_a_fresh_session() {
         let cluster = ClusterConfig {
@@ -555,41 +537,52 @@ mod tests {
             compute_cycles: 200_000,
             payload: 1 << 20,
         };
-        let tenants = [toy_tenant("local", 3), remote];
+        let mut streamk = toy_tenant("streamk", 1);
+        streamk.model = ModelKind::StreamKGemm;
+        let mut mlp = toy_tenant("mlp", 1);
+        mlp.model = ModelKind::MlpGpt3;
+        let tenants = [toy_tenant("local", 3), remote, streamk, mlp];
         let max_width = 2;
         let pool = ServicePool::build(&cluster, &tenants, max_width);
-        assert!(pool.lazy.borrow().pipelines.is_empty(), "build keeps none");
+        assert!(pool.lazy.borrow().probes.is_empty(), "build probes none");
         let degraded = LinkScale::times(4);
-        let fresh_total = |pipeline: &CompiledPipeline, scale| {
+        let fresh_run = |pipeline: &CompiledPipeline, scale| {
             let mut session = Session::new();
             session.set_link_scale(scale);
-            session.run(pipeline).unwrap().total
+            session.run(pipeline).unwrap()
         };
         for (t, tenant) in tenants.iter().enumerate() {
             for width in 1..=max_width {
                 for (d, gpu) in cluster.devices.iter().enumerate() {
                     let d32 = d as u32;
                     let pipeline = tenant.model.compile(gpu, width);
-                    let want = fresh_total(&pipeline, Some(degraded));
-                    for call in ["miss", "hit"] {
-                        assert_eq!(
-                            pool.degraded_service_time(t, width, d32, degraded),
-                            want,
-                            "degraded ({t}, {width}, {d}) on the {call}"
-                        );
-                    }
                     for scale in [None, Some(degraded)] {
-                        let total = fresh_total(&pipeline, scale);
-                        let half = SimTime::from_picos(total.as_picos() / 2);
-                        for elapsed in [SimTime::from_picos(1), half, total] {
-                            let mut session = Session::new();
-                            session.set_link_scale(scale);
-                            let want = match session.run_until(&pipeline, elapsed).unwrap() {
-                                RunOutcome::Complete(_) => None,
-                                RunOutcome::Aborted(residue) => {
-                                    Some((residue.aborted_at, residue.remaining(total)))
-                                }
-                            };
+                        let report = fresh_run(&pipeline, scale);
+                        let total = report.total;
+                        if let Some(scale) = scale {
+                            for call in ["miss", "hit"] {
+                                assert_eq!(
+                                    pool.degraded_service_time(t, width, d32, scale),
+                                    total,
+                                    "degraded ({t}, {width}, {d}) on the {call}"
+                                );
+                            }
+                        }
+                        let one = SimTime::from_picos(1);
+                        let mut horizons =
+                            vec![one, SimTime::from_picos(total.as_picos() / 2), total];
+                        for k in &report.kernels {
+                            horizons.extend([k.end.saturating_sub(one), k.end, k.end + one]);
+                        }
+                        for elapsed in horizons {
+                            let want = report
+                                .kernels
+                                .iter()
+                                .map(|k| k.end)
+                                .filter(|&end| end >= elapsed)
+                                .min()
+                                .filter(|&end| end < total)
+                                .map(|end| (end, total - end));
                             for call in ["miss", "hit"] {
                                 assert_eq!(
                                     pool.checkpoint(t, width, d32, elapsed, scale),
@@ -603,10 +596,10 @@ mod tests {
                 }
             }
         }
-        // Remote shapes really are repriced, and each shape was compiled
-        // once for all its probes.
+        // Remote shapes really are repriced, and each (shape, scale) was
+        // run once for all its probes.
         assert!(pool.degraded_service_time(1, 2, 1, degraded) > pool.service_time(1, 2, 1));
-        assert_eq!(pool.lazy.borrow().pipelines.len(), pool.num_pipelines());
+        assert_eq!(pool.lazy.borrow().probes.len(), 2 * pool.num_pipelines());
     }
 
     #[test]

@@ -177,9 +177,11 @@ impl fmt::Display for DecodePolicy {
 /// Cross-tenant preemption: when configured and no device is free, a
 /// ready [`Latency`](crate::TenantClass::Latency) tenant checkpoints the
 /// running [`Throughput`](crate::TenantClass::Throughput) batch with the
-/// most service remaining at its **next kernel boundary** (the simulator
-/// reports the boundary via `Session::run_until`), takes the device, and
-/// the victim's remainder is requeued as a resumable residue.
+/// most service remaining at its **next kernel boundary** (the first
+/// kernel end at or after the batch's elapsed time in one full run of its
+/// pipeline; see [`ServicePool::checkpoint`](crate::ServicePool::checkpoint)),
+/// takes the device, and the victim's remainder is requeued as a
+/// resumable residue.
 ///
 /// Resuming a residue pays `overhead` of extra device time (checkpoint
 /// restore: re-loading activations and semaphore state), accounted in

@@ -2,7 +2,7 @@
 //! models (Poisson, closed-loop, recorded/synthesized traces), rates,
 //! SLOs, service classes and retry policies.
 //!
-//! All randomness comes from [`splitmix64`](cusync_sim::splitmix64)
+//! All randomness comes from [`splitmix64`]
 //! streams keyed by `(workload seed, tenant index, client index)`, so a
 //! tenant's arrival sequence is a pure function of the spec — independent
 //! of how the dispatcher interleaves events, and bit-identical across

@@ -18,8 +18,8 @@
 //! - [`execute_with`] — the event loop itself, generic over both pieces.
 //!   Both [`EngineMode`]s run through it and produce bit-identical
 //!   timelines (`tests/engine_equivalence.rs`, `tests/session_reuse.rs`).
-//!   The handlers both loops share live in this file; the errors and
-//!   outcomes a run returns in `outcome.rs`; whole-run tests in `tests.rs`.
+//!   The handlers both loops share live in this file; the errors a run
+//!   returns in `outcome.rs`; whole-run tests in `tests.rs`.
 //!
 //! [`Session`](crate::Session) is the one driver of `execute_with`: it
 //! owns the run state and every run setting (engine mode, trace flag,
@@ -72,10 +72,9 @@ mod reference;
 
 pub(crate) use gpu::PipelineDesc;
 pub use gpu::{Gpu, LaunchGate, StreamId};
-pub(crate) use outcome::RunOptions;
 pub use outcome::{
-    BlockedBlock, BuildError, BuildErrorKind, DeadlockReport, LinkScale, PendingKernel, RunOutcome,
-    RunResidue, SimError, SmOccupancy,
+    BlockedBlock, BuildError, BuildErrorKind, DeadlockReport, LinkScale, PendingKernel, SimError,
+    SmOccupancy,
 };
 use queue::{EventQueue, SmIndex};
 use reference::Event;
@@ -492,27 +491,26 @@ impl RunState {
 }
 
 /// Runs `desc` to completion on `st` (which the caller has prepared with
-/// [`RunState::reset`] and initial memory/semaphores), in `mode`, with the
-/// per-run [`RunOptions`]. `progs` must hold the pipeline's pre-driven
-/// programs for an [`EngineMode::Optimized`] run; the reference engine
-/// ignores it (pass an empty [`Programs`]). `sched` is the block-issue
-/// order. The [`Session`](crate::Session) is the only caller.
+/// [`RunState::reset`] and initial memory/semaphores), in `mode`, with
+/// every [`Op::LinkSend`] wire time scaled by `link_scale`. `progs` must
+/// hold the pipeline's pre-driven programs for an [`EngineMode::Optimized`]
+/// run; the reference engine ignores it (pass an empty [`Programs`]).
+/// `sched` is the block-issue order. The [`Session`](crate::Session) is
+/// the only caller.
 pub(crate) fn execute_with(
     desc: &PipelineDesc,
     progs: &Programs,
     mode: EngineMode,
     sched: SchedPolicy,
     st: &mut RunState,
-    opts: RunOptions,
-) -> Result<RunOutcome, SimError> {
+    link_scale: Option<LinkScale>,
+) -> Result<RunReport, SimError> {
     let mut ex = Exec {
         desc,
         progs,
         mode,
         sched,
-        abort_at: opts.abort_at,
-        link_scale: opts.link_scale.filter(|s| !s.is_identity()),
-        abort_flag: false,
+        link_scale: link_scale.filter(|s| !s.is_identity()),
         st,
     };
     ex.run_all()
@@ -534,21 +532,14 @@ struct Exec<'a> {
     mode: EngineMode,
     /// Block-issue order of this run.
     sched: SchedPolicy,
-    /// Abort horizon: checkpoint at the first kernel boundary at or past
-    /// this instant (see [`RunOutcome::Aborted`]). `None` runs unbounded.
-    abort_at: Option<SimTime>,
     /// Non-identity link degradation scale applied to `LinkSend` wire
     /// time, or `None` for a healthy link.
     link_scale: Option<LinkScale>,
-    /// Set by [`Exec::finish_block`] when a kernel boundary at or past
-    /// `abort_at` retires; both event loops stop at the end of that
-    /// timestamp batch.
-    abort_flag: bool,
     st: &'a mut RunState,
 }
 
 impl Exec<'_> {
-    fn run_all(&mut self) -> Result<RunOutcome, SimError> {
+    fn run_all(&mut self) -> Result<RunReport, SimError> {
         for s in 0..self.desc.streams.len() {
             self.schedule_stream_head(s);
         }
@@ -558,7 +549,7 @@ impl Exec<'_> {
         }
         #[cfg(debug_assertions)]
         {
-            // Completed, aborted and deadlocked runs alike: every pushed
+            // Completed and deadlocked runs alike: every pushed
             // event was either handled exactly once or is still queued.
             let queued = match self.mode {
                 EngineMode::Reference => self.st.events.len(),
@@ -572,20 +563,14 @@ impl Exec<'_> {
         }
         if self.st.trace_enabled {
             // Canonicalize in every exit path so the trace is readable
-            // even after an abort or deadlock.
+            // even after a deadlock.
             self.st.finalize_trace();
         }
         let incomplete: Vec<usize> = (0..self.desc.kernels.len())
             .filter(|&k| self.st.kernels[k].completed < self.desc.kernels[k].total)
             .collect();
         if incomplete.is_empty() {
-            // Even a horizon-bounded run that drained everything is a
-            // completion: the boundary that tripped the flag was the last
-            // kernel's, and there is nothing left to checkpoint.
-            return Ok(RunOutcome::Complete(self.report()));
-        }
-        if self.abort_flag {
-            return Ok(RunOutcome::Aborted(self.residue()));
+            return Ok(self.report());
         }
         Err(self.deadlock_error(&incomplete))
     }
@@ -1354,9 +1339,6 @@ impl Exec<'_> {
         kr.concurrent -= 1;
         if kr.completed == self.desc.kernels[k].total {
             kr.end = Some(self.st.now);
-            if self.abort_at.is_some_and(|h| self.st.now >= h) {
-                self.abort_flag = true;
-            }
             let stream = self.desc.kernels[k].stream;
             self.record(
                 self.desc.kernels[k].device,

@@ -23,11 +23,6 @@ impl Exec<'_> {
                 let (_, kind) = self.st.fast_events.pop().expect("peeked event");
                 self.handle(kind);
             }
-            // Same checkpoint semantics as the reference loop: both modes
-            // stop at the identical kernel boundary.
-            if self.abort_flag {
-                break;
-            }
             if self.st.issue_dirty {
                 self.try_issue_optimized();
                 self.st.issue_dirty = false;

@@ -1,5 +1,4 @@
-//! Build errors, deadlock reports and horizon-bounded run outcomes, plus
-//! the per-run options a [`Session`](crate::Session) threads in.
+//! Build errors, deadlock reports and the link degradation scale.
 
 use std::fmt;
 
@@ -7,7 +6,6 @@ use super::Exec;
 use crate::config::{ConfigError, SM_CAPACITY_UNITS};
 use crate::dim::Dim3;
 use crate::sem::SemArrayId;
-use crate::stats::RunReport;
 use crate::time::SimTime;
 use crate::trace::KernelId;
 
@@ -382,82 +380,8 @@ impl LinkScale {
     }
 }
 
-/// Per-run execution knobs threaded from [`Session`](crate::Session) into
-/// the engine: the abort horizon of a checkpointed run and the link
-/// degradation scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct RunOptions {
-    /// Abort at the first kernel-completion boundary at or after this
-    /// virtual instant (see [`RunOutcome::Aborted`]).
-    pub(crate) abort_at: Option<SimTime>,
-    /// Scale every [`Op::LinkSend`](crate::Op::LinkSend) wire time by
-    /// this factor.
-    pub(crate) link_scale: Option<LinkScale>,
-}
-
-/// Outcome of a horizon-bounded run
-/// ([`Session::run_until`](crate::Session::run_until)).
-#[derive(Debug, Clone, PartialEq)]
-pub enum RunOutcome {
-    /// Every kernel finished before a kernel boundary at or past the
-    /// horizon was reached; the run is indistinguishable from an
-    /// unbounded [`Session::run`](crate::Session::run).
-    Complete(RunReport),
-    /// The run was checkpointed: execution stopped at the first *kernel
-    /// boundary* (a kernel's last block completing) at or after the
-    /// horizon, leaving later kernels unfinished. The residue describes
-    /// the checkpoint so a dispatcher can requeue the remaining work.
-    Aborted(RunResidue),
-}
-
-/// A resumable checkpoint descriptor for a horizon-aborted run: where the
-/// engine stopped and how much of the pipeline had retired. The serving
-/// layer prices the requeued remainder as `full_duration - aborted_at`
-/// plus its preemption overhead (see `crates/serve`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunResidue {
-    /// The kernel boundary the run was checkpointed at (the first kernel
-    /// completion at or after the requested horizon). Identical in both
-    /// engine modes.
-    pub aborted_at: SimTime,
-    /// Kernels fully retired at the checkpoint.
-    pub kernels_done: usize,
-    /// Total kernels in the pipeline.
-    pub kernels_total: usize,
-    /// Thread blocks fully retired at the checkpoint.
-    pub blocks_done: u64,
-    /// Total thread blocks in the pipeline.
-    pub blocks_total: u64,
-}
-
-impl RunResidue {
-    /// Virtual time still owed by the checkpointed work, given the
-    /// pipeline's unbounded-run duration `total`.
-    pub fn remaining(&self, total: SimTime) -> SimTime {
-        total.saturating_sub(self.aborted_at)
-    }
-}
-
-/// The outcome builders of a run that did not complete.
+/// The deadlock report of a run that stalled.
 impl Exec<'_> {
-    /// The checkpoint descriptor of an aborted run (see [`RunResidue`]).
-    pub(super) fn residue(&self) -> RunResidue {
-        let kernels_done = self
-            .st
-            .kernels
-            .iter()
-            .zip(self.desc.kernels.iter())
-            .filter(|(kr, kd)| kr.completed == kd.total)
-            .count();
-        RunResidue {
-            aborted_at: self.st.now,
-            kernels_done,
-            kernels_total: self.desc.kernels.len(),
-            blocks_done: self.st.kernels.iter().map(|kr| kr.completed).sum(),
-            blocks_total: self.desc.kernels.iter().map(|kd| kd.total).sum(),
-        }
-    }
-
     pub(super) fn deadlock_error(&self, incomplete: &[usize]) -> SimError {
         // Slots are reused, so slot order is not issue order: list the
         // parked blocks by issue sequence.

@@ -45,12 +45,6 @@ impl Exec<'_> {
                 let Reverse(event) = self.st.events.pop().expect("peeked event");
                 self.handle(event.kind);
             }
-            // A kernel boundary at or past the abort horizon checkpoints
-            // the run: the timestamp batch is drained (same-instant
-            // completions retire) but no further block issues.
-            if self.abort_flag {
-                break;
-            }
             self.try_issue_reference();
         }
     }

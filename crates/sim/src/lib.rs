@@ -89,7 +89,7 @@ pub use config::{ClusterConfig, ConfigError, GpuConfig, MAX_OCCUPANCY, SM_CAPACI
 pub use dim::Dim3;
 pub use engine::{
     BlockedBlock, BuildError, BuildErrorKind, DeadlockReport, EngineMode, Gpu, LaunchGate,
-    LinkScale, PendingKernel, RunOutcome, RunResidue, SimError, SmOccupancy, StreamId,
+    LinkScale, PendingKernel, SimError, SmOccupancy, StreamId,
 };
 pub use json::{json_escape, json_escape_into};
 pub use kernel::{BlockBody, BlockCtx, FixedKernel, FnKernel, IndexedKernel, KernelSource, Step};

@@ -24,25 +24,21 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use crate::engine::{
-    execute_with, EngineMode, Gpu, LinkScale, PipelineDesc, RunOptions, RunOutcome, RunState,
-    SimError,
-};
+use crate::engine::{execute_with, EngineMode, Gpu, LinkScale, PipelineDesc, RunState, SimError};
 use crate::mem::GlobalMemory;
 use crate::programs::Programs;
 use crate::sched::SchedPolicy;
 use crate::sem::SemTable;
 use crate::stats::RunReport;
-use crate::time::SimTime;
 use crate::trace::TraceEvent;
 use crate::GpuConfig;
 
 /// An immutable, shareable, repeatedly-executable workload: the frozen
 /// pipeline description plus pristine initial memory and semaphore state.
 ///
-/// Produced by [`Gpu::compile`]; executed by [`Session::run`] or
-/// [`Session::run_until`]. A `CompiledPipeline` is `Send + Sync`, so one
-/// `Arc<CompiledPipeline>` can serve sessions on any number of threads.
+/// Produced by [`Gpu::compile`]; executed by [`Session::run`]. A
+/// `CompiledPipeline` is `Send + Sync`, so one `Arc<CompiledPipeline>`
+/// can serve sessions on any number of threads.
 ///
 /// # Examples
 ///
@@ -262,43 +258,6 @@ impl Session {
     /// Returns [`SimError::Deadlock`] if execution stalls with incomplete
     /// kernels (the session remains usable afterwards).
     pub fn run(&mut self, pipeline: &CompiledPipeline) -> Result<RunReport, SimError> {
-        match self.run_with(pipeline, None)? {
-            RunOutcome::Complete(report) => Ok(report),
-            RunOutcome::Aborted(_) => unreachable!("unbounded run cannot abort"),
-        }
-    }
-
-    /// Executes `pipeline` with an **abort horizon**: the engine runs
-    /// normally until the first *kernel boundary* (a kernel's final block
-    /// retiring) at or after `horizon`, then checkpoints — same-instant
-    /// completions drain, nothing further issues — and returns
-    /// [`RunOutcome::Aborted`] describing the residue. A pipeline that
-    /// drains entirely first returns [`RunOutcome::Complete`] with a
-    /// report bit-identical to a plain [`Session::run`].
-    ///
-    /// This is the preemption hook of the serving layer: a dispatcher
-    /// evicting a running batch stops it at the next kernel boundary and
-    /// requeues the remainder (`crates/serve`). Checkpoints land on the
-    /// identical boundary in both [`EngineMode`]s, and the session stays
-    /// fully usable afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Deadlock`] if execution stalls before any
-    /// boundary at or past the horizon is reached.
-    pub fn run_until(
-        &mut self,
-        pipeline: &CompiledPipeline,
-        horizon: SimTime,
-    ) -> Result<RunOutcome, SimError> {
-        self.run_with(pipeline, Some(horizon))
-    }
-
-    fn run_with(
-        &mut self,
-        pipeline: &CompiledPipeline,
-        abort_at: Option<SimTime>,
-    ) -> Result<RunOutcome, SimError> {
         self.st.reset_storage(&pipeline.mem, &pipeline.sems);
         // The reference engine never replays programs; don't trigger
         // their (lazy, once-per-pipeline) collection for it.
@@ -309,22 +268,16 @@ impl Session {
         };
         self.st.reset(&pipeline.desc);
         self.st.trace_enabled = self.trace_enabled;
-        let opts = RunOptions {
-            abort_at,
-            link_scale: self.link_scale,
-        };
-        let outcome = execute_with(
+        let report = execute_with(
             &pipeline.desc,
             programs,
             self.mode,
             self.sched,
             &mut self.st,
-            opts,
-        );
-        if let Ok(RunOutcome::Complete(report)) = &outcome {
-            debug_assert_eq!(report.check(), Ok(()), "a completed run broke a report law");
-        }
-        outcome
+            self.link_scale,
+        )?;
+        debug_assert_eq!(report.check(), Ok(()), "a completed run broke a report law");
+        Ok(report)
     }
 }
 
@@ -424,73 +377,6 @@ mod tests {
         assert!(lookups(Session::default().run(&pipeline).unwrap()) > 0);
         let reference = Session::with_mode(EngineMode::Reference).run(&pipeline);
         assert_eq!(lookups(reference.unwrap()), 0);
-    }
-
-    #[test]
-    fn run_until_past_completion_matches_plain_run() {
-        let pipeline = two_kernel_pipeline();
-        let mut session = Session::new();
-        let plain = session.run(&pipeline).unwrap();
-        // A horizon beyond the last kernel boundary never checkpoints.
-        match session
-            .run_until(&pipeline, plain.total + SimTime::from_nanos(1))
-            .unwrap()
-        {
-            RunOutcome::Complete(report) => assert_eq!(report, plain),
-            RunOutcome::Aborted(res) => panic!("unreachable horizon aborted at {}", res.aborted_at),
-        }
-        // A horizon *at* the final boundary also completes: nothing is
-        // left to checkpoint once every kernel retired.
-        match session.run_until(&pipeline, plain.total).unwrap() {
-            RunOutcome::Complete(report) => assert_eq!(report, plain),
-            RunOutcome::Aborted(res) => {
-                panic!("final-boundary horizon aborted at {}", res.aborted_at)
-            }
-        }
-    }
-
-    #[test]
-    fn run_until_checkpoints_at_kernel_boundary_in_both_modes() {
-        let pipeline = two_kernel_pipeline();
-        let mut probe = Session::new();
-        let full = probe.run(&pipeline).unwrap();
-        let producer_end = full.kernel("producer").end;
-        assert!(producer_end < full.total);
-        // Aborting anywhere in (0, producer_end] must checkpoint exactly
-        // at the producer's boundary, identically in both engine modes.
-        let residue_in = |mode: EngineMode| {
-            let mut session = Session::with_mode(mode);
-            match session
-                .run_until(&pipeline, SimTime::from_picos(1))
-                .unwrap()
-            {
-                RunOutcome::Aborted(res) => {
-                    // The session survives a checkpointed run intact: it
-                    // replays a fresh session's run in its mode exactly
-                    // (engine counters included), and matches the probe's
-                    // report in everything but the per-engine counters.
-                    let rerun = session.run(&pipeline).unwrap();
-                    assert_eq!(rerun, Session::with_mode(mode).run(&pipeline).unwrap());
-                    assert_eq!(
-                        RunReport {
-                            counters: full.counters,
-                            ..rerun
-                        },
-                        full
-                    );
-                    res
-                }
-                RunOutcome::Complete(_) => panic!("tiny horizon must checkpoint"),
-            }
-        };
-        let reference = residue_in(EngineMode::Reference);
-        let optimized = residue_in(EngineMode::Optimized);
-        assert_eq!(reference, optimized, "checkpoints must be bit-identical");
-        assert_eq!(reference.aborted_at, producer_end);
-        assert_eq!(reference.kernels_done, 1);
-        assert_eq!(reference.kernels_total, 2);
-        assert!(reference.blocks_done < reference.blocks_total);
-        assert_eq!(reference.remaining(full.total), full.total - producer_end);
     }
 
     #[test]

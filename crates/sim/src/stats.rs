@@ -222,7 +222,9 @@ impl RunReport {
     ///    `program_steps + coroutine_steps ≤ block_resume_events`;
     /// 4. the four event kinds sum to `sim_events`;
     /// 5. every kernel has `ready ≤ start ≤ end ≤ total`;
-    /// 6. `sm_utilization` lies in [0, 1].
+    /// 6. `sm_utilization` lies in [0, 1];
+    /// 7. `total` is the latest kernel `end` (zero without kernels), so a
+    ///    run's kernel ends are its only interior boundaries.
     ///
     /// # Errors
     ///
@@ -259,6 +261,15 @@ impl RunReport {
         let util = self.sm_utilization;
         if !(0.0..=1.0).contains(&util) {
             return Err(format!("sm_utilization {util} outside [0, 1]"));
+        }
+        let last = self
+            .kernels
+            .iter()
+            .map(|k| k.end)
+            .max()
+            .unwrap_or(SimTime::ZERO);
+        if self.total != last {
+            return Err(format!("total {} != latest kernel end {last}", self.total));
         }
         Ok(())
     }
@@ -406,6 +417,13 @@ mod tests {
         let mut short_total = r.clone();
         short_total.total = r.kernels[1].end - one;
         assert_breaks(short_total, "out of order");
+    }
+
+    #[test]
+    fn check_ends_total_at_the_latest_kernel_end() {
+        let mut r = real_report();
+        r.total += SimTime::from_picos(1);
+        assert_breaks(r, "latest kernel end");
     }
 
     #[test]

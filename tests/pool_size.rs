@@ -1,6 +1,7 @@
 //! A warmed `ServicePool` keeps measured service times, not compiled
-//! pipelines: once `build` returns, a pool of real zoo models owns a few
-//! KiB, however large the pipelines it measured.
+//! pipelines: once `build` returns, and after its fault-mode probes have
+//! run every shape, a pool of real zoo models owns a few KiB, however
+//! large the pipelines it measured.
 //!
 //! The binary counts live heap bytes with its own global allocator and
 //! measures a pool as the bytes its drop frees. Any other test running
@@ -10,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cusync_serve::{ArrivalModel, ModelKind, ServicePool, TenantClass, TenantSpec};
-use cusync_sim::{ClusterConfig, SimTime};
+use cusync_sim::{ClusterConfig, LinkScale, SimTime};
 
 /// Forwards to the system allocator and keeps the live byte count.
 struct Counting;
@@ -68,10 +69,16 @@ fn a_warmed_pool_retains_no_pipelines() {
         };
         let pool = ServicePool::build(&cluster, &[tenant], 8);
         assert_eq!(pool.num_pipelines(), 8, "{model}: one pipeline per width");
+        // A preemption probe of every width under both link pricings.
+        for width in 1..=8 {
+            for scale in [None, Some(LinkScale::times(4))] {
+                pool.checkpoint(0, width, 0, SimTime::from_picos(1), scale);
+            }
+        }
         let retained = heap_bytes(pool);
         assert!(
             retained < MAX_RETAINED,
-            "{model}: the pool retains {retained} bytes after build, \
+            "{model}: the pool retains {retained} bytes after build and probes, \
              at most {MAX_RETAINED} allowed"
         );
     }
